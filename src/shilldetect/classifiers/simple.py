@@ -10,6 +10,10 @@ from .base import Dataset, N_CLASSES, require_trainable
 
 _VAR_FLOOR = 1e-9
 
+# Bytes of the two scratch arrays KNN3 computes distances in; query rows
+# are scored in chunks that fit them.
+KNN_BUFFER_BYTES = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # OneR: the best single-feature rule.
@@ -228,22 +232,45 @@ class KNN3:
                                    / self.scale)
         return Z
 
-    def scores(self, X: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    def scores(self, X: np.ndarray) -> np.ndarray:
         Z = self._standardize(np.asarray(X, np.float64))
         num, cat = self.numeric_mask, ~self.numeric_mask
-        train_num = self.train_X[:, num]
+        z_num, z_cat = Z[:, num], Z[:, cat]
+        train_num_t = np.ascontiguousarray(self.train_X[:, num].T)
         train_cat = self.train_X[:, cat]
+        n_train = len(self.train_X)
+        rows = max(1, KNN_BUFFER_BYTES // (2 * 8 * n_train))
+        d2_buf = np.empty((min(rows, len(Z)), n_train))
+        term_buf = np.empty_like(d2_buf)
         out = np.empty(len(Z))
-        for lo in range(0, len(Z), chunk):
-            zi = Z[lo:lo + chunk]
-            d2 = ((zi[:, None, num] - train_num[None, :, :]) ** 2).sum(axis=2)
+        for lo in range(0, len(Z), rows):
+            hi = min(lo + rows, len(Z))
+            d2, term = d2_buf[:hi - lo], term_buf[:hi - lo]
+            # Squared differences are added feature by feature, in column
+            # order, so a distance never depends on how rows are chunked.
+            d2.fill(0.0)
+            for f, train_col in enumerate(train_num_t):
+                np.subtract(z_num[lo:hi, f, None], train_col, out=term)
+                np.square(term, out=term)
+                d2 += term
             if cat.any():
-                d2 += (zi[:, None, cat] != train_cat[None, :, :]).sum(axis=2)
-            # Training rows are in user-id order, so stable argsort breaks
-            # distance ties toward the lower user id.
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
-            out[lo:lo + chunk] = self.train_y[nearest].mean(axis=1)
+                d2 += (z_cat[lo:hi, None, :] != train_cat[None, :, :]).sum(axis=2)
+            out[lo:hi] = self._vote(d2)
         return out
+
+    def _vote(self, d2: np.ndarray) -> np.ndarray:
+        """Shill share of the k nearest training rows of each query row.
+
+        Training rows are in user-id order. The neighbours are every row
+        strictly nearer than the k-th distance, then the rows tied at it in
+        row order: the first k of a stable argsort of each row of `d2`.
+        """
+        kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1:self.k]
+        nearer = d2 < kth
+        tied = d2 == kth
+        room = self.k - nearer.sum(axis=1, keepdims=True)
+        chosen = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
+        return (chosen @ self.train_y) / self.k
 
 
 def train_knn3(dataset: Dataset, k: int = 3, seed: int = 0) -> KNN3:

@@ -128,23 +128,34 @@ def rank_users(scores, labels, user_ids):
     return np.lexsort((uid_rank, -scores))
 
 
-def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
-    """Fraction of true shills in the top k of the ranking.
+def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
+    """Fraction of true shills in the top k of the ranking, for every k.
 
-    k larger than the row count saturates to the row count. Ties in score
-    are broken toward the lower user id (stable, never optimistic); when
-    user ids are not supplied, input order stands in for id order.
+    The rows are ranked once; precision at k is read off the running count
+    of shills down the ranking. k larger than the row count saturates to the
+    row count. Ties in score are broken toward the lower user id (stable,
+    never optimistic); when user ids are not supplied, input order stands in
+    for id order.
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
-    if k < 1:
+    ks = np.asarray(k_grid, np.int64)
+    if (ks < 1).any():
         raise ValueError("k must be >= 1")
-    k = min(k, len(scores))
+    if len(scores) == 0:
+        raise ValueError("precision@k needs at least one scored row")
     if user_ids is None:
         order = np.lexsort((np.arange(len(scores)), -scores))
     else:
         order = rank_users(scores, labels, user_ids)
-    return float(labels[order[:k]].sum() / k)
+    hits = np.cumsum(labels[order], dtype=np.int64)
+    ks = np.minimum(ks, len(scores))
+    return (hits[ks - 1] / ks).tolist()
+
+
+def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
+    """Precision at one k; see `precision_curve`."""
+    return precision_curve(scores, labels, [k], user_ids)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +283,21 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
                                replace=False)
         test_pool = [pool[i] for i in pool_pick]    # draw order kept: prefixes nest
 
+        # Test sets nest by prefix, so the largest one covers every ratio.
+        overlap = set(test_shills + test_pool) & set(train_ids)
+        if overlap:
+            raise ValueError(f"{len(overlap)} user id(s) fall in both the training "
+                             f"and the test set, e.g. {min(overlap)!r}; "
+                             "user ids must be unique")
+
         model = train(algorithm, Dataset.from_matrix(matrix.select(train_ids)),
                       hyperparameters, seed=rep_seed)
         for r in ratios:
             test_ids = test_shills + test_pool[:plan.test_benign_per_ratio[r]]
-            assert not set(test_ids) & set(train_ids)
             sub = matrix.select(sorted(test_ids))
             scores = predict_score(model, sub)
-            curve = [precision_at_k(scores, sub.labels, k, sub.user_ids)
-                     for k in k_grid]
-            per_rep[f"1:{r}"].append(curve)
+            per_rep[f"1:{r}"].append(
+                precision_curve(scores, sub.labels, k_grid, sub.user_ids))
 
     curves = {label: np.mean(np.array(reps), axis=0).tolist()
               for label, reps in per_rep.items()}

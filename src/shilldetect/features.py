@@ -44,6 +44,8 @@ FEATURE_VERSION = 1
 # magnitude is meaningless. Everything else is ordinal/numeric.
 CATEGORICAL_FEATURES = ("State-Hash",)
 
+LABEL_VALUES = {"benign": 0, "shill": 1}
+
 _EPOCH = date(1970, 1, 1)
 _SECONDS_PER_DAY = 86400
 
@@ -77,7 +79,7 @@ class FeatureMatrix:
             "version": self.version,
             "features": {name: i for i, name in enumerate(self.feature_names)},
             "categorical": list(CATEGORICAL_FEATURES),
-            "label_values": {"benign": 0, "shill": 1},
+            "label_values": dict(LABEL_VALUES),
         }
 
     def schema_hash(self) -> str:
@@ -383,13 +385,16 @@ def read_feature_csv(stream) -> FeatureMatrix:
     if header != expected:
         raise ValueError(f"feature CSV header mismatch: {header[:3]}...")
     ids, rows, labels = [], [], []
-    for line in stream:
+    for line_no, line in enumerate(stream, start=2):
         parts = line.rstrip("\n").split(",")
         if len(parts) != len(expected):
             raise ValueError(f"bad feature CSV row: {line!r}")
+        if parts[-1] not in LABEL_VALUES:
+            raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
+                             "is neither 'shill' nor 'benign'")
         ids.append(parts[0])
         rows.append([float(x) for x in parts[1:-1]])
-        labels.append(1 if parts[-1] == "shill" else 0)
+        labels.append(LABEL_VALUES[parts[-1]])
     values = np.array(rows, np.float64) if rows else np.zeros((0, len(FEATURE_NAMES)))
     return FeatureMatrix(ids, values, np.array(labels, np.int8))
 

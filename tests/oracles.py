@@ -55,6 +55,37 @@ def precision_at_k_reference(scores, labels, user_ids, k) -> float:
     return sum(labels[i] for i in top) / len(top)
 
 
+def knn_scores_reference(train_rows, train_labels, train_ids, query_rows,
+                         categorical, mean, scale, k=3):
+    """Shill share of the k nearest training rows of each query, by brute force.
+
+    Numeric columns are z-scored with the given per-column mean and scale
+    (listed in numeric-column order). A distance adds the squared numeric
+    differences one column at a time, left to right, then one for each
+    categorical column whose raw values differ. The neighbours are the
+    first k training rows sorted on (distance, user id).
+    """
+    numeric = [j for j in range(len(train_rows[0])) if j not in categorical]
+
+    def standardize(row):
+        return [(row[j] - mean[i]) / scale[i] for i, j in enumerate(numeric)]
+
+    train_z = [standardize(r) for r in train_rows]
+    out = []
+    for q in query_rows:
+        qz = standardize(q)
+        dist = []
+        for r, rz in zip(train_rows, train_z):
+            d = 0.0
+            for a, b in zip(qz, rz):
+                d += (a - b) * (a - b)
+            d += sum(1 for j in categorical if q[j] != r[j])
+            dist.append(d)
+        order = sorted(range(len(train_rows)), key=lambda i: (dist[i], train_ids[i]))
+        out.append(sum(train_labels[i] for i in order[:k]) / k)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Graphs
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,9 @@ from shilldetect.classifiers.simple import (
 from shilldetect.classifiers.tree import Z_CF25, added_errors, train_decision_tree
 from shilldetect.evaluation import balanced_training_sample, auc
 
-from oracles import jacobi_eigh
+import shilldetect.classifiers.simple as simple
+
+from oracles import jacobi_eigh, knn_scores_reference
 
 
 def mk_ds(X, y, names=None, categorical=()):
@@ -202,6 +205,61 @@ def test_knn_needs_k_rows():
 def test_knn_score_domain(train_ds):
     s = train_knn3(train_ds).scores(train_ds.X)
     assert set(np.round(s * 3).astype(int)) <= {0, 1, 2, 3}
+
+
+def _knn_oracle_scores(model, ds, Q):
+    cat = [j for j in range(ds.n_features) if not model.numeric_mask[j]]
+    return knn_scores_reference(ds.X.tolist(), ds.y.tolist(), ds.user_ids,
+                                np.asarray(Q).tolist(), cat,
+                                model.mean.tolist(), model.scale.tolist())
+
+
+def _tie_heavy_knn_data():
+    """Rows from a small grid with repeats, plus a categorical column."""
+    rng = np.random.default_rng(5)
+    n = 90
+    X = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n),
+                         rng.integers(0, 4, n) * 0.5,
+                         rng.choice([7.0, 11.0, 13.0], n)]).astype(np.float64)
+    X[30:45] = X[:15]                                   # exact duplicate rows
+    y = rng.integers(0, 2, n).astype(np.int8)
+    ids = tuple(f"u{v:03d}" for v in rng.permutation(n))   # ids not in row order
+    ds = Dataset(X, y, ids, ("a", "b", "c", "state"), ("state",), "t" * 64)
+    Q = np.vstack([X[::2], rng.integers(0, 3, (40, 4)).astype(np.float64)])
+    return ds, Q
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+def test_knn_matches_brute_force_oracle(monkeypatch, rows_per_chunk):
+    ds, Q = _tie_heavy_knn_data()
+    if rows_per_chunk is not None:   # a budget that fits this many query rows
+        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * ds.n * rows_per_chunk)
+    model = train_knn3(ds)
+    scores = model.scores(Q)
+    assert scores.tolist() == _knn_oracle_scores(model, ds, Q)
+
+
+def test_knn_matches_oracle_on_features(monkeypatch, train_ds, small_matrix):
+    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n * 13)
+    model = train_knn3(train_ds)
+    Q = small_matrix.values
+    assert model.scores(Q).tolist() == _knn_oracle_scores(model, train_ds.canonical(), Q)
+
+
+def test_knn_scoring_memory_is_bounded():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(2000, 31))
+    X[:, 30] = rng.integers(0, 50, 2000)
+    ds = mk_ds(X, rng.integers(0, 2, 2000), categorical=("f30",))
+    model = train_knn3(ds)
+    Q = rng.normal(size=(4000, 31))
+    tracemalloc.start()
+    try:
+        model.scores(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

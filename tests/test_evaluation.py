@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shilldetect.classifiers import Dataset
+from shilldetect.features import FeatureMatrix
 from shilldetect.evaluation import (
     DEFAULT_RATIOS,
     auc,
@@ -18,6 +19,7 @@ from shilldetect.evaluation import (
     information_gain_ranking,
     mdl_discretize,
     precision_at_k,
+    precision_curve,
     protocol_plan,
     rank_users,
     stratified_kfold,
@@ -162,6 +164,29 @@ def test_precision_at_k_hand_and_oracle():
         precision_at_k(scores, labels, 0, uids)
 
 
+@pytest.mark.parametrize("with_ids", [True, False])
+def test_precision_curve_equals_per_k_oracle(with_ids):
+    rng = np.random.default_rng(11)
+    n = 257
+    scores = rng.integers(0, 4, n) / 3            # four values: ties everywhere
+    labels = rng.integers(0, 2, n)
+    uids = [f"u{v:04d}" for v in rng.permutation(n)]
+    ks = list(range(1, n + 40))                   # k past n saturates
+    curve = precision_curve(scores, labels, ks, uids if with_ids else None)
+    ref_ids = uids if with_ids else list(range(n))
+    s, y = scores.tolist(), labels.tolist()
+    assert curve == [precision_at_k_reference(s, y, ref_ids, k) for k in ks]
+    assert [precision_at_k(scores, labels, k, uids if with_ids else None)
+            for k in ks] == curve
+
+
+def test_precision_curve_rejects_bad_input():
+    with pytest.raises(ValueError, match="k must be"):
+        precision_curve([0.5, 0.2], [1, 0], [1, 0, 2])
+    with pytest.raises(ValueError, match="at least one"):
+        precision_curve([], [], [1])
+
+
 def test_cross_validate_structure(small_matrix):
     ds = balanced_training_sample(small_matrix, seed=3)
     out = cross_validate("NaiveBayes", ds, k=4, seed=3)
@@ -208,6 +233,50 @@ def test_imbalanced_protocol_deterministic(small_matrix):
     b = imbalanced_protocol(small_matrix, "OneR", ratios=(2,), repetitions=2,
                             seed=7, k_grid=range(1, 6))
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("algorithm", ["KNN3", "OneR"])
+def test_imbalanced_protocol_curves_equal_reference(small_matrix, monkeypatch,
+                                                    algorithm):
+    # Capture every scored test set, then rebuild each repetition's curve
+    # with the per-k sort oracle; the report must hold exactly those floats.
+    import shilldetect.evaluation as evaluation
+
+    scored = []
+    real_predict = evaluation.predict_score
+
+    def spy(model, features):
+        scores = real_predict(model, features)
+        scored.append((scores, features.labels, features.user_ids))
+        return scores
+
+    monkeypatch.setattr(evaluation, "predict_score", spy)
+    k_grid = list(range(1, 301))
+    rep = imbalanced_protocol(small_matrix, algorithm, ratios=(2, 10, 100),
+                              repetitions=2, seed=3, k_grid=k_grid)
+    assert len(scored) == 2 * 3
+    it = iter(scored)
+    for r in range(2):
+        for ratio in (2, 10, 100):
+            scores, labels, uids = next(it)
+            assert len(scores) == rep.test_sizes[f"1:{ratio}"]
+            s, y = scores.tolist(), [int(v) for v in labels]
+            expected = [precision_at_k_reference(s, y, uids, k) for k in k_grid]
+            assert rep.per_repetition[f"1:{ratio}"][r] == expected
+
+
+def test_imbalanced_protocol_rejects_train_test_overlap(small_matrix):
+    # Give every shill's id to a benign row as well: the benign test pool
+    # then reaches ids the shill training sample holds.
+    shill_ids = [u for u, y in zip(small_matrix.user_ids, small_matrix.labels) if y]
+    benign_rows = [i for i, y in enumerate(small_matrix.labels) if not y]
+    ids = list(small_matrix.user_ids)
+    for i, u in zip(benign_rows, shill_ids):
+        ids[i] = u
+    clash = FeatureMatrix(ids, small_matrix.values, small_matrix.labels)
+    with pytest.raises(ValueError, match="both the training and the test set"):
+        imbalanced_protocol(clash, "OneR", ratios=(100,), repetitions=1,
+                            k_grid=[1])
 
 
 def test_imbalanced_protocol_saturation(small_matrix):

@@ -227,6 +227,15 @@ def test_csv_roundtrip_exact(small_matrix):
     assert back.schema_hash() == small_matrix.schema_hash()
 
 
+def test_csv_unknown_label_names_the_line(small_matrix):
+    buf = io.StringIO()
+    write_feature_csv(small_matrix, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",shil\n"
+    with pytest.raises(ValueError, match=r"line 4: label 'shil'"):
+        read_feature_csv(io.StringIO("".join(lines)))
+
+
 def test_schema_json_written(tiny_matrix):
     buf = io.StringIO()
     write_feature_schema(tiny_matrix, buf)
