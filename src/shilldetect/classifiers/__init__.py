@@ -8,11 +8,10 @@ on; scoring a mismatched matrix is refused.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..features import FeatureMatrix
+from . import deepjson
 from .base import Dataset, entropy, require_trainable
 from .pca import pca_basis
 from .simple import KNN3, NaiveBayes, OneR, train_knn3, train_naive_bayes, train_oner
@@ -185,13 +184,14 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path) -> None:
+    """Write the model's JSON and a newline; trees of any depth fit."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
+        fh.write(deepjson.dumps(model_to_dict(model)) + "\n")
 
 
 def load_model(path, expected_schema_hash: str | None = None):
     with open(path, encoding="utf-8") as fh:
-        model = model_from_dict(json.load(fh))
+        model = model_from_dict(deepjson.loads(fh.read()))
     if expected_schema_hash is not None and model.schema_hash != expected_schema_hash:
         raise ValueError("refusing model with mismatched feature manifest hash")
     return model

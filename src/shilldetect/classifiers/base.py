@@ -30,8 +30,8 @@ class Dataset:
     def __post_init__(self):
         if self.X.ndim != 2 or not (len(self.X) == len(self.y) == len(self.user_ids)):
             raise ValueError("X, y, user_ids must agree on row count")
-        if np.isnan(self.X).any():
-            raise ValueError("dataset contains missing values")
+        if not np.isfinite(self.X).all():
+            raise ValueError("dataset contains missing or infinite values")
         if not np.isin(self.y, (0, 1)).all():
             raise ValueError("labels must be binary 0/1")
 

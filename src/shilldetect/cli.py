@@ -34,7 +34,7 @@ from .features import (
     write_feature_csv,
     write_feature_schema,
 )
-from .classifiers import ALGORITHMS, Dataset, model_to_dict, train
+from .classifiers import ALGORITHMS, Dataset, save_model, train
 from .evaluation import (
     DEFAULT_RATIOS,
     EvaluationReport,
@@ -211,9 +211,7 @@ def _cmd_train(args) -> None:
     else:
         dataset = balanced_training_sample(matrix, seed=args.seed)
     model = train(algorithm, dataset, hyper, seed=args.seed)
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    save_model(model, out / "model.json")
     _write_manifest(out, "train",
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "seed": args.seed, "hyper": hyper,

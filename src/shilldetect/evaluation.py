@@ -22,6 +22,7 @@ from scipy.stats import rankdata
 
 from .classifiers import Dataset, predict_score, train
 from .classifiers.base import entropy
+from .classifiers.tree import _binary_entropy
 from .features import CATEGORICAL_FEATURES, FeatureMatrix
 
 DEFAULT_RATIOS = (2, 5, 10, 20, 100)
@@ -340,17 +341,8 @@ def _best_cut(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
     nr = n - nl
     pos_r = pos_total - pos_l
 
-    def h(p, m):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = p / m
-            b = 1 - a
-            out = np.zeros_like(a, dtype=np.float64)
-            mask = (a > 0) & (a < 1)
-            out[mask] = -(a[mask] * np.log2(a[mask]) + b[mask] * np.log2(b[mask]))
-        return out
-
-    h_l = h(pos_l.astype(float), nl.astype(float))
-    h_r = h(pos_r.astype(float), nr.astype(float))
+    h_l = _binary_entropy(pos_l.astype(float), nl.astype(float))
+    h_r = _binary_entropy(pos_r.astype(float), nr.astype(float))
     h_all = _entropy_slice(y, lo, hi)
     infos = (nl / n) * h_l + (nr / n) * h_r
     best = int(np.argmin(infos))

@@ -396,6 +396,11 @@ def read_feature_csv(stream) -> FeatureMatrix:
         rows.append([float(x) for x in parts[1:-1]])
         labels.append(LABEL_VALUES[parts[-1]])
     values = np.array(rows, np.float64) if rows else np.zeros((0, len(FEATURE_NAMES)))
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"feature CSV line {r + 2}: {FEATURE_NAMES[c]} is "
+                         f"{float(values[r, c])!r}; feature values must be finite")
     return FeatureMatrix(ids, values, np.array(labels, np.int8))
 
 

@@ -190,6 +190,133 @@ def info_gain_categorical(values, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Gain-ratio tree: every candidate column sorted afresh at every node
+
+
+def _log2(x: float) -> float:
+    # numpy's log2, so reference and package round every logarithm alike
+    import numpy as np
+    return float(np.log2(x))
+
+
+def _h2(pos: int, n: int) -> float:
+    p = pos / n
+    if not 0 < p < 1:
+        return 0.0
+    q = 1.0 - p
+    return -(p * _log2(p) + q * _log2(q))
+
+
+def _added_errors(n: float, e: float) -> float:
+    """Upper-bound extra errors at CF=0.25 (normal approximation for e >= 1)."""
+    cf, z = 0.25, 0.6744897501960817
+    if n == 0:
+        return 0.0
+    if e == 0:
+        return n * (1.0 - cf ** (1.0 / n))
+    if e < 1:
+        base = n * (1.0 - cf ** (1.0 / n))
+        return base + e * (_added_errors(n, 1.0) - base)
+    if e + 0.5 >= n:
+        return max(n - e, 0.0)
+    f = (e + 0.5) / n
+    r = (f + z * z / (2 * n)
+         + z * math.sqrt(f / n - f * f / n + z * z / (4 * n * n))) / (1 + z * z / n)
+    return r * n - e
+
+
+def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
+                        subset_size=None) -> dict:
+    """The gain-ratio tree as a nested ``Node.to_dict()`` dict, grown naively.
+
+    Each node sorts every candidate column of its own rows with Python's
+    stable ``sorted``. Numeric columns split at the midpoint of each pair of
+    adjacent distinct values (``x <= t`` goes left), categorical columns at
+    each distinct value (``x == v`` goes left). A candidate needs `min_leaf`
+    rows a side and gain and split information above 1e-12. The highest gain
+    ratio wins; ties go to the lower column, then the lower threshold. With
+    `subset_size`, each splittable node draws its columns with
+    ``rng.choice`` in pre-order. Pruning replaces a subtree by a leaf when
+    the leaf's pessimistic error is at most the subtree's plus 0.1.
+    """
+    rows = [list(map(float, r)) for r in X]
+    labels = [int(v) for v in y]
+    n_features = len(rows[0])
+
+    def grow(idx):
+        n = len(idx)
+        pos = sum(labels[i] for i in idx)
+        node = {"counts": [n - pos, pos]}
+        if pos in (0, n) or n < 2 * min_leaf:
+            return node
+        if subset_size is None:
+            pool = range(n_features)
+        else:
+            pool = sorted(int(f) for f in rng.choice(
+                n_features, size=min(subset_size, n_features), replace=False))
+        parent_h = -sum(c / n * _log2(c / n) for c in node["counts"] if c)
+        best = None
+        for f in pool:
+            order = sorted(idx, key=lambda i: rows[i][f])
+            xs = [rows[i][f] for i in order]
+            cands = []          # (rows going left, positives left, threshold)
+            if f in categorical:
+                for v in sorted(set(xs)):
+                    left = [i for i in order if rows[i][f] == v]
+                    cands.append((len(left), sum(labels[i] for i in left), v))
+            else:
+                pos_l = 0
+                for k in range(n - 1):
+                    pos_l += labels[order[k]]
+                    if xs[k] != xs[k + 1]:
+                        cands.append((k + 1, pos_l, (xs[k] + xs[k + 1]) / 2.0))
+            for nl, pl_count, threshold in cands:
+                nr = n - nl
+                if nl < min_leaf or nr < min_leaf:
+                    continue
+                gain = (parent_h - (nl / n) * _h2(pl_count, nl)
+                        - (nr / n) * _h2(pos - pl_count, nr))
+                pl = nl / n
+                split_info = -(pl * _log2(pl) + (1 - pl) * _log2(1 - pl))
+                if gain <= 1e-12 or split_info <= 1e-12:
+                    continue
+                ratio = gain / split_info
+                if best is None or ratio > best[0]:
+                    best = (ratio, f, threshold)
+        if best is None:
+            return node
+        _, f, threshold = best
+        equal = f in categorical
+        goes_left = [(rows[i][f] == threshold) if equal else (rows[i][f] <= threshold)
+                     for i in idx]
+        node.update(feature=f, threshold=threshold, equal=equal,
+                    left=grow([i for i, g in zip(idx, goes_left) if g]),
+                    right=grow([i for i, g in zip(idx, goes_left) if not g]))
+        return node
+
+    def pessimistic(counts):
+        n = float(sum(counts))
+        e = n - float(max(counts))
+        return e + _added_errors(n, e)
+
+    def pruned_error(node):
+        if "feature" not in node:
+            return pessimistic(node["counts"])
+        subtree = pruned_error(node["left"]) + pruned_error(node["right"])
+        leaf = pessimistic(node["counts"])
+        if leaf <= subtree + 0.1:
+            for key in ("feature", "threshold", "equal", "left", "right"):
+                del node[key]
+            return leaf
+        return subtree
+
+    root = grow(list(range(len(rows))))
+    if prune:
+        pruned_error(root)
+    return root
+
+
+# ---------------------------------------------------------------------------
 # Symmetric eigen-decomposition: classical Jacobi rotations
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from shilldetect.classifiers import (
     save_model,
     train,
 )
+from shilldetect.classifiers import deepjson
 from shilldetect.classifiers.ensembles import (
     train_bagging,
     train_random_forest,
@@ -32,7 +34,7 @@ from shilldetect.evaluation import balanced_training_sample, auc
 
 import shilldetect.classifiers.simple as simple
 
-from oracles import jacobi_eigh, knn_scores_reference
+from oracles import grow_tree_reference, jacobi_eigh, knn_scores_reference
 
 
 def mk_ds(X, y, names=None, categorical=()):
@@ -57,6 +59,9 @@ def train_ds(small_matrix):
 def test_dataset_validation():
     with pytest.raises(ValueError, match="missing"):
         mk_ds([[np.nan]], [0])
+    for value in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="infinite"):
+            mk_ds([[0.0], [value]], [0, 1])
     with pytest.raises(ValueError, match="binary"):
         mk_ds([[1.0]], [2])
     with pytest.raises(ValueError, match="row count"):
@@ -369,6 +374,88 @@ def test_tree_json_roundtrip(train_ds):
     assert np.array_equal(back.scores(train_ds.X), model.scores(train_ds.X))
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_tree_needs_no_recursion(tmp_path):
+    # x = row index with alternating labels: each split peels off one row,
+    # so the unpruned min_leaf=1 tree is n - 1 levels deep.
+    n = 300
+    ds = mk_ds(np.arange(n, dtype=float), np.arange(n) % 2)
+    path = tmp_path / "deep.json"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        model = train_decision_tree(ds, min_leaf=1, prune=False)
+        scores = model.scores(ds.X)
+        count = model.node_count()
+        save_model(model, path)
+        back = load_model(path)
+        back_scores = back.scores(ds.X)
+        pruned_count = train_decision_tree(ds, min_leaf=1, prune=True).node_count()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 2 * n - 1
+    assert np.array_equal(scores, ds.y)                # every leaf is pure
+    assert np.array_equal(back_scores, scores)
+    assert back.root.to_dict() == model.root.to_dict()
+    assert pruned_count < count
+
+
+def _tie_heavy_tree_data():
+    """Duplicate rows, a constant and a repeated column, few distinct values,
+    and a categorical column that wins the root split."""
+    rng = np.random.default_rng(11)
+    n = 48
+    state = rng.choice([3.0, 5.0, 8.0], n)
+    y = ((state == 5.0) ^ (rng.random(n) < 0.1)).astype(np.int8)
+    half = rng.integers(0, 3, n) * 0.5
+    X = np.column_stack([np.full(n, 2.0), half, state,
+                         rng.integers(0, 2, n).astype(float), half])
+    X, y = np.vstack([X, X[:16]]), np.concatenate([y, y[:16]])
+    return Dataset(X, y, tuple(f"u{i:03d}" for i in range(len(y))),
+                   ("const", "half", "state", "bit", "half-copy"), ("state",),
+                   "t" * 64)
+
+
+@pytest.fixture(scope="module", params=["small_matrix", "tie_heavy"])
+def tree_ds(request):
+    if request.param == "tie_heavy":
+        ds = _tie_heavy_tree_data()
+        assert train_decision_tree(ds).root.equal     # categorical root split
+        return ds
+    return Dataset.from_matrix(request.getfixturevalue("small_matrix")).canonical()
+
+
+def _categorical_columns(ds):
+    return set(np.nonzero(ds.categorical_mask())[0].tolist())
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2])
+@pytest.mark.parametrize("prune", [False, True])
+def test_tree_matches_grow_reference(tree_ds, min_leaf, prune):
+    model = train_decision_tree(tree_ds, min_leaf=min_leaf, prune=prune)
+    expected = grow_tree_reference(tree_ds.X, tree_ds.y, _categorical_columns(tree_ds),
+                                   min_leaf=min_leaf, prune=prune)
+    assert model.root.to_dict() == expected
+
+
+def test_random_forest_matches_grow_reference(tree_ds):
+    seed, subset = 3, int(np.log2(tree_ds.n_features)) + 1
+    model = train_random_forest(tree_ds, n_members=4, seed=seed)
+    for i, member in enumerate(model.members):
+        rng = np.random.default_rng(seed + i)
+        boot = tree_ds.take(rng.integers(0, tree_ds.n, tree_ds.n))
+        expected = grow_tree_reference(boot.X, boot.y, _categorical_columns(tree_ds),
+                                       min_leaf=1, prune=False, rng=rng,
+                                       subset_size=subset)
+        assert member.root.to_dict() == expected
+
+
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -487,6 +574,35 @@ def test_save_load_schema_guard(tmp_path, train_ds):
     assert np.array_equal(back.scores(train_ds.X), model.scores(train_ds.X))
     with pytest.raises(ValueError, match="mismatched"):
         load_model(path, expected_schema_hash="0" * 64)
+
+
+def test_deep_json_fallback_matches_json_module():
+    doc = {"s": "q\"b\\s\n\u00e9\u2603", "i": [0, -3, 2 ** 70],
+           "f": [0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf")],
+           "c": [True, False, None], "e": {}, "l": [], "t": (1, 2),
+           "n": {"k": [{"x": [[]]}, {}]}}
+    text = json.dumps(doc)
+    assert deepjson._dumps(doc) == text
+    assert deepjson._loads(text) == json.loads(text)
+    spaced = ' { "a" : [ 1 , 2.5e3 , -0 ] ,\n"b" : -Infinity, "c": NaN } '
+    back = deepjson._loads(spaced)
+    assert back["a"] == [1, 2500.0, 0] and back["b"] == float("-inf")
+    assert back["c"] != back["c"] and deepjson._dumps(back["c"]) == "NaN"
+    for bad in ("[1,]", '{"a" 1}', "[1] x", "{1: 2}", "", "[1 2]"):
+        with pytest.raises(json.JSONDecodeError):
+            deepjson._loads(bad)
+    with pytest.raises(TypeError):
+        deepjson._dumps({1: 2})
+    # Nesting far past the recursion limit round-trips through the fallback.
+    depth, deep = 3 * sys.getrecursionlimit(), []
+    for _ in range(depth):
+        deep = [deep, 1]
+    text = deepjson.dumps(deep)
+    assert text == "[" * depth + "[]" + ", 1]" * depth
+    back, levels = deepjson.loads(text), 0
+    while back:
+        back, levels = back[0], levels + 1
+    assert levels == depth
 
 
 def test_predict_score_checks_matrix_schema(small_matrix, train_ds):

@@ -236,6 +236,18 @@ def test_csv_unknown_label_names_the_line(small_matrix):
         read_feature_csv(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_value_names_line_and_feature(small_matrix, text):
+    buf = io.StringIO()
+    write_feature_csv(small_matrix, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    parts = lines[5].split(",")
+    parts[3] = text                                   # third feature column
+    lines[5] = ",".join(parts)
+    with pytest.raises(ValueError, match=rf"line 6: {FEATURE_NAMES[2]} is -?(nan|inf)"):
+        read_feature_csv(io.StringIO("".join(lines)))
+
+
 def test_schema_json_written(tiny_matrix):
     buf = io.StringIO()
     write_feature_schema(tiny_matrix, buf)
