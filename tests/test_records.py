@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import date, datetime, timezone
 
 import pytest
@@ -219,3 +220,159 @@ def test_consistency_warnings_flag_preregistration_trades(tiny_corpus):
     warns = consistency_warnings(early, [], profiles)
     assert any("alice" in w for w in warns)
     assert not consistency_warnings(transactions, feedback, profiles)
+
+
+# ---------------------------------------------------------------------------
+# row errors: every kind, with its exact line number and message
+
+_TS = "2011-01-01T00:00:00Z"
+_NAIVE = "2011-01-01T00:00:00"
+_TX = {"buyer_id": "a", "seller_id": "b", "product_id": "p", "quantity": 1,
+       "unit_price": "1.50", "timestamp": _TS}
+_FB = {"giver_id": "a", "receiver_id": "b", "rating": 1, "timestamp": _TS}
+_PR = {"user_id": "a", "birth_year": 1980, "state": "Ohio",
+       "registration_date": "2010-05-01"}
+
+
+def _jsonl(base: dict, *rows) -> str:
+    """One line per row: a dict updates `base`, a str is written verbatim."""
+    return "".join((json.dumps(base | row) if isinstance(row, dict) else row) + "\n"
+                   for row in rows)
+
+
+_NO_OFFSET = "timestamp lacks a UTC offset: '2011-01-01T00:00:00'"
+_BAD_ID = "empty or malformed identifier"
+_NONE_INT = ("int() argument must be a string, a bytes-like object or a real "
+             "number, not 'NoneType'")
+_BAD_JSON = "invalid JSON: Expecting property name enclosed in double quotes"
+
+# (parser, fmt) -> (text, records parsed, self-trades, [(line, message)])
+ROW_ERROR_CASES = {
+    ("transactions", "csv"): (
+        "buyer_id,seller_id,product_id,quantity,unit_price,timestamp\n"
+        f"a,b,p,1,1.50,{_TS}\n"
+        "a,b,p,1,1.50\n"
+        f"a,b,p,0,1.50,{_TS}\n"
+        f"a,b,p,x,1.50,{_TS}\n"
+        f"a,b,p,1,1.234,{_TS}\n"
+        f"a,b,p,1,-1.00,{_TS}\n"
+        f"a,b,p,1,1.00,{_NAIVE}\n"
+        "a,b,p,1,1.00,yesterday\n"
+        f"a ,b,p,1,1.00,{_TS}\n"
+        f",b,p,1,1.00,{_TS}\n"
+        f"c,c,p,2,0.99,{_TS}\n"
+        "\n"
+        f"b,a,q,3,4,{_TS}\n",
+        3, 1,
+        [(3, "expected 6 fields, got 5"),
+         (4, "quantity must be >= 1, got 0"),
+         (5, "invalid literal for int() with base 10: 'x'"),
+         (6, "not a 2-decimal price: '1.234'"),
+         (7, "negative price: '-1.00'"),
+         (8, _NO_OFFSET),
+         (9, "Invalid isoformat string: 'yesterday'"),
+         (10, _BAD_ID),
+         (11, _BAD_ID)]),
+    ("transactions", "jsonl"): (
+        _jsonl(_TX, {}, "{bad", "[1, 2]", '{"buyer_id": "a"}', {"quantity": 0},
+               {"quantity": None}, {"unit_price": 1.234}, {"timestamp": _NAIVE},
+               {"buyer_id": "a,b"}, {"buyer_id": "c", "seller_id": "c", "unit_price": 0.99},
+               "", {"buyer_id": "b", "seller_id": "a", "quantity": "3", "unit_price": "4"}),
+        3, 1,
+        [(2, _BAD_JSON),
+         (3, "JSONL line is not an object"),
+         (4, "missing keys: ['seller_id', 'product_id', 'quantity', 'unit_price', "
+             "'timestamp']"),
+         (5, "quantity must be >= 1, got 0"),
+         (6, _NONE_INT),
+         (7, "not a 2-decimal price: '1.234'"),
+         (8, _NO_OFFSET),
+         (9, _BAD_ID)]),
+    ("feedback", "csv"): (
+        "giver_id,receiver_id,rating,timestamp\n"
+        f"a,b,1,{_TS}\n"
+        f"a,b,1,{_TS},extra\n"
+        f"a,b,2,{_TS}\n"
+        f"a,b,x,{_TS}\n"
+        f"a,b,0,{_NAIVE}\n"
+        f"a,,-1,{_TS}\n"
+        "\n"
+        f"b,a,-1,{_TS}\n",
+        2, 0,
+        [(3, "expected 4 fields, got 5"),
+         (4, "rating must be -1, 0, or +1, got 2"),
+         (5, "invalid literal for int() with base 10: 'x'"),
+         (6, _NO_OFFSET),
+         (7, _BAD_ID)]),
+    ("feedback", "jsonl"): (
+        _jsonl(_FB, {}, '{"giver_id": "a",', '"a"', '{"giver_id": "a", "receiver_id": "b", '
+               f'"timestamp": "{_TS}"}}', {"rating": -2}, {"rating": None},
+               {"timestamp": _NAIVE}, {"giver_id": " a"}, "",
+               {"giver_id": "b", "receiver_id": "a", "rating": "-1"}),
+        2, 0,
+        [(2, _BAD_JSON),
+         (3, "JSONL line is not an object"),
+         (4, "missing keys: ['rating']"),
+         (5, "rating must be -1, 0, or +1, got -2"),
+         (6, _NONE_INT),
+         (7, _NO_OFFSET),
+         (8, _BAD_ID)]),
+    ("profiles", "csv"): (
+        "user_id,birth_year,state,registration_date\n"
+        "a,1980,Ohio,2010-05-01\n"
+        "b,1980,Ohio\n"
+        "a,1990,Texas,2010-07-01\n"
+        "c,19x0,Ohio,2010-05-01\n"
+        "d,1980,Ohio,2010-05-01T00:00:00\n"
+        "e,1980,Ohio,2010-13-01\n"
+        "f ,1980,Ohio,2010-05-01\n"
+        ",1980,Ohio,2010-05-01\n"
+        "\n"
+        "h,,default,2010-06-01\n",
+        2, 0,
+        [(3, "expected 4 fields, got 3"),
+         (4, "duplicate user_id 'a'"),
+         (5, "invalid literal for int() with base 10: '19x0'"),
+         (6, "timestamp lacks a UTC offset: '2010-05-01T00:00:00'"),
+         (7, "month must be in 1..12"),
+         (8, _BAD_ID),
+         (9, _BAD_ID)]),
+    ("profiles", "jsonl"): (
+        _jsonl(_PR, {}, "nul", "3", '{"user_id": "b", "state": "Ohio"}',
+               {"birth_year": 1990, "state": "Texas"},
+               {"user_id": "c", "birth_year": "19x0"},
+               {"user_id": "d", "registration_date": "2010-05-01T00:00:00"},
+               {"user_id": "e\n"}, "",
+               {"user_id": "h", "birth_year": None, "state": "default"}),
+        2, 0,
+        [(2, "invalid JSON: Expecting value"),
+         (3, "JSONL line is not an object"),
+         (4, "missing keys: ['birth_year', 'registration_date']"),
+         (5, "duplicate user_id 'a'"),
+         (6, "invalid literal for int() with base 10: '19x0'"),
+         (7, "timestamp lacks a UTC offset: '2010-05-01T00:00:00'"),
+         (8, _BAD_ID)]),
+}
+
+# corpus -> (parser, the noun its bad-fraction error uses)
+_PARSERS = {"transactions": (parse_transactions, "transaction"),
+            "feedback": (parse_feedback, "feedback"),
+            "profiles": (parse_profiles, "profile")}
+
+
+@pytest.mark.parametrize("what, fmt", sorted(ROW_ERROR_CASES))
+def test_row_errors_are_pinned(what, fmt):
+    text, n_records, self_trades, errors = ROW_ERROR_CASES[(what, fmt)]
+    parser, noun = _PARSERS[what]
+    res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == errors
+    assert len(res.records) == n_records
+    assert res.total_rows == n_records + len(errors)
+    assert res.self_trades == self_trades
+    # the default bad-row budget refuses the same input, naming the first error
+    line, message = errors[0]
+    with pytest.raises(ParseError) as exc:
+        parser(io.BytesIO(text.encode()), fmt)
+    assert str(exc.value) == (
+        f"{len(errors)} of {res.total_rows} {noun} rows malformed (> 10%); "
+        f"first: line {line}: {message}")
