@@ -64,17 +64,23 @@ def predict_score(model, features):
 
     Accepts a FeatureMatrix or Dataset (manifest-checked), a 2-D array
     (row per user), or a single 1-D feature vector (returns a float).
+    A row holding NaN or infinity raises ValueError.
     """
     if isinstance(features, FeatureMatrix):
         _check_manifest(model, features.schema_hash())
-        return model.scores(features.values)
-    if isinstance(features, Dataset):
+        X = features.values
+    elif isinstance(features, Dataset):
         _check_manifest(model, features.schema_hash)
-        return model.scores(features.X)
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        return float(model.scores(arr[None, :])[0])
-    return model.scores(arr)
+        X = features.X
+    else:
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim == 1:
+            return float(predict_score(model, X[None, :])[0])
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{len(bad)} row(s) hold NaN or infinity, the first is row "
+                         f"{bad[0]}; feature values must be finite")
+    return model.scores(X)
 
 
 def _check_manifest(model, schema_hash: str) -> None:

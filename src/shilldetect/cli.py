@@ -333,13 +333,7 @@ def _cmd_ecosystem(args) -> None:
 def _cmd_report(args) -> None:
     out = _prepare_out(args.out)
     with open(args.run, encoding="utf-8") as fh:
-        data = json.load(fh)
-    report = EvaluationReport(
-        algorithm=data["algorithm"], seed=data["seed"],
-        repetitions=data["repetitions"], rep_seeds=data["rep_seeds"],
-        ratios=data["ratios"], k_grid=data["k_grid"], curves=data["curves"],
-        per_repetition=data["per_repetition"], test_sizes=data["test_sizes"],
-        cv_metrics=data.get("cv_metrics"))
+        report = EvaluationReport(**json.load(fh))
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "report",
                     {"run": Path(args.run).name, "emit": args.emit},

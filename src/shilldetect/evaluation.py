@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -240,13 +240,7 @@ class EvaluationReport:
         return self.curves[f"1:{ratio}"][self.k_grid.index(k)]
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm, "seed": self.seed,
-            "repetitions": self.repetitions, "rep_seeds": self.rep_seeds,
-            "ratios": self.ratios, "k_grid": self.k_grid,
-            "curves": self.curves, "per_repetition": self.per_repetition,
-            "test_sizes": self.test_sizes, "cv_metrics": self.cv_metrics,
-        }
+        return asdict(self)
 
 
 def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest",

@@ -2,8 +2,8 @@
 
 Each user gets a 31-value vector: 15 transaction features, 13 feedback
 features, and 3 account-detail features, plus a binary shill/benign label.
-All aggregation is vectorized over the compressed edge arrays; the per-user
-block functions exist for spot checks and small cohorts.
+Every block is computed for all vertices at once, vectorized over the
+graphs' edge arrays.
 
 Degenerate-value policy: max/min over an empty link set is 0 (not +-inf),
 and any average with a zero denominator is 0. Classifiers downstream need
@@ -16,11 +16,11 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 
 import numpy as np
 
-from .records import LabelSet, UserProfile, crc32_state
+from .records import LabelSet, crc32_state
 from .graphs import FeedbackMultigraph, TransactionMultigraph
 
 TRANSACTION_FEATURES = (
@@ -228,74 +228,6 @@ def _detail_block_all(tg: TransactionMultigraph, profiles_by_id: dict) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Per-user blocks (spot-check path; same formulas, direct adjacency slices)
-
-
-def transaction_features(user_id: str, tg: TransactionMultigraph) -> np.ndarray:
-    v = tg.users.position(user_id)
-    out, inn = tg.out_links(v), tg.in_links(v)
-    amount = tg.amount_cents()
-    a_out, a_in = amount[out], amount[inn]
-    q_out, q_in = tg.quantity[out], tg.quantity[inn]
-    sellers = np.unique(tg.seller[out])
-    buyers = np.unique(tg.buyer[inn])
-    return np.array([
-        len(out), len(inn), len(sellers), len(buyers),
-        len(np.intersect1d(sellers, buyers)),
-        a_out.max() / 100.0 if len(out) else 0.0,
-        a_out.min() / 100.0 if len(out) else 0.0,
-        q_out.max() if len(out) else 0,
-        q_out.sum(),
-        a_out.sum() / 100.0,
-        a_in.max() / 100.0 if len(inn) else 0.0,
-        a_in.min() / 100.0 if len(inn) else 0.0,
-        q_in.max() if len(inn) else 0,
-        q_in.sum(),
-        a_in.sum() / 100.0,
-    ], dtype=np.float64)
-
-
-def feedback_features(user_id: str, fg: FeedbackMultigraph) -> np.ndarray:
-    v = fg.users.position(user_id)
-    out, inn = fg.out_links(v), fg.in_links(v)
-    r_out, r_in = fg.rating[out], fg.rating[inn]
-    given_to = np.unique(fg.receiver[out])
-    got_from = np.unique(fg.giver[inn])
-    gvn_num, rcv_num = len(out), len(inn)
-    gvn_rsum, rcv_rsum = int(r_out.sum()), int(r_in.sum())
-    return np.array([
-        gvn_num, rcv_num, len(given_to), len(got_from),
-        len(np.intersect1d(given_to, got_from)),
-        int((r_out > 0).sum()), int((r_out < 0).sum()),
-        int((r_in > 0).sum()), int((r_in < 0).sum()),
-        gvn_rsum, rcv_rsum,
-        gvn_rsum / gvn_num if gvn_num else 0.0,
-        rcv_rsum / rcv_num if rcv_num else 0.0,
-    ], dtype=np.float64)
-
-
-def profile_features(user_id: str, profile: UserProfile | None,
-                     last_transaction: date | None) -> np.ndarray:
-    """Birth-Year, State-Hash, Active-Days for one user.
-
-    last_transaction is the date of the user's most recent buy or sell,
-    or None if they never transacted.
-    """
-    if profile is None:
-        return np.array([0.0, float(crc32_state("")), 0.0])
-    active = 0
-    if last_transaction is not None:
-        active = (last_transaction - profile.registration_date).days
-        if active < 0:
-            warnings.warn(f"user {user_id}: last transaction precedes registration; "
-                          "Active-Days clamped to 0", stacklevel=2)
-            active = 0
-    return np.array([float(profile.birth_year or 0),
-                     float(crc32_state(profile.state_text)),
-                     float(active)])
-
-
-# ---------------------------------------------------------------------------
 
 
 def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
@@ -406,20 +338,3 @@ def read_feature_csv(stream) -> FeatureMatrix:
 
 def _fmt(x: float) -> str:
     return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(float(x))
-
-
-def default_schema_hash() -> str:
-    """Hash of the current 31-column manifest (what trained models pin to)."""
-    empty = FeatureMatrix([], np.zeros((0, len(FEATURE_NAMES))), np.zeros(0, np.int8))
-    return empty.schema_hash()
-
-
-def last_transaction_dates(tg: TransactionMultigraph) -> dict[str, date]:
-    """user_id -> date of latest buy/sell; users with no transactions omitted."""
-    days = _last_transaction_days(tg)
-    out = {}
-    for v, user_id in enumerate(tg.users.ids):
-        if days[v] >= 0:
-            out[user_id] = datetime.fromtimestamp(
-                int(days[v]) * _SECONDS_PER_DAY, tz=timezone.utc).date()
-    return out

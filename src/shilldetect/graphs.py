@@ -2,15 +2,16 @@
 
 Two directed multigraphs are built from the raw corpora: the transaction
 graph (links buyer -> seller, one per transaction) and the feedback graph
-(links giver -> receiver, one per rating). Both use a compressed adjacency
-layout (edge arrays plus per-vertex offset indexes) so million-link graphs
-stay vectorizable. A weighted simple-graph projection of the feedback
+(links giver -> receiver, one per rating). Each is a set of parallel numpy
+edge arrays (one entry per link) over a shared dense vertex index, so
+per-vertex aggregates over million-link graphs are single bincount or
+ufunc.at passes. A weighted simple-graph projection of the feedback
 multigraph over a user subset supports the ecosystem statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,16 +56,8 @@ class UserIndex:
         return len(self.ids)
 
 
-def _csr_index(keys: np.ndarray, n: int):
-    """Stable sort of edge ids by vertex key, plus per-vertex offsets."""
-    order = np.argsort(keys, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    return order, offsets
-
-
-def _epoch_seconds(records, attr: str = "timestamp") -> np.ndarray:
-    return np.fromiter((int(getattr(r, attr).timestamp()) for r in records),
+def _epoch_seconds(records) -> np.ndarray:
+    return np.fromiter((int(r.timestamp.timestamp()) for r in records),
                        dtype=np.int64, count=len(records))
 
 
@@ -80,10 +73,6 @@ class TransactionMultigraph:
     price_cents: np.ndarray  # unit price
     ts: np.ndarray           # epoch seconds, UTC
     product_ids: list[str]
-    out_order: np.ndarray = field(repr=False)   # edges sorted by buyer
-    out_offsets: np.ndarray = field(repr=False)
-    in_order: np.ndarray = field(repr=False)    # edges sorted by seller
-    in_offsets: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -92,20 +81,6 @@ class TransactionMultigraph:
     @property
     def n_links(self) -> int:
         return len(self.buyer)
-
-    def out_degree(self) -> np.ndarray:
-        return np.diff(self.out_offsets)
-
-    def in_degree(self) -> np.ndarray:
-        return np.diff(self.in_offsets)
-
-    def out_links(self, v: int) -> np.ndarray:
-        """Edge ids of v's buying transactions."""
-        return self.out_order[self.out_offsets[v]:self.out_offsets[v + 1]]
-
-    def in_links(self, v: int) -> np.ndarray:
-        """Edge ids of v's selling transactions."""
-        return self.in_order[self.in_offsets[v]:self.in_offsets[v + 1]]
 
     def amount_cents(self) -> np.ndarray:
         # Transaction total q*p per link; derived on demand.
@@ -121,10 +96,6 @@ class FeedbackMultigraph:
     receiver: np.ndarray
     rating: np.ndarray       # each in {-1, 0, +1}
     ts: np.ndarray
-    out_order: np.ndarray = field(repr=False)
-    out_offsets: np.ndarray = field(repr=False)
-    in_order: np.ndarray = field(repr=False)
-    in_offsets: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -133,18 +104,6 @@ class FeedbackMultigraph:
     @property
     def n_links(self) -> int:
         return len(self.giver)
-
-    def out_degree(self) -> np.ndarray:
-        return np.diff(self.out_offsets)
-
-    def in_degree(self) -> np.ndarray:
-        return np.diff(self.in_offsets)
-
-    def out_links(self, v: int) -> np.ndarray:
-        return self.out_order[self.out_offsets[v]:self.out_offsets[v + 1]]
-
-    def in_links(self, v: int) -> np.ndarray:
-        return self.in_order[self.in_offsets[v]:self.in_offsets[v + 1]]
 
 
 def build_transaction_graph(records, users: UserIndex | None = None) -> TransactionMultigraph:
@@ -165,13 +124,8 @@ def build_transaction_graph(records, users: UserIndex | None = None) -> Transact
         product[i] = prod_codes.setdefault(r.product_id, len(prod_codes))
         quantity[i] = r.quantity
         price[i] = r.unit_price_cents
-    ts = _epoch_seconds(records)
-    n = len(users)
-    out_order, out_offsets = _csr_index(buyer, n)
-    in_order, in_offsets = _csr_index(seller, n)
-    return TransactionMultigraph(users, buyer, seller, product, quantity, price, ts,
-                                 list(prod_codes), out_order, out_offsets,
-                                 in_order, in_offsets)
+    return TransactionMultigraph(users, buyer, seller, product, quantity, price,
+                                 _epoch_seconds(records), list(prod_codes))
 
 
 def build_feedback_graph(records, users: UserIndex | None = None) -> FeedbackMultigraph:
@@ -186,12 +140,7 @@ def build_feedback_graph(records, users: UserIndex | None = None) -> FeedbackMul
         giver[i] = pos[r.giver_id]
         receiver[i] = pos[r.receiver_id]
         rating[i] = r.rating
-    ts = _epoch_seconds(records)
-    n = len(users)
-    out_order, out_offsets = _csr_index(giver, n)
-    in_order, in_offsets = _csr_index(receiver, n)
-    return FeedbackMultigraph(users, giver, receiver, rating, ts,
-                              out_order, out_offsets, in_order, in_offsets)
+    return FeedbackMultigraph(users, giver, receiver, rating, _epoch_seconds(records))
 
 
 def build_graphs(transactions, feedback, profiles=()):
@@ -313,15 +262,13 @@ def connected_components(graph: WeightedFeedbackGraph) -> ComponentPartition:
     adj = csr_matrix((np.ones(graph.n_links, dtype=np.int8), (graph.src, graph.dst)),
                      shape=(n, n))
     _, raw = csgraph.connected_components(adj, directed=False)
-    labels = np.where(non_isolated, raw, -1).astype(np.int64)
-    # Renumber so that only components containing links survive, sizes descending.
-    used, counts = np.unique(labels[non_isolated], return_counts=True)
+    # Renumber so that only components containing links survive, sizes
+    # descending; an isolated vertex is a component of its own and maps to -1.
+    used, counts = np.unique(raw[non_isolated], return_counts=True)
     order = np.argsort(-counts, kind="stable")
-    relabel = {int(used[o]): rank for rank, o in enumerate(order)}
-    out = np.full(n, -1, dtype=np.int64)
-    for old, new in relabel.items():
-        out[labels == old] = new
-    return ComponentPartition(out, counts[order].astype(np.int64), isolated)
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[used[order]] = np.arange(len(used), dtype=np.int64)
+    return ComponentPartition(rank[raw], counts[order].astype(np.int64), isolated)
 
 
 def bidirectional_link_count(graph: WeightedFeedbackGraph) -> int:

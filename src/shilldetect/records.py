@@ -63,10 +63,6 @@ class TransactionRecord:
         return self.unit_price_cents / 100.0
 
     @property
-    def amount(self) -> float:
-        return self.amount_cents / 100.0
-
-    @property
     def is_self_trade(self) -> bool:
         return self.buyer_id == self.seller_id
 
@@ -217,96 +213,85 @@ def _iter_rows(stream, fmt: str, columns: tuple[str, ...]):
         raise ValueError(f"unknown format {fmt!r} (csv or jsonl)")
 
 
-def _check_bad_fraction(result: ParseResult, max_bad_fraction: float, what: str) -> None:
+def _parse(stream, fmt: str, columns: tuple[str, ...], make, what: str,
+           max_bad_fraction: float) -> ParseResult:
+    """Records `make(fields)` of every row; a ValueError/TypeError is a row error."""
+    result = ParseResult(records=[])
+    for line_no, row in _iter_rows(stream, fmt, columns):
+        result.total_rows += 1
+        if isinstance(row, str):
+            result.errors.append(RowError(line_no, row))
+            continue
+        try:
+            result.records.append(make(row))
+        except (ValueError, TypeError) as exc:
+            result.errors.append(RowError(line_no, str(exc)))
     if result.total_rows and result.bad_rows / result.total_rows > max_bad_fraction:
         first = result.errors[0]
         raise ParseError(
             f"{result.bad_rows} of {result.total_rows} {what} rows malformed "
             f"(> {max_bad_fraction:.0%}); first: line {first.line}: {first.message}"
         )
+    return result
+
+
+def _transaction(row: dict) -> TransactionRecord:
+    quantity = int(row["quantity"])
+    if quantity < 1:
+        raise ValueError(f"quantity must be >= 1, got {quantity}")
+    price = row["unit_price"]
+    cents = parse_price_cents(price if isinstance(price, str) else repr(price))
+    ts = parse_rfc3339(str(row["timestamp"]))
+    buyer, seller, product = str(row["buyer_id"]), str(row["seller_id"]), str(row["product_id"])
+    if not (_valid_id(buyer) and _valid_id(seller) and _valid_id(product)):
+        raise ValueError("empty or malformed identifier")
+    return TransactionRecord(buyer, seller, product, quantity, cents, ts)
+
+
+def _feedback(row: dict) -> FeedbackRecord:
+    rating = int(row["rating"])
+    if rating not in VALID_RATINGS:
+        raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
+    ts = parse_rfc3339(str(row["timestamp"]))
+    giver, receiver = str(row["giver_id"]), str(row["receiver_id"])
+    if not (_valid_id(giver) and _valid_id(receiver)):
+        raise ValueError("empty or malformed identifier")
+    return FeedbackRecord(giver, receiver, rating, ts)
 
 
 def parse_transactions(stream, fmt: str = "csv",
                        max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse the transaction corpus; malformed rows are reported per line."""
-    result = ParseResult(records=[])
-    for line_no, row in _iter_rows(stream, fmt, TRANSACTION_COLUMNS):
-        result.total_rows += 1
-        if isinstance(row, str):
-            result.errors.append(RowError(line_no, row))
-            continue
-        try:
-            quantity = int(row["quantity"])
-            if quantity < 1:
-                raise ValueError(f"quantity must be >= 1, got {quantity}")
-            price = row["unit_price"]
-            cents = parse_price_cents(price if isinstance(price, str) else repr(price))
-            ts = parse_rfc3339(str(row["timestamp"]))
-            buyer, seller, product = str(row["buyer_id"]), str(row["seller_id"]), str(row["product_id"])
-            if not (_valid_id(buyer) and _valid_id(seller) and _valid_id(product)):
-                raise ValueError("empty or malformed identifier")
-        except (ValueError, TypeError) as exc:
-            result.errors.append(RowError(line_no, str(exc)))
-            continue
-        rec = TransactionRecord(buyer, seller, product, quantity, cents, ts)
-        if rec.is_self_trade:
-            result.self_trades += 1
-        result.records.append(rec)
-    _check_bad_fraction(result, max_bad_fraction, "transaction")
+    result = _parse(stream, fmt, TRANSACTION_COLUMNS, _transaction, "transaction",
+                    max_bad_fraction)
+    result.self_trades = sum(r.is_self_trade for r in result.records)
     return result
 
 
 def parse_feedback(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse the feedback corpus; ratings outside {-1, 0, +1} are row errors."""
-    result = ParseResult(records=[])
-    for line_no, row in _iter_rows(stream, fmt, FEEDBACK_COLUMNS):
-        result.total_rows += 1
-        if isinstance(row, str):
-            result.errors.append(RowError(line_no, row))
-            continue
-        try:
-            rating = int(row["rating"])
-            if rating not in VALID_RATINGS:
-                raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
-            ts = parse_rfc3339(str(row["timestamp"]))
-            giver, receiver = str(row["giver_id"]), str(row["receiver_id"])
-            if not (_valid_id(giver) and _valid_id(receiver)):
-                raise ValueError("empty or malformed identifier")
-        except (ValueError, TypeError) as exc:
-            result.errors.append(RowError(line_no, str(exc)))
-            continue
-        result.records.append(FeedbackRecord(giver, receiver, rating, ts))
-    _check_bad_fraction(result, max_bad_fraction, "feedback")
-    return result
+    return _parse(stream, fmt, FEEDBACK_COLUMNS, _feedback, "feedback", max_bad_fraction)
 
 
 def parse_profiles(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse user profiles; one row per user, duplicates are row errors."""
-    result = ParseResult(records=[])
     seen: set[str] = set()
-    for line_no, row in _iter_rows(stream, fmt, PROFILE_COLUMNS):
-        result.total_rows += 1
-        if isinstance(row, str):
-            result.errors.append(RowError(line_no, row))
-            continue
-        try:
-            user_id = str(row["user_id"])
-            if not _valid_id(user_id):
-                raise ValueError("empty or malformed identifier")
-            if user_id in seen:
-                raise ValueError(f"duplicate user_id {user_id!r}")
-            birth_raw = row["birth_year"]
-            birth_year = None if birth_raw in ("", None) else int(birth_raw)
-            registration = parse_rfc3339(str(row["registration_date"])).date()
-        except (ValueError, TypeError) as exc:
-            result.errors.append(RowError(line_no, str(exc)))
-            continue
+
+    def profile(row: dict) -> UserProfile:
+        user_id = str(row["user_id"])
+        if not _valid_id(user_id):
+            raise ValueError("empty or malformed identifier")
+        if user_id in seen:
+            raise ValueError(f"duplicate user_id {user_id!r}")
+        birth_raw = row["birth_year"]
+        birth_year = None if birth_raw in ("", None) else int(birth_raw)
+        registration = parse_rfc3339(str(row["registration_date"])).date()
         seen.add(user_id)
-        result.records.append(UserProfile(user_id, birth_year, str(row["state"]), registration))
-    _check_bad_fraction(result, max_bad_fraction, "profile")
-    return result
+        return UserProfile(user_id, birth_year, str(row["state"]), registration)
+
+    return _parse(stream, fmt, PROFILE_COLUMNS, profile, "profile", max_bad_fraction)
 
 
 def load_label_list(stream) -> LabelSet:
@@ -327,56 +312,34 @@ def load_label_list(stream) -> LabelSet:
     return LabelSet(frozenset(ids), duplicates)
 
 
-def write_transactions(records, stream, fmt: str = "csv") -> None:
+def _write_rows(rows, stream, fmt: str, columns: tuple[str, ...]) -> None:
+    """A csv header and one line per row, or one JSON object per jsonl line."""
     if fmt == "csv":
         w = csv.writer(stream, lineterminator="\n")
-        w.writerow(TRANSACTION_COLUMNS)
-        for r in records:
-            w.writerow((r.buyer_id, r.seller_id, r.product_id, r.quantity,
-                        format_price(r.unit_price_cents), format_rfc3339(r.timestamp)))
+        w.writerow(columns)
+        w.writerows(rows)
     elif fmt == "jsonl":
-        for r in records:
-            stream.write(json.dumps({
-                "buyer_id": r.buyer_id, "seller_id": r.seller_id, "product_id": r.product_id,
-                "quantity": r.quantity, "unit_price": format_price(r.unit_price_cents),
-                "timestamp": format_rfc3339(r.timestamp)}, separators=(",", ":")) + "\n")
+        for row in rows:
+            stream.write(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def write_transactions(records, stream, fmt: str = "csv") -> None:
+    _write_rows(((r.buyer_id, r.seller_id, r.product_id, r.quantity,
+                  format_price(r.unit_price_cents), format_rfc3339(r.timestamp))
+                 for r in records), stream, fmt, TRANSACTION_COLUMNS)
 
 
 def write_feedback(records, stream, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(FEEDBACK_COLUMNS)
-        for r in records:
-            w.writerow((r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp)))
-    elif fmt == "jsonl":
-        for r in records:
-            stream.write(json.dumps({
-                "giver_id": r.giver_id, "receiver_id": r.receiver_id,
-                "rating": r.rating, "timestamp": format_rfc3339(r.timestamp)},
-                separators=(",", ":")) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_rows(((r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp))
+                 for r in records), stream, fmt, FEEDBACK_COLUMNS)
 
 
 def write_profiles(records, stream, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(PROFILE_COLUMNS)
-        for r in records:
-            w.writerow((r.user_id, "" if r.birth_year is None else r.birth_year,
-                        r.state_text, r.registration_date.isoformat()))
-    elif fmt == "jsonl":
-        for r in records:
-            stream.write(json.dumps({
-                "user_id": r.user_id,
-                "birth_year": "" if r.birth_year is None else r.birth_year,
-                "state": r.state_text,
-                "registration_date": r.registration_date.isoformat()},
-                separators=(",", ":")) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_rows(((r.user_id, "" if r.birth_year is None else r.birth_year,
+                  r.state_text, r.registration_date.isoformat())
+                 for r in records), stream, fmt, PROFILE_COLUMNS)
 
 
 def write_labels(labels: LabelSet, stream) -> None:

@@ -31,6 +31,7 @@ from shilldetect.classifiers.simple import (
 )
 from shilldetect.classifiers.tree import Z_CF25, added_errors, train_decision_tree
 from shilldetect.evaluation import balanced_training_sample, auc
+from shilldetect.features import FeatureMatrix
 
 import shilldetect.classifiers.simple as simple
 
@@ -610,6 +611,25 @@ def test_predict_score_checks_matrix_schema(small_matrix, train_ds):
     s = predict_score(model, small_matrix)
     assert len(s) == small_matrix.n_users
     assert predict_score(model, small_matrix.values[0]) == pytest.approx(s[0])
+
+
+@pytest.mark.parametrize("algorithm", ["KNN3", "DecisionTree"])
+def test_predict_score_refuses_non_finite_rows(algorithm, small_matrix, train_ds):
+    model = train(algorithm, train_ds, seed=0)
+    for value in (np.nan, np.inf, -np.inf):
+        values = small_matrix.values[:4].copy()
+        values[2, 0] = value
+        # raw 2-D array, single 1-D row, and an in-memory matrix
+        with pytest.raises(ValueError, match="finite"):
+            predict_score(model, values)
+        with pytest.raises(ValueError, match="finite"):
+            predict_score(model, values[2])
+        matrix = FeatureMatrix(small_matrix.user_ids[:4], values, small_matrix.labels[:4])
+        with pytest.raises(ValueError, match="finite"):
+            predict_score(model, matrix)
+    # finite rows still score, and the same way through every input kind
+    scores = predict_score(model, small_matrix.values[:4])
+    assert predict_score(model, small_matrix.values[1]) == scores[1]
 
 
 def test_all_algorithms_roundtrip_via_dict(train_ds):

@@ -132,6 +132,20 @@ def test_precision_and_report_rerender(ws, tmp_path, capsys):
            (run / "precision.csv").read_bytes()
 
 
+def test_report_rejects_unknown_keys(ws, tmp_path, capsys):
+    run = tmp_path / "protocol"
+    assert main(["precision-at-k", "--features", str(ws / "features" / "features.csv"),
+                 "--algorithm", "OneR", "--ratios", "2", "--repetitions", "1",
+                 "--k-grid", "1:5", "--emit", "json", "--out", str(run)]) == 0
+    stored = json.loads((run / "report.json").read_text())
+    (tmp_path / "edited.json").write_text(json.dumps(stored | {"note": "hand edit"}))
+    capsys.readouterr()
+    assert main(["report", "--run", str(tmp_path / "edited.json"),
+                 "--out", str(tmp_path / "rerender")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TypeError" and "'note'" in err["message"]
+
+
 def test_ecosystem_subcommand(ws, tmp_path, capsys):
     run = tmp_path / "eco"
     rc = main(["ecosystem", "--data", str(ws / "corpus"), "--out", str(run)])

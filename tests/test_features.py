@@ -11,10 +11,7 @@ from shilldetect.features import (
     FeatureMatrix,
     cohort_feature_ratios,
     extract_all,
-    feedback_features,
-    profile_features,
     read_feature_csv,
-    transaction_features,
     write_feature_csv,
     write_feature_schema,
 )
@@ -141,26 +138,15 @@ def test_sampled_recount_on_generated_corpus(small_corpus, small_matrix):
     c = small_corpus
     by_id = {p.user_id: p for p in c.profiles}
     rng = np.random.default_rng(0)
-    sample = rng.choice(len(small_matrix.user_ids), size=25, replace=False)
+    n = len(small_matrix.user_ids)
+    # 25 random users plus every 53rd, so low, middle and high ids all appear
+    sample = sorted({*rng.choice(n, size=25, replace=False).tolist(), *range(0, n, 53)})
     for i in sample:
         uid = small_matrix.user_ids[i]
         want = recount_features(uid, c.transactions, c.feedback, by_id.get(uid))
         got = dict(zip(FEATURE_NAMES, small_matrix.values[i]))
         for name in FEATURE_NAMES:
             assert got[name] == pytest.approx(want[name], abs=1e-9), (uid, name)
-
-
-def test_per_user_path_matches_vectorized(small_corpus, small_matrix):
-    c = small_corpus
-    tg, fg = build_graphs(c.transactions, c.feedback, c.profiles)
-    by_id = {p.user_id: p for p in c.profiles}
-    for uid in list(small_matrix.user_ids)[::53]:
-        i = list(small_matrix.user_ids).index(uid)
-        t_block = transaction_features(uid, tg)
-        f_block = feedback_features(uid, fg)
-        vec = small_matrix.values[i]
-        assert np.allclose(vec[:15], t_block, atol=1e-12)
-        assert np.allclose(vec[15:28], f_block, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
