@@ -71,7 +71,7 @@ def _golden() -> dict:
 
 
 @pytest.mark.parametrize("market", sorted(MARKETS))
-def test_golden_artifacts(market, tmp_path, monkeypatch, capsys):
+def test_golden_artifacts(market, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = run_market(MARKETS[market])
     golden = _golden()
