@@ -138,15 +138,27 @@ def test_sampled_recount_on_generated_corpus(small_corpus, small_matrix):
     c = small_corpus
     by_id = {p.user_id: p for p in c.profiles}
     rng = np.random.default_rng(0)
-    n = len(small_matrix.user_ids)
-    # 25 random users plus every 53rd, so low, middle and high ids all appear
-    sample = sorted({*rng.choice(n, size=25, replace=False).tolist(), *range(0, n, 53)})
+    sample = rng.choice(len(small_matrix.user_ids), size=25, replace=False)
     for i in sample:
         uid = small_matrix.user_ids[i]
         want = recount_features(uid, c.transactions, c.feedback, by_id.get(uid))
         got = dict(zip(FEATURE_NAMES, small_matrix.values[i]))
         for name in FEATURE_NAMES:
             assert got[name] == pytest.approx(want[name], abs=1e-9), (uid, name)
+
+
+def test_per_user_path_matches_vectorized(small_corpus, small_matrix):
+    # every 53rd user, so low, middle and high ids all appear; the oracle's
+    # per-user recount from the raw records must match the vectorized blocks
+    c = small_corpus
+    by_id = {p.user_id: p for p in c.profiles}
+    for i in range(0, len(small_matrix.user_ids), 53):
+        uid = small_matrix.user_ids[i]
+        want = recount_features(uid, c.transactions, c.feedback, by_id.get(uid))
+        want = np.array([want[name] for name in FEATURE_NAMES])
+        vec = small_matrix.values[i]
+        assert np.allclose(vec[:15], want[:15], atol=1e-12), uid
+        assert np.allclose(vec[15:28], want[15:28], atol=1e-12), uid
 
 
 # ---------------------------------------------------------------------------
