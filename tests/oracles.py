@@ -433,3 +433,99 @@ def recount_features(user_id, transactions, feedback, profile):
             "Active-Days": active,
         })
     return f
+
+
+# ---------------------------------------------------------------------------
+# Corpus row parsing, one row at a time
+
+
+def _reference_valid_id(text: str) -> bool:
+    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
+
+
+def _reference_rows(text: str, fmt: str, columns):
+    """(line, {column: value} | error message) per non-empty row."""
+    import csv
+    import io
+    import json
+
+    if fmt == "csv":
+        reader = csv.reader(io.StringIO(text))
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                yield line_no, f"expected {len(columns)} fields, got {len(row)}"
+            else:
+                yield line_no, dict(zip(columns, row))
+        return
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield line_no, f"invalid JSON: {exc.msg}"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "JSONL line is not an object"
+            continue
+        missing = [c for c in columns if c not in obj]
+        if missing:
+            yield line_no, f"missing keys: {missing}"
+        else:
+            yield line_no, {c: obj[c] for c in columns}
+
+
+def _reference_transaction(row: dict) -> tuple:
+    from shilldetect.records import parse_price_cents, parse_rfc3339
+
+    quantity = int(row["quantity"])
+    if quantity < 1:
+        raise ValueError(f"quantity must be >= 1, got {quantity}")
+    price = row["unit_price"]
+    cents = parse_price_cents(price if isinstance(price, str) else repr(price))
+    ts = parse_rfc3339(str(row["timestamp"]))
+    ids = str(row["buyer_id"]), str(row["seller_id"]), str(row["product_id"])
+    if not all(map(_reference_valid_id, ids)):
+        raise ValueError("empty or malformed identifier")
+    return (*ids, quantity, cents, int(ts.timestamp()))
+
+
+def _reference_feedback(row: dict) -> tuple:
+    from shilldetect.records import parse_rfc3339
+
+    rating = int(row["rating"])
+    if rating not in (-1, 0, 1):
+        raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
+    ts = parse_rfc3339(str(row["timestamp"]))
+    ids = str(row["giver_id"]), str(row["receiver_id"])
+    if not all(map(_reference_valid_id, ids)):
+        raise ValueError("empty or malformed identifier")
+    return (*ids, rating, int(ts.timestamp()))
+
+
+def parse_rows_reference(text: str, fmt: str, what: str):
+    """(row tuples, [(line, message)]) of a transactions or feedback corpus.
+
+    Each row is checked on its own, in the order the parsers check fields:
+    quantity, price, timestamp, identifiers for a transaction; rating,
+    timestamp, identifiers for feedback. A row tuple holds the ids, the
+    integers and the timestamp as int epoch seconds, as the graphs use it.
+    """
+    from shilldetect.records import FEEDBACK_COLUMNS, TRANSACTION_COLUMNS
+
+    columns, make = {"transactions": (TRANSACTION_COLUMNS, _reference_transaction),
+                     "feedback": (FEEDBACK_COLUMNS, _reference_feedback)}[what]
+    rows, errors = [], []
+    for line_no, row in _reference_rows(text, fmt, columns):
+        if isinstance(row, str):
+            errors.append((line_no, row))
+            continue
+        try:
+            rows.append(make(row))
+        except (ValueError, TypeError) as exc:
+            errors.append((line_no, str(exc)))
+    return rows, errors

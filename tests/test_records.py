@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from datetime import date, datetime, timezone
@@ -5,6 +6,8 @@ from datetime import date, datetime, timezone
 import pytest
 
 from shilldetect.records import (
+    FEEDBACK_COLUMNS,
+    TRANSACTION_COLUMNS,
     FeedbackRecord,
     LabelSet,
     ParseError,
@@ -26,7 +29,7 @@ from shilldetect.records import (
     write_transactions,
 )
 
-from oracles import crc32_reference
+from oracles import crc32_reference, parse_rows_reference
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +379,94 @@ def test_row_errors_are_pinned(what, fmt):
     assert str(exc.value) == (
         f"{len(errors)} of {res.total_rows} {noun} rows malformed (> 10%); "
         f"first: line {line}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# the parsers against a row-by-row reference, on a generated corpus with
+# valid but non-canonical and invalid values injected
+
+_TS_VALUES = ("2011-03-01T10:00:00+02:00", "2011-03-01T10:00:00-00:30",
+              "2011-03-01t10:00:00z", "2011-03-01T10:00:00z", "2011-03-01 10:00:00Z",
+              "2011-03-01", "2011-03-01T10:00:00.250Z", "1969-12-31T23:59:59.500Z",
+              " 2011-03-01T10:00:00Z", "2012-02-29T23:59:59Z", "2000-02-29T00:00:00Z",
+              "1900-02-29T00:00:00Z", "2011-02-29T00:00:00Z", "2011-04-31T00:00:00Z",
+              "2011-13-01T00:00:00Z", "2011-00-10T00:00:00Z", "2011-03-00T00:00:00Z",
+              "2011-03-01T24:00:00Z", "2011-03-01T23:60:00Z", "2011-03-01T10:00:60Z",
+              "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "0999-05-01T00:00:00Z",
+              "9999-12-31T23:59:59Z", "1969-12-31T23:59:59Z",
+              "２０１１-03-01T10:00:00Z", "2011-03-01T10:00:0٣Z", "2011-03-01T10:00:00ZZ",
+              "2011/03/01T10:00:00Z", "")
+_PRICE_VALUES = (".5", "1.", "01.50", "1.234", "-0.00", "0.00", " 1.00", "+1.00",
+                 "1e2", "１.５０", "", 1.5, 2, 1.234)
+_QUANTITY_VALUES = (" 3", "+3", "0", "-1", "3.0", "1_0", "３", "", True, 2.0, 7)
+_RATING_VALUES = ("+1", " 1", "-0", "1.0", "2", "", True, 1.0, -1)
+_ID_VALUES = ('a"b', "ü1", "x y", " a", "a ", "a,b", "a\nb", "", 5)
+
+
+def _injections(what: str) -> list[dict]:
+    """One dict per injected row: column -> value written there."""
+    if what == "transactions":
+        rows = [{"timestamp": v} for v in _TS_VALUES]
+        rows += [{"unit_price": v} for v in _PRICE_VALUES]
+        rows += [{"quantity": v} for v in _QUANTITY_VALUES]
+        rows += [{c: v} for v in _ID_VALUES for c in ("buyer_id", "product_id")]
+        rows += [{"quantity": "0", "unit_price": "1.234", "buyer_id": ""},
+                 {"unit_price": "x", "timestamp": "x"},
+                 {"timestamp": "2011-02-30T00:00:00Z", "seller_id": "a,b"},
+                 {"buyer_id": "same", "seller_id": "same"}]
+    else:
+        rows = [{"timestamp": v} for v in _TS_VALUES]
+        rows += [{"rating": v} for v in _RATING_VALUES]
+        rows += [{c: v} for v in _ID_VALUES for c in ("giver_id", "receiver_id")]
+        rows += [{"rating": "5", "timestamp": "x"},
+                 {"timestamp": "2011-02-30T00:00:00Z", "giver_id": ""}]
+    return rows
+
+
+def _injected_corpus(corpus, what: str, fmt: str) -> str:
+    if what == "transactions":
+        columns = TRANSACTION_COLUMNS
+        base = [(r.buyer_id, r.seller_id, r.product_id, r.quantity,
+                 format_price(r.unit_price_cents), format_rfc3339(r.timestamp))
+                for r in corpus.transactions]
+    else:
+        columns = FEEDBACK_COLUMNS
+        base = [(r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp))
+                for r in corpus.feedback]
+    rows = [dict(zip(columns, row)) for row in base]
+    for k, change in enumerate(_injections(what)):
+        rows[3 + 5 * k].update(change)
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([row[c] for c in columns] for row in rows)
+        text = buf.getvalue()
+        lines = text.split("\n")
+        lines.insert(7, "")                          # a blank row
+        lines.insert(11, ",".join(map(str, base[0][:-1])))  # a short row
+        return "\n".join(lines)
+    lines = [json.dumps(row) for row in rows]
+    lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"})]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("what", ["transactions", "feedback"])
+def test_parsers_match_row_reference(what, fmt, small_corpus):
+    text = _injected_corpus(small_corpus, what, fmt)
+    want_rows, want_errors = parse_rows_reference(text, fmt, what)
+    parser = {"transactions": parse_transactions, "feedback": parse_feedback}[what]
+    res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
+    if what == "transactions":
+        got = [(r.buyer_id, r.seller_id, r.product_id, r.quantity, r.unit_price_cents,
+                int(r.timestamp.timestamp())) for r in res.records]
+        assert res.self_trades == sum(r[0] == r[1] for r in want_rows)
+    else:
+        got = [(r.giver_id, r.receiver_id, r.rating, int(r.timestamp.timestamp()))
+               for r in res.records]
+    assert [(e.line, e.message) for e in res.errors] == want_errors
+    assert got == want_rows
+    assert res.total_rows == len(want_rows) + len(want_errors)
+    # the injections reach both outcomes: some parse, some fail
+    assert 15 < len(want_errors) < len(_injections(what)) + 4
