@@ -4,8 +4,10 @@ __version__ = "0.1.0"
 
 from .records import (
     FeedbackRecord,
+    FeedbackTable,
     LabelSet,
     TransactionRecord,
+    TransactionTable,
     UserProfile,
     crc32_state,
     load_label_list,
@@ -15,6 +17,8 @@ from .records import (
 )
 
 __all__ = [
+    "TransactionTable",
+    "FeedbackTable",
     "TransactionRecord",
     "FeedbackRecord",
     "UserProfile",

@@ -117,19 +117,24 @@ def _corpus_paths(data_dir: str) -> dict[str, Path]:
 
 
 def _load_corpus(data_dir: str):
+    """Parse the corpus; one stderr line for each file that lost rows."""
     paths = _corpus_paths(data_dir)
-    fmt = paths["transactions"].suffix.lstrip(".")
-    with open(paths["transactions"], "rb") as fh:
-        transactions = parse_transactions(fh, fmt).records
-    with open(paths["feedback"], "rb") as fh:
-        feedback = parse_feedback(fh, paths["feedback"].suffix.lstrip(".")).records
-    with open(paths["profiles"], "rb") as fh:
-        profiles = parse_profiles(fh, paths["profiles"].suffix.lstrip(".")).records
+    parsed = {}
+    for stem, parse in (("transactions", parse_transactions), ("feedback", parse_feedback),
+                        ("profiles", parse_profiles)):
+        path = paths[stem]
+        with open(path, "rb") as fh:
+            parsed[stem] = result = parse(fh, path.suffix.lstrip("."))
+        if result.errors:
+            first = result.errors[0]
+            print(f"{path.name}: {result.bad_rows} of {result.total_rows} rows rejected; "
+                  f"first: line {first.line}: {first.message}", file=sys.stderr)
     labels = None
     if "labels" in paths:
         with open(paths["labels"], "rb") as fh:
             labels = load_label_list(fh)
-    return transactions, feedback, profiles, labels, paths
+    return (parsed["transactions"].records, parsed["feedback"].records,
+            parsed["profiles"].records, labels, paths)
 
 
 def _input_digests(paths: dict) -> dict:
@@ -298,7 +303,7 @@ def _cmd_ecosystem(args) -> None:
     for name, cohort in (("shill", shill_cohort), ("benign", benign_cohort)):
         graph = project_feedback_graph(fg, cohort, weight_mode=args.weight_mode)
         cliques = maximal_cliques(graph)
-        report = ecosystem_report(graph, feedback, cohort, cliques=cliques)
+        report = ecosystem_report(graph, fg, cohort, cliques=cliques)
         results[name] = report
         with open(out / f"ecosystem_{name}.json", "w", encoding="utf-8") as fh:
             write_ecosystem_json(report, fh)

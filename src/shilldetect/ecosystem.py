@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
+    FeedbackMultigraph,
     WeightedFeedbackGraph,
     bidirectional_link_count,
     connected_components,
@@ -112,7 +113,7 @@ class EcosystemReport:
 
     cohort_size: int
     weight_mode: str
-    total_feedback: int                 # raw records inside the cohort
+    total_feedback: int                 # feedback links inside the cohort
     positive_feedback: int
     negative_feedback: int
     non_isolated: int
@@ -138,30 +139,26 @@ class EcosystemReport:
         return d
 
 
-def ecosystem_report(graph: WeightedFeedbackGraph, feedback_records, cohort,
+def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph, cohort,
                      clique_limit: int = DEFAULT_CLIQUE_LIMIT,
                      cliques: list[frozenset[int]] | None = None) -> EcosystemReport:
-    """Populate the report for `cohort`, whose projection is `graph`.
+    """Populate the report for `cohort`, whose projection of `feedback` is `graph`.
 
-    feedback_records are the raw multigraph records; the total/positive/
-    negative counts tally every record with both endpoints in the cohort
-    (self-feedback included there, though the projection drops it).
-    Pass precomputed `cliques` to avoid re-enumeration.
+    The total/positive/negative counts tally every feedback link with both
+    endpoints in the cohort (self-feedback included there, though the
+    projection drops it). Pass precomputed `cliques` to avoid re-enumeration.
     """
     cohort = sorted(set(cohort))
     if not cohort:
         raise ValueError("cohort is empty")
     if graph.node_ids != cohort:
         raise ValueError("graph was not projected over this cohort")
-    members = set(cohort)
-    total = pos = neg = 0
-    for r in feedback_records:
-        if r.giver_id in members and r.receiver_id in members:
-            total += 1
-            if r.rating > 0:
-                pos += 1
-            elif r.rating < 0:
-                neg += 1
+    member = np.zeros(feedback.n_vertices, bool)
+    member[feedback.users.positions(cohort)] = True
+    ratings = feedback.rating[member[feedback.giver] & member[feedback.receiver]]
+    total = len(ratings)
+    pos = int(np.count_nonzero(ratings > 0))
+    neg = int(np.count_nonzero(ratings < 0))
 
     comps = connected_components(graph)
     if cliques is None:

@@ -1,12 +1,14 @@
 """Interaction graphs over marketplace users.
 
-Two directed multigraphs are built from the raw corpora: the transaction
-graph (links buyer -> seller, one per transaction) and the feedback graph
-(links giver -> receiver, one per rating). Each is a set of parallel numpy
-edge arrays (one entry per link) over a shared dense vertex index, so
-per-vertex aggregates over million-link graphs are single bincount or
-ufunc.at passes. A weighted simple-graph projection of the feedback
-multigraph over a user subset supports the ecosystem statistics.
+Two directed multigraphs are built from the corpus tables: the
+transaction graph (links buyer -> seller, one per transaction) and the
+feedback graph (links giver -> receiver, one per rating). Each is a set of
+parallel numpy edge arrays (one entry per link) over a shared dense vertex
+index, so per-vertex aggregates over million-link graphs are single
+bincount or ufunc.at passes. Building them gathers each table's id codes
+into vertex positions; no row is visited one at a time. A weighted
+simple-graph projection of the feedback multigraph over a user subset
+supports the ecosystem statistics.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
+from .records import FeedbackTable, TransactionTable
+
 
 class UserIndex:
     """Bidirectional user_id <-> dense position map, sorted by id."""
@@ -26,19 +30,6 @@ class UserIndex:
     def __init__(self, ids):
         self.ids: list[str] = sorted(set(ids))
         self._pos = {u: i for i, u in enumerate(self.ids)}
-
-    @classmethod
-    def from_corpora(cls, transactions=(), feedback=(), profiles=()) -> "UserIndex":
-        ids = set()
-        for r in transactions:
-            ids.add(r.buyer_id)
-            ids.add(r.seller_id)
-        for r in feedback:
-            ids.add(r.giver_id)
-            ids.add(r.receiver_id)
-        for p in profiles:
-            ids.add(p.user_id)
-        return cls(ids)
 
     def position(self, user_id: str) -> int:
         return self._pos[user_id]
@@ -56,11 +47,6 @@ class UserIndex:
         return len(self.ids)
 
 
-def _epoch_seconds(records) -> np.ndarray:
-    return np.fromiter((int(r.timestamp.timestamp()) for r in records),
-                       dtype=np.int64, count=len(records))
-
-
 @dataclass(frozen=True)
 class TransactionMultigraph:
     """Directed multigraph of buying transactions (buyer -> seller)."""
@@ -68,11 +54,9 @@ class TransactionMultigraph:
     users: UserIndex
     buyer: np.ndarray        # edge -> buyer position
     seller: np.ndarray       # edge -> seller position
-    product: np.ndarray      # edge -> product code
     quantity: np.ndarray
     price_cents: np.ndarray  # unit price
     ts: np.ndarray           # epoch seconds, UTC
-    product_ids: list[str]
 
     @property
     def n_vertices(self) -> int:
@@ -95,7 +79,6 @@ class FeedbackMultigraph:
     giver: np.ndarray
     receiver: np.ndarray
     rating: np.ndarray       # each in {-1, 0, +1}
-    ts: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -106,46 +89,50 @@ class FeedbackMultigraph:
         return len(self.giver)
 
 
-def build_transaction_graph(records, users: UserIndex | None = None) -> TransactionMultigraph:
-    """Vertices = all ids seen (plus any pre-indexed users); one link per record."""
+def _in_use(ids: list[str], codes) -> tuple[np.ndarray, list[str]]:
+    """The codes into `ids` that some row uses, and their ids."""
+    used = np.zeros(len(ids), bool)
+    for c in codes:
+        used[c] = True
+    used = np.flatnonzero(used)
+    return used, [ids[i] for i in used.tolist()]
+
+
+def _vertices(users: UserIndex, ids: list[str], codes) -> list[np.ndarray]:
+    """Each code array into `ids`, gathered into vertex positions."""
+    used, names = _in_use(ids, codes)
+    position = np.full(len(ids), -1, np.int64)
+    position[used] = users.positions(names)
+    return [position[c] for c in codes]
+
+
+def build_transaction_graph(table: TransactionTable,
+                            users: UserIndex | None = None) -> TransactionMultigraph:
+    """Vertices = all ids the table uses (or `users`); one link per transaction."""
+    codes = (table.buyer, table.seller)
     if users is None:
-        users = UserIndex.from_corpora(transactions=records)
-    m = len(records)
-    pos = users._pos
-    buyer = np.empty(m, np.int64)
-    seller = np.empty(m, np.int64)
-    product = np.empty(m, np.int64)
-    quantity = np.empty(m, np.int64)
-    price = np.empty(m, np.int64)
-    prod_codes: dict[str, int] = {}
-    for i, r in enumerate(records):
-        buyer[i] = pos[r.buyer_id]
-        seller[i] = pos[r.seller_id]
-        product[i] = prod_codes.setdefault(r.product_id, len(prod_codes))
-        quantity[i] = r.quantity
-        price[i] = r.unit_price_cents
-    return TransactionMultigraph(users, buyer, seller, product, quantity, price,
-                                 _epoch_seconds(records), list(prod_codes))
+        users = UserIndex(_in_use(table.user_ids, codes)[1])
+    buyer, seller = _vertices(users, table.user_ids, codes)
+    return TransactionMultigraph(users, buyer, seller, table.quantity, table.price_cents,
+                                 table.ts)
 
 
-def build_feedback_graph(records, users: UserIndex | None = None) -> FeedbackMultigraph:
+def build_feedback_graph(table: FeedbackTable,
+                         users: UserIndex | None = None) -> FeedbackMultigraph:
+    codes = (table.giver, table.receiver)
     if users is None:
-        users = UserIndex.from_corpora(feedback=records)
-    m = len(records)
-    pos = users._pos
-    giver = np.empty(m, np.int64)
-    receiver = np.empty(m, np.int64)
-    rating = np.empty(m, np.int64)
-    for i, r in enumerate(records):
-        giver[i] = pos[r.giver_id]
-        receiver[i] = pos[r.receiver_id]
-        rating[i] = r.rating
-    return FeedbackMultigraph(users, giver, receiver, rating, _epoch_seconds(records))
+        users = UserIndex(_in_use(table.user_ids, codes)[1])
+    giver, receiver = _vertices(users, table.user_ids, codes)
+    return FeedbackMultigraph(users, giver, receiver, table.rating)
 
 
-def build_graphs(transactions, feedback, profiles=()):
-    """Both multigraphs over one shared vertex set (union of all corpora)."""
-    users = UserIndex.from_corpora(transactions, feedback, profiles)
+def build_graphs(transactions: TransactionTable, feedback: FeedbackTable, profiles=()):
+    """Both multigraphs over one shared vertex set: every id the tables use,
+    plus every profiled user."""
+    users = UserIndex([*_in_use(transactions.user_ids,
+                                (transactions.buyer, transactions.seller))[1],
+                       *_in_use(feedback.user_ids, (feedback.giver, feedback.receiver))[1],
+                       *(p.user_id for p in profiles)])
     return (build_transaction_graph(transactions, users),
             build_feedback_graph(feedback, users))
 

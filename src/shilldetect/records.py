@@ -1,9 +1,19 @@
-"""Marketplace corpora: record types, CSV/JSONL parsing, and state hashing.
+"""Marketplace corpora: columnar tables, CSV/JSONL parsing, and state hashing.
 
 Three input corpora (transactions, feedback, user profiles) plus a
-ground-truth shill list are parsed into immutable records. Prices are
-carried as exact integer cents so that large aggregation sums stay
-associative; they become floats only when features are emitted.
+ground-truth shill list. Transactions and feedback are columnar tables:
+int64 numpy columns, with ids held as codes into per-table id lists, so
+synth, the writers, the parsers and the graph builder pass whole columns
+and no per-row objects. Prices are exact integer cents so that large
+aggregation sums stay associative; they become floats only when features
+are emitted. Timestamps are int epoch seconds, UTC. Profiles stay a list
+of records. The record dataclasses are a table's row view: iterating a
+table yields them, and `from_records` builds a table from hand-made ones.
+
+The parsers check each column at once: every distinct id, quantity and
+price once, and canonical `YYYY-MM-DDTHH:MM:SSZ` timestamps as bytes. A
+row that fails any of these checks goes through the row function, which
+accepts every other valid form and gives an invalid row its error.
 """
 
 from __future__ import annotations
@@ -11,9 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import zlib
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+
+import numpy as np
 
 TRANSACTION_COLUMNS = ("buyer_id", "seller_id", "product_id", "quantity", "unit_price", "timestamp")
 FEEDBACK_COLUMNS = ("giver_id", "receiver_id", "rating", "timestamp")
@@ -23,6 +36,8 @@ VALID_RATINGS = (-1, 0, 1)
 
 # Maximum tolerated fraction of malformed rows before the whole parse fails.
 DEFAULT_MAX_BAD_FRACTION = 0.10
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class MarketDataError(Exception):
@@ -59,10 +74,6 @@ class TransactionRecord:
         return self.quantity * self.unit_price_cents
 
     @property
-    def unit_price(self) -> float:
-        return self.unit_price_cents / 100.0
-
-    @property
     def is_self_trade(self) -> bool:
         return self.buyer_id == self.seller_id
 
@@ -83,6 +94,100 @@ class UserProfile:
     birth_year: int | None
     state_text: str
     registration_date: date
+
+
+def _codes(values, table: dict) -> np.ndarray:
+    """Codes of `values` in `table`, appending unseen values."""
+    return np.array([table.setdefault(v, len(table)) for v in values], np.int64)
+
+
+def _epoch(ts) -> int:
+    return int(ts.timestamp())
+
+
+def _utc(epoch_seconds: int) -> datetime:
+    return _EPOCH + timedelta(seconds=epoch_seconds)
+
+
+class _Table:
+    """Length and row equality: tables holding the same rows are equal,
+    whatever their codes or the order of their id lists."""
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+@dataclass(frozen=True, eq=False)
+class TransactionTable(_Table):
+    """The transaction corpus, one entry per transaction in each column.
+
+    buyer/seller are codes into user_ids, product codes into product_ids;
+    an id list may hold ids that no row uses. price_cents is the unit
+    price and ts the epoch second, UTC.
+    """
+
+    user_ids: list[str]
+    buyer: np.ndarray
+    seller: np.ndarray
+    product_ids: list[str]
+    product: np.ndarray
+    quantity: np.ndarray
+    price_cents: np.ndarray
+    ts: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "TransactionTable":
+        records = list(records)
+        users: dict[str, int] = {}
+        products: dict[str, int] = {}
+        buyer = _codes([r.buyer_id for r in records], users)
+        seller = _codes([r.seller_id for r in records], users)
+        product = _codes([r.product_id for r in records], products)
+        return cls(list(users), buyer, seller, list(products), product,
+                   np.array([r.quantity for r in records], np.int64),
+                   np.array([r.unit_price_cents for r in records], np.int64),
+                   np.array([_epoch(r.timestamp) for r in records], np.int64))
+
+    def __iter__(self):
+        users, products = self.user_ids, self.product_ids
+        for b, s, p, q, c, t in zip(self.buyer.tolist(), self.seller.tolist(),
+                                    self.product.tolist(), self.quantity.tolist(),
+                                    self.price_cents.tolist(), self.ts.tolist()):
+            yield TransactionRecord(users[b], users[s], products[p], q, c, _utc(t))
+
+
+@dataclass(frozen=True, eq=False)
+class FeedbackTable(_Table):
+    """The feedback corpus: giver/receiver codes into user_ids, rating, ts."""
+
+    user_ids: list[str]
+    giver: np.ndarray
+    receiver: np.ndarray
+    rating: np.ndarray
+    ts: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "FeedbackTable":
+        records = list(records)
+        users: dict[str, int] = {}
+        giver = _codes([r.giver_id for r in records], users)
+        receiver = _codes([r.receiver_id for r in records], users)
+        return cls(list(users), giver, receiver,
+                   np.array([r.rating for r in records], np.int64),
+                   np.array([_epoch(r.timestamp) for r in records], np.int64))
+
+    def __iter__(self):
+        users = self.user_ids
+        for g, r, v, t in zip(self.giver.tolist(), self.receiver.tolist(),
+                              self.rating.tolist(), self.ts.tolist()):
+            yield FeedbackRecord(users[g], users[r], v, _utc(t))
 
 
 @dataclass(frozen=True)
@@ -107,9 +212,10 @@ class RowError:
 
 @dataclass
 class ParseResult:
-    """Records plus a per-row error report; nothing is silently dropped."""
+    """A table (profiles: a list) plus a per-row error report; nothing is
+    silently dropped."""
 
-    records: list
+    records: object
     errors: list[RowError] = field(default_factory=list)
     total_rows: int = 0
     self_trades: int = 0
@@ -134,7 +240,8 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def format_rfc3339(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """`YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four digits."""
+    return dt.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def parse_price_cents(text: str) -> int:
@@ -158,7 +265,8 @@ def format_price(cents: int) -> str:
 
 
 def _valid_id(text: str) -> bool:
-    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
+    return (bool(text) and text == text.strip()
+            and "," not in text and "\n" not in text and "\r" not in text)
 
 
 def _decode_lines(stream) -> io.TextIOBase:
@@ -173,9 +281,21 @@ def _decode_lines(stream) -> io.TextIOBase:
     return io.StringIO(raw)
 
 
-def _iter_rows(stream, fmt: str, columns: tuple[str, ...]):
-    """Yield (line_number, field_dict | error_message) for csv or jsonl input."""
+# ---------------------------------------------------------------------------
+# Parsing
+
+
+def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
+    """(line numbers, one list per column, errors) of a csv or jsonl corpus.
+
+    A row with the wrong field count, invalid JSON, a non-object or missing
+    keys is an error here; a blank row is skipped but keeps its line.
+    """
     text = _decode_lines(stream)
+    width = len(columns)
+    lines: list[int] = []
+    rows: list = []
+    errors: list[RowError] = []
     if fmt == "csv":
         reader = csv.reader(text)
         try:
@@ -184,14 +304,20 @@ def _iter_rows(stream, fmt: str, columns: tuple[str, ...]):
             raise ParseError("missing CSV header row") from None
         if tuple(h.strip() for h in header) != columns:
             raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                yield line_no, f"expected {len(columns)} fields, got {len(row)}"
-                continue
-            yield line_no, dict(zip(columns, row))
+        rows = list(reader)
+        if set(map(len, rows)) <= {width}:
+            lines = list(range(2, len(rows) + 2))
+        else:
+            kept = []
+            for line_no, row in enumerate(rows, start=2):
+                if len(row) == width:
+                    lines.append(line_no)
+                    kept.append(row)
+                elif row:
+                    errors.append(RowError(line_no, f"expected {width} fields, got {len(row)}"))
+            rows = kept
     elif fmt == "jsonl":
+        pick = operator.itemgetter(*columns)
         for line_no, line in enumerate(text, start=1):
             line = line.strip()
             if not line:
@@ -199,79 +325,196 @@ def _iter_rows(stream, fmt: str, columns: tuple[str, ...]):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                yield line_no, f"invalid JSON: {exc.msg}"
+                errors.append(RowError(line_no, f"invalid JSON: {exc.msg}"))
                 continue
             if not isinstance(obj, dict):
-                yield line_no, "JSONL line is not an object"
+                errors.append(RowError(line_no, "JSONL line is not an object"))
                 continue
-            missing = [c for c in columns if c not in obj]
-            if missing:
-                yield line_no, f"missing keys: {missing}"
+            try:
+                rows.append(pick(obj))
+            except KeyError:
+                missing = [c for c in columns if c not in obj]
+                errors.append(RowError(line_no, f"missing keys: {missing}"))
                 continue
-            yield line_no, {c: obj[c] for c in columns}
+            lines.append(line_no)
     else:
         raise ValueError(f"unknown format {fmt!r} (csv or jsonl)")
+    return lines, [[row[i] for row in rows] for i in range(width)], errors
 
 
-def _parse(stream, fmt: str, columns: tuple[str, ...], make, what: str,
-           max_bad_fraction: float) -> ParseResult:
-    """Records `make(fields)` of every row; a ValueError/TypeError is a row error."""
-    result = ParseResult(records=[])
-    for line_no, row in _iter_rows(stream, fmt, columns):
-        result.total_rows += 1
-        if isinstance(row, str):
-            result.errors.append(RowError(line_no, row))
-            continue
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_BAD = _INT64_MIN   # a value the fast checks leave to the row function
+
+
+def _by_value(values, convert, kinds=(str,)) -> np.ndarray:
+    """int64 convert(v) per value, computed once per distinct value.
+
+    _BAD where the value's type is not one of `kinds` or convert refuses
+    it (returns None or raises); those rows go to the row function.
+    """
+    if not set(map(type, values)) <= set(kinds):
+        values = [v if type(v) in kinds else None for v in values]
+    memo = {None: _BAD}
+    for v in dict.fromkeys(values):
+        if v is not None:
+            try:
+                out = convert(v)
+            except (ValueError, TypeError):
+                out = None
+            memo[v] = out if out is not None and _BAD < out <= _INT64_MAX else _BAD
+    return np.fromiter(map(memo.__getitem__, values), np.int64, len(values))
+
+
+def _ids(values, table: dict) -> np.ndarray:
+    """Codes of the valid ids in `table`; each new distinct id is checked once."""
+    def code(v):
+        c = table.get(v)
+        return c if c is not None or not _valid_id(v) else table.setdefault(v, len(table))
+    return _by_value(values, code)
+
+
+def _quantity(value) -> int | None:
+    quantity = int(value)
+    return quantity if quantity >= 1 else None
+
+
+_RATINGS = {"-1": -1, "0": 0, "1": 1, -1: -1, 0: 0, 1: 1}
+
+# Digit positions ("0") and literal characters of a canonical timestamp.
+_TS_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_TS_DIGIT = _TS_FORM == ord("0")
+_NOT_TS = "?" * len(_TS_FORM)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _epoch_seconds(values) -> np.ndarray:
+    """Epoch seconds of canonical `YYYY-MM-DDTHH:MM:SSZ` values, else _BAD.
+
+    The calendar checks are those of `datetime`: year >= 1, the month's
+    day count with leap years, hour < 24, minute and second < 60.
+    """
+    width = len(_TS_FORM)
+    if set(map(type, values)) <= {str} and set(map(len, values)) <= {width}:
+        text = "".join(values)
+    else:
+        text = "".join(v if type(v) is str and len(v) == width else _NOT_TS for v in values)
+    raw = np.frombuffer(text.encode("ascii", "replace"), np.uint8).reshape(-1, width)
+    digits = raw.astype(np.int16) - ord("0")
+    ok = ((digits[:, _TS_DIGIT] >= 0) & (digits[:, _TS_DIGIT] <= 9)).all(axis=1)
+    ok &= (raw[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
+
+    def number(start: int, size: int) -> np.ndarray:
+        return digits[:, start:start + size].astype(np.int64) @ 10 ** np.arange(size - 1, -1, -1)
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # Days since 1970-01-01 in the proleptic Gregorian calendar, counting
+    # years from March so that the leap day falls last.
+    y = year - (month <= 2)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = 365 * y + y // 4 - y // 100 + y // 400 + day_of_year - 719_468
+    return np.where(ok, days * 86_400 + hour * 3_600 + minute * 60 + second, _BAD)
+
+
+def _transaction(buyer, seller, product, quantity, price, timestamp) -> tuple:
+    quantity = int(quantity)
+    if quantity < 1:
+        raise ValueError(f"quantity must be >= 1, got {quantity}")
+    cents = parse_price_cents(price if isinstance(price, str) else repr(price))
+    ts = parse_rfc3339(str(timestamp))
+    buyer, seller, product = str(buyer), str(seller), str(product)
+    if not (_valid_id(buyer) and _valid_id(seller) and _valid_id(product)):
+        raise ValueError("empty or malformed identifier")
+    return buyer, seller, product, quantity, cents, _epoch(ts)
+
+
+def _feedback(giver, receiver, rating, timestamp) -> tuple:
+    rating = int(rating)
+    if rating not in VALID_RATINGS:
+        raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
+    ts = parse_rfc3339(str(timestamp))
+    giver, receiver = str(giver), str(receiver)
+    if not (_valid_id(giver) and _valid_id(receiver)):
+        raise ValueError("empty or malformed identifier")
+    return giver, receiver, rating, _epoch(ts)
+
+
+def _row_path(lines, cols, out, tables, make, errors) -> np.ndarray:
+    """Settle the rows a fast check left as _BAD with `make`; the rows kept.
+
+    make(*row) returns the row's values in column order or raises its
+    error; `tables` holds the id table of each id column, None elsewhere.
+    """
+    keep = np.logical_and.reduce([column != _BAD for column in out])
+    for i in np.flatnonzero(~keep).tolist():
         try:
-            result.records.append(make(row))
-        except (ValueError, TypeError) as exc:
-            result.errors.append(RowError(line_no, str(exc)))
-    if result.total_rows and result.bad_rows / result.total_rows > max_bad_fraction:
-        first = result.errors[0]
+            for column, table, value in zip(out, tables, make(*(c[i] for c in cols))):
+                column[i] = value if table is None else table.setdefault(value, len(table))
+        except (ValueError, TypeError, OverflowError) as exc:
+            errors.append(RowError(lines[i], str(exc)))
+        else:
+            keep[i] = True
+    return keep
+
+
+def _transaction_table(lines, cols, errors) -> TransactionTable:
+    users: dict[str, int] = {}
+    products: dict[str, int] = {}
+    buyer, seller, product, quantity, price, timestamp = cols
+    out = [_ids(buyer, users), _ids(seller, users), _ids(product, products),
+           _by_value(quantity, _quantity, (str, int)), _by_value(price, parse_price_cents),
+           _epoch_seconds(timestamp)]
+    keep = _row_path(lines, cols, out, (users, users, products, None, None, None),
+                     _transaction, errors)
+    b, s, p, q, c, t = (column[keep] for column in out)
+    return TransactionTable(list(users), b, s, list(products), p, q, c, t)
+
+
+def _feedback_table(lines, cols, errors) -> FeedbackTable:
+    users: dict[str, int] = {}
+    giver, receiver, rating, timestamp = cols
+    out = [_ids(giver, users), _ids(receiver, users),
+           _by_value(rating, _RATINGS.get, (str, int)), _epoch_seconds(timestamp)]
+    keep = _row_path(lines, cols, out, (users, users, None, None), _feedback, errors)
+    g, r, v, t = (column[keep] for column in out)
+    return FeedbackTable(list(users), g, r, v, t)
+
+
+def _parse(stream, fmt: str, columns: tuple[str, ...], build, what: str,
+           max_bad_fraction: float) -> ParseResult:
+    """build(lines, cols, errors) makes the records and appends row errors."""
+    lines, cols, errors = _read_columns(stream, fmt, columns)
+    total = len(lines) + len(errors)
+    records = build(lines, cols, errors)
+    errors.sort(key=operator.attrgetter("line"))
+    result = ParseResult(records, errors, total)
+    if total and result.bad_rows / total > max_bad_fraction:
+        first = errors[0]
         raise ParseError(
-            f"{result.bad_rows} of {result.total_rows} {what} rows malformed "
+            f"{result.bad_rows} of {total} {what} rows malformed "
             f"(> {max_bad_fraction:.0%}); first: line {first.line}: {first.message}"
         )
     return result
 
 
-def _transaction(row: dict) -> TransactionRecord:
-    quantity = int(row["quantity"])
-    if quantity < 1:
-        raise ValueError(f"quantity must be >= 1, got {quantity}")
-    price = row["unit_price"]
-    cents = parse_price_cents(price if isinstance(price, str) else repr(price))
-    ts = parse_rfc3339(str(row["timestamp"]))
-    buyer, seller, product = str(row["buyer_id"]), str(row["seller_id"]), str(row["product_id"])
-    if not (_valid_id(buyer) and _valid_id(seller) and _valid_id(product)):
-        raise ValueError("empty or malformed identifier")
-    return TransactionRecord(buyer, seller, product, quantity, cents, ts)
-
-
-def _feedback(row: dict) -> FeedbackRecord:
-    rating = int(row["rating"])
-    if rating not in VALID_RATINGS:
-        raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
-    ts = parse_rfc3339(str(row["timestamp"]))
-    giver, receiver = str(row["giver_id"]), str(row["receiver_id"])
-    if not (_valid_id(giver) and _valid_id(receiver)):
-        raise ValueError("empty or malformed identifier")
-    return FeedbackRecord(giver, receiver, rating, ts)
-
-
 def parse_transactions(stream, fmt: str = "csv",
                        max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse the transaction corpus; malformed rows are reported per line."""
-    result = _parse(stream, fmt, TRANSACTION_COLUMNS, _transaction, "transaction",
+    result = _parse(stream, fmt, TRANSACTION_COLUMNS, _transaction_table, "transaction",
                     max_bad_fraction)
-    result.self_trades = sum(r.is_self_trade for r in result.records)
+    result.self_trades = int(np.count_nonzero(result.records.buyer == result.records.seller))
     return result
 
 
 def parse_feedback(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse the feedback corpus; ratings outside {-1, 0, +1} are row errors."""
-    return _parse(stream, fmt, FEEDBACK_COLUMNS, _feedback, "feedback", max_bad_fraction)
+    return _parse(stream, fmt, FEEDBACK_COLUMNS, _feedback_table, "feedback",
+                  max_bad_fraction)
 
 
 def parse_profiles(stream, fmt: str = "csv",
@@ -279,19 +522,27 @@ def parse_profiles(stream, fmt: str = "csv",
     """Parse user profiles; one row per user, duplicates are row errors."""
     seen: set[str] = set()
 
-    def profile(row: dict) -> UserProfile:
-        user_id = str(row["user_id"])
+    def profile(user_id, birth_raw, state, registration) -> UserProfile:
+        user_id = str(user_id)
         if not _valid_id(user_id):
             raise ValueError("empty or malformed identifier")
         if user_id in seen:
             raise ValueError(f"duplicate user_id {user_id!r}")
-        birth_raw = row["birth_year"]
         birth_year = None if birth_raw in ("", None) else int(birth_raw)
-        registration = parse_rfc3339(str(row["registration_date"])).date()
+        registration = parse_rfc3339(str(registration)).date()
         seen.add(user_id)
-        return UserProfile(user_id, birth_year, str(row["state"]), registration)
+        return UserProfile(user_id, birth_year, str(state), registration)
 
-    return _parse(stream, fmt, PROFILE_COLUMNS, profile, "profile", max_bad_fraction)
+    def build(lines, cols, errors) -> list[UserProfile]:
+        profiles = []
+        for line_no, row in zip(lines, zip(*cols)):
+            try:
+                profiles.append(profile(*row))
+            except (ValueError, TypeError) as exc:
+                errors.append(RowError(line_no, str(exc)))
+        return profiles
+
+    return _parse(stream, fmt, PROFILE_COLUMNS, build, "profile", max_bad_fraction)
 
 
 def load_label_list(stream) -> LabelSet:
@@ -312,12 +563,26 @@ def load_label_list(stream) -> LabelSet:
     return LabelSet(frozenset(ids), duplicates)
 
 
-def _write_rows(rows, stream, fmt: str, columns: tuple[str, ...]) -> None:
-    """A csv header and one line per row, or one JSON object per jsonl line."""
+# ---------------------------------------------------------------------------
+# Writing
+
+
+def _write_columns(cols: list[list], stream, fmt: str, columns: tuple[str, ...]) -> None:
+    """A csv header and one line per row, or one JSON object per jsonl line.
+
+    csv lines are joined whole; if any field holds a comma, a quote or a
+    newline, which csv quotes, csv.writer writes the rows instead.
+    """
+    rows = zip(*cols)
     if fmt == "csv":
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
+        n = len(cols[0])
+        text = "\n".join(map(",".join, zip(*[list(map(str, c)) for c in cols])))
+        if '"' in text or text.count(",") != n * (len(columns) - 1) or text.count("\n") != max(n - 1, 0):
+            w = csv.writer(stream, lineterminator="\n")
+            w.writerow(columns)
+            w.writerows(rows)
+        else:
+            stream.write(",".join(columns) + "\n" + text + "\n" * (n > 0))
     elif fmt == "jsonl":
         for row in rows:
             stream.write(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n")
@@ -325,21 +590,40 @@ def _write_rows(rows, stream, fmt: str, columns: tuple[str, ...]) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_transactions(records, stream, fmt: str = "csv") -> None:
-    _write_rows(((r.buyer_id, r.seller_id, r.product_id, r.quantity,
-                  format_price(r.unit_price_cents), format_rfc3339(r.timestamp))
-                 for r in records), stream, fmt, TRANSACTION_COLUMNS)
+def _names(ids: list[str], codes: np.ndarray) -> list[str]:
+    return list(map(ids.__getitem__, codes.tolist()))
 
 
-def write_feedback(records, stream, fmt: str = "csv") -> None:
-    _write_rows(((r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp))
-                 for r in records), stream, fmt, FEEDBACK_COLUMNS)
+def _prices(cents: np.ndarray) -> list[str]:
+    cents = cents.tolist()
+    text = {c: format_price(c) for c in set(cents)}
+    return list(map(text.__getitem__, cents))
+
+
+def _rfc3339(ts: np.ndarray) -> list[str]:
+    return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
+
+
+def write_transactions(table: TransactionTable, stream, fmt: str = "csv") -> None:
+    _write_columns([_names(table.user_ids, table.buyer), _names(table.user_ids, table.seller),
+                    _names(table.product_ids, table.product), table.quantity.tolist(),
+                    _prices(table.price_cents), _rfc3339(table.ts)],
+                   stream, fmt, TRANSACTION_COLUMNS)
+
+
+def write_feedback(table: FeedbackTable, stream, fmt: str = "csv") -> None:
+    _write_columns([_names(table.user_ids, table.giver), _names(table.user_ids, table.receiver),
+                    table.rating.tolist(), _rfc3339(table.ts)],
+                   stream, fmt, FEEDBACK_COLUMNS)
 
 
 def write_profiles(records, stream, fmt: str = "csv") -> None:
-    _write_rows(((r.user_id, "" if r.birth_year is None else r.birth_year,
-                  r.state_text, r.registration_date.isoformat())
-                 for r in records), stream, fmt, PROFILE_COLUMNS)
+    records = list(records)
+    _write_columns([[r.user_id for r in records],
+                    ["" if r.birth_year is None else r.birth_year for r in records],
+                    [r.state_text for r in records],
+                    [r.registration_date.isoformat() for r in records]],
+                   stream, fmt, PROFILE_COLUMNS)
 
 
 def write_labels(labels: LabelSet, stream) -> None:
@@ -347,24 +631,24 @@ def write_labels(labels: LabelSet, stream) -> None:
         stream.write(user_id + "\n")
 
 
-def consistency_warnings(transactions, feedback, profiles) -> list[str]:
+def consistency_warnings(transactions: TransactionTable, feedback: FeedbackTable,
+                         profiles) -> list[str]:
     """Data-quality warnings: activity timestamps earlier than registration."""
+    earliest: dict[str, int] = {}   # user -> first active day since 1970-01-01
+    for table, codes in ((transactions, (transactions.buyer, transactions.seller)),
+                         (feedback, (feedback.giver, feedback.receiver))):
+        first = np.full(len(table.user_ids), _INT64_MAX)
+        for c in codes:
+            np.minimum.at(first, c, table.ts // 86_400)
+        for user_id, day in zip(table.user_ids, first.tolist()):
+            if day < earliest.get(user_id, _INT64_MAX):
+                earliest[user_id] = day
     registered = {p.user_id: p.registration_date for p in profiles}
-    earliest: dict[str, date] = {}
-    for r in transactions:
-        d = r.timestamp.date()
-        for u in (r.buyer_id, r.seller_id):
-            if u not in earliest or d < earliest[u]:
-                earliest[u] = d
-    for r in feedback:
-        d = r.timestamp.date()
-        for u in (r.giver_id, r.receiver_id):
-            if u not in earliest or d < earliest[u]:
-                earliest[u] = d
     warnings = []
     for user_id in sorted(earliest):
+        first_day = _utc(earliest[user_id] * 86_400).date()
         reg = registered.get(user_id)
-        if reg is not None and earliest[user_id] < reg:
-            warnings.append(f"user {user_id}: activity on {earliest[user_id]} "
+        if reg is not None and first_day < reg:
+            warnings.append(f"user {user_id}: activity on {first_day} "
                             f"precedes registration {reg}")
     return warnings

@@ -19,7 +19,8 @@ signatures, not any exact ratio.
 
 Generation is single-threaded and consumes one numpy Generator in a fixed
 documented order, so a (config, seed) pair always yields byte-identical
-corpora.
+corpora. Transactions and feedback come out as columnar tables made
+straight from the generator's arrays; no per-row object is built.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .records import (
-    FeedbackRecord,
+    FeedbackTable,
     LabelSet,
-    TransactionRecord,
+    TransactionTable,
     UserProfile,
     write_feedback,
     write_labels,
@@ -142,8 +143,8 @@ class MarketConfig:
 
 @dataclass
 class SynthCorpus:
-    transactions: list[TransactionRecord]
-    feedback: list[FeedbackRecord]
+    transactions: TransactionTable
+    feedback: FeedbackTable
     profiles: list[UserProfile]
     labels: LabelSet
     rings: list[list[str]]
@@ -367,16 +368,11 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
 
     # --- assemble, sorted by time for realistic logs -------------------------
     t_order = np.lexsort((seller, buyer, ts))
-    transactions = [
-        TransactionRecord(ids[buyer[i]], ids[seller[i]], f"p{prod[i]:06d}",
-                          int(qty[i]), int(price[i]), _utc(int(ts[i])))
-        for i in t_order
-    ]
+    transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
+                                    [f"p{i:06d}" for i in range(n_products)],
+                                    prod[t_order], qty[t_order], price[t_order], ts[t_order])
     f_order = np.lexsort((recv, giver, fts))
-    feedback = [
-        FeedbackRecord(ids[giver[i]], ids[recv[i]], int(rating[i]), _utc(int(fts[i])))
-        for i in f_order
-    ]
+    feedback = FeedbackTable(ids, giver[f_order], recv[f_order], rating[f_order], fts[f_order])
     labels = LabelSet(frozenset(ids[i] for i in shill_pos))
     ring_ids = [[ids[v] for v in ring] for ring in rings]
     manifest = {
@@ -397,10 +393,6 @@ def _config_dict(config: MarketConfig) -> dict:
     d["price_range"] = list(config.price_range)
     d["cheap_price_range"] = list(config.cheap_price_range)
     return d
-
-
-def _utc(epoch_seconds: int) -> datetime:
-    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
 
 
 def _day(days: int) -> timedelta:

@@ -8,8 +8,10 @@ from shilldetect.features import extract_all
 from shilldetect.graphs import build_graphs
 from shilldetect.records import (
     FeedbackRecord,
+    FeedbackTable,
     LabelSet,
     TransactionRecord,
+    TransactionTable,
     UserProfile,
 )
 from shilldetect.synth import MarketConfig, generate
@@ -44,20 +46,20 @@ def tiny_corpus():
     Small enough that every feature value can be checked by hand; `eve`
     has a profile but no activity, `dave` trades only with himself.
     """
-    transactions = [
+    transactions = TransactionTable.from_records([
         TransactionRecord("alice", "bob", "pear", 2, 150, _ts("2011-03-01T10:00:00Z")),
         TransactionRecord("bob", "alice", "plum", 1, 500, _ts("2011-03-02T10:00:00Z")),
         TransactionRecord("carol", "bob", "pear", 3, 100, _ts("2011-04-01T00:00:00Z")),
         TransactionRecord("alice", "carol", "fig", 1, 99, _ts("2011-05-05T05:05:00Z")),
         TransactionRecord("dave", "dave", "self", 1, 1000, _ts("2011-06-01T00:00:00Z")),
-    ]
-    feedback = [
+    ])
+    feedback = FeedbackTable.from_records([
         FeedbackRecord("alice", "bob", 1, _ts("2011-03-01T20:00:00Z")),
         FeedbackRecord("bob", "alice", 1, _ts("2011-03-02T20:00:00Z")),
         FeedbackRecord("carol", "bob", -1, _ts("2011-04-02T00:00:00Z")),
         FeedbackRecord("alice", "carol", 0, _ts("2011-05-06T00:00:00Z")),
         FeedbackRecord("bob", "alice", 1, _ts("2011-07-01T00:00:00Z")),
-    ]
+    ])
     profiles = [
         UserProfile("alice", 1985, "California", date(2010, 6, 15)),
         UserProfile("bob", None, "default", date(2010, 1, 1)),

@@ -253,7 +253,7 @@ def test_criterion_08_ecosystem_contrast(criterion, big_corpus, big_graphs):
     reports = {}
     for name, cohort in (("shill", shills), ("benign", benign)):
         g = project_feedback_graph(fg, cohort)
-        reports[name] = ecosystem_report(g, c.feedback, cohort)
+        reports[name] = ecosystem_report(g, fg, cohort)
     s, b = reports["shill"], reports["benign"]
     criterion("8. shill cohort: max clique >= 5 vs benign <= 3, larger "
               "main component",

@@ -17,7 +17,7 @@ from shilldetect.ecosystem import (
     write_ecosystem_json,
 )
 from shilldetect.graphs import WeightedFeedbackGraph, project_feedback_graph, build_graphs
-from shilldetect.records import FeedbackRecord
+from shilldetect.records import FeedbackRecord, FeedbackTable
 
 from oracles import maximal_cliques_bk_plain, maximal_cliques_subsets
 
@@ -105,14 +105,13 @@ def test_clique_histogram_threshold():
 def _feedback(rows):
     from datetime import datetime, timezone
     t0 = datetime(2011, 1, 1, tzinfo=timezone.utc)
-    return [FeedbackRecord(g, r, score, t0) for g, r, score in rows]
+    return FeedbackTable.from_records(FeedbackRecord(g, r, score, t0) for g, r, score in rows)
 
 
-def test_ecosystem_report_hand_values(tiny_corpus, tiny_graphs):
-    _, feedback, _, _ = tiny_corpus
+def test_ecosystem_report_hand_values(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
-    rep = ecosystem_report(g, feedback, cohort)
+    rep = ecosystem_report(g, tiny_graphs[1], cohort)
     assert rep.cohort_size == 3
     assert rep.total_feedback == 5          # every record stays inside cohort
     assert rep.positive_feedback == 3       # zero ratings are neither pos nor neg
@@ -139,7 +138,7 @@ def test_ecosystem_report_counts_raw_self_feedback(tiny_graphs):
     from shilldetect.graphs import UserIndex, build_feedback_graph
     mg = build_feedback_graph(feedback, UserIndex(["alice", "dave", "eve"]))
     g = project_feedback_graph(mg, cohort)
-    rep = ecosystem_report(g, feedback, cohort)
+    rep = ecosystem_report(g, mg, cohort)
     # the self-record counts in the tallies but is dropped from the projection
     assert rep.total_feedback == 2
     assert rep.positive_feedback == 1 and rep.negative_feedback == 1
@@ -148,21 +147,20 @@ def test_ecosystem_report_counts_raw_self_feedback(tiny_graphs):
     assert rep.density == pytest.approx(1 / 2)
 
 
-def test_ecosystem_report_rejects_mismatched_cohort(tiny_corpus, tiny_graphs):
-    _, feedback, _, _ = tiny_corpus
-    g = project_feedback_graph(tiny_graphs[1], ["alice", "bob"])
+def test_ecosystem_report_rejects_mismatched_cohort(tiny_graphs):
+    fg = tiny_graphs[1]
+    g = project_feedback_graph(fg, ["alice", "bob"])
     with pytest.raises(ValueError, match="projected"):
-        ecosystem_report(g, feedback, ["alice", "bob", "carol"])
+        ecosystem_report(g, fg, ["alice", "bob", "carol"])
     with pytest.raises(ValueError, match="empty"):
-        ecosystem_report(g, feedback, [])
+        ecosystem_report(g, fg, [])
 
 
-def test_ecosystem_report_reuses_precomputed_cliques(tiny_corpus, tiny_graphs):
-    _, feedback, _, _ = tiny_corpus
+def test_ecosystem_report_reuses_precomputed_cliques(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
     cliques = maximal_cliques(g)
-    rep = ecosystem_report(g, feedback, cohort, cliques=cliques)
+    rep = ecosystem_report(g, tiny_graphs[1], cohort, cliques=cliques)
     assert rep.clique_histogram == {3: 1}
 
 
@@ -171,7 +169,7 @@ def test_small_corpus_ring_structure(small_corpus):
     shills = sorted(c.labels.shill_ids)
     tg, fg = build_graphs(c.transactions, c.feedback, c.profiles)
     g = project_feedback_graph(fg, shills)
-    rep = ecosystem_report(g, c.feedback, shills)
+    rep = ecosystem_report(g, fg, shills)
     # rings are 3-7 members with near-complete reciprocal feedback
     assert rep.max_clique_size >= 3
     assert rep.largest_component_fraction > 0
@@ -209,11 +207,10 @@ def test_compare_cohorts_layout():
 
 
 @pytest.fixture()
-def demo_report(tiny_corpus, tiny_graphs):
-    _, feedback, _, _ = tiny_corpus
+def demo_report(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
-    return g, ecosystem_report(g, feedback, cohort)
+    return g, ecosystem_report(g, tiny_graphs[1], cohort)
 
 
 def test_json_writer_roundtrip(demo_report):

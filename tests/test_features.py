@@ -16,7 +16,13 @@ from shilldetect.features import (
     write_feature_schema,
 )
 from shilldetect.graphs import build_graphs
-from shilldetect.records import TransactionRecord, UserProfile, crc32_state
+from shilldetect.records import (
+    FeedbackTable,
+    TransactionRecord,
+    TransactionTable,
+    UserProfile,
+    crc32_state,
+)
 
 from oracles import recount_features
 
@@ -292,11 +298,11 @@ def test_cohort_ratio_needs_both_cohorts():
 
 
 def test_active_days_clamp_warns():
-    tx = [TransactionRecord("a", "b", "p", 1, 100,
-                            datetime(2009, 6, 1, tzinfo=timezone.utc))]
+    tx = TransactionTable.from_records([TransactionRecord(
+        "a", "b", "p", 1, 100, datetime(2009, 6, 1, tzinfo=timezone.utc))])
     profiles = [UserProfile("a", 1980, "Ohio", date(2010, 1, 1)),
                 UserProfile("b", 1981, "Iowa", date(2010, 1, 1))]
-    tg, fg = build_graphs(tx, [], profiles)
+    tg, fg = build_graphs(tx, FeedbackTable.from_records([]), profiles)
     with pytest.warns(UserWarning, match="clamped"):
         m = extract_all(tg.users.ids, tg, fg, profiles, None)
     assert (m.column("Active-Days") == 0).all()

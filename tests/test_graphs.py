@@ -16,7 +16,7 @@ from shilldetect.graphs import (
     write_edgelist_csv,
     write_graphml,
 )
-from shilldetect.records import FeedbackRecord, TransactionRecord
+from shilldetect.records import FeedbackRecord, FeedbackTable, TransactionRecord
 
 from oracles import components_flood_fill, density_reference
 
@@ -26,13 +26,16 @@ def _fb(giver, recv, rating=1, ts="2011-01-01T00:00:00Z"):
                           datetime.fromisoformat(ts.replace("Z", "+00:00")))
 
 
+def _table(records) -> FeedbackTable:
+    return FeedbackTable.from_records(records)
+
+
 # ---------------------------------------------------------------------------
 # index and multigraphs
 
 
-def test_user_index_sorted_and_positions(tiny_corpus):
-    transactions, feedback, profiles, _ = tiny_corpus
-    idx = UserIndex.from_corpora(transactions, feedback, profiles)
+def test_user_index_sorted_and_positions(tiny_graphs):
+    idx = tiny_graphs[0].users
     assert list(idx.ids) == sorted(idx.ids)
     assert "eve" in idx.ids          # profiled but inactive users are vertices
     for i, uid in enumerate(idx.ids):
@@ -57,7 +60,7 @@ def test_transaction_graph_slices(tiny_graphs):
 
 def test_multigraph_keeps_parallel_links():
     fb = [_fb("a", "b"), _fb("a", "b"), _fb("b", "a", -1)]
-    g = build_feedback_graph(fb, UserIndex(("a", "b")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b")))
     assert g.n_links == 3
     assert np.count_nonzero(g.giver == 0) == 2
 
@@ -83,7 +86,7 @@ def test_projection_rating_sum_and_count():
     fb = [_fb("a", "b", 1), _fb("a", "b", 1), _fb("a", "b", -1),
           _fb("b", "a", 1), _fb("a", "c", 0)]
     idx = UserIndex(("a", "b", "c"))
-    g = build_feedback_graph(fb, idx)
+    g = build_feedback_graph(_table(fb), idx)
     h_sum = project_feedback_graph(g, ["a", "b", "c"], weight_mode="rating_sum")
     h_cnt = project_feedback_graph(g, ["a", "b", "c"], weight_mode="count")
     def weight(h, s, d):
@@ -99,7 +102,7 @@ def test_projection_rating_sum_and_count():
 
 def test_projection_excludes_and_counts_self_loops():
     fb = [_fb("a", "a"), _fb("a", "b")]
-    g = build_feedback_graph(fb, UserIndex(("a", "b")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b")))
     h = project_feedback_graph(g, ["a", "b"])
     assert h.self_loops == 1
     assert h.n_links == 1
@@ -107,7 +110,7 @@ def test_projection_excludes_and_counts_self_loops():
 
 def test_projection_restricted_to_cohort():
     fb = [_fb("a", "b"), _fb("b", "c"), _fb("c", "a")]
-    g = build_feedback_graph(fb, UserIndex(("a", "b", "c")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b", "c")))
     h = project_feedback_graph(g, ["a", "b"])
     assert h.n_links == 1                     # only a->b survives
     assert list(h.node_ids) == ["a", "b"]
@@ -115,7 +118,7 @@ def test_projection_restricted_to_cohort():
 
 def test_projection_non_isolated_mask():
     fb = [_fb("a", "b")]
-    g = build_feedback_graph(fb, UserIndex(("a", "b", "c")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b", "c")))
     h = project_feedback_graph(g, ["a", "b", "c"])
     assert h.n_non_isolated == 2
     assert not h.non_isolated_mask()[h.node_ids.index("c")]
@@ -127,7 +130,7 @@ def test_projection_non_isolated_mask():
 
 def test_density_counts_only_non_isolated():
     fb = [_fb("a", "b"), _fb("b", "a")]
-    g = build_feedback_graph(fb, UserIndex(("a", "b", "z")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b", "z")))
     h = project_feedback_graph(g, ["a", "b", "z"])
     # n = 2 non-isolated, m = 2 directed links -> 2 / (2*1)
     assert graph_density(h) == pytest.approx(1.0)
@@ -136,7 +139,7 @@ def test_density_counts_only_non_isolated():
 
 
 def test_density_degenerate_cases():
-    g = build_feedback_graph([], UserIndex(("a",)))
+    g = build_feedback_graph(_table([]), UserIndex(("a",)))
     h = project_feedback_graph(g, ["a"])
     assert graph_density(h) == 0.0
 
@@ -149,7 +152,7 @@ def test_components_match_flood_fill():
         ids = [f"u{i}" for i in range(n)]
         fb = [_fb(ids[int(rng.integers(n))], ids[int(rng.integers(n))])
               for _ in range(m)]
-        g = build_feedback_graph(fb, UserIndex(tuple(sorted(ids))))
+        g = build_feedback_graph(_table(fb), UserIndex(tuple(sorted(ids))))
         h = project_feedback_graph(g, ids)
         part = connected_components(h)
         edges = [(int(s), int(d)) for s, d in zip(h.src, h.dst)]
@@ -170,7 +173,7 @@ def test_components_match_flood_fill():
 def test_component_partition_shape():
     fb = [_fb("a", "b"), _fb("c", "d"), _fb("d", "c"), _fb("e", "f")]
     ids = ["a", "b", "c", "d", "e", "f", "g"]
-    g = build_feedback_graph(fb, UserIndex(tuple(ids)))
+    g = build_feedback_graph(_table(fb), UserIndex(tuple(ids)))
     h = project_feedback_graph(g, ids)
     part = connected_components(h)
     assert sorted(part.sizes, reverse=True) == [2, 2, 2]
@@ -181,7 +184,7 @@ def test_component_partition_shape():
 
 def test_bidirectional_link_count():
     fb = [_fb("a", "b"), _fb("b", "a"), _fb("a", "c")]
-    g = build_feedback_graph(fb, UserIndex(("a", "b", "c")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b", "c")))
     h = project_feedback_graph(g, ["a", "b", "c"])
     assert bidirectional_link_count(h) == 2   # a<->b counts both directions
 
@@ -192,7 +195,7 @@ def test_bidirectional_link_count():
 
 def test_edgelist_and_graphml_outputs():
     fb = [_fb("a", "b", 1), _fb("b", "a", -1)]
-    g = build_feedback_graph(fb, UserIndex(("a", "b")))
+    g = build_feedback_graph(_table(fb), UserIndex(("a", "b")))
     h = project_feedback_graph(g, ["a", "b"])
     buf = io.StringIO()
     write_edgelist_csv(h, buf)

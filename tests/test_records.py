@@ -9,9 +9,11 @@ from shilldetect.records import (
     FEEDBACK_COLUMNS,
     TRANSACTION_COLUMNS,
     FeedbackRecord,
+    FeedbackTable,
     LabelSet,
     ParseError,
     TransactionRecord,
+    TransactionTable,
     UserProfile,
     consistency_warnings,
     crc32_state,
@@ -117,7 +119,7 @@ bob,alice,plum,1,5.00,2011-03-02T10:00:00Z
 def test_parse_transactions_csv():
     res = parse_transactions(io.BytesIO(TX_CSV.encode()), "csv")
     assert res.total_rows == 2 and not res.errors
-    t = res.records[0]
+    t = list(res.records)[0]
     assert (t.buyer_id, t.seller_id, t.product_id) == ("alice", "bob", "pear")
     assert t.quantity == 2 and t.unit_price_cents == 150
     assert t.timestamp == datetime(2011, 3, 1, 10, tzinfo=timezone.utc)
@@ -127,7 +129,7 @@ def test_parse_transactions_jsonl():
     line = (b'{"buyer_id":"a","seller_id":"b","product_id":"p",'
             b'"quantity":1,"unit_price":"2.25","timestamp":"2011-05-01T00:00:00Z"}\n')
     res = parse_transactions(io.BytesIO(line), "jsonl")
-    assert res.records[0].unit_price_cents == 225
+    assert list(res.records)[0].unit_price_cents == 225
 
 
 def test_parse_transactions_bad_rows_tracked():
@@ -155,7 +157,7 @@ def test_self_trades_parsed_and_counted():
             "a,a,p,1,1.00,2011-01-01T00:00:00Z\n")
     res = parse_transactions(io.BytesIO(rows.encode()), "csv")
     assert res.self_trades == 1
-    assert res.records[0].is_self_trade
+    assert list(res.records)[0].is_self_trade
 
 
 def test_parse_feedback_rating_domain():
@@ -165,7 +167,7 @@ def test_parse_feedback_rating_domain():
             "b,a,-1,2011-01-02T00:00:00Z\n"
             "a,b,2,2011-01-03T00:00:00Z\n" + filler)
     res = parse_feedback(io.BytesIO(rows.encode()), "csv")
-    assert [r.rating for r in res.records[:2]] == [1, -1]
+    assert [r.rating for r in res.records][:2] == [1, -1]
     assert len(res.records) == 10
     assert len(res.errors) == 1 and res.errors[0].line == 4
 
@@ -209,7 +211,7 @@ def test_write_read_roundtrip_csv(tiny_corpus):
             buf = io.StringIO()
             writer(recs, buf, fmt)
             back = parser(io.BytesIO(buf.getvalue().encode()), fmt)
-            assert back.records == list(recs), fmt
+            assert back.records == recs, fmt
     buf = io.StringIO()
     write_labels(labels, buf)
     back = load_label_list(io.BytesIO(buf.getvalue().encode()))
@@ -218,9 +220,9 @@ def test_write_read_roundtrip_csv(tiny_corpus):
 
 def test_consistency_warnings_flag_preregistration_trades(tiny_corpus):
     transactions, feedback, profiles, _ = tiny_corpus
-    early = [TransactionRecord("alice", "bob", "p", 1, 100,
-                               datetime(2009, 1, 1, tzinfo=timezone.utc))]
-    warns = consistency_warnings(early, [], profiles)
+    early = TransactionTable.from_records([TransactionRecord(
+        "alice", "bob", "p", 1, 100, datetime(2009, 1, 1, tzinfo=timezone.utc))])
+    warns = consistency_warnings(early, FeedbackTable.from_records([]), profiles)
     assert any("alice" in w for w in warns)
     assert not consistency_warnings(transactions, feedback, profiles)
 
