@@ -257,3 +257,26 @@ def test_console_script_installed(tmp_path):
                           env=_pythonpath_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == project["version"]
+
+
+def test_rejected_rows_are_reported(ws, tmp_path, capsys):
+    data = tmp_path / "corpus"
+    shutil.copytree(ws / "corpus", data)
+    # file -> (one bad row appended, its error)
+    bad = {"transactions.csv": ("a,b,p,0,1.00,2011-01-01T00:00:00Z",
+                                "quantity must be >= 1, got 0"),
+           "feedback.csv": ("a,b,2,2011-01-01T00:00:00Z",
+                            "rating must be -1, 0, or +1, got 2"),
+           "profiles.csv": ("zz,1980,Ohio,2010-13-01", "month must be in 1..12")}
+    want = []
+    for name, (row, message) in bad.items():
+        path = data / name
+        text = path.read_text()
+        rows = len(text.splitlines())     # the header and the rows before
+        path.write_text(text + row + "\n")
+        want.append(f"{name}: 1 of {rows} rows rejected; first: line {rows + 1}: {message}")
+    capsys.readouterr()
+    for argv in (["features", "--data", str(data), "--out", str(tmp_path / "f")],
+                 ["ecosystem", "--data", str(data), "--out", str(tmp_path / "e")]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == want

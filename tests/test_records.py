@@ -472,3 +472,44 @@ def test_parsers_match_row_reference(what, fmt, small_corpus):
     assert res.total_rows == len(want_rows) + len(want_errors)
     # the injections reach both outcomes: some parse, some fail
     assert 15 < len(want_errors) < len(_injections(what)) + 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_rfc3339_round_trip_before_year_1000(fmt):
+    assert format_rfc3339(datetime(999, 5, 1, tzinfo=timezone.utc)) == "0999-05-01T00:00:00Z"
+    text = TX_CSV.replace("2011-03-01T10:00:00Z", "0001-01-01T00:00:00Z") \
+                 .replace("2011-03-02T10:00:00Z", "0999-05-01T12:34:56Z")
+    first = parse_transactions(io.BytesIO(text.encode()), "csv")
+    buf = io.StringIO()
+    write_transactions(first.records, buf, fmt)
+    assert "0001-01-01T00:00:00Z" in buf.getvalue()
+    assert "0999-05-01T12:34:56Z" in buf.getvalue()
+    again = parse_transactions(io.BytesIO(buf.getvalue().encode()), fmt)
+    assert not again.errors and again.records == first.records
+    assert [r.timestamp for r in again.records] == [
+        datetime(1, 1, 1, tzinfo=timezone.utc),
+        datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc)]
+
+
+def test_writers_quote_ids_as_csv_does():
+    ts = datetime(2011, 1, 1, tzinfo=timezone.utc)
+    ids = ['a"b', "x,y", "n\nl", "ü1", "plain", "cr\r"]
+    records = [TransactionRecord(b, s, "p" + b, 1, 150, ts) for b in ids for s in ids[:2]]
+    buf = io.StringIO()
+    write_transactions(TransactionTable.from_records(records), buf)
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(TRANSACTION_COLUMNS)
+    w.writerows((r.buyer_id, r.seller_id, r.product_id, 1, "1.50", "2011-01-01T00:00:00Z")
+                for r in records)
+    assert buf.getvalue() == want.getvalue()
+    # ids csv leaves unquoted (a lone carriage return included) take the
+    # joined fast path, which must write the same bytes
+    fb = [FeedbackRecord(g, r, 1, ts) for g in ids[3:] for r in ids[3:]]
+    buf = io.StringIO()
+    write_feedback(FeedbackTable.from_records(fb), buf)
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(FEEDBACK_COLUMNS)
+    w.writerows((r.giver_id, r.receiver_id, 1, "2011-01-01T00:00:00Z") for r in fb)
+    assert buf.getvalue() == want.getvalue()
