@@ -215,7 +215,7 @@ class ParseResult:
     """A table (profiles: a list) plus a per-row error report; nothing is
     silently dropped."""
 
-    records: object
+    records: TransactionTable | FeedbackTable | list[UserProfile]
     errors: list[RowError] = field(default_factory=list)
     total_rows: int = 0
     self_trades: int = 0
@@ -521,6 +521,7 @@ def parse_profiles(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse user profiles; one row per user, duplicates are row errors."""
     seen: set[str] = set()
+    days: dict[str, date] = {}    # registration text -> date, parsed once
 
     def profile(user_id, birth_raw, state, registration) -> UserProfile:
         user_id = str(user_id)
@@ -529,9 +530,12 @@ def parse_profiles(stream, fmt: str = "csv",
         if user_id in seen:
             raise ValueError(f"duplicate user_id {user_id!r}")
         birth_year = None if birth_raw in ("", None) else int(birth_raw)
-        registration = parse_rfc3339(str(registration)).date()
+        text = str(registration)
+        day = days.get(text)
+        if day is None:
+            day = days[text] = parse_rfc3339(text).date()
         seen.add(user_id)
-        return UserProfile(user_id, birth_year, str(state), registration)
+        return UserProfile(user_id, birth_year, str(state), day)
 
     def build(lines, cols, errors) -> list[UserProfile]:
         profiles = []
@@ -567,24 +571,33 @@ def load_label_list(stream) -> LabelSet:
 # Writing
 
 
-def _write_columns(cols: list[list], stream, fmt: str, columns: tuple[str, ...]) -> None:
+def _formatted(values: np.ndarray, fmt=str) -> list[str]:
+    """fmt(v) of each value, formatted once per distinct value."""
+    values = values.tolist()
+    text = {v: fmt(v) for v in set(values)}
+    return list(map(text.__getitem__, values))
+
+
+def _write_columns(cols: list, stream, fmt: str, columns: tuple[str, ...]) -> None:
     """A csv header and one line per row, or one JSON object per jsonl line.
 
-    csv lines are joined whole; if any field holds a comma, a quote or a
-    newline, which csv quotes, csv.writer writes the rows instead.
+    Each column is a list or an int array. csv lines are joined whole; if
+    a field holds a comma, a quote or a newline, which csv quotes,
+    csv.writer writes the rows instead.
     """
-    rows = zip(*cols)
     if fmt == "csv":
+        cols = [_formatted(c) if isinstance(c, np.ndarray)
+                else c if set(map(type, c)) <= {str} else list(map(str, c)) for c in cols]
         n = len(cols[0])
-        text = "\n".join(map(",".join, zip(*[list(map(str, c)) for c in cols])))
+        text = "\n".join(map(",".join, zip(*cols)))
         if '"' in text or text.count(",") != n * (len(columns) - 1) or text.count("\n") != max(n - 1, 0):
             w = csv.writer(stream, lineterminator="\n")
             w.writerow(columns)
-            w.writerows(rows)
+            w.writerows(zip(*cols))
         else:
             stream.write(",".join(columns) + "\n" + text + "\n" * (n > 0))
     elif fmt == "jsonl":
-        for row in rows:
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)):
             stream.write(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -594,26 +607,20 @@ def _names(ids: list[str], codes: np.ndarray) -> list[str]:
     return list(map(ids.__getitem__, codes.tolist()))
 
 
-def _prices(cents: np.ndarray) -> list[str]:
-    cents = cents.tolist()
-    text = {c: format_price(c) for c in set(cents)}
-    return list(map(text.__getitem__, cents))
-
-
 def _rfc3339(ts: np.ndarray) -> list[str]:
     return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
 
 
 def write_transactions(table: TransactionTable, stream, fmt: str = "csv") -> None:
     _write_columns([_names(table.user_ids, table.buyer), _names(table.user_ids, table.seller),
-                    _names(table.product_ids, table.product), table.quantity.tolist(),
-                    _prices(table.price_cents), _rfc3339(table.ts)],
+                    _names(table.product_ids, table.product), table.quantity,
+                    _formatted(table.price_cents, format_price), _rfc3339(table.ts)],
                    stream, fmt, TRANSACTION_COLUMNS)
 
 
 def write_feedback(table: FeedbackTable, stream, fmt: str = "csv") -> None:
     _write_columns([_names(table.user_ids, table.giver), _names(table.user_ids, table.receiver),
-                    table.rating.tolist(), _rfc3339(table.ts)],
+                    table.rating, _rfc3339(table.ts)],
                    stream, fmt, FEEDBACK_COLUMNS)
 
 
