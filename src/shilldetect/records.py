@@ -342,8 +342,7 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
     return lines, [[row[i] for row in rows] for i in range(width)], errors
 
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-_BAD = _INT64_MIN   # a value the fast checks leave to the row function
+_BAD = -2**63   # the int64 minimum: a value the fast checks leave to the row function
 
 
 def _by_value(values, convert, kinds=(str,)) -> np.ndarray:
@@ -361,7 +360,7 @@ def _by_value(values, convert, kinds=(str,)) -> np.ndarray:
                 out = convert(v)
             except (ValueError, TypeError):
                 out = None
-            memo[v] = out if out is not None and _BAD < out <= _INT64_MAX else _BAD
+            memo[v] = out if out is not None and _BAD < out < 2**63 else _BAD
     return np.fromiter(map(memo.__getitem__, values), np.int64, len(values))
 
 
@@ -542,7 +541,7 @@ def parse_profiles(stream, fmt: str = "csv",
         for line_no, row in zip(lines, zip(*cols)):
             try:
                 profiles.append(profile(*row))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 errors.append(RowError(line_no, str(exc)))
         return profiles
 
@@ -638,24 +637,24 @@ def write_labels(labels: LabelSet, stream) -> None:
         stream.write(user_id + "\n")
 
 
-def consistency_warnings(transactions: TransactionTable, feedback: FeedbackTable,
-                         profiles) -> list[str]:
+def consistency_warnings(transactions, feedback, profiles) -> list[str]:
     """Data-quality warnings: activity timestamps earlier than registration."""
-    earliest: dict[str, int] = {}   # user -> first active day since 1970-01-01
-    for table, codes in ((transactions, (transactions.buyer, transactions.seller)),
-                         (feedback, (feedback.giver, feedback.receiver))):
-        first = np.full(len(table.user_ids), _INT64_MAX)
-        for c in codes:
-            np.minimum.at(first, c, table.ts // 86_400)
-        for user_id, day in zip(table.user_ids, first.tolist()):
-            if day < earliest.get(user_id, _INT64_MAX):
-                earliest[user_id] = day
     registered = {p.user_id: p.registration_date for p in profiles}
+    earliest: dict[str, date] = {}
+    for r in transactions:
+        d = r.timestamp.date()
+        for u in (r.buyer_id, r.seller_id):
+            if u not in earliest or d < earliest[u]:
+                earliest[u] = d
+    for r in feedback:
+        d = r.timestamp.date()
+        for u in (r.giver_id, r.receiver_id):
+            if u not in earliest or d < earliest[u]:
+                earliest[u] = d
     warnings = []
     for user_id in sorted(earliest):
-        first_day = _utc(earliest[user_id] * 86_400).date()
         reg = registered.get(user_id)
-        if reg is not None and first_day < reg:
-            warnings.append(f"user {user_id}: activity on {first_day} "
+        if reg is not None and earliest[user_id] < reg:
+            warnings.append(f"user {user_id}: activity on {earliest[user_id]} "
                             f"precedes registration {reg}")
     return warnings

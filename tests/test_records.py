@@ -513,3 +513,19 @@ def test_writers_quote_ids_as_csv_does():
     w.writerow(FEEDBACK_COLUMNS)
     w.writerows((r.giver_id, r.receiver_id, 1, "2011-01-01T00:00:00Z") for r in fb)
     assert buf.getvalue() == want.getvalue()
+
+
+def test_out_of_range_numbers_are_row_errors():
+    # int64 columns cannot hold these; each is a row error, not a crash
+    text = _jsonl(_TX, {"quantity": float("inf")}, {"quantity": "9" * 20},
+                  {"unit_price": "9" * 20}, {})
+    res = parse_transactions(io.BytesIO(text.encode()), "jsonl", max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == [
+        (1, "cannot convert float infinity to integer"),
+        (2, "Python int too large to convert to C long"),
+        (3, "Python int too large to convert to C long")]
+    assert len(res.records) == 1
+    text = _jsonl(_PR, {"birth_year": float("inf")})
+    res = parse_profiles(io.BytesIO(text.encode()), "jsonl", max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == [
+        (1, "cannot convert float infinity to integer")]
