@@ -304,7 +304,17 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
             raise ParseError("missing CSV header row") from None
         if tuple(h.strip() for h in header) != columns:
             raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
-        rows = list(reader)
+        rest = text.read()
+        body = rest.split("\n")
+        if body[-1] == "":
+            body.pop()
+        # Without quotes, carriage returns or NULs, and with a full set of
+        # commas on every line, csv.reader's rows are the lines split at commas.
+        if not ('"' in rest or "\r" in rest or "\0" in rest) \
+                and set(map(operator.methodcaller("count", ","), body)) <= {width - 1}:
+            fields = ",".join(body).split(",") if body else []
+            return list(range(2, len(body) + 2)), [fields[i::width] for i in range(width)], []
+        rows = list(csv.reader(io.StringIO(rest)))
         if set(map(len, rows)) <= {width}:
             lines = list(range(2, len(rows) + 2))
         else:
@@ -353,15 +363,21 @@ def _by_value(values, convert, kinds=(str,)) -> np.ndarray:
     """
     if not set(map(type, values)) <= set(kinds):
         values = [v if type(v) in kinds else None for v in values]
-    memo = {None: _BAD}
-    for v in dict.fromkeys(values):
-        if v is not None:
-            try:
-                out = convert(v)
-            except (ValueError, TypeError):
-                out = None
-            memo[v] = out if out is not None and _BAD < out < 2**63 else _BAD
-    return np.fromiter(map(memo.__getitem__, values), np.int64, len(values))
+    first: dict = {}    # value -> the row where it first occurs
+    rows = np.fromiter(map(first.setdefault, values, range(len(values))), np.int64, len(values))
+    out = np.full(len(values), _BAD)
+    out[list(first.values())] = [_checked(convert, v) for v in first]
+    return out[rows]
+
+
+def _checked(convert, value) -> int:
+    if value is None:
+        return _BAD
+    try:
+        out = convert(value)
+    except (ValueError, TypeError):
+        return _BAD
+    return out if out is not None and _BAD < out < 2**63 else _BAD
 
 
 def _ids(values, table: dict) -> np.ndarray:

@@ -405,8 +405,12 @@ _RATING_VALUES = ("+1", " 1", "-0", "1.0", "2", "", True, 1.0, -1)
 _ID_VALUES = ('a"b', "ü1", "x y", " a", "a ", "a,b", "a\nb", "", 5)
 
 
-def _injections(what: str) -> list[dict]:
-    """One dict per injected row: column -> value written there."""
+def _injections(what: str, unquoted: bool = False) -> list[dict]:
+    """One dict per injected row: column -> value written there.
+
+    `unquoted` leaves out the values csv would quote (a comma, a quote or
+    a newline), so that every line of the corpus is a plain comma split.
+    """
     if what == "transactions":
         rows = [{"timestamp": v} for v in _TS_VALUES]
         rows += [{"unit_price": v} for v in _PRICE_VALUES]
@@ -422,6 +426,9 @@ def _injections(what: str) -> list[dict]:
         rows += [{c: v} for v in _ID_VALUES for c in ("giver_id", "receiver_id")]
         rows += [{"rating": "5", "timestamp": "x"},
                  {"timestamp": "2011-02-30T00:00:00Z", "giver_id": ""}]
+    if unquoted:
+        rows = [r for r in rows if not any(isinstance(v, str) and set(v) & set(',"\n')
+                                           for v in r.values())]
     return rows
 
 
@@ -436,8 +443,10 @@ def _injected_corpus(corpus, what: str, fmt: str) -> str:
         base = [(r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp))
                 for r in corpus.feedback]
     rows = [dict(zip(columns, row)) for row in base]
-    for k, change in enumerate(_injections(what)):
+    for k, change in enumerate(_injections(what, fmt == "csv-unquoted")):
         rows[3 + 5 * k].update(change)
+    if fmt == "csv-unquoted":
+        return "".join(",".join(map(str, row)) + "\n" for row in [columns, *map(dict.values, rows)])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -453,10 +462,11 @@ def _injected_corpus(corpus, what: str, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "csv-unquoted", "jsonl"])
 @pytest.mark.parametrize("what", ["transactions", "feedback"])
 def test_parsers_match_row_reference(what, fmt, small_corpus):
     text = _injected_corpus(small_corpus, what, fmt)
+    fmt = fmt.removesuffix("-unquoted")
     want_rows, want_errors = parse_rows_reference(text, fmt, what)
     parser = {"transactions": parse_transactions, "feedback": parse_feedback}[what]
     res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
