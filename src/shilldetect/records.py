@@ -3,7 +3,7 @@
 Three input corpora (transactions, feedback, user profiles) plus a
 ground-truth shill list. Transactions and feedback are columnar tables:
 int64 numpy columns, with ids held as codes into per-table id lists, so
-synth, the writers, the parsers and the graph builder pass whole columns
+synth, the writers, the parsers and `build_graphs` pass whole columns
 and no per-row objects. Prices are exact integer cents so that large
 aggregation sums stay associative; they become floats only when features
 are emitted. Timestamps are int epoch seconds, UTC. Profiles stay a list
@@ -112,8 +112,6 @@ def _utc(epoch_seconds: int) -> datetime:
 class _Table:
     """Length and row equality: tables holding the same rows are equal,
     whatever their codes or the order of their id lists."""
-
-    __hash__ = None
 
     def __len__(self) -> int:
         return len(self.ts)
