@@ -100,10 +100,12 @@ def _in_use(ids: list[str], codes) -> tuple[np.ndarray, list[str]]:
 
 def _vertices(users: UserIndex, ids: list[str], codes) -> list[np.ndarray]:
     """Each code array into `ids`, gathered into vertex positions."""
-    used, names = _in_use(ids, codes)
-    position = np.full(len(ids), -1, np.int64)
-    position[used] = users.positions(names)
-    return [position[c] for c in codes]
+    position = np.array([users._pos.get(u, -1) for u in ids], np.int64)
+    gathered = [position[c] for c in codes]
+    for c, p in zip(codes, gathered):
+        if len(p) and p.min() < 0:
+            raise KeyError(f"unknown user id {ids[c[np.argmin(p)]]!r}")
+    return gathered
 
 
 def build_transaction_graph(table: TransactionTable,

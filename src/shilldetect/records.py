@@ -237,9 +237,10 @@ def parse_rfc3339(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def format_rfc3339(dt: datetime) -> str:
-    """`YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four digits."""
-    return dt.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+def format_rfc3339(ts: np.ndarray) -> list[str]:
+    """`YYYY-MM-DDTHH:MM:SSZ` of each epoch second, the year zero-padded
+    to four digits."""
+    return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
 
 
 def parse_price_cents(text: str) -> int:
@@ -263,8 +264,7 @@ def format_price(cents: int) -> str:
 
 
 def _valid_id(text: str) -> bool:
-    return (bool(text) and text == text.strip()
-            and "," not in text and "\n" not in text and "\r" not in text)
+    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
 
 
 def _decode_lines(stream) -> io.TextIOBase:
@@ -312,18 +312,12 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
                 and set(map(operator.methodcaller("count", ","), body)) <= {width - 1}:
             fields = ",".join(body).split(",") if body else []
             return list(range(2, len(body) + 2)), [fields[i::width] for i in range(width)], []
-        rows = list(csv.reader(io.StringIO(rest)))
-        if set(map(len, rows)) <= {width}:
-            lines = list(range(2, len(rows) + 2))
-        else:
-            kept = []
-            for line_no, row in enumerate(rows, start=2):
-                if len(row) == width:
-                    lines.append(line_no)
-                    kept.append(row)
-                elif row:
-                    errors.append(RowError(line_no, f"expected {width} fields, got {len(row)}"))
-            rows = kept
+        for line_no, row in enumerate(csv.reader(io.StringIO(rest)), start=2):
+            if len(row) == width:
+                lines.append(line_no)
+                rows.append(row)
+            elif row:
+                errors.append(RowError(line_no, f"expected {width} fields, got {len(row)}"))
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
         for line_no, line in enumerate(text, start=1):
@@ -407,10 +401,7 @@ def _epoch_seconds(values) -> np.ndarray:
     day count with leap years, hour < 24, minute and second < 60.
     """
     width = len(_TS_FORM)
-    if set(map(type, values)) <= {str} and set(map(len, values)) <= {width}:
-        text = "".join(values)
-    else:
-        text = "".join(v if type(v) is str and len(v) == width else _NOT_TS for v in values)
+    text = "".join(v if type(v) is str and len(v) == width else _NOT_TS for v in values)
     raw = np.frombuffer(text.encode("ascii", "replace"), np.uint8).reshape(-1, width)
     digits = raw.astype(np.int16) - ord("0")
     ok = ((digits[:, _TS_DIGIT] >= 0) & (digits[:, _TS_DIGIT] <= 9)).all(axis=1)
@@ -534,7 +525,6 @@ def parse_profiles(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse user profiles; one row per user, duplicates are row errors."""
     seen: set[str] = set()
-    days: dict[str, date] = {}    # registration text -> date, parsed once
 
     def profile(user_id, birth_raw, state, registration) -> UserProfile:
         user_id = str(user_id)
@@ -543,12 +533,9 @@ def parse_profiles(stream, fmt: str = "csv",
         if user_id in seen:
             raise ValueError(f"duplicate user_id {user_id!r}")
         birth_year = None if birth_raw in ("", None) else int(birth_raw)
-        text = str(registration)
-        day = days.get(text)
-        if day is None:
-            day = days[text] = parse_rfc3339(text).date()
+        registration = parse_rfc3339(str(registration)).date()
         seen.add(user_id)
-        return UserProfile(user_id, birth_year, str(state), day)
+        return UserProfile(user_id, birth_year, str(state), registration)
 
     def build(lines, cols, errors) -> list[UserProfile]:
         profiles = []
@@ -599,8 +586,7 @@ def _write_columns(cols: list, stream, fmt: str, columns: tuple[str, ...]) -> No
     csv.writer writes the rows instead.
     """
     if fmt == "csv":
-        cols = [_formatted(c) if isinstance(c, np.ndarray)
-                else c if set(map(type, c)) <= {str} else list(map(str, c)) for c in cols]
+        cols = [_formatted(c) if isinstance(c, np.ndarray) else list(map(str, c)) for c in cols]
         n = len(cols[0])
         text = "\n".join(map(",".join, zip(*cols)))
         if '"' in text or text.count(",") != n * (len(columns) - 1) or text.count("\n") != max(n - 1, 0):
@@ -620,20 +606,16 @@ def _names(ids: list[str], codes: np.ndarray) -> list[str]:
     return list(map(ids.__getitem__, codes.tolist()))
 
 
-def _rfc3339(ts: np.ndarray) -> list[str]:
-    return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
-
-
 def write_transactions(table: TransactionTable, stream, fmt: str = "csv") -> None:
     _write_columns([_names(table.user_ids, table.buyer), _names(table.user_ids, table.seller),
                     _names(table.product_ids, table.product), table.quantity,
-                    _formatted(table.price_cents, format_price), _rfc3339(table.ts)],
+                    _formatted(table.price_cents, format_price), format_rfc3339(table.ts)],
                    stream, fmt, TRANSACTION_COLUMNS)
 
 
 def write_feedback(table: FeedbackTable, stream, fmt: str = "csv") -> None:
     _write_columns([_names(table.user_ids, table.giver), _names(table.user_ids, table.receiver),
-                    table.rating, _rfc3339(table.ts)],
+                    table.rating, format_rfc3339(table.ts)],
                    stream, fmt, FEEDBACK_COLUMNS)
 
 

@@ -65,6 +65,16 @@ def test_multigraph_keeps_parallel_links():
     assert np.count_nonzero(g.giver == 0) == 2
 
 
+def test_graph_vertices_must_cover_the_ids_rows_use():
+    # "x" is in the table's id list but no row uses it, so the index may lack it
+    table = FeedbackTable(["a", "x", "b"], np.array([0, 2]), np.array([2, 0]),
+                          np.array([1, -1]), np.array([0, 0]))
+    g = build_feedback_graph(table, UserIndex(("a", "b")))
+    assert g.giver.tolist() == [0, 1] and g.receiver.tolist() == [1, 0]
+    with pytest.raises(KeyError, match="unknown user id 'b'"):
+        build_feedback_graph(table, UserIndex(("a", "x")))
+
+
 def test_self_loop_kept_in_multigraph(tiny_graphs):
     tg, _ = tiny_graphs
     d = tg.users.position("dave")

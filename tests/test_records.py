@@ -3,6 +3,7 @@ import io
 import json
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 
 from shilldetect.records import (
@@ -83,7 +84,7 @@ def test_rfc3339_parsing_variants():
 
 def test_format_rfc3339_roundtrip():
     t = datetime(2012, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
-    assert parse_rfc3339(format_rfc3339(t)) == t
+    assert parse_rfc3339(format_rfc3339(np.array([int(t.timestamp())]))[0]) == t
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +437,12 @@ def _injected_corpus(corpus, what: str, fmt: str) -> str:
     if what == "transactions":
         columns = TRANSACTION_COLUMNS
         base = [(r.buyer_id, r.seller_id, r.product_id, r.quantity,
-                 format_price(r.unit_price_cents), format_rfc3339(r.timestamp))
-                for r in corpus.transactions]
+                 format_price(r.unit_price_cents), ts)
+                for r, ts in zip(corpus.transactions, format_rfc3339(corpus.transactions.ts))]
     else:
         columns = FEEDBACK_COLUMNS
-        base = [(r.giver_id, r.receiver_id, r.rating, format_rfc3339(r.timestamp))
-                for r in corpus.feedback]
+        base = [(r.giver_id, r.receiver_id, r.rating, ts)
+                for r, ts in zip(corpus.feedback, format_rfc3339(corpus.feedback.ts))]
     rows = [dict(zip(columns, row)) for row in base]
     for k, change in enumerate(_injections(what, fmt == "csv-unquoted")):
         rows[3 + 5 * k].update(change)
@@ -486,7 +487,8 @@ def test_parsers_match_row_reference(what, fmt, small_corpus):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_rfc3339_round_trip_before_year_1000(fmt):
-    assert format_rfc3339(datetime(999, 5, 1, tzinfo=timezone.utc)) == "0999-05-01T00:00:00Z"
+    year_999 = int(datetime(999, 5, 1, tzinfo=timezone.utc).timestamp())
+    assert format_rfc3339(np.array([year_999])) == ["0999-05-01T00:00:00Z"]
     text = TX_CSV.replace("2011-03-01T10:00:00Z", "0001-01-01T00:00:00Z") \
                  .replace("2011-03-02T10:00:00Z", "0999-05-01T12:34:56Z")
     first = parse_transactions(io.BytesIO(text.encode()), "csv")
