@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .classifiers import Dataset, predict_score, train
 from .classifiers.base import entropy
@@ -116,7 +115,16 @@ def auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        raise ValueError("AUC needs scores that are not NaN")
+    # Tied scores share the mean of their 1-based ranks start+1..end, a
+    # half-integer, so every rank and their sum are exact in float64.
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores), np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
@@ -346,28 +354,30 @@ def _best_cut(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
 
 
 def mdl_discretize(values: np.ndarray, labels: np.ndarray) -> list[float]:
-    """Fayyad-Irani recursive entropy cuts with the MDL stopping rule.
+    """Fayyad-Irani entropy cuts with the MDL stopping rule.
+
+    Each accepted cut splits its interval in two, and both halves are tried
+    again; an explicit stack holds the pending intervals, so Python's
+    recursion limit does not bound how deeply cuts nest.
 
     Returns ascending cut thresholds (midpoints); empty if no cut survives.
     """
     order = np.argsort(values, kind="stable")
     x, y = values[order], labels[order].astype(np.int64)
     cut_positions: list[int] = []
-
-    def recurse(lo: int, hi: int):
+    stack = [(0, len(x))]
+    while stack:
+        lo, hi = stack.pop()
         if hi - lo < 2:
-            return
+            continue
         found = _best_cut(x, y, lo, hi)
         if found is None:
-            return
+            continue
         cut, gain, h_all, h_l, h_r = found
         if gain <= 0 or not _mdl_accepts(y, lo, hi, cut, gain, h_all, h_l, h_r):
-            return
+            continue
         cut_positions.append(cut)
-        recurse(lo, cut)
-        recurse(cut, hi)
-
-    recurse(0, len(x))
+        stack += ((lo, cut), (cut, hi))
     return sorted((x[c - 1] + x[c]) / 2.0 for c in cut_positions)
 
 

@@ -297,11 +297,27 @@ def cohort_feature_ratios(matrix: FeatureMatrix,
 
 
 def write_feature_csv(matrix: FeatureMatrix, stream) -> None:
-    """CSV with user_id, the 31 features, and the label column."""
+    """CSV with user_id, the 31 features, and the label column.
+
+    A whole number below 1e15 in magnitude is written as an integer, any
+    other value as the shortest repr that reads back to the same float.
+    """
+    bad = np.argwhere(~np.isfinite(matrix.values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"user {matrix.user_ids[r]}: {matrix.feature_names[c]} is "
+                         f"{float(matrix.values[r, c])!r}; feature values must be finite")
+    columns = []
+    for col in matrix.values.T:
+        whole = (col == np.trunc(col)) & (np.abs(col) < 1e15)
+        cells = np.empty(len(col), dtype=object)
+        cells[whole] = [str(v) for v in col[whole].astype(np.int64).tolist()]
+        cells[~whole] = [repr(v) for v in col[~whole].tolist()]
+        columns.append(cells.tolist())
+    labels = ["shill" if y else "benign" for y in matrix.labels.tolist()]
     stream.write("user_id," + ",".join(matrix.feature_names) + ",label\n")
-    for i, user_id in enumerate(matrix.user_ids):
-        row = ",".join(_fmt(x) for x in matrix.values[i])
-        stream.write(f"{user_id},{row},{'shill' if matrix.labels[i] else 'benign'}\n")
+    stream.writelines(",".join(row) + "\n"
+                      for row in zip(matrix.user_ids, *columns, labels))
 
 
 def write_feature_schema(matrix: FeatureMatrix, stream) -> None:
@@ -334,7 +350,3 @@ def read_feature_csv(stream) -> FeatureMatrix:
         raise ValueError(f"feature CSV line {r + 2}: {FEATURE_NAMES[c]} is "
                          f"{float(values[r, c])!r}; feature values must be finite")
     return FeatureMatrix(ids, values, np.array(labels, np.int8))
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(float(x))

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse import csgraph
 
 from .records import FeedbackTable, TransactionTable
 
@@ -242,17 +240,41 @@ class ComponentPartition:
         return int(self.sizes[0]) if len(self.sizes) else 0
 
 
+def _lowest_vertex_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label every vertex with the lowest vertex id of its undirected component.
+
+    Each round hooks the two roots of every link to the smaller of them, then
+    pointer-jumps until every label is a root; a round that changes nothing
+    leaves one root per component, and a root is its component's lowest vertex
+    because labels only ever fall.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        ra, rb = labels[a], labels[b]
+        low = np.minimum(ra, rb)
+        hooked = labels.copy()
+        np.minimum.at(hooked, ra, low)
+        np.minimum.at(hooked, rb, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
 def connected_components(graph: WeightedFeedbackGraph) -> ComponentPartition:
     n = graph.n_vertices
     non_isolated = graph.non_isolated_mask()
     isolated = n - int(non_isolated.sum())
     if n == 0 or graph.n_links == 0:
         return ComponentPartition(np.full(n, -1, np.int64), np.zeros(0, np.int64), isolated)
-    adj = csr_matrix((np.ones(graph.n_links, dtype=np.int8), (graph.src, graph.dst)),
-                     shape=(n, n))
-    _, raw = csgraph.connected_components(adj, directed=False)
+    raw = _lowest_vertex_labels(n, graph.src, graph.dst)
     # Renumber so that only components containing links survive, sizes
-    # descending; an isolated vertex is a component of its own and maps to -1.
+    # descending with ties in lowest-vertex order; an isolated vertex is a
+    # component of its own and maps to -1.
     used, counts = np.unique(raw[non_isolated], return_counts=True)
     order = np.argsort(-counts, kind="stable")
     rank = np.full(n, -1, dtype=np.int64)

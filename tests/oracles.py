@@ -180,6 +180,58 @@ def info_gain_with_cuts(values, labels, cuts) -> float:
     return entropy_reference(labels) - cond
 
 
+def mdl_cuts_recursive(values, labels) -> list[float]:
+    """Fayyad-Irani cuts with the MDL stopping rule, by plain recursion.
+
+    Every boundary between distinct sorted values is scored one at a time;
+    the first with the lowest class information is the candidate. The
+    logarithms and the order of each sum follow the package's formulas, so
+    the thresholds compare exactly.
+    """
+    pairs = sorted(zip(values, labels), key=lambda p: p[0])
+    xs = [float(v) for v, _ in pairs]
+    ys = [int(y) for _, y in pairs]
+    cuts = []
+
+    def class_entropy(lo, hi):
+        n = hi - lo
+        h = 0.0
+        for c in (0, 1):
+            p = ys[lo:hi].count(c) / n
+            if p > 0:
+                h += p * _log2(p)
+        return -h
+
+    def recurse(lo, hi):
+        n = hi - lo
+        if n < 2:
+            return
+        best = None
+        for cut in range(lo + 1, hi):
+            if xs[cut - 1] == xs[cut]:
+                continue
+            h_l = _h2(sum(ys[lo:cut]), cut - lo)
+            h_r = _h2(sum(ys[cut:hi]), hi - cut)
+            info = ((cut - lo) / n) * h_l + ((hi - cut) / n) * h_r
+            if best is None or info < best[0]:
+                best = (info, cut, h_l, h_r)
+        if best is None:
+            return
+        info, cut, h_l, h_r = best
+        h_all = class_entropy(lo, hi)
+        gain = h_all - info
+        k, k1, k2 = (len(set(ys[a:b])) for a, b in ((lo, hi), (lo, cut), (cut, hi)))
+        delta = math.log2(3 ** k - 2) - (k * h_all - k1 * h_l - k2 * h_r)
+        if gain <= 0 or gain <= (math.log2(n - 1) + delta) / n:
+            return
+        cuts.append((xs[cut - 1] + xs[cut]) / 2.0)
+        recurse(lo, cut)
+        recurse(cut, hi)
+
+    recurse(0, len(xs))
+    return sorted(cuts)
+
+
 def info_gain_categorical(values, labels) -> float:
     n = len(labels)
     groups = defaultdict(list)

@@ -33,6 +33,7 @@ from oracles import (
     entropy_reference,
     info_gain_categorical,
     info_gain_with_cuts,
+    mdl_cuts_recursive,
     precision_at_k_reference,
 )
 
@@ -135,12 +136,29 @@ def test_auc_matches_pair_count_oracle():
             auc_pair_count(scores.tolist(), labels.tolist()), abs=1e-12)
 
 
+def test_auc_equals_rankdata_reference():
+    # Average ranks are half-integers, so the rank sum is exact: auc must
+    # equal the scipy-ranked value bit for bit, not within a tolerance.
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(2, 300))
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        scores = np.round(rng.random(n) * int(rng.integers(1, 9))) / 8
+        n_pos, n_neg = int(labels.sum()), int((labels == 0).sum())
+        rank_sum = float(rankdata(scores, method="average")[labels == 1].sum())
+        assert auc(scores, labels) == (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
 def test_auc_extremes():
     assert auc([0.1, 0.9], [0, 1]) == 1.0
     assert auc([0.9, 0.1], [0, 1]) == 0.0
     assert auc([0.5, 0.5], [0, 1]) == 0.5
     with pytest.raises(ValueError):
         auc([0.5, 0.6], [1, 1])
+    with pytest.raises(ValueError, match="NaN"):
+        auc([0.5, float("nan")], [0, 1])
 
 
 def test_rank_users_tie_by_user_id():
@@ -306,6 +324,24 @@ def test_mdl_rejects_uninformative_feature():
     y = np.array([0, 1] * 30)
     assert mdl_discretize(x, y) == []
     assert information_gain(x, y) == 0.0
+
+
+@pytest.mark.parametrize("levels", [None, 4, 12])
+def test_mdl_matches_recursive_reference(levels):
+    # None: continuous values; 4 and 12: few distinct values, many ties.
+    rng = np.random.default_rng(23)
+    most_cuts = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        x = rng.normal(size=n) if levels is None else rng.integers(0, levels, n).astype(float)
+        y = (np.sin(3 * x) + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
+        cuts = mdl_discretize(x, y)
+        assert cuts == mdl_cuts_recursive(x.tolist(), y.tolist())
+        most_cuts = max(most_cuts, len(cuts))
+    assert most_cuts >= 2         # nested cuts, not just single splits
+    x = np.arange(400.0)
+    y = (x // 20 % 2).astype(np.int64)
+    assert mdl_discretize(x, y) == mdl_cuts_recursive(x.tolist(), y.tolist())
 
 
 def test_information_gain_matches_direct_recompute(small_matrix):

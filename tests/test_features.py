@@ -252,6 +252,16 @@ def test_csv_non_finite_value_names_line_and_feature(small_matrix, text):
         read_feature_csv(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_csv_writer_refuses_non_finite_value_naming_user_and_feature(small_matrix, value):
+    values = small_matrix.values.copy()
+    values[4, 2] = value
+    matrix = FeatureMatrix(small_matrix.user_ids, values, small_matrix.labels)
+    user = small_matrix.user_ids[4]
+    with pytest.raises(ValueError, match=rf"user {user}: {FEATURE_NAMES[2]} is -?(nan|inf)"):
+        write_feature_csv(matrix, io.StringIO())
+
+
 def test_schema_json_written(tiny_matrix):
     buf = io.StringIO()
     write_feature_schema(tiny_matrix, buf)

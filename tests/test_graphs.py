@@ -6,6 +6,7 @@ import pytest
 
 from shilldetect.graphs import (
     UserIndex,
+    WeightedFeedbackGraph,
     bidirectional_link_count,
     build_feedback_graph,
     build_graphs,
@@ -178,6 +179,38 @@ def test_components_match_flood_fill():
                 assert len({int(part.labels[v]) for v in comp}) == 1
             else:
                 assert all(part.labels[v] == -1 for v in comp)
+
+
+def test_equal_size_components_numbered_by_lowest_vertex():
+    # Components of one size keep the order of their lowest vertex; the
+    # golden ecosystem digests depend on it.
+    fb = [_fb("f", "e"), _fb("c", "d"), _fb("h", "a"), _fb("b", "g"), _fb("g", "i")]
+    ids = list("abcdefghij")
+    g = build_feedback_graph(_table(fb), UserIndex(tuple(ids)))
+    part = connected_components(project_feedback_graph(g, ids))
+    assert part.sizes.tolist() == [3, 2, 2, 2]
+    #                               a  b  c  d  e  f  g  h  i   j
+    assert part.labels.tolist() == [1, 0, 2, 2, 3, 3, 0, 1, 0, -1]
+
+
+def test_long_shuffled_path_matches_flood_fill():
+    # Long paths take label propagation the most rounds; shuffled ids put
+    # each path's lowest vertex somewhere in its middle.
+    n = 6000
+    perm = np.random.default_rng(9).permutation(n)
+    src = np.concatenate([perm[:3999], perm[4000:5998]])
+    dst = np.concatenate([perm[1:4000], perm[4001:5999]])
+    h = WeightedFeedbackGraph([f"u{i:04d}" for i in range(n)], src, dst,
+                              np.ones(len(src), np.int64), "count")
+    part = connected_components(h)
+    assert part.sizes.tolist() == [4000, 1999]
+    assert part.isolated == 1
+    ref = components_flood_fill(n, zip(src.tolist(), dst.tolist()))
+    want = np.full(n, -1)
+    for comp in ref:
+        if len(comp) > 1:
+            want[sorted(comp)] = 0 if len(comp) == 4000 else 1
+    assert np.array_equal(part.labels, want)
 
 
 def test_component_partition_shape():

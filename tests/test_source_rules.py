@@ -1,8 +1,13 @@
 """Rules the package source keeps, checked by parsing it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import shilldetect
 
@@ -61,3 +66,43 @@ def test_every_package_definition_is_referenced():
         unreferenced += [f"{path.relative_to(PACKAGE_DIR)}:{line} {name}"
                          for name, line in _definitions(tree) if name not in referenced]
     assert unreferenced == []
+
+
+def _runtime_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_DIR / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in deps}
+
+
+def test_package_imports_only_declared_dependencies():
+    # Whatever the package imports must be installed with it: the standard
+    # library, the package itself, or a [project].dependencies entry.
+    allowed = set(sys.stdlib_module_names) | {"shilldetect"} | _runtime_dependencies()
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE_DIR)}:{node.lineno} {name}"
+                      for name in names if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; every CLI call would pay its import.
+    rest = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(PACKAGE_DIR.parent) + (os.pathsep + rest if rest else "")}
+    code = ("import sys, shilldetect.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
