@@ -25,8 +25,18 @@ from .ensembles import (
     train_rotation_forest,
 )
 
-ALGORITHMS = ("OneR", "NaiveBayes", "DecisionTree", "KNN3", "Bagging",
-              "RandomForest", "RotationForest")
+# Each algorithm's trainer and the hyperparameters `train` takes for it,
+# with their defaults.
+_TRAINERS = {
+    "OneR": (train_oner, {"min_bucket": 6}),
+    "NaiveBayes": (train_naive_bayes, {}),
+    "DecisionTree": (train_decision_tree, {"min_leaf": 2, "prune": True}),
+    "KNN3": (train_knn3, {"k": 3}),
+    "Bagging": (train_bagging, {"n_members": 100}),
+    "RandomForest": (train_random_forest, {"n_members": 100}),
+    "RotationForest": (train_rotation_forest, {"n_members": 10, "subset_size": 3}),
+}
+ALGORITHMS = tuple(_TRAINERS)
 
 MODEL_FORMAT = "shilldetect-model"
 MODEL_FORMAT_VERSION = 1
@@ -36,27 +46,19 @@ def train(algorithm: str, dataset: Dataset, hyperparameters: dict | None = None,
           seed: int = 0):
     """Train one of the supported algorithms with its default configuration.
 
-    hyperparameters may override the documented defaults (e.g. n_members).
+    hyperparameters may override the documented defaults (e.g. n_members);
+    a key the algorithm does not take raises ValueError.
     """
+    if algorithm not in _TRAINERS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    trainer, defaults = _TRAINERS[algorithm]
     hp = dict(hyperparameters or {})
-    if algorithm == "OneR":
-        return train_oner(dataset, min_bucket=hp.pop("min_bucket", 6), seed=seed)
-    if algorithm == "NaiveBayes":
-        return train_naive_bayes(dataset, seed=seed)
-    if algorithm == "DecisionTree":
-        return train_decision_tree(dataset, min_leaf=hp.pop("min_leaf", 2),
-                                   prune=hp.pop("prune", True), seed=seed)
-    if algorithm == "KNN3":
-        return train_knn3(dataset, k=hp.pop("k", 3), seed=seed)
-    if algorithm == "Bagging":
-        return train_bagging(dataset, n_members=hp.pop("n_members", 100), seed=seed)
-    if algorithm == "RandomForest":
-        return train_random_forest(dataset, n_members=hp.pop("n_members", 100),
-                                   seed=seed)
-    if algorithm == "RotationForest":
-        return train_rotation_forest(dataset, n_members=hp.pop("n_members", 10),
-                                     subset_size=hp.pop("subset_size", 3), seed=seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    unknown = [repr(key) for key in hp if key not in defaults]
+    if unknown:
+        accepted = ", ".join(map(repr, defaults)) or "none"
+        raise ValueError(f"unknown hyperparameter(s) {', '.join(unknown)} for "
+                         f"{algorithm}; it accepts {accepted}")
+    return trainer(dataset, seed=seed, **{**defaults, **hp})
 
 
 def predict_score(model, features):

@@ -15,6 +15,16 @@ candidates of its feature pool in one array -- the cut between each pair of
 adjacent distinct values of a numeric feature, and each distinct value of
 a categorical one -- and scores them in one pass.
 
+A side's entropy is a function of two integers, its positives and its
+negatives, so split scoring gathers both sides' entropies from one table
+of `_binary_entropy` values instead of computing them per candidate. The
+table is memoized for the process: it covers the largest class counts
+grown so far, every tree shares it, and it never exceeds
+ENTROPY_TABLE_BYTES; a training set whose class counts need more scores
+without it. numpy's elementwise log2 gives the same bits wherever an
+element sits in an array, so each entry, and so each gain ratio, equals
+the direct computation to the bit.
+
 Tie-breaking is fixed everywhere: candidates are ordered by feature index,
 then by threshold (categorical value), and the first maximal gain ratio
 wins, so the lower feature index wins and within a feature the lowest
@@ -34,6 +44,12 @@ from .base import Dataset, N_CLASSES, entropy, require_trainable
 
 _GAIN_TOL = 1e-12
 _CHUNK = 4096          # candidate splits scored per pass
+
+# Bytes the memoized entropy table may take (see `_entropy_table`); a
+# training set whose class counts need more scores without one.
+ENTROPY_TABLE_BYTES = 16 << 20
+_FILL_ENTRIES = 1 << 16        # table entries computed per pass
+_entropy = np.empty((0, 0))    # the memo; empty until a tree is grown
 
 # Phi^-1(0.75): normal deviate for the CF=0.25 one-sided bound.
 Z_CF25 = 0.6744897501960817
@@ -108,42 +124,96 @@ def _binary_entropy(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return h
 
 
-def _evaluate_partition(nl, pos_l, n, pos, parent_h, min_leaf):
-    """Gain ratio of each binary split of a node's `n` rows, `pos` of them
-    positive, from each split's left size `nl` (int) and left positives
-    `pos_l` (float); -inf where a split is not allowed or gains nothing.
+def _entropy_table(pos: int, neg: int) -> np.ndarray | None:
+    """The memoized `_binary_entropy` table covering `pos` positives and `neg`
+    negatives, or None when that would take more than ENTROPY_TABLE_BYTES.
+
+    Entry [a, b] is the entropy of a positives among a + b rows. The table
+    grows to the largest class counts asked for so far while that fits the
+    budget; past it, the table is rebuilt to fit this request alone. It is
+    filled _FILL_ENTRIES at a time, so no temporary is the size of the table.
+    """
+    global _entropy
+    if (pos + 1) * (neg + 1) * 8 > ENTROPY_TABLE_BYTES:
+        return None
+    rows, cols = _entropy.shape
+    if pos < rows and neg < cols:
+        return _entropy
+    rows, cols = max(pos + 1, rows), max(neg + 1, cols)
+    if rows * cols * 8 > ENTROPY_TABLE_BYTES:
+        rows, cols = pos + 1, neg + 1
+    _entropy = np.empty((0, 0))               # free the old table first
+    table = np.empty((rows, cols))
+    b = np.arange(cols)
+    step = max(1, _FILL_ENTRIES // cols)
+    for lo in range(0, rows, step):
+        a = np.arange(lo, min(lo + step, rows))[:, None]
+        table[lo:lo + step] = _binary_entropy(a, a + b)
+    _entropy = table
+    return table
+
+
+def _evaluate_partition(nl, pos_l, counts, min_leaf, table):
+    """Gain ratio of each binary split of a node with class `counts`, from
+    each split's left size `nl` and left positives `pos_l` (both int);
+    -inf where a split is not allowed or gains nothing.
+
+    Each side's entropy comes from `table` (see `_entropy_table`): the left
+    side's entry [pos_l, nl - pos_l] sits at flat index pos_l * (w - 1) + nl
+    for a table w entries wide, and the right side's, [pos - pos_l,
+    neg - nl + pos_l], at the node's corner pos * w + neg minus that index.
+    `table` is None when the tree's class counts would need a table of more
+    than ENTROPY_TABLE_BYTES (16 MiB, about 1,450 rows of each class); the
+    entropies are then computed directly, to the same bits.
 
     Scores `_CHUNK` splits at a time: whole-node temporaries run to MBs,
     and freeing that much at every node lets the allocator hand the memory
-    back to the system and fault it in again at the next node.
+    back to the system and fault it in again at the next node. That still
+    holds with the table: scoring whole nodes made a 10-fold RotationForest
+    CV of 1,800-row folds take 3.5-3.8 s of CPU, against 2.9-3.0 s.
     """
-    pl = np.arange(n + 1) / n                 # every left share a node can have
+    neg, pos = int(counts[0]), int(counts[1])
+    n, parent_h = neg + pos, entropy(counts)
+    sizes = np.arange(n + 1)                  # every left size a node can have
+    pl = sizes / n
     split_info = -(pl * np.log2(np.maximum(pl, 1e-300))
                    + (1 - pl) * np.log2(np.maximum(1 - pl, 1e-300)))
-    ratio = np.empty(len(nl))
+    # Each side's weight in the gain, by left size. A size that leaves a side
+    # under min_leaf rows, or whose split information is nil, weighs NaN, so
+    # its gain is NaN and fails the gain test.
+    w_left, w_right = sizes / n, (n - sizes) / n
+    w_left[(sizes < min_leaf) | (sizes > n - min_leaf) | (split_info <= _GAIN_TOL)] = np.nan
+    if table is not None:
+        flat, stride = table.ravel(), table.shape[1] - 1
+        corner = pos * table.shape[1] + neg
+    ratio = np.full(len(nl), -np.inf)
     for lo in range(0, len(nl), _CHUNK):
         k, pos_k = nl[lo:lo + _CHUNK], pos_l[lo:lo + _CHUNK]
-        left = k.astype(float)
-        right = n - left
-        gain = (parent_h - (left / n) * _binary_entropy(pos_k, left)
-                - (right / n) * _binary_entropy(pos - pos_k, right))
-        info = split_info[k]
-        valid = ((k >= min_leaf) & (k <= n - min_leaf)
-                 & (gain > _GAIN_TOL) & (info > _GAIN_TOL))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[lo:lo + _CHUNK] = np.where(valid, gain / info, -np.inf)
+        if table is None:
+            h_left, h_right = _binary_entropy(pos_k, k), _binary_entropy(pos - pos_k, n - k)
+        else:
+            idx = pos_k * stride
+            idx += k
+            h_left = flat[idx]
+            np.subtract(corner, idx, out=idx)
+            h_right = flat[idx]
+        h_left *= w_left[k]
+        gain = parent_h - h_left
+        h_right *= w_right[k]
+        gain -= h_right
+        np.divide(gain, split_info[k], out=ratio[lo:lo + _CHUNK], where=gain > _GAIN_TOL)
     return ratio
 
 
-def _best_split(columns, y, S, pool, cat_mask, counts, min_leaf):
+def _best_split(columns, y, S, pool, cat_mask, counts, min_leaf, table):
     """Best (feature, threshold, equal, left rows) of a node, or None.
 
     `columns` is the training matrix column after column, flattened. S[pool]
     holds the node's rows once per pool feature, each line sorted by its
     feature. Candidates are the last positions of runs of equal values, in
     line-major order: a numeric one sends its line's prefix left, a
-    categorical one only its own run. `y` is float, so the running positive
-    counts need no conversion.
+    categorical one only its own run. `y` is int64, so the running positive
+    counts index `table` as they are.
     """
     rows = S[pool]
     xs = columns[rows + (pool * len(y))[:, None]]
@@ -158,9 +228,9 @@ def _best_split(columns, y, S, pool, cat_mask, counts, min_leaf):
     nl, pos_l = flat % n + 1, cum.ravel()[flat]
     for i in np.flatnonzero(cat_mask[pool]):
         lo, hi = np.searchsorted(flat, (i * n, (i + 1) * n))
-        nl[lo:hi] = np.diff(nl[lo:hi], prepend=0)
-        pos_l[lo:hi] = np.diff(pos_l[lo:hi], prepend=0.0)
-    ratio = _evaluate_partition(nl, pos_l, n, counts[1], entropy(counts), min_leaf)
+        nl[lo + 1:hi] -= nl[lo:hi - 1]        # run lengths and run positives
+        pos_l[lo + 1:hi] -= pos_l[lo:hi - 1]
+    ratio = _evaluate_partition(nl, pos_l, counts, min_leaf, table)
     best = int(np.argmax(ratio))
     if not np.isfinite(ratio[best]):
         return None
@@ -173,9 +243,10 @@ def _best_split(columns, y, S, pool, cat_mask, counts, min_leaf):
 
 def _grow(X, y, cat_mask, min_leaf, rng, subset_size):
     n_features = X.shape[1]
-    columns, y_float = X.T.ravel(), y.astype(np.float64)
+    columns = X.T.ravel()
     in_left = np.zeros(len(y), bool)          # marks one split's left rows
     root = Node(np.bincount(y, minlength=N_CLASSES))
+    table = _entropy_table(int(root.counts[1]), int(root.counts[0]))
     stack = [(root, np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T))]
     while stack:
         node, S = stack.pop()
@@ -187,7 +258,7 @@ def _grow(X, y, cat_mask, min_leaf, rng, subset_size):
                                       replace=False))
         else:
             pool = np.arange(n_features)
-        found = _best_split(columns, y_float, S, pool, cat_mask, node.counts, min_leaf)
+        found = _best_split(columns, y, S, pool, cat_mask, node.counts, min_leaf, table)
         if found is None:
             continue
         f, threshold, equal, left_rows = found

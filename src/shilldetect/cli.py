@@ -206,11 +206,21 @@ def _cmd_features(args) -> None:
     print(f"extracted {matrix.n_users} x {len(matrix.feature_names)} features -> {out}")
 
 
+def _parse_hyper(text: str | None) -> dict | None:
+    """The --hyper JSON object, or None when the option is not given."""
+    if not text:
+        return None
+    hyper = json.loads(text)
+    if not isinstance(hyper, dict):
+        raise CliError(f"--hyper must be a JSON object, not {text!r}")
+    return hyper
+
+
 def _cmd_train(args) -> None:
     out = _prepare_out(args.out)
     algorithm = _normalize_algorithm(args.algorithm)
     matrix = _load_features(args.features)
-    hyper = json.loads(args.hyper) if args.hyper else None
+    hyper = _parse_hyper(args.hyper)
     if args.no_balance:
         dataset = Dataset.from_matrix(matrix)
     else:
@@ -231,7 +241,7 @@ def _cmd_evaluate(args) -> None:
     matrix = _load_features(args.features)
     dataset = balanced_training_sample(matrix, seed=args.seed)
     result = cross_validate(algorithm, dataset, k=args.folds, seed=args.seed,
-                            hyperparameters=json.loads(args.hyper) if args.hyper else None)
+                            hyperparameters=_parse_hyper(args.hyper))
     metrics = result["metrics"]
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
@@ -260,7 +270,7 @@ def _cmd_precision_at_k(args) -> None:
     report = imbalanced_protocol(
         matrix, algorithm, ratios=ratios, repetitions=args.repetitions,
         seed=args.seed, k_grid=_parse_k_grid(args.k_grid),
-        hyperparameters=json.loads(args.hyper) if args.hyper else None)
+        hyperparameters=_parse_hyper(args.hyper))
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "precision-at-k",
                     {"features": Path(args.features).name, "algorithm": algorithm,

@@ -34,6 +34,7 @@ from shilldetect.evaluation import balanced_training_sample, auc
 from shilldetect.features import FeatureMatrix
 
 import shilldetect.classifiers.simple as simple
+import shilldetect.classifiers.tree as tree
 
 from oracles import grow_tree_reference, jacobi_eigh, knn_scores_reference
 
@@ -457,6 +458,98 @@ def test_random_forest_matches_grow_reference(tree_ds):
         assert member.root.to_dict() == expected
 
 
+# Entropy table: split scoring gathers side entropies from a memoized table.
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 4097, 100_003])
+def test_entropy_table_entries_equal_direct_computation(length):
+    """The table is exact only if numpy's log2 gives the same bits wherever
+    an element sits in an array, whatever the array's length."""
+    table = tree._entropy_table(400, 300)
+    rng = np.random.default_rng(length)
+    a, b = rng.integers(0, 401, length), rng.integers(0, 301, length)
+    a[-1] = b[-1] = 0                                 # 0 positives of 0 rows
+    direct = tree._binary_entropy(a, a + b)
+    bad = np.flatnonzero(table[a, b] != direct)
+    assert not len(bad), (
+        f"numpy {np.__version__}: table entry [a, b] differs from _binary_entropy"
+        f" at {len(bad)} of {length} positions, first (a, b) = "
+        f"({a[bad[0]]}, {b[bad[0]]}); split scoring would change trees")
+
+
+def _tree_learner_models(ds):
+    """Model dicts of every tree learner on `ds`."""
+    models = {(min_leaf, prune): train_decision_tree(ds, min_leaf=min_leaf,
+                                                     prune=prune).root.to_dict()
+              for min_leaf in (1, 2) for prune in (False, True)}
+    models["Bagging"] = model_to_dict(train_bagging(ds, n_members=4, seed=3))
+    models["RandomForest"] = model_to_dict(train_random_forest(ds, n_members=4, seed=3))
+    models["RotationForest"] = model_to_dict(train_rotation_forest(ds, n_members=3,
+                                                                   seed=3))
+    return models
+
+
+def test_trees_same_with_and_without_entropy_table(tree_ds, monkeypatch):
+    with_table = _tree_learner_models(tree_ds)
+    monkeypatch.setattr(tree, "ENTROPY_TABLE_BYTES", 0)
+    monkeypatch.setattr(tree, "_entropy", np.empty((0, 0)))
+    without_table = _tree_learner_models(tree_ds)
+    assert tree._entropy.size == 0                    # no table was built
+    for min_leaf in (1, 2):
+        for prune in (False, True):
+            expected = grow_tree_reference(tree_ds.X, tree_ds.y,
+                                           _categorical_columns(tree_ds),
+                                           min_leaf=min_leaf, prune=prune)
+            assert without_table[min_leaf, prune] == expected
+    assert without_table == with_table
+
+
+def test_grown_entropy_table_gives_same_model(tree_ds, monkeypatch):
+    monkeypatch.setattr(tree, "_entropy", np.empty((0, 0)))
+    first = json.dumps(model_to_dict(train_rotation_forest(tree_ds, n_members=3, seed=3)))
+    neg, pos = tree_ds.class_counts()
+    assert tree._entropy.shape == (pos + 1, neg + 1)
+    rng = np.random.default_rng(5)
+    y = np.r_[np.zeros(neg + 7), np.ones(pos + 5)]
+    train_decision_tree(mk_ds(rng.random((len(y), 2)), y))
+    assert tree._entropy.shape == (pos + 6, neg + 8)
+    again = json.dumps(model_to_dict(train_rotation_forest(tree_ds, n_members=3, seed=3)))
+    assert again == first
+
+
+def test_entropy_table_stays_within_budget(monkeypatch, train_ds):
+    monkeypatch.setattr(tree, "_entropy", np.empty((0, 0)))
+    # 1,500 rows of each class need a 1,501 x 1,501 table, 18 MB, over 16 MiB.
+    rng = np.random.default_rng(8)
+    y = np.repeat([0, 1], 1500)
+    X = np.column_stack([y + rng.normal(0, 0.3, len(y)), rng.random(len(y))])
+    assert 1501 * 1501 * 8 > tree.ENTROPY_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        model = train_decision_tree(mk_ds(X, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.node_count() > 1
+    assert tree._entropy.size == 0
+    assert peak < tree.ENTROPY_TABLE_BYTES / 8, peak
+    # A table that fits is sized to the class counts, not to the budget.
+    train_decision_tree(train_ds)
+    neg, pos = train_ds.class_counts()
+    assert tree._entropy.shape == (pos + 1, neg + 1)
+    # The memo grows to cover every request while that fits the budget, and
+    # is rebuilt to fit one request alone when it would not.
+    monkeypatch.setattr(tree, "_entropy", np.empty((0, 0)))
+    monkeypatch.setattr(tree, "ENTROPY_TABLE_BYTES", 8 * 30 * 40)
+    assert tree._entropy_table(29, 9).shape == (30, 10)
+    assert tree._entropy_table(9, 29).shape == (30, 30)
+    assert tree._entropy_table(19, 39).shape == (30, 40)
+    assert tree._entropy_table(29, 39) is tree._entropy
+    assert tree._entropy_table(39, 9).shape == (40, 10)
+    assert tree._entropy_table(40, 29) is None
+    assert tree._entropy.shape == (40, 10)
+
+
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -565,6 +658,21 @@ def test_algorithm_registry():
                           "Bagging", "RandomForest", "RotationForest")
     with pytest.raises(ValueError, match="unknown algorithm"):
         train("SVM", mk_ds([[0.0], [1.0]], [0, 1]))
+
+
+@pytest.mark.parametrize("algorithm, hyper, unknown, accepted", [
+    ("RotationForest", {"n_member": 2}, "'n_member'", "'n_members', 'subset_size'"),
+    ("DecisionTree", {"min_leaf": 1, "subset_size": 3}, "'subset_size'",
+     "'min_leaf', 'prune'"),
+    ("NaiveBayes", {"k": 3}, "'k'", "none"),
+])
+def test_train_refuses_unknown_hyperparameters(algorithm, hyper, unknown, accepted):
+    ds = mk_ds([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+    with pytest.raises(ValueError) as exc:
+        train(algorithm, ds, hyper)
+    assert str(exc.value) == (f"unknown hyperparameter(s) {unknown} for {algorithm};"
+                              f" it accepts {accepted}")
+    assert len(train("RotationForest", ds, {"n_members": 2}).members) == 2
 
 
 def test_save_load_schema_guard(tmp_path, train_ds):

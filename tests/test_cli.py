@@ -204,6 +204,25 @@ def test_unknown_algorithm_is_json_error(ws, tmp_path, capsys):
     assert "unknown algorithm" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
+def test_hyperparameters_checked_before_use(ws, tmp_path, capsys):
+    features = str(ws / "features" / "features.csv")
+    for i, (hyper, error, text) in enumerate((
+            ('{"n_member": 2}', "ValueError", "'n_member'"),
+            ('[2]', "CliError", "JSON object"))):
+        out = tmp_path / f"refused{i}"
+        rc = main(["train", "--features", features, "--algorithm", "rotation-forest",
+                   "--hyper", hyper, "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == error and text in err["message"]
+        assert not (out / "manifest.json").exists()
+    rc = main(["train", "--features", features, "--algorithm", "rotation-forest",
+               "--hyper", '{"n_members": 2}', "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert read_manifest(tmp_path / "run")["args"]["hyper"] == {"n_members": 2}
+    assert len(json.loads((tmp_path / "run" / "model.json").read_text())["members"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
