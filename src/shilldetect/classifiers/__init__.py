@@ -42,23 +42,40 @@ MODEL_FORMAT = "shilldetect-model"
 MODEL_FORMAT_VERSION = 1
 
 
-def train(algorithm: str, dataset: Dataset, hyperparameters: dict | None = None,
-          seed: int = 0):
-    """Train one of the supported algorithms with its default configuration.
+def check_hyperparameters(algorithm: str, hyperparameters: dict | None) -> dict:
+    """The algorithm's hyperparameters: its defaults overlaid by `hyperparameters`.
 
-    hyperparameters may override the documented defaults (e.g. n_members);
-    a key the algorithm does not take raises ValueError.
+    An unknown algorithm, a key the algorithm does not take, or a value
+    that is not of its default's type raises ValueError; an int (never a
+    bool) must be positive.
     """
     if algorithm not in _TRAINERS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    trainer, defaults = _TRAINERS[algorithm]
-    hp = dict(hyperparameters or {})
+    defaults = _TRAINERS[algorithm][1]
+    hp = hyperparameters or {}
     unknown = [repr(key) for key in hp if key not in defaults]
     if unknown:
         accepted = ", ".join(map(repr, defaults)) or "none"
         raise ValueError(f"unknown hyperparameter(s) {', '.join(unknown)} for "
                          f"{algorithm}; it accepts {accepted}")
-    return trainer(dataset, seed=seed, **{**defaults, **hp})
+    for key, value in hp.items():
+        kind = type(defaults[key])
+        if type(value) is not kind or (kind is int and value < 1):
+            wanted = "a bool" if kind is bool else "a positive int"
+            raise ValueError(f"{algorithm} hyperparameter {key!r} must be {wanted}, "
+                             f"not {value!r}")
+    return {**defaults, **hp}
+
+
+def train(algorithm: str, dataset: Dataset, hyperparameters: dict | None = None,
+          seed: int = 0):
+    """Train one of the supported algorithms with its default configuration.
+
+    hyperparameters may override the documented defaults (e.g. n_members);
+    `check_hyperparameters` refuses unknown keys and bad values.
+    """
+    hp = check_hyperparameters(algorithm, hyperparameters)
+    return _TRAINERS[algorithm][0](dataset, seed=seed, **hp)
 
 
 def predict_score(model, features):
@@ -206,7 +223,8 @@ def load_model(path, expected_schema_hash: str | None = None):
 
 
 __all__ = [
-    "ALGORITHMS", "Dataset", "train", "predict_score", "pca_basis",
+    "ALGORITHMS", "Dataset", "check_hyperparameters", "train", "predict_score",
+    "pca_basis",
     "train_oner", "train_naive_bayes", "train_knn3", "train_decision_tree",
     "train_bagging", "train_random_forest", "train_rotation_forest",
     "OneR", "NaiveBayes", "KNN3", "DecisionTree", "TreeEnsemble",

@@ -158,8 +158,14 @@ class NaiveBayes:
         for c in range(N_CLASSES):
             mu = self.means[c, self.numeric_mask]
             var = self.variances[c, self.numeric_mask]
-            log_post[:, c] += (-0.5 * (np.log(2 * np.pi * var)
-                                       + (Xn - mu) ** 2 / var)).sum(axis=1)
+            terms = -0.5 * (np.log(2 * np.pi * var) + (Xn - mu) ** 2 / var)
+            # Added column by column, in column order, so a row's score does
+            # not depend on the rows scored with it: `sum(axis=1)` adds the
+            # columns of a many-row block in order but a lone row pairwise.
+            log_lik = np.zeros(n)
+            for term in terms.T:
+                log_lik += term
+            log_post[:, c] += log_lik
         for f, table in self.cat_tables.items():
             totals = self.cat_class_totals[f]
             n_values = len(table)
@@ -264,12 +270,17 @@ class KNN3:
         Training rows are in user-id order. The neighbours are every row
         strictly nearer than the k-th distance, then the rows tied at it in
         row order: the first k of a stable argsort of each row of `d2`.
+        Only rows with more than k rows within the k-th distance need the
+        running count of ties that cuts them.
         """
         kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1:self.k]
+        chosen = d2 <= kth
+        over = np.flatnonzero(chosen.sum(axis=1) > self.k)
+        d2, kth = d2[over], kth[over]
         nearer = d2 < kth
         tied = d2 == kth
         room = self.k - nearer.sum(axis=1, keepdims=True)
-        chosen = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
+        chosen[over] = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
         return (chosen @ self.train_y) / self.k
 
 

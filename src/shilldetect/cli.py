@@ -34,7 +34,7 @@ from .features import (
     write_feature_csv,
     write_feature_schema,
 )
-from .classifiers import ALGORITHMS, Dataset, save_model, train
+from .classifiers import ALGORITHMS, Dataset, check_hyperparameters, save_model, train
 from .evaluation import (
     DEFAULT_RATIOS,
     EvaluationReport,
@@ -206,21 +206,24 @@ def _cmd_features(args) -> None:
     print(f"extracted {matrix.n_users} x {len(matrix.feature_names)} features -> {out}")
 
 
-def _parse_hyper(text: str | None) -> dict | None:
-    """The --hyper JSON object, or None when the option is not given."""
-    if not text:
-        return None
-    hyper = json.loads(text)
-    if not isinstance(hyper, dict):
-        raise CliError(f"--hyper must be a JSON object, not {text!r}")
-    return hyper
+def _learner_args(args) -> tuple[str, dict | None]:
+    """The subcommand's --algorithm and --hyper, checked before any file is made.
+
+    The hyperparameters are the --hyper JSON object, or None when the
+    option is not given.
+    """
+    algorithm = _normalize_algorithm(args.algorithm)
+    hyper = json.loads(args.hyper) if args.hyper else None
+    if hyper is not None and not isinstance(hyper, dict):
+        raise CliError(f"--hyper must be a JSON object, not {args.hyper!r}")
+    check_hyperparameters(algorithm, hyper)
+    return algorithm, hyper
 
 
 def _cmd_train(args) -> None:
+    algorithm, hyper = _learner_args(args)
     out = _prepare_out(args.out)
-    algorithm = _normalize_algorithm(args.algorithm)
     matrix = _load_features(args.features)
-    hyper = _parse_hyper(args.hyper)
     if args.no_balance:
         dataset = Dataset.from_matrix(matrix)
     else:
@@ -236,19 +239,19 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    algorithm, hyper = _learner_args(args)
     out = _prepare_out(args.out)
-    algorithm = _normalize_algorithm(args.algorithm)
     matrix = _load_features(args.features)
     dataset = balanced_training_sample(matrix, seed=args.seed)
     result = cross_validate(algorithm, dataset, k=args.folds, seed=args.seed,
-                            hyperparameters=_parse_hyper(args.hyper))
+                            hyperparameters=hyper)
     metrics = result["metrics"]
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(out, "evaluate",
                     {"features": Path(args.features).name, "algorithm": algorithm,
-                     "folds": args.folds, "seed": args.seed},
+                     "folds": args.folds, "seed": args.seed, "hyper": hyper},
                     {Path(args.features).name: _sha256(Path(args.features))})
     print(json.dumps({k: metrics[k] for k in
                       ("tp_rate", "fp_rate", "f_measure", "auc")}, sort_keys=True))
@@ -263,19 +266,20 @@ def _parse_k_grid(text: str) -> list[int]:
 
 
 def _cmd_precision_at_k(args) -> None:
+    algorithm, hyper = _learner_args(args)
     out = _prepare_out(args.out)
-    algorithm = _normalize_algorithm(args.algorithm)
     matrix = _load_features(args.features)
     ratios = tuple(int(r) for r in args.ratios.split(","))
     report = imbalanced_protocol(
         matrix, algorithm, ratios=ratios, repetitions=args.repetitions,
         seed=args.seed, k_grid=_parse_k_grid(args.k_grid),
-        hyperparameters=_parse_hyper(args.hyper))
+        hyperparameters=hyper)
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "precision-at-k",
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "ratios": list(ratios), "repetitions": args.repetitions,
-                     "seed": args.seed, "k_grid": args.k_grid, "emit": args.emit},
+                     "seed": args.seed, "k_grid": args.k_grid, "emit": args.emit,
+                     "hyper": hyper},
                     {Path(args.features).name: _sha256(Path(args.features))})
     tail = {f"1:{r}": round(report.curves[f'1:{r}'][-1], 4) for r in report.ratios}
     print(f"precision@{report.k_grid[-1]} by ratio: {json.dumps(tail, sort_keys=True)}")

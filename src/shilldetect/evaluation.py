@@ -261,7 +261,8 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     90% plus equally many benign; draw one benign test pool disjoint from
     training; test set at ratio 1:R = held-out shills + first R*|held-out|
     of the pool; report precision at each k (k past the test size saturates
-    to the test size).
+    to the test size). Each repetition scores one set, the largest test set;
+    the smaller sets are prefixes of it and take their rows' scores from it.
     """
     if k_grid is None:
         k_grid = list(range(1, 1001))
@@ -287,7 +288,8 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
         test_pool = [pool[i] for i in pool_pick]    # draw order kept: prefixes nest
 
         # Test sets nest by prefix, so the largest one covers every ratio.
-        overlap = set(test_shills + test_pool) & set(train_ids)
+        test_ids = test_shills + test_pool
+        overlap = set(test_ids) & set(train_ids)
         if overlap:
             raise ValueError(f"{len(overlap)} user id(s) fall in both the training "
                              f"and the test set, e.g. {min(overlap)!r}; "
@@ -295,12 +297,15 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
 
         model = train(algorithm, Dataset.from_matrix(matrix.select(train_ids)),
                       hyperparameters, seed=rep_seed)
+        # Score the largest test set once. A row's score does not depend on
+        # the rows scored with it, and the ranking breaks ties by user id, not
+        # row order, so each ratio's test set is a prefix of the scored rows.
+        largest = matrix.select(test_ids)
+        scores = predict_score(model, largest)
         for r in ratios:
-            test_ids = test_shills + test_pool[:plan.test_benign_per_ratio[r]]
-            sub = matrix.select(sorted(test_ids))
-            scores = predict_score(model, sub)
-            per_rep[f"1:{r}"].append(
-                precision_curve(scores, sub.labels, k_grid, sub.user_ids))
+            n = plan.n_test_shills + plan.test_benign_per_ratio[r]
+            per_rep[f"1:{r}"].append(precision_curve(
+                scores[:n], largest.labels[:n], k_grid, largest.user_ids[:n]))
 
     curves = {label: np.mean(np.array(reps), axis=0).tolist()
               for label, reps in per_rep.items()}

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from shilldetect.classifiers import (
     ALGORITHMS,
     Dataset,
+    check_hyperparameters,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -673,6 +674,46 @@ def test_train_refuses_unknown_hyperparameters(algorithm, hyper, unknown, accept
     assert str(exc.value) == (f"unknown hyperparameter(s) {unknown} for {algorithm};"
                               f" it accepts {accepted}")
     assert len(train("RotationForest", ds, {"n_members": 2}).members) == 2
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_row_score_does_not_depend_on_batch(algorithm, train_ds, small_matrix):
+    # The protocol scores its largest test set once and reads the nested
+    # smaller sets off it, so a row must score the same in any batch and at
+    # any position in it.
+    hyper = {"n_members": 8} if algorithm in ("Bagging", "RandomForest") else None
+    model = train(algorithm, train_ds, hyper, seed=1)
+    X = small_matrix.values
+    whole = predict_score(model, X)
+    order = np.random.default_rng(4).permutation(len(X))
+    for size in (len(X), len(X) // 2, len(X) // 7, 3):
+        idx = order[:size]
+        assert np.array_equal(predict_score(model, X[idx]), whole[idx]), size
+    for i in order[:25]:
+        assert predict_score(model, X[i:i + 1])[0] == whole[i], i
+        assert predict_score(model, X[i]) == whole[i], i
+
+
+@pytest.mark.parametrize("algorithm, hyper, message", [
+    ("Bagging", {"n_members": 0},
+     "Bagging hyperparameter 'n_members' must be a positive int, not 0"),
+    ("RotationForest", {"subset_size": 0},
+     "RotationForest hyperparameter 'subset_size' must be a positive int, not 0"),
+    ("KNN3", {"k": 0}, "KNN3 hyperparameter 'k' must be a positive int, not 0"),
+    ("OneR", {"min_bucket": True},
+     "OneR hyperparameter 'min_bucket' must be a positive int, not True"),
+    ("DecisionTree", {"min_leaf": 2.0},
+     "DecisionTree hyperparameter 'min_leaf' must be a positive int, not 2.0"),
+    ("DecisionTree", {"prune": 1},
+     "DecisionTree hyperparameter 'prune' must be a bool, not 1"),
+])
+def test_train_refuses_bad_hyperparameter_values(algorithm, hyper, message):
+    ds = mk_ds([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+    with pytest.raises(ValueError) as exc:
+        train(algorithm, ds, hyper)
+    assert str(exc.value) == message
+    assert check_hyperparameters("RotationForest", {"n_members": 2}) == {
+        "n_members": 2, "subset_size": 3}
 
 
 def test_save_load_schema_guard(tmp_path, train_ds):

@@ -206,21 +206,36 @@ def test_unknown_algorithm_is_json_error(ws, tmp_path, capsys):
 
 def test_hyperparameters_checked_before_use(ws, tmp_path, capsys):
     features = str(ws / "features" / "features.csv")
-    for i, (hyper, error, text) in enumerate((
-            ('{"n_member": 2}', "ValueError", "'n_member'"),
-            ('[2]', "CliError", "JSON object"))):
-        out = tmp_path / f"refused{i}"
-        rc = main(["train", "--features", features, "--algorithm", "rotation-forest",
-                   "--hyper", hyper, "--out", str(out)])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == error and text in err["message"]
-        assert not (out / "manifest.json").exists()
+    refused = (('{"n_member": 2}', "ValueError", "'n_member'"),
+               ('[2]', "CliError", "JSON object"),
+               ('{"n_members": 0}', "ValueError", "'n_members' must be a positive int"))
+    for command in ("train", "evaluate", "precision-at-k"):
+        for i, (hyper, error, text) in enumerate(refused):
+            out = tmp_path / f"{command}-refused{i}"
+            rc = main([command, "--features", features, "--algorithm", "rotation-forest",
+                       "--hyper", hyper, "--out", str(out)])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == error and text in err["message"]
+            assert not out.exists(), command
     rc = main(["train", "--features", features, "--algorithm", "rotation-forest",
                "--hyper", '{"n_members": 2}', "--out", str(tmp_path / "run")])
     assert rc == 0
     assert read_manifest(tmp_path / "run")["args"]["hyper"] == {"n_members": 2}
     assert len(json.loads((tmp_path / "run" / "model.json").read_text())["members"]) == 2
+
+
+def test_manifests_record_hyperparameters(ws, tmp_path):
+    features = str(ws / "features" / "features.csv")
+    for command, extra in (("evaluate", ["--folds", "3"]),
+                           ("precision-at-k", ["--repetitions", "1", "--k-grid", "1:5"])):
+        for hyper in ('{"n_members": 2}', None):
+            out = tmp_path / f"{command}-{hyper is None}"
+            argv = [command, "--features", features, "--algorithm", "rotation-forest",
+                    *extra, "--out", str(out)]
+            assert main(argv + (["--hyper", hyper] if hyper else [])) == 0
+            recorded = read_manifest(out)["args"]["hyper"]
+            assert recorded == (json.loads(hyper) if hyper else None), command
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,27 @@ def test_imbalanced_protocol_deterministic(small_matrix):
     assert a.to_dict() == b.to_dict()
 
 
+def _protocol_test_sets(matrix, seed, ratios):
+    """Each ratio's sorted test ids, drawn as the protocol documents."""
+    shills = sorted(u for u, y in zip(matrix.user_ids, matrix.labels) if y == 1)
+    benign = sorted(u for u, y in zip(matrix.user_ids, matrix.labels) if y == 0)
+    n_train = int(len(shills) * 0.9)
+    n_test = len(shills) - n_train
+    rng = np.random.default_rng(seed)
+    train_shills = {shills[i] for i in rng.choice(len(shills), n_train, replace=False)}
+    test_shills = [u for u in shills if u not in train_shills]
+    train_benign = {benign[i] for i in rng.choice(len(benign), n_train, replace=False)}
+    pool = [u for u in benign if u not in train_benign]
+    test_pool = [pool[i] for i in rng.choice(len(pool), max(ratios) * n_test,
+                                             replace=False)]
+    return {r: sorted(test_shills + test_pool[:r * n_test]) for r in ratios}
+
+
 @pytest.mark.parametrize("algorithm", ["KNN3", "OneR"])
 def test_imbalanced_protocol_curves_equal_reference(small_matrix, monkeypatch,
                                                     algorithm):
-    # Capture every scored test set, then rebuild each repetition's curve
+    # The protocol scores each repetition's largest test set once. Score every
+    # ratio's test set on its own with the same model, then rebuild each curve
     # with the per-k sort oracle; the report must hold exactly those floats.
     import shilldetect.evaluation as evaluation
 
@@ -264,22 +281,24 @@ def test_imbalanced_protocol_curves_equal_reference(small_matrix, monkeypatch,
     real_predict = evaluation.predict_score
 
     def spy(model, features):
-        scores = real_predict(model, features)
-        scored.append((scores, features.labels, features.user_ids))
-        return scores
+        scored.append((model, features.user_ids))
+        return real_predict(model, features)
 
     monkeypatch.setattr(evaluation, "predict_score", spy)
     k_grid = list(range(1, 301))
-    rep = imbalanced_protocol(small_matrix, algorithm, ratios=(2, 10, 100),
+    ratios = (2, 10, 100)
+    rep = imbalanced_protocol(small_matrix, algorithm, ratios=ratios,
                               repetitions=2, seed=3, k_grid=k_grid)
-    assert len(scored) == 2 * 3
-    it = iter(scored)
-    for r in range(2):
-        for ratio in (2, 10, 100):
-            scores, labels, uids = next(it)
-            assert len(scores) == rep.test_sizes[f"1:{ratio}"]
-            s, y = scores.tolist(), [int(v) for v in labels]
-            expected = [precision_at_k_reference(s, y, uids, k) for k in k_grid]
+    assert len(scored) == 2
+    for r, (model, scored_ids) in enumerate(scored):
+        test_sets = _protocol_test_sets(small_matrix, 3 + r, ratios)
+        assert sorted(scored_ids) == test_sets[max(ratios)]
+        for ratio in ratios:
+            sub = small_matrix.select(test_sets[ratio])
+            assert len(sub.user_ids) == rep.test_sizes[f"1:{ratio}"]
+            s = real_predict(model, sub).tolist()
+            y = [int(v) for v in sub.labels]
+            expected = [precision_at_k_reference(s, y, sub.user_ids, k) for k in k_grid]
             assert rep.per_repetition[f"1:{ratio}"][r] == expected
 
 
