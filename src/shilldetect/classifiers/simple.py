@@ -10,8 +10,8 @@ from .base import Dataset, N_CLASSES, require_trainable
 
 _VAR_FLOOR = 1e-9
 
-# Bytes of the two scratch arrays KNN3 computes distances in; query rows
-# are scored in chunks that fit them.
+# Bytes of the two scratch arrays KNN3 estimates distances in (the estimates
+# and their partitioned copy); query rows are scored in chunks that fit them.
 KNN_BUFFER_BYTES = 1 << 20
 
 
@@ -219,6 +219,36 @@ class KNN3:
     Standardization statistics are frozen from the training set. Equal
     distances break toward the lower user id, so scores are reproducible;
     they take values in {0, 1/3, 2/3, 1}.
+
+    A distance d2 adds the squared numeric differences one column at a
+    time, in column order, then the count of categorical mismatches.
+    Scoring computes d2 only for candidate pairs, picked per chunk of query
+    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t, one matrix
+    product per chunk, plus the mismatches. A pair stays a candidate unless
+    est - margin is above the k-th smallest est + margin of its row.
+
+    The margin bounds |est - d2|. Take u = 2^-53, m numeric and c
+    categorical columns, Q = ||q||^2, T = ||t||^2, S = Q + T + c, D the
+    exact squared distance and C the mismatch count, with no overflow:
+    - d2: each term is within 3u of (q_j - t_j)^2, the m-term sum and the
+      count add (m - 1)u and u: |d2 - D - C| <= (m + 3)u (D + C), and
+      D <= 2(Q + T), so this is at most 2(m + 3)u S.
+    - est is one dot product, [q, Q, 1] . [-2t, 1, T], whose m + 2 terms
+      have magnitudes summing to at most 2(Q + T). In any summation order,
+      fused or not, it errs by at most (m + 2)u times that (Higham,
+      Accuracy and Stability of Numerical Algorithms, 3.1); the computed Q
+      and T are within m u Q and m u T, and each of the c additions of a
+      mismatch column rounds by at most u (2(Q + T) + c): |est - D - C| <=
+      (3m + 2c + 4)u S.
+    - With the rounding of the k-th est plus the margin, at most
+      5(m + c + 3)u S separates a pruned pair from the k-th distance.
+    The margin is 128(m + c + 3)u (Q + max T + c), over 25 times that, plus
+    the smallest normal float, which covers the 2^-1075 each product can
+    lose to underflow. So every pair nearer than or tied with the k-th
+    distance is a candidate, and the vote sees the distances a full
+    computation gives. A row whose estimate or margin is not finite keeps
+    every pair. The product's last bits may vary with the BLAS build and
+    its threads; only the filter reads them.
     """
 
     train_X: np.ndarray               # standardized numerics + raw categoricals
@@ -239,39 +269,72 @@ class KNN3:
         return Z
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        Z = self._standardize(np.asarray(X, np.float64))
-        num, cat = self.numeric_mask, ~self.numeric_mask
-        z_num, z_cat = Z[:, num], Z[:, cat]
-        train_num_t = np.ascontiguousarray(self.train_X[:, num].T)
-        train_cat = self.train_X[:, cat]
-        n_train = len(self.train_X)
-        rows = max(1, KNN_BUFFER_BYTES // (2 * 8 * n_train))
-        d2_buf = np.empty((min(rows, len(Z)), n_train))
-        term_buf = np.empty_like(d2_buf)
-        out = np.empty(len(Z))
-        for lo in range(0, len(Z), rows):
-            hi = min(lo + rows, len(Z))
-            d2, term = d2_buf[:hi - lo], term_buf[:hi - lo]
-            # Squared differences are added feature by feature, in column
-            # order, so a distance never depends on how rows are chunked.
-            d2.fill(0.0)
-            for f, train_col in enumerate(train_num_t):
-                np.subtract(z_num[lo:hi, f, None], train_col, out=term)
-                np.square(term, out=term)
-                d2 += term
-            if cat.any():
-                d2 += (z_cat[lo:hi, None, :] != train_cat[None, :, :]).sum(axis=2)
-            out[lo:hi] = self._vote(d2)
+        X = np.asarray(X, np.float64)
+        out = np.empty(len(X))
+        for lo, d2, y in self._candidates(X):
+            out[lo:lo + len(d2)] = self._vote(d2, y)
         return out
 
-    def _vote(self, d2: np.ndarray) -> np.ndarray:
-        """Shill share of the k nearest training rows of each query row.
+    def _candidates(self, X: np.ndarray):
+        """Yield (first row, d2, y) for each chunk of query rows.
 
-        Training rows are in user-id order. The neighbours are every row
-        strictly nearer than the k-th distance, then the rows tied at it in
-        row order: the first k of a stable argsort of each row of `d2`.
-        Only rows with more than k rows within the k-th distance need the
-        running count of ties that cuts them.
+        Row i of d2 holds the exact distances of query row lo + i to its
+        candidates in training-row order, padded with +inf; y holds their
+        labels.
+        """
+        Z = self._standardize(X)
+        num, cat = self.numeric_mask, ~self.numeric_mask
+        z_num = Z[:, num]
+        train_num = np.ascontiguousarray(self.train_X[:, num])
+        train_cat = self.train_X[:, cat]
+        n_train, m = train_num.shape
+        c = train_cat.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            query = np.column_stack([z_num, np.einsum("ij,ij->i", z_num, z_num),
+                                     np.ones(len(Z))])
+            train_sq = np.einsum("ij,ij->i", train_num, train_num)
+        train = np.vstack([-2.0 * train_num.T, np.ones(n_train), train_sq])
+        rel, t_max = 128 * (m + c + 3) * 2.0 ** -53, train_sq.max()
+        rows = max(1, KNN_BUFFER_BYTES // (2 * 8 * n_train))
+        est_buf = np.empty((min(rows, len(Z)), n_train))
+        for lo in range(0, len(Z), rows):
+            zq, zc = query[lo:lo + rows], Z[lo:lo + rows, cat]
+            est = est_buf[:len(zq)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(zq, train, out=est)
+                for j in range(c):
+                    est += zc[:, j, None] != train_cat[:, j]
+                kth = np.partition(est, self.k - 1, axis=1)[:, self.k - 1]
+                margin = rel * (zq[:, m] + t_max + c) + np.finfo(np.float64).tiny
+                # Written so that a nan or inf estimate or margin keeps the pair.
+                keep = ~(est > (kth + 2 * margin)[:, None])
+            qi, ti = divmod(np.flatnonzero(keep), n_train)
+            # Exact distances: the operations and column order of a full
+            # computation, so each is the value it would give.
+            terms = zq[qi, :m] - train_num[ti]
+            np.square(terms, out=terms)
+            exact = np.zeros(len(qi))
+            for term in terms.T:
+                exact += term
+            if c:
+                exact += (zc[qi] != train_cat[ti]).sum(axis=1)
+            counts = np.bincount(qi, minlength=len(zq))
+            col = np.arange(len(qi)) - (np.cumsum(counts) - counts)[qi]
+            d2 = np.full((len(zq), counts.max()), np.inf)
+            y = np.zeros(d2.shape)
+            d2[qi, col] = exact
+            y[qi, col] = self.train_y[ti]
+            yield lo, d2, y
+
+    def _vote(self, d2: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Shill share of the k nearest of each row's candidates.
+
+        Each row lists candidates in user-id order, with labels `y`. The
+        neighbours are every candidate strictly nearer than the k-th
+        distance, then the ones tied at it in order: the first k of a
+        stable argsort of each row of `d2`. Only rows with more than k
+        candidates within the k-th distance need the running count of ties
+        that cuts them.
         """
         kth = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1:self.k]
         chosen = d2 <= kth
@@ -281,7 +344,7 @@ class KNN3:
         tied = d2 == kth
         room = self.k - nearer.sum(axis=1, keepdims=True)
         chosen[over] = nearer | (tied & (np.cumsum(tied, axis=1) <= room))
-        return (chosen @ self.train_y) / self.k
+        return (chosen * y).sum(axis=1) / self.k
 
 
 def train_knn3(dataset: Dataset, k: int = 3, seed: int = 0) -> KNN3:

@@ -222,8 +222,8 @@ def _learner_args(args) -> tuple[str, dict | None]:
 
 def _cmd_train(args) -> None:
     algorithm, hyper = _learner_args(args)
-    out = _prepare_out(args.out)
     matrix = _load_features(args.features)
+    out = _prepare_out(args.out)
     if args.no_balance:
         dataset = Dataset.from_matrix(matrix)
     else:
@@ -240,8 +240,8 @@ def _cmd_train(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     algorithm, hyper = _learner_args(args)
-    out = _prepare_out(args.out)
     matrix = _load_features(args.features)
+    out = _prepare_out(args.out)
     dataset = balanced_training_sample(matrix, seed=args.seed)
     result = cross_validate(algorithm, dataset, k=args.folds, seed=args.seed,
                             hyperparameters=hyper)
@@ -267,8 +267,8 @@ def _parse_k_grid(text: str) -> list[int]:
 
 def _cmd_precision_at_k(args) -> None:
     algorithm, hyper = _learner_args(args)
-    out = _prepare_out(args.out)
     matrix = _load_features(args.features)
+    out = _prepare_out(args.out)
     ratios = tuple(int(r) for r in args.ratios.split(","))
     report = imbalanced_protocol(
         matrix, algorithm, ratios=ratios, repetitions=args.repetitions,

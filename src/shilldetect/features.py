@@ -327,7 +327,11 @@ def write_feature_schema(matrix: FeatureMatrix, stream) -> None:
 
 
 def read_feature_csv(stream) -> FeatureMatrix:
-    """Inverse of write_feature_csv (header must match the current manifest)."""
+    """Inverse of write_feature_csv (header must match the current manifest).
+
+    A malformed row or a user id already read raises ValueError naming
+    the line.
+    """
     header = stream.readline().rstrip("\n").split(",")
     expected = ["user_id", *FEATURE_NAMES, "label"]
     if header != expected:
@@ -336,13 +340,25 @@ def read_feature_csv(stream) -> FeatureMatrix:
     for line_no, line in enumerate(stream, start=2):
         parts = line.rstrip("\n").split(",")
         if len(parts) != len(expected):
-            raise ValueError(f"bad feature CSV row: {line!r}")
+            raise ValueError(f"feature CSV line {line_no}: {len(parts)} fields, "
+                             f"expected {len(expected)}")
         if parts[-1] not in LABEL_VALUES:
             raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
                              "is neither 'shill' nor 'benign'")
         ids.append(parts[0])
-        rows.append([float(x) for x in parts[1:-1]])
+        try:
+            rows.append([float(x) for x in parts[1:-1]])
+        except ValueError:      # parse again, cell by cell, to name the bad one
+            rows.append([_feature_value(line_no, name, x)
+                         for name, x in zip(FEATURE_NAMES, parts[1:-1])])
         labels.append(LABEL_VALUES[parts[-1]])
+    if len(set(ids)) != len(ids):
+        first_line: dict[str, int] = {}
+        for line_no, user in enumerate(ids, start=2):
+            if user in first_line:
+                raise ValueError(f"feature CSV line {line_no}: user {user!r} is "
+                                 f"already on line {first_line[user]}")
+            first_line[user] = line_no
     values = np.array(rows, np.float64) if rows else np.zeros((0, len(FEATURE_NAMES)))
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
@@ -350,3 +366,11 @@ def read_feature_csv(stream) -> FeatureMatrix:
         raise ValueError(f"feature CSV line {r + 2}: {FEATURE_NAMES[c]} is "
                          f"{float(values[r, c])!r}; feature values must be finite")
     return FeatureMatrix(ids, values, np.array(labels, np.int8))
+
+
+def _feature_value(line_no: int, name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"feature CSV line {line_no}: {name} is {text!r}, "
+                         "not a number") from None

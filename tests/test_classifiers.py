@@ -254,6 +254,100 @@ def test_knn_matches_oracle_on_features(monkeypatch, train_ds, small_matrix):
     assert model.scores(Q).tolist() == _knn_oracle_scores(model, train_ds.canonical(), Q)
 
 
+def _standardized_knn(train_X, train_y, categorical):
+    """A KNN3 built directly in standardized units (mean 0, scale 1).
+
+    `train_knn3` z-scores its rows, which bounds every training value by
+    sqrt(n); building the model by hand lets a test put training rows at
+    any norm. Rows are in user-id order, as `train_knn3` leaves them.
+    """
+    train_X = np.asarray(train_X, np.float64)
+    numeric = np.ones(train_X.shape[1], bool)
+    numeric[list(categorical)] = False
+    model = simple.KNN3(train_X, np.asarray(train_y, np.float64),
+                        np.zeros(numeric.sum()), np.ones(numeric.sum()), numeric)
+    ids = tuple(f"u{i:03d}" for i in range(len(train_X)))
+    return model, ids
+
+
+def _near_tie_knn_data():
+    """Clusters of training rows a few ulps apart, far from the origin.
+
+    Offsets are integers / 2^26 from integer centres near 1e4, so every
+    difference, square and sum is exact: a distance is (sum of k^2) / 2^52,
+    plus 1 for a category mismatch, and moving (a, a) to (a + s, a - s)
+    adds 2 s^2 / 2^52. ||q||^2 + ||t||^2 is about 1e9, against distances
+    between 0.2 and 1.3.
+    """
+    rng = np.random.default_rng(11)
+    m, cat = 6, 2                                   # column 2 is categorical
+    X, y, Q = [], [], []
+    for _ in range(6):
+        centre = rng.integers(9_000, 11_000, m).astype(np.float64)
+        centre[cat] = 1.0
+        a = int(rng.integers(20_000_000, 24_000_000))
+        rest = rng.integers(5_000_000, 10_000_000, m - 3)
+        offsets = [[a + s, a - s, *rest] for s in (0, 1, 2, 3)]    # +0, 2, 8, 18 / 2^52
+        offsets += [[a, a, *rng.permutation(rest)] for _ in range(2)]  # exact ties
+        offsets += [[a + 1, a - 1, *rest]] * 5      # > k duplicates at one distance
+        offsets += [[-a, a, *(-rest)]]              # a mirror: an exact tie
+        for k in offsets:
+            row = centre.copy()
+            row[[j for j in range(m) if j != cat]] += np.array(k) / 2.0 ** 26
+            row[cat] = rng.choice([1.0, 2.0])       # a mismatch adds exactly 1
+            X.append(row)
+        Q.append(centre)
+        y += rng.integers(0, 2, len(offsets)).tolist()
+    Q = np.array(Q)
+    huge = Q[:2].copy()
+    huge[:, 0] = 1e200                              # ||q||^2 overflows to inf
+    return np.array(X), y, np.vstack([Q, huge]), (cat,)
+
+
+def _overflow_knn_data():
+    """Training rows near 1e155, where ||q||^2 and ||t||^2 are inf.
+
+    Differences and their squares stay finite, so the exact distances
+    order the rows while the estimate Q + T - 2 q.t is inf - inf = nan.
+    """
+    rng = np.random.default_rng(12)
+    n = 40
+    steps = rng.integers(0, 4, n)                   # ulps above 1e155
+    steps[:3] = 3                                   # the first k rows are far
+    big = np.full(n, 1e155)
+    for i in range(3):
+        big[steps > i] = np.nextafter(big[steps > i], np.inf)
+    X = np.column_stack([big, rng.integers(0, 3, n) * 0.25, rng.integers(0, 2, n)])
+    y = rng.integers(0, 2, n)
+    y[:3] = 0
+    Q = np.column_stack([np.full(6, 1e155), rng.integers(0, 3, 6) * 0.25,
+                         rng.integers(0, 2, 6)])
+    return X, y, Q, (2,)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+@pytest.mark.parametrize("data", [_near_tie_knn_data, _overflow_knn_data])
+def test_knn_exact_at_large_norm_and_overflow(monkeypatch, data, rows_per_chunk):
+    X, y, Q, categorical = data()
+    model, ids = _standardized_knn(X, y, categorical)
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * len(X) * rows_per_chunk)
+    m = int(model.numeric_mask.sum())
+    expected = knn_scores_reference(X.tolist(), list(y), ids, Q.tolist(),
+                                    list(categorical), [0.0] * m, [1.0] * m)
+    assert model.scores(Q).tolist() == expected
+
+
+def test_knn_filter_prunes(train_ds, small_matrix):
+    # The exactness tests pass even if the filter keeps every pair. On the
+    # standard features it keeps about k pairs per query row; 2k is the bound.
+    model = train_knn3(train_ds)
+    kept = [np.isfinite(d2).sum(axis=1)
+            for _, d2, _ in model._candidates(small_matrix.values)]
+    assert np.concatenate(kept).mean() < 2 * model.k
+    assert np.concatenate(kept).min() >= model.k
+
+
 def test_knn_scoring_memory_is_bounded():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(2000, 31))

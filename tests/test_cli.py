@@ -225,6 +225,25 @@ def test_hyperparameters_checked_before_use(ws, tmp_path, capsys):
     assert len(json.loads((tmp_path / "run" / "model.json").read_text())["members"]) == 2
 
 
+def test_repeated_user_in_features_is_refused(ws, tmp_path, capsys):
+    lines = (ws / "features" / "features.csv").read_text().splitlines(keepends=True)
+    shill = next(i for i, line in enumerate(lines) if line.endswith(",shill\n"))
+    user = lines[shill].split(",", 1)[0]
+    lines.append(lines[shill].rsplit(",", 1)[0] + ",benign\n")   # relabelled
+    features = tmp_path / "features.csv"
+    features.write_text("".join(lines))
+    for command in ("evaluate", "precision-at-k"):
+        out = tmp_path / command
+        rc = main([command, "--features", str(features), "--algorithm", "OneR",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": f"feature CSV line {len(lines)}: user {user!r} "
+                                  f"is already on line {shill + 1}"}, command
+        assert not out.exists(), command
+
+
 def test_manifests_record_hyperparameters(ws, tmp_path):
     features = str(ws / "features" / "features.csv")
     for command, extra in (("evaluate", ["--folds", "3"]),

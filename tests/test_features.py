@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 from datetime import date, datetime, timezone
 
@@ -237,6 +238,37 @@ def test_csv_unknown_label_names_the_line(small_matrix):
     lines = buf.getvalue().splitlines(keepends=True)
     lines[3] = lines[3].rsplit(",", 1)[0] + ",shil\n"
     with pytest.raises(ValueError, match=r"line 4: label 'shil'"):
+        read_feature_csv(io.StringIO("".join(lines)))
+
+
+def _csv_lines(matrix):
+    buf = io.StringIO()
+    write_feature_csv(matrix, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda parts: parts[:3] + ["abc"] + parts[4:],
+     rf"^feature CSV line 6: {FEATURE_NAMES[2]} is 'abc', not a number$"),
+    (lambda parts: parts[:-2] + [""] + parts[-1:],
+     rf"^feature CSV line 6: {FEATURE_NAMES[-1]} is '', not a number$"),
+    (lambda parts: parts + ["0"], r"^feature CSV line 6: 34 fields, expected 33$"),
+    (lambda parts: parts[:-2] + parts[-1:], r"^feature CSV line 6: 32 fields, expected 33$"),
+], ids=["text", "empty", "extra-field", "missing-field"])
+def test_csv_malformed_row_names_the_line(small_matrix, edit, message):
+    lines = _csv_lines(small_matrix)
+    lines[5] = ",".join(edit(lines[5].rstrip("\n").split(","))) + "\n"
+    with pytest.raises(ValueError, match=message):
+        read_feature_csv(io.StringIO("".join(lines)))
+
+
+def test_csv_repeated_user_names_both_lines(small_matrix):
+    lines = _csv_lines(small_matrix)
+    shill = next(i for i, line in enumerate(lines) if line.endswith(",shill\n"))
+    user = lines[shill].split(",", 1)[0]
+    lines.append(lines[shill].rsplit(",", 1)[0] + ",benign\n")   # relabelled
+    with pytest.raises(ValueError, match=rf"^feature CSV line {len(lines)}: user "
+                       rf"'{re.escape(user)}' is already on line {shill + 1}$"):
         read_feature_csv(io.StringIO("".join(lines)))
 
 
