@@ -284,14 +284,13 @@ class KNN3:
         """
         Z = self._standardize(X)
         num, cat = self.numeric_mask, ~self.numeric_mask
-        z_num = Z[:, num]
         train_num = np.ascontiguousarray(self.train_X[:, num])
         train_cat = self.train_X[:, cat]
         n_train, m = train_num.shape
         c = train_cat.shape[1]
+        query = np.column_stack([Z[:, num], np.zeros(len(Z)), np.ones(len(Z))])
         with np.errstate(over="ignore", invalid="ignore"):
-            query = np.column_stack([z_num, np.einsum("ij,ij->i", z_num, z_num),
-                                     np.ones(len(Z))])
+            query[:, m] = np.einsum("ij,ij->i", query[:, :m], query[:, :m])
             train_sq = np.einsum("ij,ij->i", train_num, train_num)
         train = np.vstack([-2.0 * train_num.T, np.ones(n_train), train_sq])
         rel, t_max = 128 * (m + c + 3) * 2.0 ** -53, train_sq.max()
