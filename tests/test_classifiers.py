@@ -291,9 +291,9 @@ def _near_tie_knn_data():
         offsets += [[a, a, *rng.permutation(rest)] for _ in range(2)]  # exact ties
         offsets += [[a + 1, a - 1, *rest]] * 5      # > k duplicates at one distance
         offsets += [[-a, a, *(-rest)]]              # a mirror: an exact tie
-        for k in offsets:
+        for offset in offsets:
             row = centre.copy()
-            row[[j for j in range(m) if j != cat]] += np.array(k) / 2.0 ** 26
+            row[[j for j in range(m) if j != cat]] += np.array(offset) / 2.0 ** 26
             row[cat] = rng.choice([1.0, 2.0])       # a mismatch adds exactly 1
             X.append(row)
         Q.append(centre)
@@ -342,10 +342,10 @@ def test_knn_filter_prunes(train_ds, small_matrix):
     # The exactness tests pass even if the filter keeps every pair. On the
     # standard features it keeps about k pairs per query row; 2k is the bound.
     model = train_knn3(train_ds)
-    kept = [np.isfinite(d2).sum(axis=1)
-            for _, d2, _ in model._candidates(small_matrix.values)]
-    assert np.concatenate(kept).mean() < 2 * model.k
-    assert np.concatenate(kept).min() >= model.k
+    kept = np.concatenate([np.isfinite(d2).sum(axis=1)
+                           for _, d2, _ in model._candidates(small_matrix.values)])
+    assert kept.mean() < 2 * model.k
+    assert kept.min() >= model.k
 
 
 def test_knn_scoring_memory_is_bounded():
