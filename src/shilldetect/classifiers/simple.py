@@ -12,7 +12,7 @@ _VAR_FLOOR = 1e-9
 
 # Bytes of the two scratch arrays KNN3 estimates distances in (the estimates
 # and their partitioned copy); query rows are scored in chunks that fit them.
-KNN_BUFFER_BYTES = 1 << 20
+KNN_BUFFER_BYTES = 2 << 20
 
 
 # ---------------------------------------------------------------------------

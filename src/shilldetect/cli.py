@@ -173,12 +173,12 @@ def _config_overlay(args, keys) -> dict:
 
 
 def _cmd_synth(args) -> None:
-    out = _prepare_out(args.out)
     merged = _config_overlay(args, ())
     seed = args.seed if args.seed is not None else merged.get("seed", 0)
     merged.pop("seed", None)
     config = MarketConfig.from_dict(merged) if merged else MarketConfig()
     corpus = generate(config, seed=seed)
+    out = _prepare_out(args.out)
     corpus.write(out, fmt=args.format)
     # corpus.write leaves the generator manifest at manifest.json; fold it
     # into the run manifest instead of losing it to the overwrite below.
@@ -194,8 +194,8 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_features(args) -> None:
-    out = _prepare_out(args.out)
     transactions, feedback, profiles, labels, paths = _load_corpus(args.data)
+    out = _prepare_out(args.out)
     tg, fg = build_graphs(transactions, feedback, profiles)
     matrix = extract_all(tg.users.ids, tg, fg, profiles, labels)
     with open(out / "features.csv", "w", encoding="utf-8") as fh:
@@ -299,7 +299,6 @@ def _emit_report(report: EvaluationReport, out: Path, emit) -> None:
 
 
 def _cmd_ecosystem(args) -> None:
-    out = _prepare_out(args.out)
     transactions, feedback, profiles, labels, paths = _load_corpus(args.data)
     if labels is None:
         raise CliError("ecosystem comparison needs labels.txt in the data directory")
@@ -313,6 +312,7 @@ def _cmd_ecosystem(args) -> None:
                         replace=False)
     benign_cohort = sorted(benign_ids[i] for i in sample)
 
+    out = _prepare_out(args.out)
     results = {}
     for name, cohort in (("shill", shill_cohort), ("benign", benign_cohort)):
         graph = project_feedback_graph(fg, cohort, weight_mode=args.weight_mode)
@@ -350,9 +350,9 @@ def _cmd_ecosystem(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    out = _prepare_out(args.out)
     with open(args.run, encoding="utf-8") as fh:
         report = EvaluationReport(**json.load(fh))
+    out = _prepare_out(args.out)
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "report",
                     {"run": Path(args.run).name, "emit": args.emit},

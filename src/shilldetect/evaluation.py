@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -248,7 +248,8 @@ class EvaluationReport:
         return self.curves[f"1:{ratio}"][self.k_grid.index(k)]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the curve lists are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest",

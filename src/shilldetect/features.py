@@ -46,6 +46,8 @@ CATEGORICAL_FEATURES = ("State-Hash",)
 
 LABEL_VALUES = {"benign": 0, "shill": 1}
 
+_CSV_HEADER = ["user_id", *FEATURE_NAMES, "label"]
+
 _EPOCH = date(1970, 1, 1)
 _SECONDS_PER_DAY = 86400
 
@@ -330,18 +332,47 @@ def read_feature_csv(stream) -> FeatureMatrix:
     """Inverse of write_feature_csv (header must match the current manifest).
 
     A malformed row or a user id already read raises ValueError naming
-    the line.
+    the line. The whole file is checked first and its 31 numeric columns
+    parsed in one np.loadtxt call; only when that fails are the lines
+    parsed again one by one with float(), which names the first bad line
+    or accepts a number loadtxt refuses (such as 1_000).
     """
     header = stream.readline().rstrip("\n").split(",")
-    expected = ["user_id", *FEATURE_NAMES, "label"]
-    if header != expected:
+    if header != _CSV_HEADER:
         raise ValueError(f"feature CSV header mismatch: {header[:3]}...")
+    lines = stream.readlines()
+    ids = [line.partition(",")[0] for line in lines]
+    labels = np.array([LABEL_VALUES.get(line.rstrip("\n").rpartition(",")[2], -1)
+                       for line in lines], np.int8)
+    if (lines and labels.min() >= 0 and len(set(ids)) == len(ids)
+            and all(line.count(",") == len(_CSV_HEADER) - 1 for line in lines)
+            and not _has_loadtxt_only_space(lines)):
+        try:
+            values = np.loadtxt(lines, delimiter=",", usecols=range(1, len(FEATURE_NAMES) + 1),
+                                dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return FeatureMatrix(ids, values, labels)
+    return _read_feature_lines(lines)
+
+
+def _has_loadtxt_only_space(lines) -> bool:
+    """Whether the lines hold an ASCII separator (0x1c-0x1f), which np.loadtxt
+    takes for space around a number and float() refuses."""
+    text = "".join(lines)
+    return any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+
+
+def _read_feature_lines(lines) -> FeatureMatrix:
+    """read_feature_csv's body lines, one line and one float() at a time."""
     ids, rows, labels = [], [], []
-    for line_no, line in enumerate(stream, start=2):
+    for line_no, line in enumerate(lines, start=2):
         parts = line.rstrip("\n").split(",")
-        if len(parts) != len(expected):
+        if len(parts) != len(_CSV_HEADER):
             raise ValueError(f"feature CSV line {line_no}: {len(parts)} fields, "
-                             f"expected {len(expected)}")
+                             f"expected {len(_CSV_HEADER)}")
         if parts[-1] not in LABEL_VALUES:
             raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
                              "is neither 'shill' nor 'benign'")

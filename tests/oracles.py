@@ -488,6 +488,56 @@ def recount_features(user_id, transactions, feedback, profile):
 
 
 # ---------------------------------------------------------------------------
+# Feature CSV reading, one line and one float() at a time
+
+
+def read_feature_csv_reference(stream):
+    """(user ids, rows of 31 floats, 0/1 labels) of a feature CSV.
+
+    A bad file raises the reader's ValueError. Lines are checked in file
+    order (field count, label, then each cell with float()); then repeated
+    user ids; then non-finite values, first in row-major order.
+    """
+    from shilldetect.features import FEATURE_NAMES, LABEL_VALUES
+
+    header = stream.readline().rstrip("\n").split(",")
+    expected = ["user_id", *FEATURE_NAMES, "label"]
+    if header != expected:
+        raise ValueError(f"feature CSV header mismatch: {header[:3]}...")
+    ids, rows, labels = [], [], []
+    for line_no, line in enumerate(stream, start=2):
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != len(expected):
+            raise ValueError(f"feature CSV line {line_no}: {len(parts)} fields, "
+                             f"expected {len(expected)}")
+        if parts[-1] not in LABEL_VALUES:
+            raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
+                             "is neither 'shill' nor 'benign'")
+        row = []
+        for name, text in zip(FEATURE_NAMES, parts[1:-1]):
+            try:
+                row.append(float(text))
+            except ValueError:
+                raise ValueError(f"feature CSV line {line_no}: {name} is {text!r}, "
+                                 "not a number") from None
+        ids.append(parts[0])
+        rows.append(row)
+        labels.append(LABEL_VALUES[parts[-1]])
+    first_line: dict[str, int] = {}
+    for line_no, user in enumerate(ids, start=2):
+        if user in first_line:
+            raise ValueError(f"feature CSV line {line_no}: user {user!r} is "
+                             f"already on line {first_line[user]}")
+        first_line[user] = line_no
+    for line_no, row in enumerate(rows, start=2):
+        for name, value in zip(FEATURE_NAMES, row):
+            if not math.isfinite(value):
+                raise ValueError(f"feature CSV line {line_no}: {name} is "
+                                 f"{value!r}; feature values must be finite")
+    return ids, rows, labels
+
+
+# ---------------------------------------------------------------------------
 # Corpus row parsing, one row at a time
 
 

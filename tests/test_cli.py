@@ -244,6 +244,33 @@ def test_repeated_user_in_features_is_refused(ws, tmp_path, capsys):
         assert not out.exists(), command
 
 
+def _unlabelled_corpus(ws, tmp_path):
+    corpus = tmp_path / "unlabelled"
+    shutil.copytree(ws / "corpus", corpus)
+    (corpus / "labels.txt").unlink()
+    return corpus
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda ws, tmp: ["synth", "--config", str(tmp / "bad.json")], "n_users must be >= 1"),
+    (lambda ws, tmp: ["synth", "--config", str(tmp / "missing.json")], "missing.json"),
+    (lambda ws, tmp: ["report", "--run", str(tmp / "nothere.json")], "nothere.json"),
+    (lambda ws, tmp: ["features", "--data", str(tmp / "ghost")],
+     "missing transactions.csv/.jsonl"),
+    (lambda ws, tmp: ["ecosystem", "--data", str(tmp / "ghost")],
+     "missing transactions.csv/.jsonl"),
+    (lambda ws, tmp: ["ecosystem", "--data", str(_unlabelled_corpus(ws, tmp))],
+     "needs labels.txt"),
+], ids=["synth-bad-config", "synth-missing-config", "report-missing-run",
+        "features-missing-corpus", "ecosystem-missing-corpus", "ecosystem-no-labels"])
+def test_refused_input_leaves_no_run_directory(ws, tmp_path, capsys, argv, message):
+    (tmp_path / "bad.json").write_text(json.dumps({"n_users": -5}))
+    out = tmp_path / "run"
+    assert main([*argv(ws, tmp_path), "--out", str(out)]) == 1
+    assert message in json.loads(capsys.readouterr().err.strip())["message"]
+    assert not out.exists()
+
+
 def test_manifests_record_hyperparameters(ws, tmp_path):
     features = str(ws / "features" / "features.csv")
     for command, extra in (("evaluate", ["--folds", "3"]),

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 from datetime import date, datetime, timezone
 
@@ -25,7 +26,7 @@ from shilldetect.records import (
     crc32_state,
 )
 
-from oracles import recount_features
+from oracles import read_feature_csv_reference, recount_features
 
 EXPECTED_ORDER = (
     "Buy-Trans-Num", "Sell-Trans-Num", "Unique-Sellers", "Unique-Buyers",
@@ -282,6 +283,101 @@ def test_csv_non_finite_value_names_line_and_feature(small_matrix, text):
     lines[5] = ",".join(parts)
     with pytest.raises(ValueError, match=rf"line 6: {FEATURE_NAMES[2]} is -?(nan|inf)"):
         read_feature_csv(io.StringIO("".join(lines)))
+
+
+def _read_result(read, text):
+    """(ids, values' bits, labels) of a read, or (error type, message)."""
+    try:
+        got = read(io.StringIO(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, FeatureMatrix):
+        ids, values, labels = got.user_ids, got.values, got.labels
+        assert values.dtype == np.float64 and values.shape == (len(ids), len(FEATURE_NAMES))
+        assert labels.dtype == np.int8
+    else:
+        ids, rows, labels = got
+        values = np.array(rows, np.float64).reshape(len(ids), len(FEATURE_NAMES))
+    return ids, values.view(np.uint64).tolist(), list(labels)
+
+
+def _shuffled(lines):
+    body = lines[1:]
+    order = np.random.default_rng(5).permutation(len(body))
+    return [lines[0], *(body[i] for i in order)]
+
+
+@pytest.mark.parametrize("order", [list, _shuffled], ids=["file-order", "shuffled"])
+def test_csv_reader_matches_line_by_line_reference(small_matrix, order):
+    text = "".join(order(_csv_lines(small_matrix)))
+    want = _read_result(read_feature_csv_reference, text)
+    assert isinstance(want[0], list) and len(want[0]) == small_matrix.n_users
+    assert _read_result(read_feature_csv, text) == want
+
+
+def _cell(text):
+    """Edit that puts `text` in the third feature cell of line 6."""
+    def edit(lines):
+        parts = lines[5].split(",")
+        parts[3] = text
+        return [*lines[:5], ",".join(parts), *lines[6:]]
+    return edit
+
+
+_EDGE_CASES = {
+    "underscore": _cell("1_000"),
+    "arabic-indic-digit": _cell("١"),
+    "nbsp": _cell("\xa01"),
+    "leading-space": _cell(" 1.5"),
+    "plus": _cell("+1"),
+    "minus-zero": _cell("-0"),
+    "minus-zero-point": _cell("-0.0"),
+    "subnormal": _cell("4.9e-324"),
+    "overflow": _cell("1e400"),
+    "nan": _cell("nan"),
+    "quoted": _cell('"1.5"'),
+    "hex": _cell("0x10"),
+    "file-separator": _cell("\x1c1"),
+    "unit-separator": _cell("1\x1f"),
+    "extra-cell": _cell("1,2"),
+    "hash-id": lambda lines: [*lines[:5], "#" + lines[5], *lines[6:]],
+    "blank-line": lambda lines: [*lines[:5], "\n", *lines[5:]],
+    "trailing-blank-line": lambda lines: [*lines, "\n"],
+    "crlf": lambda lines: [lines[0], *(line.replace("\n", "\r\n") for line in lines[1:])],
+    "no-final-newline": lambda lines: [*lines[:-1], lines[-1].rstrip("\n")],
+    "header-only": lambda lines: lines[:1],
+}
+
+
+@pytest.mark.parametrize("edit", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
+def test_csv_reader_edge_cases_match_reference(small_matrix, edit):
+    text = "".join(edit(_csv_lines(small_matrix)))
+    assert _read_result(read_feature_csv, text) == _read_result(read_feature_csv_reference,
+                                                                text)
+
+
+def test_csv_header_only_gives_empty_matrix_without_warning():
+    header = "user_id," + ",".join(FEATURE_NAMES) + ",label\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = read_feature_csv(io.StringIO(header))
+    assert matrix.values.shape == (0, len(FEATURE_NAMES)) and matrix.labels.dtype == np.int8
+
+
+def test_csv_read_memory_is_bounded(small_matrix):
+    # 20,000 rows: the small matrix 50 times over, under fresh ids. One
+    # Python float object per cell would take 24 bytes for every 8 of values.
+    header, *rows = _csv_lines(small_matrix)
+    text = header + "".join(f"c{copy}-{row}" for copy in range(50) for row in rows)
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        matrix = read_feature_csv(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.n_users == 50 * len(rows) == 20_000
+    assert peak < 4 * len(text) + matrix.values.nbytes
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
