@@ -21,7 +21,7 @@ from datetime import date
 import numpy as np
 
 from .records import LabelSet, crc32_state
-from .graphs import FeedbackMultigraph, TransactionMultigraph
+from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts, sorted_contains
 
 TRANSACTION_FEATURES = (
     "Buy-Trans-Num", "Sell-Trans-Num", "Unique-Sellers", "Unique-Buyers",
@@ -104,11 +104,13 @@ def _pair_stats(src: np.ndarray, dst: np.ndarray, n: int):
     if len(src) == 0:
         z = np.zeros(n, np.int64)
         return z, z.copy(), z.copy()
-    keys = np.unique(src * n + dst)
+    keys = np.sort(src * n + dst)
+    keys = keys[run_starts(keys)]
     u_src, u_dst = keys // n, keys % n
     out_unique = np.bincount(u_src, minlength=n)
     in_unique = np.bincount(u_dst, minlength=n)
-    mutual = np.isin(keys, u_dst * n + u_src)
+    # A key's reverse is present exactly when the key is among the reverses.
+    mutual = sorted_contains(keys, u_dst * n + u_src)
     bidir = np.bincount(u_src[mutual], minlength=n)
     return out_unique, in_unique, bidir
 

@@ -20,6 +20,22 @@ import numpy as np
 from .records import FeedbackTable, TransactionTable
 
 
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array."""
+    new = np.ones(len(sorted_keys), bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def sorted_contains(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each value occurs in `sorted_keys` (ascending); what `np.isin`
+    gives, by binary search rather than hashing."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(values), bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
+    return sorted_keys[pos] == values
+
+
 class UserIndex:
     """Bidirectional user_id <-> dense position map, sorted by id."""
 
@@ -201,12 +217,16 @@ def project_feedback_graph(graph: FeedbackMultigraph, subset,
 
     k = max(len(node_ids), 1)
     pair_keys = g * k + r
-    uniq, inverse = np.unique(pair_keys, return_inverse=True)
+    order = np.argsort(pair_keys)
+    pair_keys = pair_keys[order]
+    starts = run_starts(pair_keys)
+    uniq = pair_keys[starts]
     if weight_mode == "count":
-        weight = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
+        weight = np.diff(starts, append=len(pair_keys))
+    elif len(starts):
+        weight = np.add.reduceat(ratings[order], starts)
     else:
-        weight = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(weight, inverse, ratings)
+        weight = np.zeros(0, dtype=np.int64)
     return WeightedFeedbackGraph(node_ids, uniq // k, uniq % k, weight,
                                  weight_mode, self_loops)
 
@@ -275,7 +295,9 @@ def connected_components(graph: WeightedFeedbackGraph) -> ComponentPartition:
     # Renumber so that only components containing links survive, sizes
     # descending with ties in lowest-vertex order; an isolated vertex is a
     # component of its own and maps to -1.
-    used, counts = np.unique(raw[non_isolated], return_counts=True)
+    used = np.sort(raw[non_isolated])
+    starts = run_starts(used)
+    used, counts = used[starts], np.diff(starts, append=len(used))
     order = np.argsort(-counts, kind="stable")
     rank = np.full(n, -1, dtype=np.int64)
     rank[used[order]] = np.arange(len(used), dtype=np.int64)
@@ -287,9 +309,9 @@ def bidirectional_link_count(graph: WeightedFeedbackGraph) -> int:
     if graph.n_links == 0:
         return 0
     k = max(graph.n_vertices, 1)
-    keys = graph.src * k + graph.dst
+    keys = np.sort(graph.src * k + graph.dst)
     reverse = graph.dst * k + graph.src
-    return int(np.isin(keys, reverse).sum())
+    return int(np.count_nonzero(sorted_contains(keys, reverse)))
 
 
 # ---------------------------------------------------------------------------

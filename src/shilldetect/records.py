@@ -10,10 +10,22 @@ are emitted. Timestamps are int epoch seconds, UTC. Profiles stay a list
 of records. The record dataclasses are a table's row view: iterating a
 table yields them, and `from_records` builds a table from hand-made ones.
 
-The parsers check each column at once: every distinct id, quantity and
-price once, and canonical `YYYY-MM-DDTHH:MM:SSZ` timestamps as bytes. A
-row that fails any of these checks goes through the row function, which
-accepts every other valid form and gives an invalid row its error.
+The parsers work on bytes columns: one fixed-width numpy `S` array per
+column. A CSV body whose lines are plain (no quotes, carriage returns or
+NULs, and width - 1 commas then a newline on every line) is read as bytes:
+one pass over its commas and newlines finds every field, and each column
+is gathered from the body with one index per field. Quoted CSV and JSONL
+are read row by row, and their values are encoded into the same columns.
+Ids are coded by sorting: each id is packed into uint64 words, a sort
+groups equal ids, and the smallest row of each group is the id's first
+occurrence, so codes follow first occurrence, buyer column before seller.
+Each distinct id is checked once, on its end bytes, and decoded once.
+Quantities, prices, ratings and canonical `YYYY-MM-DDTHH:MM:SSZ`
+timestamps are read from the columns' bytes. A row that a column check
+cannot prove valid goes through the row function, which accepts every
+other valid form and gives an invalid row its error. A profiles file is
+built from its columns when every row passes the whole-file checks, and
+row by row otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import csv
 import io
 import json
 import operator
+import re
 import zlib
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -267,60 +280,171 @@ def _valid_id(text: str) -> bool:
     return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
 
 
-def _decode_lines(stream) -> io.TextIOBase:
+def _read_bytes(stream) -> bytes:
+    """The whole stream as UTF-8 bytes; a text stream's str is encoded."""
     if isinstance(stream, (str, bytes)):
         raise TypeError("pass an open file object, not a path")
     raw = stream.read()
-    if isinstance(raw, bytes):
+    if not isinstance(raw, bytes):
+        return raw.encode("utf-8", "surrogatepass")
+    if not raw.isascii():
         try:
-            raw = raw.decode("utf-8")
+            raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"stream is not valid UTF-8: {exc}") from exc
-    return io.StringIO(raw)
+    return raw
+
+
+def _text(data: bytes) -> str:
+    # surrogatepass undoes the encoding of a text stream's str; bytes that
+    # came as bytes were checked strictly on reading.
+    return data.decode("utf-8", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
+# The longest value a bytes column holds. A longer one is held as b"", so
+# its row goes to the row function, and a column never takes more than this
+# many bytes per row.
+_MAX_FIELD = 64
+
+# _KEEP[k] keeps the first k bytes of a row of a bytes matrix.
+_KEEP = np.where(np.arange(_MAX_FIELD) < np.arange(_MAX_FIELD + 1)[:, None], 255, 0)
+_KEEP = _KEEP.astype(np.uint8)
+
+
+def _byte_column(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The values buf[start[i]:start[i] + length[i]] as one fixed-width
+    bytes array (numpy `S`); a value longer than _MAX_FIELD becomes b"".
+
+    buf ends in at least _MAX_FIELD + 1 bytes that no value uses, so each
+    value is one row of a strided window over buf, gathered with one index
+    per value.
+    """
+    length = np.where(length > _MAX_FIELD, 0, length)
+    width = max(int(length.max(initial=0)), 1)
+    window = np.lib.stride_tricks.as_strided(buf, (len(buf) - width + 1, width), (1, 1),
+                                             writeable=False)
+    raw = window[start]
+    if not (length == width).all():
+        raw &= _KEEP[length, :width]
+    return raw.view(f"S{width}").ravel()
+
+
+def _encoded(values) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes column of Python values, and the values it cannot hold.
+
+    A str is held as UTF-8 and an int as its decimal text. Any other value,
+    a str holding a NUL (a bytes column would drop it) and one longer than
+    _MAX_FIELD are held as b"", and only the row function reads them.
+    """
+    text = values if set(map(type, values)) <= {str} else [
+        v if type(v) is str else str(v) if type(v) is int else "\0" for v in values]
+    joined = "".join(text)
+    odd = (np.fromiter(("\0" in t for t in text), bool, len(text)) if "\0" in joined
+           else np.zeros(len(text), bool))
+    if joined.isascii():
+        data = joined.encode()
+    else:
+        text = [t.encode("utf-8", "surrogatepass") for t in text]
+        data = b"".join(text)
+    del joined
+    length = np.fromiter(map(len, text), np.int64, len(text))
+    odd |= length > _MAX_FIELD
+    buf = np.zeros(len(data) + _MAX_FIELD + 1, np.uint8)
+    buf[:len(data)] = np.frombuffer(data, np.uint8)
+    return _byte_column(buf, np.cumsum(length) - length, np.where(odd, 0, length)), odd
+
+
+def _header_end(data: bytes, columns: tuple[str, ...]) -> int:
+    """Where the CSV body starts, after a header row naming `columns`."""
+    pos = 0
+
+    def text_lines():
+        # csv.reader takes lines only as it needs them, so after the header
+        # row `pos` is where the body starts.
+        nonlocal pos
+        while pos < len(data):
+            end = data.find(b"\n", pos) + 1 or len(data)
+            line, pos = _text(data[pos:end]), end
+            yield line
+
+    try:
+        header = next(csv.reader(text_lines()))
+    except StopIteration:
+        raise ParseError("missing CSV header row") from None
+    if tuple(h.strip() for h in header) != columns:
+        raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
+    return pos
+
+
+def _plain_csv(data: bytes, pos: int, width: int):
+    """(line numbers, bytes columns, odd rows, row) of the CSV body data[pos:]
+    if csv.reader's rows are its lines split at commas, else None.
+
+    They are when the body holds no quotes, carriage returns or NULs and
+    every line has width - 1 commas and then a newline (the last line may
+    lack it).
+    """
+    size = len(data) - pos
+    buf = np.zeros(size + _MAX_FIELD + 2, np.uint8)
+    buf[:size] = np.frombuffer(data, np.uint8, size, pos)
+    if size and buf[size - 1] != ord("\n"):
+        buf[size] = ord("\n")
+        size += 1
+    body = buf[:size]
+    separator = body == ord(",")
+    separator |= body == ord("\n")
+    end = np.flatnonzero(separator)
+    del separator
+    if len(end) % width or any(data.find(c, pos) >= 0 for c in (b'"', b"\r", b"\0")):
+        return None
+    kind = body[end].reshape(-1, width)
+    if not ((kind[:, -1] == ord("\n")).all() and (kind[:, :-1] == ord(",")).all()):
+        return None
+    start = np.empty_like(end)
+    start[:1] = 0
+    start[1:] = end[:-1] + 1
+    start = start.reshape(-1, width)
+    length = end.reshape(-1, width) - start
+
+    def row(i: int) -> list[str]:
+        return [_text(body[s:s + n].tobytes())
+                for s, n in zip(start[i].tolist(), length[i].tolist())]
+
+    return (range(2, len(start) + 2), [_byte_column(buf, s, n) for s, n in zip(start.T, length.T)],
+            length.max(axis=1, initial=0) > _MAX_FIELD, row)
+
 
 def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
-    """(line numbers, one list per column, errors) of a csv or jsonl corpus.
+    """(line numbers, bytes columns, odd rows, row, errors) of a csv or jsonl corpus.
 
-    A row with the wrong field count, invalid JSON, a non-object or missing
-    keys is an error here; a blank row is skipped but keeps its line.
+    The bytes columns hold every row's values (see _byte_column); an odd
+    row holds a value they do not (see _encoded). row(i) gives row i's
+    values as read, for the row function. A row with the wrong field count,
+    invalid JSON, a non-object or missing keys is an error here; a blank
+    row is skipped but keeps its line.
     """
-    text = _decode_lines(stream)
+    data = _read_bytes(stream)
     width = len(columns)
     lines: list[int] = []
     rows: list = []
     errors: list[RowError] = []
     if fmt == "csv":
-        reader = csv.reader(text)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing CSV header row") from None
-        if tuple(h.strip() for h in header) != columns:
-            raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
-        rest = text.read()
-        body = rest.split("\n")
-        if body[-1] == "":
-            body.pop()
-        # Without quotes, carriage returns or NULs, and with a full set of
-        # commas on every line, csv.reader's rows are the lines split at commas.
-        if not ('"' in rest or "\r" in rest or "\0" in rest) \
-                and set(map(operator.methodcaller("count", ","), body)) <= {width - 1}:
-            fields = ",".join(body).split(",") if body else []
-            return list(range(2, len(body) + 2)), [fields[i::width] for i in range(width)], []
-        for line_no, row in enumerate(csv.reader(io.StringIO(rest)), start=2):
-            if len(row) == width:
+        pos = _header_end(data, columns)
+        plain = _plain_csv(data, pos, width)
+        if plain is not None:
+            return (*plain, errors)
+        for line_no, fields in enumerate(csv.reader(io.StringIO(_text(data[pos:]))), start=2):
+            if len(fields) == width:
                 lines.append(line_no)
-                rows.append(row)
-            elif row:
-                errors.append(RowError(line_no, f"expected {width} fields, got {len(row)}"))
+                rows.append(fields)
+            elif fields:
+                errors.append(RowError(line_no, f"expected {width} fields, got {len(fields)}"))
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
-        for line_no, line in enumerate(text, start=1):
+        for line_no, line in enumerate(_text(data).split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -341,74 +465,141 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
             lines.append(line_no)
     else:
         raise ValueError(f"unknown format {fmt!r} (csv or jsonl)")
-    return lines, [[row[i] for row in rows] for i in range(width)], errors
+    cols, odd = zip(*map(_encoded, zip(*rows) if rows else [()] * width))
+    return lines, list(cols), np.logical_or.reduce(odd), rows.__getitem__, errors
 
 
 _BAD = -2**63   # the int64 minimum: a value the fast checks leave to the row function
 
 
-def _by_value(values, convert, kinds=(str,)) -> np.ndarray:
-    """int64 convert(v) per value, computed once per distinct value.
+def _matrix(col: np.ndarray) -> np.ndarray:
+    """The (rows, width) uint8 view of a bytes column."""
+    return col.view(np.uint8).reshape(len(col), col.dtype.itemsize)
 
-    _BAD where the value's type is not one of `kinds` or convert refuses
-    it (returns None or raises); those rows go to the row function.
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code of each value, row of each code's first occurrence), codes
+    numbered in order of first occurrence.
+
+    The values are packed into uint64 words and sorted; equal values form
+    a run, and the smallest row of a run is where its value first occurs.
     """
-    if not set(map(type, values)) <= set(kinds):
-        values = [v if type(v) in kinds else None for v in values]
-    first: dict = {}    # value -> the row where it first occurs
-    rows = np.fromiter(map(first.setdefault, values, range(len(values))), np.int64, len(values))
-    out = np.full(len(values), _BAD)
-    out[list(first.values())] = [_checked(convert, v) for v in first]
-    return out[rows]
+    n = len(values)
+    if n == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    width = values.dtype.itemsize
+    packed = np.zeros((n, -(-width // 8) * 8), np.uint8)
+    packed[:, :width] = _matrix(values)
+    words = packed.view(np.uint64)
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    words = words[order]
+    new = np.empty(n, bool)
+    new[0] = True
+    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    del words
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    code = np.empty(len(first), np.int64)
+    code[by_first] = np.arange(len(first))
+    codes = np.empty(n, np.int64)
+    codes[order] = code[np.cumsum(new) - 1]
+    return codes, first[by_first]
 
 
-def _checked(convert, value) -> int:
-    if value is None:
-        return _BAD
-    try:
-        out = convert(value)
-    except (ValueError, TypeError):
-        return _BAD
-    return out if out is not None and _BAD < out < 2**63 else _BAD
+# Bytes that str.strip() removes from an ASCII end, and bytes no id holds.
+_STRIPPED = np.array([*b"\t\n\v\f\r\x1c\x1d\x1e\x1f "], np.uint8)
+_NOT_IN_ID = np.array([*b",\n\r"], np.uint8)
 
 
-def _ids(values, table: dict) -> np.ndarray:
-    """Codes of the valid ids in `table`; each new distinct id is checked once."""
-    def code(v):
-        c = table.get(v)
-        return c if c is not None or not _valid_id(v) else table.setdefault(v, len(table))
-    return _by_value(values, code)
+def _code_ids(*columns: np.ndarray) -> tuple[list[np.ndarray], dict[str, int]]:
+    """Codes of the valid ids in bytes columns sharing one id table, and
+    that table; _BAD for an invalid id.
+
+    Codes follow first occurrence, the first column before the next. Each
+    distinct id is checked once, on its first and last bytes; only an id
+    with a non-ASCII end is checked by _valid_id.
+    """
+    values = np.concatenate(columns)
+    codes, first = _distinct(values)
+    distinct = values[first]
+    raw = _matrix(distinct)
+    size = np.count_nonzero(raw, axis=1)
+    head, tail = raw[:, 0], raw[np.arange(len(raw)), np.maximum(size - 1, 0)]
+    valid = (size > 0) & ~np.isin(head, _STRIPPED) & ~np.isin(tail, _STRIPPED)
+    valid &= ~np.isin(raw, _NOT_IN_ID).any(axis=1)
+    for i in np.flatnonzero(valid & ((head >= 0x80) | (tail >= 0x80))).tolist():
+        valid[i] = _valid_id(_text(distinct[i]))
+    code = np.where(valid, np.cumsum(valid) - 1, _BAD)
+    # No valid id holds a newline, so one decode splits into the ids.
+    ids = _text(b"\n".join(distinct[valid].tolist())).split("\n") if valid.any() else []
+    return (np.split(code[codes], np.cumsum([len(c) for c in columns[:-1]])),
+            dict(zip(ids, range(len(distinct)))))
 
 
-def _quantity(value) -> int | None:
-    quantity = int(value)
-    return quantity if quantity >= 1 else None
+# 10 ** k for k = 0..18: an int64 holds every value of at most 18 digits.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-_RATINGS = {"-1": -1, "0": 0, "1": 1, -1: -1, 0: 0, 1: 1}
+def _unsigned(col: np.ndarray, decimals: int = 0) -> np.ndarray:
+    """int64 value times 10**decimals of each plain decimal in a bytes column.
 
-# Digit positions ("0") and literal characters of a canonical timestamp.
-_TS_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
-_TS_DIGIT = _TS_FORM == ord("0")
-_NOT_TS = "?" * len(_TS_FORM)
+    Plain means ASCII digits, with one dot and at most `decimals` digits
+    after it where decimals > 0, and at most 18 digits in all once scaled.
+    Any other value is _BAD, b"" too.
+    """
+    raw = _matrix(col)
+    n = len(raw)
+    value = np.zeros(n, np.int64)
+    digits = np.zeros(n, np.int64)
+    point = np.full(n, -1, np.int64)    # digits read when the dot came; -1 before
+    ok = np.ones(n, bool)
+    for c in raw.T:
+        digit = c - np.uint8(ord("0"))
+        is_digit = digit <= 9
+        is_dot = c == ord(".")
+        ok &= is_digit | (c == 0) | (is_dot & (point < 0) & (decimals > 0))
+        point[is_dot] = digits[is_dot]
+        value = np.where(is_digit, value * 10 + digit, value)
+        digits += is_digit
+    shift = decimals - np.where(point >= 0, digits - point, 0)
+    ok &= (digits > 0) & (shift >= 0) & (digits + shift <= 18)
+    return np.where(ok, value * _POW10[np.clip(shift, 0, 18)], _BAD)
+
+
+def _integer(name: str, value) -> int:
+    """int(value); a bool, or a float with a fraction part, is an error
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and int(value) != value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+# A canonical timestamp's bytes: a digit where the form has "0", else the
+# form's byte. A byte minus _TS_LOW is at most _TS_SPAN, and is the digit.
+_TS_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_TS_SPAN = np.where(_TS_LOW == ord("0"), 9, 0).astype(np.uint8)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _epoch_seconds(values) -> np.ndarray:
-    """Epoch seconds of canonical `YYYY-MM-DDTHH:MM:SSZ` values, else _BAD.
+def _epoch_seconds(col: np.ndarray) -> np.ndarray:
+    """Epoch seconds of canonical `YYYY-MM-DDTHH:MM:SSZ` values in a bytes
+    column, else _BAD.
 
     The calendar checks are those of `datetime`: year >= 1, the month's
     day count with leap years, hour < 24, minute and second < 60.
     """
-    width = len(_TS_FORM)
-    text = "".join(v if type(v) is str and len(v) == width else _NOT_TS for v in values)
-    raw = np.frombuffer(text.encode("ascii", "replace"), np.uint8).reshape(-1, width)
-    digits = raw.astype(np.int16) - ord("0")
-    ok = ((digits[:, _TS_DIGIT] >= 0) & (digits[:, _TS_DIGIT] <= 9)).all(axis=1)
-    ok &= (raw[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
+    raw = _matrix(col)
+    width = len(_TS_LOW)
+    if raw.shape[1] < width:
+        return np.full(len(raw), _BAD)
+    digit = raw[:, :width] - _TS_LOW
+    ok = (digit <= _TS_SPAN).all(axis=1) & ~raw[:, width:].any(axis=1)
 
     def number(start: int, size: int) -> np.ndarray:
-        return digits[:, start:start + size].astype(np.int64) @ 10 ** np.arange(size - 1, -1, -1)
+        out = np.zeros(len(raw), np.int64)
+        for k in range(start, start + size):
+            out = out * 10 + digit[:, k]
+        return out
 
     year, month, day = number(0, 4), number(5, 2), number(8, 2)
     hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
@@ -425,7 +616,7 @@ def _epoch_seconds(values) -> np.ndarray:
 
 
 def _transaction(buyer, seller, product, quantity, price, timestamp) -> tuple:
-    quantity = int(quantity)
+    quantity = _integer("quantity", quantity)
     if quantity < 1:
         raise ValueError(f"quantity must be >= 1, got {quantity}")
     cents = parse_price_cents(price if isinstance(price, str) else repr(price))
@@ -437,7 +628,7 @@ def _transaction(buyer, seller, product, quantity, price, timestamp) -> tuple:
 
 
 def _feedback(giver, receiver, rating, timestamp) -> tuple:
-    rating = int(rating)
+    rating = _integer("rating", rating)
     if rating not in VALID_RATINGS:
         raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
     ts = parse_rfc3339(str(timestamp))
@@ -447,16 +638,16 @@ def _feedback(giver, receiver, rating, timestamp) -> tuple:
     return giver, receiver, rating, _epoch(ts)
 
 
-def _row_path(lines, cols, out, tables, make, errors) -> np.ndarray:
+def _row_path(lines, row, out, tables, make, errors) -> np.ndarray:
     """Settle the rows a fast check left as _BAD with `make`; the rows kept.
 
-    make(*row) returns the row's values in column order or raises its
+    make(*row(i)) returns row i's values in column order or raises its
     error; `tables` holds the id table of each id column, None elsewhere.
     """
     keep = np.logical_and.reduce([column != _BAD for column in out])
     for i in np.flatnonzero(~keep).tolist():
         try:
-            for column, table, value in zip(out, tables, make(*(c[i] for c in cols))):
+            for column, table, value in zip(out, tables, make(*row(i))):
                 column[i] = value if table is None else table.setdefault(value, len(table))
         except (ValueError, TypeError, OverflowError) as exc:
             errors.append(RowError(lines[i], str(exc)))
@@ -465,35 +656,36 @@ def _row_path(lines, cols, out, tables, make, errors) -> np.ndarray:
     return keep
 
 
-def _transaction_table(lines, cols, errors) -> TransactionTable:
-    users: dict[str, int] = {}
-    products: dict[str, int] = {}
+def _transaction_table(lines, cols, odd, row, errors) -> TransactionTable:
     buyer, seller, product, quantity, price, timestamp = cols
-    out = [_ids(buyer, users), _ids(seller, users), _ids(product, products),
-           _by_value(quantity, _quantity, (str, int)), _by_value(price, parse_price_cents),
-           _epoch_seconds(timestamp)]
-    keep = _row_path(lines, cols, out, (users, users, products, None, None, None),
+    (b, s), users = _code_ids(buyer, seller)
+    (p,), products = _code_ids(product)
+    q = _unsigned(quantity)
+    q[q == 0] = _BAD
+    out = [b, s, p, q, _unsigned(price, 2), _epoch_seconds(timestamp)]
+    keep = _row_path(lines, row, out, (users, users, products, None, None, None),
                      _transaction, errors)
     b, s, p, q, c, t = (column[keep] for column in out)
     return TransactionTable(list(users), b, s, list(products), p, q, c, t)
 
 
-def _feedback_table(lines, cols, errors) -> FeedbackTable:
-    users: dict[str, int] = {}
+def _feedback_table(lines, cols, odd, row, errors) -> FeedbackTable:
     giver, receiver, rating, timestamp = cols
-    out = [_ids(giver, users), _ids(receiver, users),
-           _by_value(rating, _RATINGS.get, (str, int)), _epoch_seconds(timestamp)]
-    keep = _row_path(lines, cols, out, (users, users, None, None), _feedback, errors)
+    (g, r), users = _code_ids(giver, receiver)
+    rating = np.select([rating == b"-1", rating == b"0", rating == b"1"], [-1, 0, 1], _BAD)
+    out = [g, r, rating, _epoch_seconds(timestamp)]
+    keep = _row_path(lines, row, out, (users, users, None, None), _feedback, errors)
     g, r, v, t = (column[keep] for column in out)
     return FeedbackTable(list(users), g, r, v, t)
 
 
 def _parse(stream, fmt: str, columns: tuple[str, ...], build, what: str,
            max_bad_fraction: float) -> ParseResult:
-    """build(lines, cols, errors) makes the records and appends row errors."""
-    lines, cols, errors = _read_columns(stream, fmt, columns)
+    """build(lines, cols, odd, row, errors) makes the records and appends
+    row errors; see _read_columns for its arguments."""
+    lines, cols, odd, row, errors = _read_columns(stream, fmt, columns)
     total = len(lines) + len(errors)
-    records = build(lines, cols, errors)
+    records = build(lines, cols, odd, row, errors)
     errors.sort(key=operator.attrgetter("line"))
     result = ParseResult(records, errors, total)
     if total and result.bad_rows / total > max_bad_fraction:
@@ -521,6 +713,42 @@ def parse_feedback(stream, fmt: str = "csv",
                   max_bad_fraction)
 
 
+_CANONICAL_DATE = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _profile_columns(cols, odd) -> list[UserProfile] | None:
+    """The profiles of a file in which every row passes the whole-file
+    checks, built once per distinct state and date; None otherwise.
+
+    The checks: unique valid ids, a birth year empty or plain digits, and
+    a canonical registration date that `date.fromisoformat` accepts.
+    """
+    user_id, birth, state, registration = cols
+    n = len(user_id)
+    if odd.any():
+        return None
+    (codes,), ids = _code_ids(user_id)
+    if len(ids) != n or (n and codes.min() < 0):
+        return None
+    years = _unsigned(birth)
+    no_year = birth == b""
+    if ((years == _BAD) & ~no_year).any():
+        return None
+    day_codes, first = _distinct(registration)
+    days = registration[first].tolist()
+    if not all(map(_CANONICAL_DATE.fullmatch, days)):
+        return None
+    try:
+        days = [date.fromisoformat(d.decode()) for d in days]
+    except ValueError:
+        return None
+    state_codes, first = _distinct(state)
+    states = list(map(_text, state[first].tolist()))
+    years = [None if y == _BAD else y for y in np.where(no_year, _BAD, years).tolist()]
+    return list(map(UserProfile, ids, years, map(states.__getitem__, state_codes.tolist()),
+                    map(days.__getitem__, day_codes.tolist())))
+
+
 def parse_profiles(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse user profiles; one row per user, duplicates are row errors."""
@@ -532,16 +760,19 @@ def parse_profiles(stream, fmt: str = "csv",
             raise ValueError("empty or malformed identifier")
         if user_id in seen:
             raise ValueError(f"duplicate user_id {user_id!r}")
-        birth_year = None if birth_raw in ("", None) else int(birth_raw)
+        birth_year = None if birth_raw in ("", None) else _integer("birth_year", birth_raw)
         registration = parse_rfc3339(str(registration)).date()
         seen.add(user_id)
         return UserProfile(user_id, birth_year, str(state), registration)
 
-    def build(lines, cols, errors) -> list[UserProfile]:
+    def build(lines, cols, odd, row, errors) -> list[UserProfile]:
+        profiles = _profile_columns(cols, odd)
+        if profiles is not None:
+            return profiles
         profiles = []
-        for line_no, row in zip(lines, zip(*cols)):
+        for i, line_no in enumerate(lines):
             try:
-                profiles.append(profile(*row))
+                profiles.append(profile(*row(i)))
             except (ValueError, TypeError, OverflowError) as exc:
                 errors.append(RowError(line_no, str(exc)))
         return profiles
@@ -551,10 +782,9 @@ def parse_profiles(stream, fmt: str = "csv",
 
 def load_label_list(stream) -> LabelSet:
     """One shill id per line; duplicates are dropped and counted."""
-    text = _decode_lines(stream)
     ids: set[str] = set()
     duplicates = 0
-    for line_no, line in enumerate(text, start=1):
+    for line_no, line in enumerate(_text(_read_bytes(stream)).split("\n"), start=1):
         user_id = line.strip()
         if not user_id:
             continue

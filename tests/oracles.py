@@ -581,10 +581,19 @@ def _reference_rows(text: str, fmt: str, columns):
             yield line_no, {c: obj[c] for c in columns}
 
 
+def _reference_integer(name: str, value) -> int:
+    """int(value); a bool, or a finite float with a fraction part, is an
+    error rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and math.isfinite(value)
+                                   and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _reference_transaction(row: dict) -> tuple:
     from shilldetect.records import parse_price_cents, parse_rfc3339
 
-    quantity = int(row["quantity"])
+    quantity = _reference_integer("quantity", row["quantity"])
     if quantity < 1:
         raise ValueError(f"quantity must be >= 1, got {quantity}")
     price = row["unit_price"]
@@ -599,7 +608,7 @@ def _reference_transaction(row: dict) -> tuple:
 def _reference_feedback(row: dict) -> tuple:
     from shilldetect.records import parse_rfc3339
 
-    rating = int(row["rating"])
+    rating = _reference_integer("rating", row["rating"])
     if rating not in (-1, 0, 1):
         raise ValueError(f"rating must be -1, 0, or +1, got {rating}")
     ts = parse_rfc3339(str(row["timestamp"]))
@@ -609,18 +618,39 @@ def _reference_feedback(row: dict) -> tuple:
     return (*ids, rating, int(ts.timestamp()))
 
 
+def _reference_profile(row: dict, seen: set) -> tuple:
+    from shilldetect.records import parse_rfc3339
+
+    user_id = str(row["user_id"])
+    if not _reference_valid_id(user_id):
+        raise ValueError("empty or malformed identifier")
+    if user_id in seen:
+        raise ValueError(f"duplicate user_id {user_id!r}")
+    birth = row["birth_year"]
+    birth_year = None if birth == "" or birth is None else _reference_integer("birth_year", birth)
+    registration = parse_rfc3339(str(row["registration_date"])).date()
+    seen.add(user_id)
+    return user_id, birth_year, str(row["state"]), registration
+
+
 def parse_rows_reference(text: str, fmt: str, what: str):
-    """(row tuples, [(line, message)]) of a transactions or feedback corpus.
+    """(row tuples, [(line, message)]) of a transactions, feedback or
+    profiles corpus.
 
     Each row is checked on its own, in the order the parsers check fields:
     quantity, price, timestamp, identifiers for a transaction; rating,
-    timestamp, identifiers for feedback. A row tuple holds the ids, the
-    integers and the timestamp as int epoch seconds, as the graphs use it.
+    timestamp, identifiers for feedback; identifier, repeat, birth year,
+    registration date for a profile, where only an accepted row claims
+    its id. A row tuple holds the ids, the integers and the timestamp as
+    int epoch seconds, as the graphs use it; a profile's holds its fields.
     """
-    from shilldetect.records import FEEDBACK_COLUMNS, TRANSACTION_COLUMNS
+    from shilldetect.records import FEEDBACK_COLUMNS, PROFILE_COLUMNS, TRANSACTION_COLUMNS
 
+    seen: set[str] = set()
     columns, make = {"transactions": (TRANSACTION_COLUMNS, _reference_transaction),
-                     "feedback": (FEEDBACK_COLUMNS, _reference_feedback)}[what]
+                     "feedback": (FEEDBACK_COLUMNS, _reference_feedback),
+                     "profiles": (PROFILE_COLUMNS,
+                                  lambda row: _reference_profile(row, seen))}[what]
     rows, errors = [], []
     for line_no, row in _reference_rows(text, fmt, columns):
         if isinstance(row, str):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from shilldetect.records import (
     FEEDBACK_COLUMNS,
+    PROFILE_COLUMNS,
     TRANSACTION_COLUMNS,
     FeedbackRecord,
     FeedbackTable,
@@ -31,6 +33,8 @@ from shilldetect.records import (
     write_profiles,
     write_transactions,
 )
+
+from shilldetect.synth import MarketConfig, generate
 
 from oracles import crc32_reference, parse_rows_reference
 
@@ -201,18 +205,41 @@ def test_load_label_list_rejects_malformed():
 # writers round-trip
 
 
-def test_write_read_roundtrip_csv(tiny_corpus):
+def _first_seen(table) -> list[str]:
+    """A table's user ids in order of first occurrence, the first id column
+    before the second."""
+    pairs = [(r.buyer_id, r.seller_id) if isinstance(table, TransactionTable)
+             else (r.giver_id, r.receiver_id) for r in table]
+    return list(dict.fromkeys([p[0] for p in pairs] + [p[1] for p in pairs]))
+
+
+def test_write_read_roundtrip_csv(tiny_corpus, small_corpus):
     transactions, feedback, profiles, labels = tiny_corpus
     for writer, parser, recs in (
         (write_transactions, parse_transactions, transactions),
         (write_feedback, parse_feedback, feedback),
         (write_profiles, parse_profiles, profiles),
+        (write_transactions, parse_transactions, small_corpus.transactions),
+        (write_feedback, parse_feedback, small_corpus.feedback),
+        # header-only files
+        (write_transactions, parse_transactions, TransactionTable.from_records([])),
+        (write_feedback, parse_feedback, FeedbackTable.from_records([])),
+        (write_profiles, parse_profiles, []),
+        # profiles every whole-file check passes, with edge values
+        (write_profiles, parse_profiles, [
+            UserProfile("ü1", None, "Zürich", date(1, 1, 1)),
+            UserProfile("abcdefgh", 0, " Ohio", date(9999, 12, 31)),
+            UserProfile("abcdefghi", 958, "", date(2012, 2, 29)),
+            UserProfile("abcdefghijklmnopq", 1958, "default", date(2010, 5, 1)),
+            UserProfile("a\xa0b", 10**17, "Zürich", date(2010, 5, 1))]),
     ):
         for fmt in ("csv", "jsonl"):
             buf = io.StringIO()
             writer(recs, buf, fmt)
             back = parser(io.BytesIO(buf.getvalue().encode()), fmt)
             assert back.records == recs, fmt
+            if not isinstance(recs, list):
+                assert back.records.user_ids == _first_seen(recs), fmt
     buf = io.StringIO()
     write_labels(labels, buf)
     back = load_label_list(io.BytesIO(buf.getvalue().encode()))
@@ -283,7 +310,8 @@ ROW_ERROR_CASES = {
         _jsonl(_TX, {}, "{bad", "[1, 2]", '{"buyer_id": "a"}', {"quantity": 0},
                {"quantity": None}, {"unit_price": 1.234}, {"timestamp": _NAIVE},
                {"buyer_id": "a,b"}, {"buyer_id": "c", "seller_id": "c", "unit_price": 0.99},
-               "", {"buyer_id": "b", "seller_id": "a", "quantity": "3", "unit_price": "4"}),
+               "", {"buyer_id": "b", "seller_id": "a", "quantity": "3", "unit_price": "4"},
+               {"quantity": 2.7}),
         3, 1,
         [(2, _BAD_JSON),
          (3, "JSONL line is not an object"),
@@ -293,7 +321,8 @@ ROW_ERROR_CASES = {
          (6, _NONE_INT),
          (7, "not a 2-decimal price: '1.234'"),
          (8, _NO_OFFSET),
-         (9, _BAD_ID)]),
+         (9, _BAD_ID),
+         (13, "quantity must be an integer, got 2.7")]),
     ("feedback", "csv"): (
         "giver_id,receiver_id,rating,timestamp\n"
         f"a,b,1,{_TS}\n"
@@ -314,7 +343,7 @@ ROW_ERROR_CASES = {
         _jsonl(_FB, {}, '{"giver_id": "a",', '"a"', '{"giver_id": "a", "receiver_id": "b", '
                f'"timestamp": "{_TS}"}}', {"rating": -2}, {"rating": None},
                {"timestamp": _NAIVE}, {"giver_id": " a"}, "",
-               {"giver_id": "b", "receiver_id": "a", "rating": "-1"}),
+               {"giver_id": "b", "receiver_id": "a", "rating": "-1"}, {"rating": 0.9}),
         2, 0,
         [(2, _BAD_JSON),
          (3, "JSONL line is not an object"),
@@ -322,7 +351,8 @@ ROW_ERROR_CASES = {
          (5, "rating must be -1, 0, or +1, got -2"),
          (6, _NONE_INT),
          (7, _NO_OFFSET),
-         (8, _BAD_ID)]),
+         (8, _BAD_ID),
+         (11, "rating must be an integer, got 0.9")]),
     ("profiles", "csv"): (
         "user_id,birth_year,state,registration_date\n"
         "a,1980,Ohio,2010-05-01\n"
@@ -349,7 +379,8 @@ ROW_ERROR_CASES = {
                {"user_id": "c", "birth_year": "19x0"},
                {"user_id": "d", "registration_date": "2010-05-01T00:00:00"},
                {"user_id": "e\n"}, "",
-               {"user_id": "h", "birth_year": None, "state": "default"}),
+               {"user_id": "h", "birth_year": None, "state": "default"},
+               {"user_id": "i", "birth_year": 1958.9}, {"user_id": "j", "birth_year": True}),
         2, 0,
         [(2, "invalid JSON: Expecting value"),
          (3, "JSONL line is not an object"),
@@ -357,7 +388,9 @@ ROW_ERROR_CASES = {
          (5, "duplicate user_id 'a'"),
          (6, "invalid literal for int() with base 10: '19x0'"),
          (7, "timestamp lacks a UTC offset: '2010-05-01T00:00:00'"),
-         (8, _BAD_ID)]),
+         (8, _BAD_ID),
+         (11, "birth_year must be an integer, got 1958.9"),
+         (12, "birth_year must be an integer, got True")]),
 }
 
 # corpus -> (parser, the noun its bad-fraction error uses)
@@ -398,12 +431,21 @@ _TS_VALUES = ("2011-03-01T10:00:00+02:00", "2011-03-01T10:00:00-00:30",
               "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "0999-05-01T00:00:00Z",
               "9999-12-31T23:59:59Z", "1969-12-31T23:59:59Z",
               "２０１１-03-01T10:00:00Z", "2011-03-01T10:00:0٣Z", "2011-03-01T10:00:00ZZ",
-              "2011/03/01T10:00:00Z", "")
+              "2011/03/01T10:00:00Z", "", " " * 60 + "2011-03-01T10:00:00Z")
 _PRICE_VALUES = (".5", "1.", "01.50", "1.234", "-0.00", "0.00", " 1.00", "+1.00",
-                 "1e2", "１.５０", "", 1.5, 2, 1.234)
-_QUANTITY_VALUES = (" 3", "+3", "0", "-1", "3.0", "1_0", "３", "", True, 2.0, 7)
-_RATING_VALUES = ("+1", " 1", "-0", "1.0", "2", "", True, 1.0, -1)
-_ID_VALUES = ('a"b', "ü1", "x y", " a", "a ", "a,b", "a\nb", "", 5)
+                 "1e2", "１.５０", "", 1.5, 2, 1.234, "0" * 70 + "1.50", "1.2.3", "1..5")
+_QUANTITY_VALUES = (" 3", "+3", "0", "-1", "3.0", "1_0", "３", "", True, 2.0, 2.7, 7)
+_RATING_VALUES = ("+1", " 1", "-0", "1.0", "2", "", True, 1.0, 0.9, -1)
+_ID_VALUES = ('a"b', "ü1", "aü", "x y", " a", "a ", "a,b", "a\nb", "", 5,
+              "abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq",
+              "\xa0a", "a\xa0", "\u3000a", "a\u3000", "\x85a", "a\x85", "\x1ca", "a\x1c",
+              "long" * 20)
+_BIRTH_VALUES = ("", " 1958", "+1958", "1958.0", "١٩٥٨", "19x0", "0958", "-", 1958, 1958.0,
+                 1958.9, True, None)
+_STATE_VALUES = ("New York, NY", 'Ohio "OH"', "Zürich", " Ohio", "", "default", "long" * 20)
+_DATE_VALUES = ("2010-05-01T10:00:00Z", "2010-05-01T23:00:00-05:00", "2010-05-01T00:00:00",
+                "2011-02-29", "2012-02-29", "2010-13-01", "2010-04-31", " 2010-05-01",
+                "2010-5-01", "20100501", "yesterday", "")
 
 
 def _injections(what: str, unquoted: bool = False) -> list[dict]:
@@ -413,14 +455,24 @@ def _injections(what: str, unquoted: bool = False) -> list[dict]:
     a newline), so that every line of the corpus is a plain comma split.
     """
     if what == "transactions":
-        rows = [{"timestamp": v} for v in _TS_VALUES]
+        rows = [{"seller_id": "seller first"}]
+        rows += [{"timestamp": v} for v in _TS_VALUES]
         rows += [{"unit_price": v} for v in _PRICE_VALUES]
         rows += [{"quantity": v} for v in _QUANTITY_VALUES]
         rows += [{c: v} for v in _ID_VALUES for c in ("buyer_id", "product_id")]
         rows += [{"quantity": "0", "unit_price": "1.234", "buyer_id": ""},
                  {"unit_price": "x", "timestamp": "x"},
                  {"timestamp": "2011-02-30T00:00:00Z", "seller_id": "a,b"},
-                 {"buyer_id": "same", "seller_id": "same"}]
+                 {"buyer_id": "same", "seller_id": "same"},
+                 {"buyer_id": "seller first"}]
+    elif what == "profiles":
+        rows = [{"birth_year": v} for v in _BIRTH_VALUES]
+        rows += [{"state": v} for v in _STATE_VALUES]
+        rows += [{"registration_date": v} for v in _DATE_VALUES]
+        rows += [{"user_id": v} for v in _ID_VALUES]
+        # a repeated id: the first row fails, the second claims the id, the third repeats it
+        rows += [{"user_id": "twice", "registration_date": "2011-02-29"},
+                 {"user_id": "twice"}, {"user_id": "twice", "birth_year": "x"}]
     else:
         rows = [{"timestamp": v} for v in _TS_VALUES]
         rows += [{"rating": v} for v in _RATING_VALUES]
@@ -433,21 +485,30 @@ def _injections(what: str, unquoted: bool = False) -> list[dict]:
     return rows
 
 
-def _injected_corpus(corpus, what: str, fmt: str) -> str:
+def _injected_corpus(corpus, what: str, fmt: str, injections=None) -> str:
+    """The corpus file with the injections (all of them by default);
+    csv-unquoted ends without a final newline and csv with a trailing blank
+    line."""
     if what == "transactions":
         columns = TRANSACTION_COLUMNS
         base = [(r.buyer_id, r.seller_id, r.product_id, r.quantity,
                  format_price(r.unit_price_cents), ts)
                 for r, ts in zip(corpus.transactions, format_rfc3339(corpus.transactions.ts))]
+    elif what == "profiles":
+        columns = PROFILE_COLUMNS
+        base = [(p.user_id, "" if p.birth_year is None else p.birth_year, p.state_text,
+                 p.registration_date.isoformat()) for p in corpus.profiles]
     else:
         columns = FEEDBACK_COLUMNS
         base = [(r.giver_id, r.receiver_id, r.rating, ts)
                 for r, ts in zip(corpus.feedback, format_rfc3339(corpus.feedback.ts))]
     rows = [dict(zip(columns, row)) for row in base]
-    for k, change in enumerate(_injections(what, fmt == "csv-unquoted")):
+    if injections is None:
+        injections = _injections(what, fmt == "csv-unquoted")
+    for k, change in enumerate(injections):
         rows[3 + 5 * k].update(change)
     if fmt == "csv-unquoted":
-        return "".join(",".join(map(str, row)) + "\n" for row in [columns, *map(dict.values, rows)])
+        return "\n".join(",".join(map(str, row)) for row in [columns, *map(dict.values, rows)])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -457,24 +518,27 @@ def _injected_corpus(corpus, what: str, fmt: str) -> str:
         lines = text.split("\n")
         lines.insert(7, "")                          # a blank row
         lines.insert(11, ",".join(map(str, base[0][:-1])))  # a short row
-        return "\n".join(lines)
+        return "\n".join(lines) + "\n"
     lines = [json.dumps(row) for row in rows]
     lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"})]
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "csv-unquoted", "jsonl"])
-@pytest.mark.parametrize("what", ["transactions", "feedback"])
+@pytest.mark.parametrize("what", ["transactions", "feedback", "profiles"])
 def test_parsers_match_row_reference(what, fmt, small_corpus):
     text = _injected_corpus(small_corpus, what, fmt)
-    fmt = fmt.removesuffix("-unquoted")
+    variant, fmt = fmt, fmt.removesuffix("-unquoted")
     want_rows, want_errors = parse_rows_reference(text, fmt, what)
-    parser = {"transactions": parse_transactions, "feedback": parse_feedback}[what]
+    parser = _PARSERS[what][0]
     res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
     if what == "transactions":
         got = [(r.buyer_id, r.seller_id, r.product_id, r.quantity, r.unit_price_cents,
                 int(r.timestamp.timestamp())) for r in res.records]
         assert res.self_trades == sum(r[0] == r[1] for r in want_rows)
+    elif what == "profiles":
+        got = [(p.user_id, p.birth_year, p.state_text, p.registration_date)
+               for p in res.records]
     else:
         got = [(r.giver_id, r.receiver_id, r.rating, int(r.timestamp.timestamp()))
                for r in res.records]
@@ -483,6 +547,15 @@ def test_parsers_match_row_reference(what, fmt, small_corpus):
     assert res.total_rows == len(want_rows) + len(want_errors)
     # the injections reach both outcomes: some parse, some fail
     assert 15 < len(want_errors) < len(_injections(what)) + 4
+    if what == "profiles":
+        # each injected row alone, so that the whole-file checks decide
+        for change in _injections(what, variant == "csv-unquoted"):
+            text = _injected_corpus(small_corpus, what, variant, [change])
+            want_rows, want_errors = parse_rows_reference(text, fmt, what)
+            res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
+            assert [(e.line, e.message) for e in res.errors] == want_errors, change
+            assert [(p.user_id, p.birth_year, p.state_text, p.registration_date)
+                    for p in res.records] == want_rows, change
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -541,3 +614,21 @@ def test_out_of_range_numbers_are_row_errors():
     res = parse_profiles(io.BytesIO(text.encode()), "jsonl", max_bad_fraction=1.0)
     assert [(e.line, e.message) for e in res.errors] == [
         (1, "cannot convert float infinity to integer")]
+
+
+def test_transaction_parse_memory_is_bounded():
+    # About 120k rows. One str object per field would take some 50 bytes
+    # for each 8 to 12 of text.
+    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    buf = io.StringIO()
+    write_transactions(corpus.transactions, buf)
+    data = buf.getvalue().encode()
+    stream = io.BytesIO(data)
+    tracemalloc.start()
+    try:
+        res = parse_transactions(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total_rows == len(corpus.transactions) > 100_000 and not res.errors
+    assert peak < 12 * len(data)
