@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .classifiers import Dataset, predict_score, train
 from .classifiers.base import entropy
-from .classifiers.tree import _binary_entropy
+from .classifiers.tree import _binary_entropy, _entropy_table
 from .features import CATEGORICAL_FEATURES, FeatureMatrix
 
 DEFAULT_RATIOS = (2, 5, 10, 20, 100)
@@ -168,6 +169,63 @@ def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Independent tasks on every CPU
+
+# The learners whose CV folds and protocol repetitions `_map_in_order` runs
+# on a fork pool. KNN3 stays in process: its scoring matrix product already
+# runs on every core through BLAS, and pooled children oversubscribe them.
+# OneR and NaiveBayes train in less time than the pool costs.
+POOLED_ALGORITHMS = frozenset({"DecisionTree", "Bagging", "RandomForest", "RotationForest"})
+
+_task = None    # the task `_map_in_order` runs; its pool's children inherit it
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes for `n_tasks` tasks: at most one per CPU this process may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_tasks)
+
+
+def _run_task(i: int):
+    return _task(i)
+
+
+def _map_in_order(task, n_tasks: int, algorithm: str, class_counts) -> list:
+    """[task(i) for i in range(n_tasks)]; a tree learner's tasks run on a fork pool.
+
+    The children inherit `task`, and all it reads, through fork: only an
+    index goes to a child and only its task's result comes back, and the
+    results are gathered in submission order, so they do not depend on the
+    worker count. The entropy table for the training data's largest
+    `class_counts` (benign, shill) is built first, so the children inherit
+    it too. A task's exception reaches the caller with its type and
+    message, a child killed mid-task (say, out of memory) raises
+    BrokenProcessPool where a `multiprocessing.Pool` would wait for ever,
+    and no child outlives the call.
+    """
+    global _task
+    workers = _worker_count(n_tasks) if algorithm in POOLED_ALGORITHMS else 1
+    if workers > 1:
+        import multiprocessing   # only here: a serial run does not pay its import
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):   # a daemon cannot fork
+            workers = 1
+    if workers <= 1:
+        return [task(i) for i in range(n_tasks)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    _entropy_table(int(class_counts[1]), int(class_counts[0]))
+    _task = task
+    try:
+        # A raising task cancels those not started; leaving the block joins every child.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            return list(pool.map(_run_task, range(n_tasks)))
+    finally:
+        _task = None
+
+
+# ---------------------------------------------------------------------------
 # Cross-validation
 
 
@@ -175,12 +233,17 @@ def cross_validate(algorithm: str, dataset: Dataset, k: int = 10, seed: int = 0,
                    hyperparameters: dict | None = None) -> dict:
     """k-fold CV; metrics computed over the pooled out-of-fold scores."""
     folds = stratified_kfold(dataset, k, seed)
-    scores = np.empty(dataset.n, np.float64)
     all_idx = np.arange(dataset.n)
-    for fold in folds:
-        train_idx = np.setdiff1d(all_idx, fold)
-        model = train(algorithm, dataset.take(train_idx), hyperparameters, seed)
-        scores[fold] = model.scores(dataset.X[fold])
+
+    def out_of_fold(i: int) -> np.ndarray:
+        model = train(algorithm, dataset.take(np.setdiff1d(all_idx, folds[i])),
+                      hyperparameters, seed)
+        return model.scores(dataset.X[folds[i]])
+
+    scores = np.empty(dataset.n, np.float64)
+    for fold, fold_scores in zip(folds, _map_in_order(out_of_fold, k, algorithm,
+                                                      dataset.class_counts())):
+        scores[fold] = fold_scores
     metrics = confusion_metrics(scores, dataset.y)
     metrics["auc"] = auc(scores, dataset.y)
     metrics["algorithm"] = algorithm
@@ -272,9 +335,13 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     shills, benign = _cohort_ids(matrix)
     plan = protocol_plan(len(shills), len(benign), ratios, train_fraction)
 
-    per_rep: dict[str, list[list[float]]] = {f"1:{r}": [] for r in ratios}
     rep_seeds = [seed + r for r in range(repetitions)]
-    for rep_seed in rep_seeds:
+    test_sizes = {f"1:{r}": plan.n_test_shills + plan.test_benign_per_ratio[r]
+                  for r in ratios}
+
+    def repetition(r: int) -> list[list[float]]:
+        """Repetition r's precision curve at each ratio."""
+        rep_seed = rep_seeds[r]
         rng = np.random.default_rng(rep_seed)
         shill_pick = rng.choice(len(shills), size=plan.n_train_shills, replace=False)
         train_shills = [shills[i] for i in sorted(shill_pick)]
@@ -303,15 +370,17 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
         # row order, so each ratio's test set is a prefix of the scored rows.
         largest = matrix.select(test_ids)
         scores = predict_score(model, largest)
-        for r in ratios:
-            n = plan.n_test_shills + plan.test_benign_per_ratio[r]
-            per_rep[f"1:{r}"].append(precision_curve(
-                scores[:n], largest.labels[:n], k_grid, largest.user_ids[:n]))
+        return [precision_curve(scores[:n], largest.labels[:n], k_grid,
+                                largest.user_ids[:n]) for n in test_sizes.values()]
+
+    per_rep: dict[str, list[list[float]]] = {label: [] for label in test_sizes}
+    n_train = plan.n_train_shills
+    for rep_curves in _map_in_order(repetition, repetitions, algorithm, (n_train, n_train)):
+        for label, curve in zip(per_rep, rep_curves):
+            per_rep[label].append(curve)
 
     curves = {label: np.mean(np.array(reps), axis=0).tolist()
               for label, reps in per_rep.items()}
-    test_sizes = {f"1:{r}": plan.n_test_shills + plan.test_benign_per_ratio[r]
-                  for r in ratios}
     return EvaluationReport(algorithm, seed, repetitions, rep_seeds, list(ratios),
                             list(k_grid), curves, per_rep, test_sizes)
 

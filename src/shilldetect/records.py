@@ -370,10 +370,13 @@ def _header_end(data: bytes, columns: tuple[str, ...]) -> int:
             line, pos = _text(data[pos:end]), end
             yield line
 
+    reader = csv.reader(text_lines())
     try:
-        header = next(csv.reader(text_lines()))
+        header = next(reader)
     except StopIteration:
         raise ParseError("missing CSV header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: malformed CSV: {exc}") from None
     if tuple(h.strip() for h in header) != columns:
         raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
     return pos
@@ -436,12 +439,18 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
         plain = _plain_csv(data, pos, width)
         if plain is not None:
             return (*plain, errors)
-        for line_no, fields in enumerate(csv.reader(io.StringIO(_text(data[pos:]))), start=2):
-            if len(fields) == width:
-                lines.append(line_no)
-                rows.append(fields)
-            elif fields:
-                errors.append(RowError(line_no, f"expected {width} fields, got {len(fields)}"))
+        reader = csv.reader(io.StringIO(_text(data[pos:])))
+        try:
+            for line_no, fields in enumerate(reader, start=2):
+                if len(fields) == width:
+                    lines.append(line_no)
+                    rows.append(fields)
+                elif fields:
+                    errors.append(RowError(line_no,
+                                           f"expected {width} fields, got {len(fields)}"))
+        except csv.Error as exc:   # e.g. a lone carriage return in an unquoted field
+            line = data.count(b"\n", 0, pos) + reader.line_num
+            raise ParseError(f"line {line}: malformed CSV: {exc}") from None
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
         for line_no, line in enumerate(_text(data).split("\n"), start=1):
@@ -450,8 +459,10 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(RowError(line_no, f"invalid JSON: {exc.msg}"))
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, an integer past int's digit limit, or
+                # nesting past the recursion limit
+                errors.append(RowError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             if not isinstance(obj, dict):
                 errors.append(RowError(line_no, "JSONL line is not an object"))

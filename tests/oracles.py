@@ -568,8 +568,10 @@ def _reference_rows(text: str, fmt: str, columns):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_no, f"invalid JSON: {exc.msg}"
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer past int's digit limit, or
+            # nesting past the recursion limit
+            yield line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"
             continue
         if not isinstance(obj, dict):
             yield line_no, "JSONL line is not an object"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import shilldetect
+import shilldetect.evaluation as evaluation
 from shilldetect.cli import CliError, _normalize_algorithm, _parse_k_grid, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -242,6 +244,37 @@ def test_repeated_user_in_features_is_refused(ws, tmp_path, capsys):
                        "message": f"feature CSV line {len(lines)}: user {user!r} "
                                   f"is already on line {shill + 1}"}, command
         assert not out.exists(), command
+
+
+def test_malformed_corpus_csv_names_its_line(ws, tmp_path, capsys):
+    # A lone carriage return in an unquoted field is a line csv refuses.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws / "corpus", corpus)
+    lines = (corpus / "transactions.csv").read_bytes().splitlines(keepends=True)
+    lines[2] = b"a\rb" + lines[2]
+    (corpus / "transactions.csv").write_bytes(b"".join(lines))
+    assert main(["features", "--data", str(corpus), "--out", str(tmp_path / "run")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("line 3: malformed CSV: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--algorithm", "RotationForest", "--folds", "4"],
+    ["precision-at-k", "--algorithm", "RandomForest", "--ratios", "2,5",
+     "--repetitions", "2", "--k-grid", "1:40"],
+], ids=["evaluate", "precision-at-k"])
+def test_run_directory_does_not_depend_on_workers(ws, tmp_path, monkeypatch, argv):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "_worker_count",
+                            lambda n_tasks, workers=workers: min(workers, n_tasks))
+        out = tmp_path / f"workers{workers}"
+        assert main([*argv, "--features", str(ws / "features" / "features.csv"),
+                     "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
 
 
 def _unlabelled_corpus(ws, tmp_path):

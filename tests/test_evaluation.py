@@ -1,14 +1,20 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import shilldetect.evaluation as evaluation
 from shilldetect.classifiers import Dataset
 from shilldetect.features import FeatureMatrix
 from shilldetect.evaluation import (
     DEFAULT_RATIOS,
+    POOLED_ALGORITHMS,
     auc,
     balanced_training_sample,
     confusion_metrics,
@@ -213,6 +219,116 @@ def test_cross_validate_structure(small_matrix):
     assert len(out["scores"]) == ds.n
     out2 = cross_validate("NaiveBayes", ds, k=4, seed=3)
     assert np.array_equal(out["scores"], out2["scores"])
+
+
+# ---------------------------------------------------------------------------
+# the worker pool of CV folds and protocol repetitions
+
+# Small ensembles keep the pooled runs quick.
+_TREE_HYPER = {"DecisionTree": None, "Bagging": {"n_members": 3},
+               "RandomForest": {"n_members": 3}, "RotationForest": {"n_members": 2}}
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(evaluation, "_worker_count", lambda n_tasks: min(workers, n_tasks))
+
+
+def test_worker_count_follows_the_affinity_mask():
+    assert evaluation._worker_count(1) == 1
+    assert evaluation._worker_count(10_000) == len(os.sched_getaffinity(0))
+
+
+def test_map_in_order_pools_only_tree_learners(monkeypatch):
+    _use_workers(monkeypatch, 2)
+    parent = os.getpid()
+    got = evaluation._map_in_order(lambda i: (i, os.getpid()), 6, "RotationForest", (3, 3))
+    assert [i for i, _ in got] == list(range(6))           # submission order
+    assert parent not in {pid for _, pid in got}
+    for algorithm in ("KNN3", "OneR", "NaiveBayes"):
+        got = evaluation._map_in_order(lambda i: os.getpid(), 3, algorithm, (3, 3))
+        assert got == [parent] * 3, algorithm
+    assert multiprocessing.active_children() == []
+
+
+def _tree_task_pids():
+    return os.getpid(), evaluation._map_in_order(lambda i: os.getpid(), 2,
+                                                 "DecisionTree", (3, 3))
+
+
+def test_map_in_order_stays_in_process_in_a_daemon(monkeypatch):
+    # A pool's workers are daemons, and a daemon may not start children.
+    _use_workers(monkeypatch, 2)
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        pid, task_pids = pool.apply(_tree_task_pids)
+    finally:
+        pool.close()
+        pool.join()
+    assert task_pids == [pid, pid]
+
+
+@pytest.mark.parametrize("algorithm", sorted(POOLED_ALGORITHMS))
+def test_cross_validate_does_not_depend_on_workers(small_matrix, monkeypatch, algorithm):
+    ds = balanced_training_sample(small_matrix, seed=3)
+    runs = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        runs.append(cross_validate(algorithm, ds, k=4, seed=3,
+                                   hyperparameters=_TREE_HYPER[algorithm]))
+    assert runs[0]["scores"].tobytes() == runs[1]["scores"].tobytes()
+    assert runs[0]["metrics"] == runs[1]["metrics"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("algorithm", sorted(POOLED_ALGORITHMS))
+def test_imbalanced_protocol_does_not_depend_on_workers(small_matrix, monkeypatch,
+                                                       algorithm):
+    reports = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        reports.append(imbalanced_protocol(
+            small_matrix, algorithm, ratios=(2, 5), repetitions=3, seed=4,
+            k_grid=range(1, 40), hyperparameters=_TREE_HYPER[algorithm]).to_dict())
+    assert reports[0] == reports[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_fold_error_reaches_the_caller(small_matrix, monkeypatch):
+    # The patched trainer is in place before the fork, so the children run it.
+    ds = balanced_training_sample(small_matrix, seed=3)
+    first = min(ds.user_ids)
+    real_train = evaluation.train
+
+    def train_but_one_fold(algorithm, dataset, *args, **kwargs):
+        if first not in dataset.user_ids:      # the fold that holds `first` out
+            raise ValueError(f"no row for {first}")
+        return real_train(algorithm, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", train_but_one_fold)
+    _use_workers(monkeypatch, 2)
+    with pytest.raises(ValueError) as raised:
+        cross_validate("DecisionTree", ds, k=4, seed=3)
+    assert type(raised.value) is ValueError and str(raised.value) == f"no row for {first}"
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(evaluation, "train", real_train)
+    cross_validate("DecisionTree", ds, k=4, seed=3)
+    assert multiprocessing.active_children() == []
+    assert evaluation._task is None
+
+
+def test_killed_child_fails_the_call(monkeypatch):
+    # A child the kernel kills (say, out of memory) must not hang the call.
+    _use_workers(monkeypatch, 2)
+    parent = os.getpid()
+
+    def task(i):
+        if i == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(BrokenProcessPool):
+        evaluation._map_in_order(task, 4, "DecisionTree", (3, 3))
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

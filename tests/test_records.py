@@ -157,6 +157,22 @@ def test_parse_transactions_header_mismatch():
         parse_transactions(io.BytesIO(b"foo,bar\n1,2\n"), "csv")
 
 
+_HEADER = TX_CSV.splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("text, line", [
+    # a lone carriage return ends an unquoted field mid-line, which csv refuses
+    (TX_CSV + "a\rb,bob,pear,2,1.50,2011-03-01T10:00:00Z\n", 4),
+    (TX_CSV.replace("buyer_id,", "buyer\r_id,"), 1),
+    # a quoted newline spans lines 2 and 3, so the bad row is on line 4
+    (_HEADER + '"al\nice",bob,pear,2,1.50,2011-03-01T10:00:00Z\n'
+     "a\rb,bob,pear,2,1.50,2011-03-01T10:00:00Z\n", 4),
+])
+def test_malformed_csv_names_its_line(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: malformed CSV: "):
+        parse_transactions(io.BytesIO(text.encode()), "csv", max_bad_fraction=1.0)
+
+
 def test_self_trades_parsed_and_counted():
     rows = ("buyer_id,seller_id,product_id,quantity,unit_price,timestamp\n"
             "a,a,p,1,1.00,2011-01-01T00:00:00Z\n")
@@ -520,7 +536,10 @@ def _injected_corpus(corpus, what: str, fmt: str, injections=None) -> str:
         lines.insert(11, ",".join(map(str, base[0][:-1])))  # a short row
         return "\n".join(lines) + "\n"
     lines = [json.dumps(row) for row in rows]
-    lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"})]
+    lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"}),
+                  # past int's 4,300-digit limit, and past the recursion limit
+                  json.dumps(rows[0])[:-1] + ', "n": ' + "9" * 5000 + "}",
+                  "[" * 100_000]
     return "\n".join(lines) + "\n"
 
 

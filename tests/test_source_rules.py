@@ -106,3 +106,39 @@ def test_cli_import_loads_no_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures", "os.fork")
+
+
+def _pool_uses(tree: ast.AST):
+    """(line, name) of each import or attribute that reaches a process pool or fork."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            if any(name == m or name.startswith(m + ".") for m in _POOL_MODULES):
+                yield node.lineno, name
+
+
+def test_process_pool_lives_in_one_place():
+    # CV folds and protocol repetitions share one fork pool helper; a second
+    # pool would nest in it or oversubscribe the CPUs.
+    module = ast.parse((PACKAGE_DIR / "evaluation.py").read_text(encoding="utf-8"))
+    helper = next(node for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_map_in_order")
+    assert list(_pool_uses(helper))
+    allowed = set(range(helper.lineno, helper.end_lineno + 1))
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE_DIR)}:{line} {name}"
+                  for line, name in _pool_uses(tree)
+                  if not (path.name == "evaluation.py" and line in allowed)]
+    assert found == []
