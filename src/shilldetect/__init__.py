@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .records import (
-    FeedbackRecord,
     FeedbackTable,
     LabelSet,
-    TransactionRecord,
+    ProfileTable,
     TransactionTable,
-    UserProfile,
     crc32_state,
     load_label_list,
     parse_feedback,
@@ -19,9 +17,7 @@ from .records import (
 __all__ = [
     "TransactionTable",
     "FeedbackTable",
-    "TransactionRecord",
-    "FeedbackRecord",
-    "UserProfile",
+    "ProfileTable",
     "LabelSet",
     "crc32_state",
     "parse_transactions",

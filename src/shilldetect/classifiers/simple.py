@@ -310,11 +310,12 @@ class KNN3:
             qi, ti = divmod(np.flatnonzero(keep), n_train)
             # Exact distances: the operations and column order of a full
             # computation, so each is the value it would give.
-            terms = zq[qi, :m] - train_num[ti]
-            np.square(terms, out=terms)
-            exact = np.zeros(len(qi))
-            for term in terms.T:
-                exact += term
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = zq[qi, :m] - train_num[ti]
+                np.square(terms, out=terms)
+                exact = np.zeros(len(qi))
+                for term in terms.T:
+                    exact += term
             if c:
                 exact += (zc[qi] != train_cat[ti]).sum(axis=1)
             counts = np.bincount(qi, minlength=len(zq))

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .records import (
+    ParseError,
     load_label_list,
     parse_feedback,
     parse_profiles,
@@ -117,14 +118,18 @@ def _corpus_paths(data_dir: str) -> dict[str, Path]:
 
 
 def _load_corpus(data_dir: str):
-    """Parse the corpus; one stderr line for each file that lost rows."""
+    """Parse the corpus; one stderr line for each file that lost rows, and a
+    whole-file ParseError names its file."""
     paths = _corpus_paths(data_dir)
     parsed = {}
     for stem, parse in (("transactions", parse_transactions), ("feedback", parse_feedback),
                         ("profiles", parse_profiles)):
         path = paths[stem]
         with open(path, "rb") as fh:
-            parsed[stem] = result = parse(fh, path.suffix.lstrip("."))
+            try:
+                parsed[stem] = result = parse(fh, path.suffix.lstrip("."))
+            except ParseError as exc:
+                raise ParseError(f"{path.name}: {exc}") from None
         if result.errors:
             first = result.errors[0]
             print(f"{path.name}: {result.bad_rows} of {result.total_rows} rows rejected; "

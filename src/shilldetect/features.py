@@ -16,11 +16,10 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
-from .records import LabelSet, crc32_state
+from .records import LabelSet, ProfileTable, crc32_state
 from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts, sorted_contains
 
 TRANSACTION_FEATURES = (
@@ -48,7 +47,6 @@ LABEL_VALUES = {"benign": 0, "shill": 1}
 
 _CSV_HEADER = ["user_id", *FEATURE_NAMES, "label"]
 
-_EPOCH = date(1970, 1, 1)
 _SECONDS_PER_DAY = 86400
 
 
@@ -202,29 +200,23 @@ def _last_transaction_days(tg: TransactionMultigraph) -> np.ndarray:
     return days
 
 
-def _detail_block_all(tg: TransactionMultigraph, profiles_by_id: dict) -> np.ndarray:
+def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable | None) -> np.ndarray:
     """(n_vertices, 3): Birth-Year, State-Hash, Active-Days.
 
     Users without a profile get the sentinel row (0, crc32(""), 0).
     """
-    n = tg.n_vertices
-    cols = np.zeros((n, 3), np.float64)
+    cols = np.zeros((tg.n_vertices, 3), np.float64)
     cols[:, 1] = crc32_state("")
-    last_days = _last_transaction_days(tg)
-    clamped = 0
-    for v, user_id in enumerate(tg.users.ids):
-        profile = profiles_by_id.get(user_id)
-        if profile is None:
-            continue
-        cols[v, 0] = profile.birth_year or 0
-        cols[v, 1] = crc32_state(profile.state_text)
-        if last_days[v] >= 0:
-            reg_day = (profile.registration_date - _EPOCH).days
-            active = int(last_days[v]) - reg_day
-            if active < 0:
-                clamped += 1
-                active = 0
-            cols[v, 2] = active
+    if profiles is None:
+        return cols
+    v = tg.users.positions(profiles.user_ids)
+    cols[v, 0] = profiles.birth_year
+    state_hash = np.array([crc32_state(s) for s in profiles.states], np.float64)
+    cols[v, 1] = state_hash[profiles.state]
+    last_days = _last_transaction_days(tg)[v]
+    active = np.where(last_days >= 0, last_days - profiles.registration_day, 0)
+    clamped = np.count_nonzero(active < 0)
+    cols[v, 2] = np.maximum(active, 0)
     if clamped:
         warnings.warn(f"{clamped} users had transactions before their registration "
                       "date; Active-Days clamped to 0", stacklevel=3)
@@ -235,11 +227,13 @@ def _detail_block_all(tg: TransactionMultigraph, profiles_by_id: dict) -> np.nda
 
 
 def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
-                profiles=(), labels: LabelSet | None = None) -> FeatureMatrix:
+                profiles: ProfileTable | None = None,
+                labels: LabelSet | None = None) -> FeatureMatrix:
     """Feature matrix for `users`, in the given order.
 
-    Both graphs must share one vertex index (build them with build_graphs).
-    Unknown ids raise KeyError listing the offenders.
+    Both graphs must share one vertex index (build them with build_graphs,
+    which also takes in every profiled user). Unknown ids raise KeyError
+    listing the offenders.
     """
     if tg.users is not fg.users and tg.users.ids != fg.users.ids:
         raise ValueError("transaction and feedback graphs must share a vertex set")
@@ -247,11 +241,10 @@ def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
     unknown = [u for u in users if u not in tg.users]
     if unknown:
         raise KeyError(f"{len(unknown)} ids not in the graphs, e.g. {unknown[:5]}")
-    profiles_by_id = {p.user_id: p for p in profiles}
     full = np.hstack([
         _transaction_block_all(tg),
         _feedback_block_all(fg),
-        _detail_block_all(tg, profiles_by_id),
+        _detail_block_all(tg, profiles),
     ])
     idx = tg.users.positions(users)
     label_set = labels.shill_ids if labels is not None else frozenset()

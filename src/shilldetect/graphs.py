@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import FeedbackTable, TransactionTable
+from .records import FeedbackTable, ProfileTable, TransactionTable
 
 
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -142,13 +142,14 @@ def build_feedback_graph(table: FeedbackTable,
     return FeedbackMultigraph(users, giver, receiver, table.rating)
 
 
-def build_graphs(transactions: TransactionTable, feedback: FeedbackTable, profiles=()):
+def build_graphs(transactions: TransactionTable, feedback: FeedbackTable,
+                 profiles: ProfileTable | None = None):
     """Both multigraphs over one shared vertex set: every id the tables use,
     plus every profiled user."""
     users = UserIndex([*_in_use(transactions.user_ids,
                                 (transactions.buyer, transactions.seller))[1],
                        *_in_use(feedback.user_ids, (feedback.giver, feedback.receiver))[1],
-                       *(p.user_id for p in profiles)])
+                       *(profiles.user_ids if profiles is not None else ())])
     return (build_transaction_graph(transactions, users),
             build_feedback_graph(feedback, users))
 

@@ -1,14 +1,13 @@
 """Marketplace corpora: columnar tables, CSV/JSONL parsing, and state hashing.
 
 Three input corpora (transactions, feedback, user profiles) plus a
-ground-truth shill list. Transactions and feedback are columnar tables:
-int64 numpy columns, with ids held as codes into per-table id lists, so
-synth, the writers, the parsers and `build_graphs` pass whole columns
-and no per-row objects. Prices are exact integer cents so that large
-aggregation sums stay associative; they become floats only when features
-are emitted. Timestamps are int epoch seconds, UTC. Profiles stay a list
-of records. The record dataclasses are a table's row view: iterating a
-table yields them, and `from_records` builds a table from hand-made ones.
+ground-truth shill list. Each corpus is a columnar table: int64 numpy
+columns, with ids and state texts held as codes into per-table lists, so
+synth, the writers, the parsers, `build_graphs` and the features pass
+whole columns and no per-row objects. Prices are exact integer cents so
+that large aggregation sums stay associative; they become floats only when
+features are emitted. Timestamps are int epoch seconds and registration
+dates int epoch days, UTC. A birth year of 0 means the profile has none.
 
 The parsers work on bytes columns: one fixed-width numpy `S` array per
 column. A CSV body whose lines are plain (no quotes, carriage returns or
@@ -20,12 +19,11 @@ Ids are coded by sorting: each id is packed into uint64 words, a sort
 groups equal ids, and the smallest row of each group is the id's first
 occurrence, so codes follow first occurrence, buyer column before seller.
 Each distinct id is checked once, on its end bytes, and decoded once.
-Quantities, prices, ratings and canonical `YYYY-MM-DDTHH:MM:SSZ`
-timestamps are read from the columns' bytes. A row that a column check
-cannot prove valid goes through the row function, which accepts every
-other valid form and gives an invalid row its error. A profiles file is
-built from its columns when every row passes the whole-file checks, and
-row by row otherwise.
+Quantities, prices, ratings, birth years, canonical `YYYY-MM-DDTHH:MM:SSZ`
+timestamps and canonical `YYYY-MM-DD` dates are read from the columns'
+bytes. All three files take one path: a row that a column check cannot
+prove valid goes through the file's row function, which accepts every
+other valid form and gives an invalid row its error.
 """
 
 from __future__ import annotations
@@ -34,10 +32,9 @@ import csv
 import io
 import json
 import operator
-import re
 import zlib
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 import numpy as np
 
@@ -70,73 +67,12 @@ def crc32_state(state_text: str) -> int:
     return zlib.crc32(state_text.encode("utf-8")) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionRecord:
-    """One buy/sell event: buyer_id bought quantity units from seller_id."""
-
-    buyer_id: str
-    seller_id: str
-    product_id: str
-    quantity: int
-    unit_price_cents: int
-    timestamp: datetime
-
-    @property
-    def amount_cents(self) -> int:
-        # Transaction total; derived, never stored.
-        return self.quantity * self.unit_price_cents
-
-    @property
-    def is_self_trade(self) -> bool:
-        return self.buyer_id == self.seller_id
-
-
-@dataclass(frozen=True, slots=True)
-class FeedbackRecord:
-    """One rating event: giver_id rated receiver_id with -1, 0, or +1."""
-
-    giver_id: str
-    receiver_id: str
-    rating: int
-    timestamp: datetime
-
-
-@dataclass(frozen=True, slots=True)
-class UserProfile:
-    user_id: str
-    birth_year: int | None
-    state_text: str
-    registration_date: date
-
-
-def _codes(values, table: dict) -> np.ndarray:
-    """Codes of `values` in `table`, appending unseen values."""
-    return np.array([table.setdefault(v, len(table)) for v in values], np.int64)
-
-
 def _epoch(ts) -> int:
     return int(ts.timestamp())
 
 
-def _utc(epoch_seconds: int) -> datetime:
-    return _EPOCH + timedelta(seconds=epoch_seconds)
-
-
-class _Table:
-    """Length and row equality: tables holding the same rows are equal,
-    whatever their codes or the order of their id lists."""
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return list(self) == list(other)
-
-
 @dataclass(frozen=True, eq=False)
-class TransactionTable(_Table):
+class TransactionTable:
     """The transaction corpus, one entry per transaction in each column.
 
     buyer/seller are codes into user_ids, product codes into product_ids;
@@ -153,29 +89,12 @@ class TransactionTable(_Table):
     price_cents: np.ndarray
     ts: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "TransactionTable":
-        records = list(records)
-        users: dict[str, int] = {}
-        products: dict[str, int] = {}
-        buyer = _codes([r.buyer_id for r in records], users)
-        seller = _codes([r.seller_id for r in records], users)
-        product = _codes([r.product_id for r in records], products)
-        return cls(list(users), buyer, seller, list(products), product,
-                   np.array([r.quantity for r in records], np.int64),
-                   np.array([r.unit_price_cents for r in records], np.int64),
-                   np.array([_epoch(r.timestamp) for r in records], np.int64))
-
-    def __iter__(self):
-        users, products = self.user_ids, self.product_ids
-        for b, s, p, q, c, t in zip(self.buyer.tolist(), self.seller.tolist(),
-                                    self.product.tolist(), self.quantity.tolist(),
-                                    self.price_cents.tolist(), self.ts.tolist()):
-            yield TransactionRecord(users[b], users[s], products[p], q, c, _utc(t))
+    def __len__(self) -> int:
+        return len(self.ts)
 
 
 @dataclass(frozen=True, eq=False)
-class FeedbackTable(_Table):
+class FeedbackTable:
     """The feedback corpus: giver/receiver codes into user_ids, rating, ts."""
 
     user_ids: list[str]
@@ -184,21 +103,27 @@ class FeedbackTable(_Table):
     rating: np.ndarray
     ts: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "FeedbackTable":
-        records = list(records)
-        users: dict[str, int] = {}
-        giver = _codes([r.giver_id for r in records], users)
-        receiver = _codes([r.receiver_id for r in records], users)
-        return cls(list(users), giver, receiver,
-                   np.array([r.rating for r in records], np.int64),
-                   np.array([_epoch(r.timestamp) for r in records], np.int64))
+    def __len__(self) -> int:
+        return len(self.ts)
 
-    def __iter__(self):
-        users = self.user_ids
-        for g, r, v, t in zip(self.giver.tolist(), self.receiver.tolist(),
-                              self.rating.tolist(), self.ts.tolist()):
-            yield FeedbackRecord(users[g], users[r], v, _utc(t))
+
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """The profile corpus, one entry per user in each column.
+
+    user_ids holds one id per row. birth_year is 0 for a user without one;
+    state holds codes into states, which may hold texts that no row uses;
+    registration_day counts days since 1970-01-01, UTC.
+    """
+
+    user_ids: list[str]
+    birth_year: np.ndarray
+    states: list[str]
+    state: np.ndarray
+    registration_day: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
 
 
 @dataclass(frozen=True)
@@ -223,10 +148,9 @@ class RowError:
 
 @dataclass
 class ParseResult:
-    """A table (profiles: a list) plus a per-row error report; nothing is
-    silently dropped."""
+    """A table plus a per-row error report; nothing is silently dropped."""
 
-    records: TransactionTable | FeedbackTable | list[UserProfile]
+    records: TransactionTable | FeedbackTable | ProfileTable
     errors: list[RowError] = field(default_factory=list)
     total_rows: int = 0
     self_trades: int = 0
@@ -357,6 +281,12 @@ def _encoded(values) -> tuple[np.ndarray, np.ndarray]:
     return _byte_column(buf, np.cumsum(length) - length, np.where(odd, 0, length)), odd
 
 
+def _malformed(line: int, exc: csv.Error) -> ParseError:
+    # csv's hint to open the file in universal-newline mode does not apply:
+    # the parsers read bytes.
+    return ParseError(f"line {line}: malformed CSV: {str(exc).split(' - do you need')[0]}")
+
+
 def _header_end(data: bytes, columns: tuple[str, ...]) -> int:
     """Where the CSV body starts, after a header row naming `columns`."""
     pos = 0
@@ -376,7 +306,7 @@ def _header_end(data: bytes, columns: tuple[str, ...]) -> int:
     except StopIteration:
         raise ParseError("missing CSV header row") from None
     except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+        raise _malformed(reader.line_num, exc) from None
     if tuple(h.strip() for h in header) != columns:
         raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
     return pos
@@ -449,8 +379,7 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
                     errors.append(RowError(line_no,
                                            f"expected {width} fields, got {len(fields)}"))
         except csv.Error as exc:   # e.g. a lone carriage return in an unquoted field
-            line = data.count(b"\n", 0, pos) + reader.line_num
-            raise ParseError(f"line {line}: malformed CSV: {exc}") from None
+            raise _malformed(data.count(b"\n", 0, pos) + reader.line_num, exc) from None
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
         for line_no, line in enumerate(_text(data).split("\n"), start=1):
@@ -724,71 +653,60 @@ def parse_feedback(stream, fmt: str = "csv",
                   max_bad_fraction)
 
 
-_CANONICAL_DATE = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def _profile_columns(cols, odd) -> list[UserProfile] | None:
-    """The profiles of a file in which every row passes the whole-file
-    checks, built once per distinct state and date; None otherwise.
-
-    The checks: unique valid ids, a birth year empty or plain digits, and
-    a canonical registration date that `date.fromisoformat` accepts.
-    """
+def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
+    """The profiles, each id claimed by the first row, in line order, that
+    is accepted; a later row holding the id is a duplicate."""
     user_id, birth, state, registration = cols
-    n = len(user_id)
-    if odd.any():
-        return None
-    (codes,), ids = _code_ids(user_id)
-    if len(ids) != n or (n and codes.min() < 0):
-        return None
-    years = _unsigned(birth)
-    no_year = birth == b""
-    if ((years == _BAD) & ~no_year).any():
-        return None
-    day_codes, first = _distinct(registration)
-    days = registration[first].tolist()
-    if not all(map(_CANONICAL_DATE.fullmatch, days)):
-        return None
-    try:
-        days = [date.fromisoformat(d.decode()) for d in days]
-    except ValueError:
-        return None
+    n = len(lines)
+    (u,), users = _code_ids(user_id)
+    year = np.where(birth == b"", 0, _unsigned(birth))
+    year[odd] = _BAD
+    seconds = _epoch_seconds(np.char.add(registration, b"T00:00:00Z"))
+    day = np.where(seconds == _BAD, _BAD, seconds // 86_400)
     state_codes, first = _distinct(state)
-    states = list(map(_text, state[first].tolist()))
-    years = [None if y == _BAD else y for y in np.where(no_year, _BAD, years).tolist()]
-    return list(map(UserProfile, ids, years, map(states.__getitem__, state_codes.tolist()),
-                    map(days.__getitem__, day_codes.tolist())))
+    states = {_text(s): k for k, s in enumerate(state[first].tolist())}
+    # owner[code] is the row holding the id, n while none does. The first
+    # row of an id to pass every column check holds it, and the id's later
+    # rows go to the row function, which finds it held. A row that the row
+    # function accepts ahead of the holder takes the id from it.
+    fast = np.flatnonzero((u != _BAD) & (year != _BAD) & (day != _BAD))
+    fast_claims = fast[np.unique(u[fast], return_index=True)[1]]
+    owner = np.full(len(users) + n, n)
+    owner[u[fast_claims]] = fast_claims
+    u[np.setdiff1d(fast, fast_claims, assume_unique=True)] = _BAD
+    taken: list[int] = []
+
+    def profile(i, user_id, birth_raw, state, registration) -> tuple:
+        user_id = str(user_id)
+        if not _valid_id(user_id):
+            raise ValueError("empty or malformed identifier")
+        code = users.setdefault(user_id, len(users))
+        if owner[code] < i:
+            raise ValueError(f"duplicate user_id {user_id!r}")
+        birth_year = 0 if birth_raw in ("", None) else _integer("birth_year", birth_raw)
+        if not _BAD <= birth_year < -_BAD:
+            raise ValueError(f"birth_year {birth_year} does not fit in 64 bits")
+        registration = (parse_rfc3339(str(registration)) - _EPOCH).days
+        if owner[code] < n:
+            taken.append(int(owner[code]))
+        owner[code] = i
+        return code, birth_year, states.setdefault(str(state), len(states)), registration
+
+    out = [u, year, state_codes, day]
+    keep = _row_path(lines, lambda i: (i, *row(i)), out, (None,) * 4, profile, errors)
+    ids = list(users)
+    for i in taken:
+        keep[i] = False
+        errors.append(RowError(lines[i], f"duplicate user_id {ids[u[i]]!r}"))
+    u, year, state_codes, day = (column[keep] for column in out)
+    return ProfileTable(list(map(ids.__getitem__, u.tolist())), year, list(states),
+                        state_codes, day)
 
 
 def parse_profiles(stream, fmt: str = "csv",
                    max_bad_fraction: float = DEFAULT_MAX_BAD_FRACTION) -> ParseResult:
     """Parse user profiles; one row per user, duplicates are row errors."""
-    seen: set[str] = set()
-
-    def profile(user_id, birth_raw, state, registration) -> UserProfile:
-        user_id = str(user_id)
-        if not _valid_id(user_id):
-            raise ValueError("empty or malformed identifier")
-        if user_id in seen:
-            raise ValueError(f"duplicate user_id {user_id!r}")
-        birth_year = None if birth_raw in ("", None) else _integer("birth_year", birth_raw)
-        registration = parse_rfc3339(str(registration)).date()
-        seen.add(user_id)
-        return UserProfile(user_id, birth_year, str(state), registration)
-
-    def build(lines, cols, odd, row, errors) -> list[UserProfile]:
-        profiles = _profile_columns(cols, odd)
-        if profiles is not None:
-            return profiles
-        profiles = []
-        for i, line_no in enumerate(lines):
-            try:
-                profiles.append(profile(*row(i)))
-            except (ValueError, TypeError, OverflowError) as exc:
-                errors.append(RowError(line_no, str(exc)))
-        return profiles
-
-    return _parse(stream, fmt, PROFILE_COLUMNS, build, "profile", max_bad_fraction)
+    return _parse(stream, fmt, PROFILE_COLUMNS, _profile_table, "profile", max_bad_fraction)
 
 
 def load_label_list(stream) -> LabelSet:
@@ -860,12 +778,10 @@ def write_feedback(table: FeedbackTable, stream, fmt: str = "csv") -> None:
                    stream, fmt, FEEDBACK_COLUMNS)
 
 
-def write_profiles(records, stream, fmt: str = "csv") -> None:
-    records = list(records)
-    _write_columns([[r.user_id for r in records],
-                    ["" if r.birth_year is None else r.birth_year for r in records],
-                    [r.state_text for r in records],
-                    [r.registration_date.isoformat() for r in records]],
+def write_profiles(table: ProfileTable, stream, fmt: str = "csv") -> None:
+    days = table.registration_day.astype("datetime64[D]")
+    _write_columns([table.user_ids, [y or "" for y in table.birth_year.tolist()],
+                    _names(table.states, table.state), np.datetime_as_string(days).tolist()],
                    stream, fmt, PROFILE_COLUMNS)
 
 
@@ -873,25 +789,3 @@ def write_labels(labels: LabelSet, stream) -> None:
     for user_id in sorted(labels.shill_ids):
         stream.write(user_id + "\n")
 
-
-def consistency_warnings(transactions, feedback, profiles) -> list[str]:
-    """Data-quality warnings: activity timestamps earlier than registration."""
-    registered = {p.user_id: p.registration_date for p in profiles}
-    earliest: dict[str, date] = {}
-    for r in transactions:
-        d = r.timestamp.date()
-        for u in (r.buyer_id, r.seller_id):
-            if u not in earliest or d < earliest[u]:
-                earliest[u] = d
-    for r in feedback:
-        d = r.timestamp.date()
-        for u in (r.giver_id, r.receiver_id):
-            if u not in earliest or d < earliest[u]:
-                earliest[u] = d
-    warnings = []
-    for user_id in sorted(earliest):
-        reg = registered.get(user_id)
-        if reg is not None and earliest[user_id] < reg:
-            warnings.append(f"user {user_id}: activity on {earliest[user_id]} "
-                            f"precedes registration {reg}")
-    return warnings

@@ -19,15 +19,15 @@ signatures, not any exact ratio.
 
 Generation is single-threaded and consumes one numpy Generator in a fixed
 documented order, so a (config, seed) pair always yields byte-identical
-corpora. Transactions and feedback come out as columnar tables made
-straight from the generator's arrays; no per-row object is built.
+corpora. Transactions, feedback and profiles come out as columnar tables
+made straight from the generator's arrays; no per-row object is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,8 @@ import numpy as np
 from .records import (
     FeedbackTable,
     LabelSet,
+    ProfileTable,
     TransactionTable,
-    UserProfile,
     write_feedback,
     write_labels,
     write_profiles,
@@ -59,7 +59,7 @@ _STATES = (
 
 # Registration strictly precedes the activity window, so every generated
 # corpus satisfies registration <= first activity by construction.
-_REG_START = datetime(2010, 1, 1, tzinfo=timezone.utc)
+_REG_START_DAY = int(datetime(2010, 1, 1, tzinfo=timezone.utc).timestamp()) // 86_400
 _REG_DAYS = 365
 _ACT_START = int(datetime(2011, 1, 1, tzinfo=timezone.utc).timestamp())
 _ACT_END = int(datetime(2012, 12, 31, tzinfo=timezone.utc).timestamp())
@@ -145,7 +145,7 @@ class MarketConfig:
 class SynthCorpus:
     transactions: TransactionTable
     feedback: FeedbackTable
-    profiles: list[UserProfile]
+    profiles: ProfileTable
     labels: LabelSet
     rings: list[list[str]]
     manifest: dict
@@ -231,13 +231,9 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
                          config.default_state_probability_benign)
     use_default = rng.random(n) < p_default
     state_idx = rng.integers(0, len(_STATES), n)
-    profiles = [
-        UserProfile(ids[i],
-                    None if birth_missing[i] else int(birth_years[i]),
-                    "default" if use_default[i] else _STATES[state_idx[i]],
-                    (_REG_START + _day(int(reg_days[i]))).date())
-        for i in range(n)
-    ]
+    profiles = ProfileTable(ids, np.where(birth_missing, 0, birth_years), [*_STATES, "default"],
+                            np.where(use_default, len(_STATES), state_idx),
+                            _REG_START_DAY + reg_days)
 
     # --- popularity weights (static stand-in for preferential attachment) --
     pop_rank = rng.permutation(n).astype(np.float64)
@@ -393,7 +389,3 @@ def _config_dict(config: MarketConfig) -> dict:
     d["price_range"] = list(config.price_range)
     d["cheap_price_range"] = list(config.cheap_price_range)
     return d
-
-
-def _day(days: int) -> timedelta:
-    return timedelta(days=days)

@@ -2,7 +2,8 @@
 package. Everything here is written the dumb way on purpose: bitwise CRC,
 O(n^2) pair counting, exhaustive subset enumeration, classical Jacobi
 rotations, dict-of-lists feature recounts. Nothing imports the modules it
-is checking beyond plain data containers.
+is checking beyond plain data containers: the corpus tables, which the
+row view below turns into rows and builds from rows.
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict, deque
-from datetime import date, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
+
+import numpy as np
+
+from shilldetect.records import FeedbackTable, ProfileTable, TransactionTable
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,6 @@ def info_gain_categorical(values, labels) -> float:
 
 def _log2(x: float) -> float:
     # numpy's log2, so reference and package round every logarithm alike
-    import numpy as np
     return float(np.log2(x))
 
 
@@ -413,14 +418,114 @@ def jacobi_eigh(matrix, sweeps=100, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# Corpus rows: a table as a list of rows, and a table built from rows
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+@dataclass(frozen=True)
+class Transaction:
+    """One buy/sell event: buyer_id bought quantity units from seller_id."""
+
+    buyer_id: str
+    seller_id: str
+    product_id: str
+    quantity: int
+    unit_price_cents: int
+    timestamp: datetime
+
+    @property
+    def amount_cents(self) -> int:
+        return self.quantity * self.unit_price_cents
+
+
+@dataclass(frozen=True)
+class Feedback:
+    """One rating event: giver_id rated receiver_id with -1, 0, or +1."""
+
+    giver_id: str
+    receiver_id: str
+    rating: int
+    timestamp: datetime
+
+
+@dataclass(frozen=True)
+class Profile:
+    user_id: str
+    birth_year: int          # 0: none
+    state_text: str
+    registration_date: date
+
+
+def rows(table) -> list:
+    """The rows of a transaction, feedback or profile table, in order."""
+    if isinstance(table, TransactionTable):
+        ids, products = table.user_ids, table.product_ids
+        return [Transaction(ids[b], ids[s], products[p], q, c, _EPOCH + timedelta(seconds=t))
+                for b, s, p, q, c, t in zip(table.buyer.tolist(), table.seller.tolist(),
+                                            table.product.tolist(), table.quantity.tolist(),
+                                            table.price_cents.tolist(), table.ts.tolist())]
+    if isinstance(table, FeedbackTable):
+        ids = table.user_ids
+        return [Feedback(ids[g], ids[r], v, _EPOCH + timedelta(seconds=t))
+                for g, r, v, t in zip(table.giver.tolist(), table.receiver.tolist(),
+                                      table.rating.tolist(), table.ts.tolist())]
+    return [Profile(u, y, table.states[s], _EPOCH.date() + timedelta(days=d))
+            for u, y, s, d in zip(table.user_ids, table.birth_year.tolist(),
+                                  table.state.tolist(), table.registration_day.tolist())]
+
+
+def _codes(values, table: dict) -> np.ndarray:
+    """Codes of `values` in `table`, appending unseen values."""
+    return np.array([table.setdefault(v, len(table)) for v in values], np.int64)
+
+
+def _seconds(ts: datetime) -> int:
+    return int(ts.timestamp())
+
+
+def transaction_table(records) -> TransactionTable:
+    records = list(records)
+    users: dict[str, int] = {}
+    products: dict[str, int] = {}
+    buyer = _codes([r.buyer_id for r in records], users)
+    seller = _codes([r.seller_id for r in records], users)
+    product = _codes([r.product_id for r in records], products)
+    return TransactionTable(list(users), buyer, seller, list(products), product,
+                            np.array([r.quantity for r in records], np.int64),
+                            np.array([r.unit_price_cents for r in records], np.int64),
+                            np.array([_seconds(r.timestamp) for r in records], np.int64))
+
+
+def feedback_table(records) -> FeedbackTable:
+    records = list(records)
+    users: dict[str, int] = {}
+    giver = _codes([r.giver_id for r in records], users)
+    receiver = _codes([r.receiver_id for r in records], users)
+    return FeedbackTable(list(users), giver, receiver,
+                         np.array([r.rating for r in records], np.int64),
+                         np.array([_seconds(r.timestamp) for r in records], np.int64))
+
+
+def profile_table(records) -> ProfileTable:
+    records = list(records)
+    states: dict[str, int] = {}
+    state = _codes([p.state_text for p in records], states)
+    return ProfileTable([p.user_id for p in records],
+                        np.array([p.birth_year for p in records], np.int64), list(states), state,
+                        np.array([(p.registration_date - _EPOCH.date()).days for p in records],
+                                 np.int64))
+
+
+# ---------------------------------------------------------------------------
 # Per-user feature recount straight from record lists
 
 
 def recount_features(user_id, transactions, feedback, profile):
     """Dict of all 31 features for one user, computed with plain dicts.
 
-    `transactions` / `feedback` are the package's record dataclasses but
-    only their public fields are touched; no graph machinery involved.
+    `transactions` / `feedback` are row lists (see `rows`) and `profile` a
+    Profile or None; no graph machinery involved.
     """
     buys = [t for t in transactions if t.buyer_id == user_id]
     sells = [t for t in transactions if t.seller_id == user_id]
@@ -630,6 +735,8 @@ def _reference_profile(row: dict, seen: set) -> tuple:
         raise ValueError(f"duplicate user_id {user_id!r}")
     birth = row["birth_year"]
     birth_year = None if birth == "" or birth is None else _reference_integer("birth_year", birth)
+    if birth_year is not None and not -2**63 <= birth_year < 2**63:
+        raise ValueError(f"birth_year {birth_year} does not fit in 64 bits")
     registration = parse_rfc3339(str(row["registration_date"])).date()
     seen.add(user_id)
     return user_id, birth_year, str(row["state"]), registration

@@ -256,7 +256,8 @@ def test_malformed_corpus_csv_names_its_line(ws, tmp_path, capsys):
     assert main(["features", "--data", str(corpus), "--out", str(tmp_path / "run")]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ParseError"
-    assert err["message"].startswith("line 3: malformed CSV: ")
+    assert err["message"] == ("transactions.csv: line 3: malformed CSV: "
+                              "new-line character seen in unquoted field")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,9 +17,7 @@ from shilldetect.ecosystem import (
     write_ecosystem_json,
 )
 from shilldetect.graphs import WeightedFeedbackGraph, project_feedback_graph, build_graphs
-from shilldetect.records import FeedbackRecord, FeedbackTable
-
-from oracles import maximal_cliques_bk_plain, maximal_cliques_subsets
+from oracles import Feedback, feedback_table, maximal_cliques_bk_plain, maximal_cliques_subsets
 
 
 def mk_graph(n, edges, weights=None):
@@ -105,7 +103,7 @@ def test_clique_histogram_threshold():
 def _feedback(rows):
     from datetime import datetime, timezone
     t0 = datetime(2011, 1, 1, tzinfo=timezone.utc)
-    return FeedbackTable.from_records(FeedbackRecord(g, r, score, t0) for g, r, score in rows)
+    return feedback_table(Feedback(g, r, score, t0) for g, r, score in rows)
 
 
 def test_ecosystem_report_hand_values(tiny_graphs):

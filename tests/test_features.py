@@ -18,15 +18,18 @@ from shilldetect.features import (
     write_feature_schema,
 )
 from shilldetect.graphs import build_graphs
-from shilldetect.records import (
-    FeedbackTable,
-    TransactionRecord,
-    TransactionTable,
-    UserProfile,
-    crc32_state,
-)
+from shilldetect.records import crc32_state
 
-from oracles import read_feature_csv_reference, recount_features
+from oracles import (
+    Profile,
+    Transaction,
+    feedback_table,
+    profile_table,
+    read_feature_csv_reference,
+    recount_features,
+    rows,
+    transaction_table,
+)
 
 EXPECTED_ORDER = (
     "Buy-Trans-Num", "Sell-Trans-Num", "Unique-Sellers", "Unique-Buyers",
@@ -134,7 +137,8 @@ def test_labels_column(tiny_matrix):
 
 def test_full_recount_on_tiny_corpus(tiny_corpus, tiny_matrix):
     transactions, feedback, profiles, _ = tiny_corpus
-    by_id = {p.user_id: p for p in profiles}
+    transactions, feedback = rows(transactions), rows(feedback)
+    by_id = {p.user_id: p for p in rows(profiles)}
     for uid in tiny_matrix.user_ids:
         want = recount_features(uid, transactions, feedback, by_id.get(uid))
         got = _row(tiny_matrix, uid)
@@ -144,12 +148,13 @@ def test_full_recount_on_tiny_corpus(tiny_corpus, tiny_matrix):
 
 def test_sampled_recount_on_generated_corpus(small_corpus, small_matrix):
     c = small_corpus
-    by_id = {p.user_id: p for p in c.profiles}
+    transactions, feedback = rows(c.transactions), rows(c.feedback)
+    by_id = {p.user_id: p for p in rows(c.profiles)}
     rng = np.random.default_rng(0)
     sample = rng.choice(len(small_matrix.user_ids), size=25, replace=False)
     for i in sample:
         uid = small_matrix.user_ids[i]
-        want = recount_features(uid, c.transactions, c.feedback, by_id.get(uid))
+        want = recount_features(uid, transactions, feedback, by_id.get(uid))
         got = dict(zip(FEATURE_NAMES, small_matrix.values[i]))
         for name in FEATURE_NAMES:
             assert got[name] == pytest.approx(want[name], abs=1e-9), (uid, name)
@@ -159,10 +164,11 @@ def test_per_user_path_matches_vectorized(small_corpus, small_matrix):
     # every 53rd user, so low, middle and high ids all appear; the oracle's
     # per-user recount from the raw records must match the vectorized blocks
     c = small_corpus
-    by_id = {p.user_id: p for p in c.profiles}
+    transactions, feedback = rows(c.transactions), rows(c.feedback)
+    by_id = {p.user_id: p for p in rows(c.profiles)}
     for i in range(0, len(small_matrix.user_ids), 53):
         uid = small_matrix.user_ids[i]
-        want = recount_features(uid, c.transactions, c.feedback, by_id.get(uid))
+        want = recount_features(uid, transactions, feedback, by_id.get(uid))
         want = np.array([want[name] for name in FEATURE_NAMES])
         vec = small_matrix.values[i]
         assert np.allclose(vec[:15], want[:15], atol=1e-12), uid
@@ -436,11 +442,11 @@ def test_cohort_ratio_needs_both_cohorts():
 
 
 def test_active_days_clamp_warns():
-    tx = TransactionTable.from_records([TransactionRecord(
+    tx = transaction_table([Transaction(
         "a", "b", "p", 1, 100, datetime(2009, 6, 1, tzinfo=timezone.utc))])
-    profiles = [UserProfile("a", 1980, "Ohio", date(2010, 1, 1)),
-                UserProfile("b", 1981, "Iowa", date(2010, 1, 1))]
-    tg, fg = build_graphs(tx, FeedbackTable.from_records([]), profiles)
+    profiles = profile_table([Profile("a", 1980, "Ohio", date(2010, 1, 1)),
+                              Profile("b", 1981, "Iowa", date(2010, 1, 1))])
+    tg, fg = build_graphs(tx, feedback_table([]), profiles)
     with pytest.warns(UserWarning, match="clamped"):
         m = extract_all(tg.users.ids, tg, fg, profiles, None)
     assert (m.column("Active-Days") == 0).all()

@@ -11,14 +11,10 @@ from shilldetect.records import (
     FEEDBACK_COLUMNS,
     PROFILE_COLUMNS,
     TRANSACTION_COLUMNS,
-    FeedbackRecord,
-    FeedbackTable,
     LabelSet,
     ParseError,
-    TransactionRecord,
+    ProfileTable,
     TransactionTable,
-    UserProfile,
-    consistency_warnings,
     crc32_state,
     format_price,
     format_rfc3339,
@@ -36,7 +32,17 @@ from shilldetect.records import (
 
 from shilldetect.synth import MarketConfig, generate
 
-from oracles import crc32_reference, parse_rows_reference
+from oracles import (
+    Feedback,
+    Profile,
+    Transaction,
+    crc32_reference,
+    feedback_table,
+    parse_rows_reference,
+    profile_table,
+    rows,
+    transaction_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +98,7 @@ def test_format_rfc3339_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# record containers
-
-
-def test_transaction_amount_and_self_trade():
-    t = TransactionRecord("a", "b", "p", 3, 150,
-                          datetime(2011, 1, 1, tzinfo=timezone.utc))
-    assert t.amount_cents == 450
-    assert not t.is_self_trade
-    s = TransactionRecord("a", "a", "p", 1, 100,
-                          datetime(2011, 1, 1, tzinfo=timezone.utc))
-    assert s.is_self_trade
+# containers
 
 
 def test_label_set_membership():
@@ -124,7 +120,7 @@ bob,alice,plum,1,5.00,2011-03-02T10:00:00Z
 def test_parse_transactions_csv():
     res = parse_transactions(io.BytesIO(TX_CSV.encode()), "csv")
     assert res.total_rows == 2 and not res.errors
-    t = list(res.records)[0]
+    t = rows(res.records)[0]
     assert (t.buyer_id, t.seller_id, t.product_id) == ("alice", "bob", "pear")
     assert t.quantity == 2 and t.unit_price_cents == 150
     assert t.timestamp == datetime(2011, 3, 1, 10, tzinfo=timezone.utc)
@@ -134,7 +130,7 @@ def test_parse_transactions_jsonl():
     line = (b'{"buyer_id":"a","seller_id":"b","product_id":"p",'
             b'"quantity":1,"unit_price":"2.25","timestamp":"2011-05-01T00:00:00Z"}\n')
     res = parse_transactions(io.BytesIO(line), "jsonl")
-    assert list(res.records)[0].unit_price_cents == 225
+    assert rows(res.records)[0].unit_price_cents == 225
 
 
 def test_parse_transactions_bad_rows_tracked():
@@ -178,7 +174,7 @@ def test_self_trades_parsed_and_counted():
             "a,a,p,1,1.00,2011-01-01T00:00:00Z\n")
     res = parse_transactions(io.BytesIO(rows.encode()), "csv")
     assert res.self_trades == 1
-    assert list(res.records)[0].is_self_trade
+    assert res.records.buyer[0] == res.records.seller[0]
 
 
 def test_parse_feedback_rating_domain():
@@ -188,22 +184,22 @@ def test_parse_feedback_rating_domain():
             "b,a,-1,2011-01-02T00:00:00Z\n"
             "a,b,2,2011-01-03T00:00:00Z\n" + filler)
     res = parse_feedback(io.BytesIO(rows.encode()), "csv")
-    assert [r.rating for r in res.records][:2] == [1, -1]
+    assert res.records.rating[:2].tolist() == [1, -1]
     assert len(res.records) == 10
     assert len(res.errors) == 1 and res.errors[0].line == 4
 
 
 def test_parse_profiles_missing_birth_year_and_duplicates():
     filler = "".join(f"u{i},1970,Iowa,2010-01-0{i % 9 + 1}\n" for i in range(8))
-    rows = ("user_id,birth_year,state,registration_date\n"
+    text = ("user_id,birth_year,state,registration_date\n"
             "a,1980,Ohio,2010-05-01\n"
             "b,,default,2010-06-01\n"
             "a,1990,Texas,2010-07-01\n" + filler)
-    res = parse_profiles(io.BytesIO(rows.encode()), "csv")
+    res = parse_profiles(io.BytesIO(text.encode()), "csv")
     assert len(res.records) == 10
-    assert res.records[1].birth_year is None
+    assert res.records.birth_year[:2].tolist() == [1980, 0]     # 0: no birth year
     assert len(res.errors) == 1   # duplicate user_id
-    assert res.records[0].registration_date == date(2010, 5, 1)
+    assert rows(res.records)[0].registration_date == date(2010, 5, 1)
 
 
 def test_load_label_list_dedups():
@@ -225,7 +221,7 @@ def _first_seen(table) -> list[str]:
     """A table's user ids in order of first occurrence, the first id column
     before the second."""
     pairs = [(r.buyer_id, r.seller_id) if isinstance(table, TransactionTable)
-             else (r.giver_id, r.receiver_id) for r in table]
+             else (r.giver_id, r.receiver_id) for r in rows(table)]
     return list(dict.fromkeys([p[0] for p in pairs] + [p[1] for p in pairs]))
 
 
@@ -238,37 +234,29 @@ def test_write_read_roundtrip_csv(tiny_corpus, small_corpus):
         (write_transactions, parse_transactions, small_corpus.transactions),
         (write_feedback, parse_feedback, small_corpus.feedback),
         # header-only files
-        (write_transactions, parse_transactions, TransactionTable.from_records([])),
-        (write_feedback, parse_feedback, FeedbackTable.from_records([])),
-        (write_profiles, parse_profiles, []),
-        # profiles every whole-file check passes, with edge values
-        (write_profiles, parse_profiles, [
-            UserProfile("ü1", None, "Zürich", date(1, 1, 1)),
-            UserProfile("abcdefgh", 0, " Ohio", date(9999, 12, 31)),
-            UserProfile("abcdefghi", 958, "", date(2012, 2, 29)),
-            UserProfile("abcdefghijklmnopq", 1958, "default", date(2010, 5, 1)),
-            UserProfile("a\xa0b", 10**17, "Zürich", date(2010, 5, 1))]),
+        (write_transactions, parse_transactions, transaction_table([])),
+        (write_feedback, parse_feedback, feedback_table([])),
+        (write_profiles, parse_profiles, profile_table([])),
+        # profiles with edge values
+        (write_profiles, parse_profiles, profile_table([
+            Profile("ü1", 0, "Zürich", date(1, 1, 1)),
+            Profile("abcdefgh", -1, " Ohio", date(9999, 12, 31)),
+            Profile("abcdefghi", 958, "", date(2012, 2, 29)),
+            Profile("abcdefghijklmnopq", 1958, "default", date(1969, 12, 31)),
+            Profile("a\xa0b", 2**63 - 1, "Zürich", date(2010, 5, 1)),
+            Profile("b", -2**63, "Zürich", date(2010, 5, 1))])),
     ):
         for fmt in ("csv", "jsonl"):
             buf = io.StringIO()
             writer(recs, buf, fmt)
             back = parser(io.BytesIO(buf.getvalue().encode()), fmt)
-            assert back.records == recs, fmt
-            if not isinstance(recs, list):
+            assert rows(back.records) == rows(recs), fmt
+            if not isinstance(recs, ProfileTable):
                 assert back.records.user_ids == _first_seen(recs), fmt
     buf = io.StringIO()
     write_labels(labels, buf)
     back = load_label_list(io.BytesIO(buf.getvalue().encode()))
     assert back.shill_ids == labels.shill_ids
-
-
-def test_consistency_warnings_flag_preregistration_trades(tiny_corpus):
-    transactions, feedback, profiles, _ = tiny_corpus
-    early = TransactionTable.from_records([TransactionRecord(
-        "alice", "bob", "p", 1, 100, datetime(2009, 1, 1, tzinfo=timezone.utc))])
-    warns = consistency_warnings(early, FeedbackTable.from_records([]), profiles)
-    assert any("alice" in w for w in warns)
-    assert not consistency_warnings(transactions, feedback, profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +445,8 @@ _ID_VALUES = ('a"b', "ü1", "aü", "x y", " a", "a ", "a,b", "a\nb", "", 5,
               "\xa0a", "a\xa0", "\u3000a", "a\u3000", "\x85a", "a\x85", "\x1ca", "a\x1c",
               "long" * 20)
 _BIRTH_VALUES = ("", " 1958", "+1958", "1958.0", "١٩٥٨", "19x0", "0958", "-", 1958, 1958.0,
-                 1958.9, True, None)
+                 1958.9, True, None, "99999999999999999999", "-9223372036854775809",
+                 "-9223372036854775808", 9223372036854775807, "0")
 _STATE_VALUES = ("New York, NY", 'Ohio "OH"', "Zürich", " Ohio", "", "default", "long" * 20)
 _DATE_VALUES = ("2010-05-01T10:00:00Z", "2010-05-01T23:00:00-05:00", "2010-05-01T00:00:00",
                 "2011-02-29", "2012-02-29", "2010-13-01", "2010-04-31", " 2010-05-01",
@@ -489,6 +478,9 @@ def _injections(what: str, unquoted: bool = False) -> list[dict]:
         # a repeated id: the first row fails, the second claims the id, the third repeats it
         rows += [{"user_id": "twice", "registration_date": "2011-02-29"},
                  {"user_id": "twice"}, {"user_id": "twice", "birth_year": "x"}]
+        # an id the first row gives as a float (known only to the row
+        # function in jsonl) and the second as text: the first claims it
+        rows += [{"user_id": 5.0}, {"user_id": "5.0"}]
     else:
         rows = [{"timestamp": v} for v in _TS_VALUES]
         rows += [{"rating": v} for v in _RATING_VALUES]
@@ -509,38 +501,45 @@ def _injected_corpus(corpus, what: str, fmt: str, injections=None) -> str:
         columns = TRANSACTION_COLUMNS
         base = [(r.buyer_id, r.seller_id, r.product_id, r.quantity,
                  format_price(r.unit_price_cents), ts)
-                for r, ts in zip(corpus.transactions, format_rfc3339(corpus.transactions.ts))]
+                for r, ts in zip(rows(corpus.transactions), format_rfc3339(corpus.transactions.ts))]
     elif what == "profiles":
         columns = PROFILE_COLUMNS
-        base = [(p.user_id, "" if p.birth_year is None else p.birth_year, p.state_text,
-                 p.registration_date.isoformat()) for p in corpus.profiles]
+        base = [(p.user_id, p.birth_year or "", p.state_text, p.registration_date.isoformat())
+                for p in rows(corpus.profiles)]
     else:
         columns = FEEDBACK_COLUMNS
         base = [(r.giver_id, r.receiver_id, r.rating, ts)
-                for r, ts in zip(corpus.feedback, format_rfc3339(corpus.feedback.ts))]
-    rows = [dict(zip(columns, row)) for row in base]
+                for r, ts in zip(rows(corpus.feedback), format_rfc3339(corpus.feedback.ts))]
+    records = [dict(zip(columns, row)) for row in base]
     if injections is None:
         injections = _injections(what, fmt == "csv-unquoted")
     for k, change in enumerate(injections):
-        rows[3 + 5 * k].update(change)
+        records[3 + 5 * k].update(change)
     if fmt == "csv-unquoted":
-        return "\n".join(",".join(map(str, row)) for row in [columns, *map(dict.values, rows)])
+        return "\n".join(",".join(map(str, row)) for row in [columns, *map(dict.values, records)])
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(columns)
-        w.writerows([row[c] for c in columns] for row in rows)
+        w.writerows([row[c] for c in columns] for row in records)
         text = buf.getvalue()
         lines = text.split("\n")
         lines.insert(7, "")                          # a blank row
         lines.insert(11, ",".join(map(str, base[0][:-1])))  # a short row
         return "\n".join(lines) + "\n"
-    lines = [json.dumps(row) for row in rows]
+    lines = [json.dumps(row) for row in records]
     lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"}),
                   # past int's 4,300-digit limit, and past the recursion limit
-                  json.dumps(rows[0])[:-1] + ', "n": ' + "9" * 5000 + "}",
+                  json.dumps(records[0])[:-1] + ', "n": ' + "9" * 5000 + "}",
                   "[" * 100_000]
     return "\n".join(lines) + "\n"
+
+
+def _profile_rows(table, want_rows) -> tuple[list, list]:
+    """A profile table's rows, and the reference's rows with no birth year
+    as 0, as the table holds it, rather than None."""
+    return ([(p.user_id, p.birth_year, p.state_text, p.registration_date) for p in rows(table)],
+            [(u, b or 0, s, d) for u, b, s, d in want_rows])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "csv-unquoted", "jsonl"])
@@ -553,28 +552,27 @@ def test_parsers_match_row_reference(what, fmt, small_corpus):
     res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
     if what == "transactions":
         got = [(r.buyer_id, r.seller_id, r.product_id, r.quantity, r.unit_price_cents,
-                int(r.timestamp.timestamp())) for r in res.records]
+                int(r.timestamp.timestamp())) for r in rows(res.records)]
         assert res.self_trades == sum(r[0] == r[1] for r in want_rows)
     elif what == "profiles":
-        got = [(p.user_id, p.birth_year, p.state_text, p.registration_date)
-               for p in res.records]
+        got, want_rows = _profile_rows(res.records, want_rows)
     else:
         got = [(r.giver_id, r.receiver_id, r.rating, int(r.timestamp.timestamp()))
-               for r in res.records]
+               for r in rows(res.records)]
     assert [(e.line, e.message) for e in res.errors] == want_errors
     assert got == want_rows
     assert res.total_rows == len(want_rows) + len(want_errors)
     # the injections reach both outcomes: some parse, some fail
     assert 15 < len(want_errors) < len(_injections(what)) + 4
     if what == "profiles":
-        # each injected row alone, so that the whole-file checks decide
+        # each injected row alone, so that no other row decides its outcome
         for change in _injections(what, variant == "csv-unquoted"):
             text = _injected_corpus(small_corpus, what, variant, [change])
             want_rows, want_errors = parse_rows_reference(text, fmt, what)
             res = parser(io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
             assert [(e.line, e.message) for e in res.errors] == want_errors, change
-            assert [(p.user_id, p.birth_year, p.state_text, p.registration_date)
-                    for p in res.records] == want_rows, change
+            got, want_rows = _profile_rows(res.records, want_rows)
+            assert got == want_rows, change
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -589,8 +587,8 @@ def test_rfc3339_round_trip_before_year_1000(fmt):
     assert "0001-01-01T00:00:00Z" in buf.getvalue()
     assert "0999-05-01T12:34:56Z" in buf.getvalue()
     again = parse_transactions(io.BytesIO(buf.getvalue().encode()), fmt)
-    assert not again.errors and again.records == first.records
-    assert [r.timestamp for r in again.records] == [
+    assert not again.errors and rows(again.records) == rows(first.records)
+    assert [r.timestamp for r in rows(again.records)] == [
         datetime(1, 1, 1, tzinfo=timezone.utc),
         datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc)]
 
@@ -598,9 +596,9 @@ def test_rfc3339_round_trip_before_year_1000(fmt):
 def test_writers_quote_ids_as_csv_does():
     ts = datetime(2011, 1, 1, tzinfo=timezone.utc)
     ids = ['a"b', "x,y", "n\nl", "ü1", "plain", "cr\r"]
-    records = [TransactionRecord(b, s, "p" + b, 1, 150, ts) for b in ids for s in ids[:2]]
+    records = [Transaction(b, s, "p" + b, 1, 150, ts) for b in ids for s in ids[:2]]
     buf = io.StringIO()
-    write_transactions(TransactionTable.from_records(records), buf)
+    write_transactions(transaction_table(records), buf)
     want = io.StringIO()
     w = csv.writer(want, lineterminator="\n")
     w.writerow(TRANSACTION_COLUMNS)
@@ -609,9 +607,9 @@ def test_writers_quote_ids_as_csv_does():
     assert buf.getvalue() == want.getvalue()
     # ids csv leaves unquoted (a lone carriage return included) take the
     # joined fast path, which must write the same bytes
-    fb = [FeedbackRecord(g, r, 1, ts) for g in ids[3:] for r in ids[3:]]
+    fb = [Feedback(g, r, 1, ts) for g in ids[3:] for r in ids[3:]]
     buf = io.StringIO()
-    write_feedback(FeedbackTable.from_records(fb), buf)
+    write_feedback(feedback_table(fb), buf)
     want = io.StringIO()
     w = csv.writer(want, lineterminator="\n")
     w.writerow(FEEDBACK_COLUMNS)
@@ -629,10 +627,14 @@ def test_out_of_range_numbers_are_row_errors():
         (2, "Python int too large to convert to C long"),
         (3, "Python int too large to convert to C long")]
     assert len(res.records) == 1
-    text = _jsonl(_PR, {"birth_year": float("inf")})
+    text = _jsonl(_PR, {"birth_year": float("inf")}, {"user_id": "b", "birth_year": "9" * 20},
+                  {"user_id": "c", "birth_year": -2**63 - 1}, {"user_id": "d", "birth_year": -2**63})
     res = parse_profiles(io.BytesIO(text.encode()), "jsonl", max_bad_fraction=1.0)
     assert [(e.line, e.message) for e in res.errors] == [
-        (1, "cannot convert float infinity to integer")]
+        (1, "cannot convert float infinity to integer"),
+        (2, "birth_year 99999999999999999999 does not fit in 64 bits"),
+        (3, "birth_year -9223372036854775809 does not fit in 64 bits")]
+    assert res.records.user_ids == ["d"] and res.records.birth_year.tolist() == [-2**63]
 
 
 def test_transaction_parse_memory_is_bounded():

@@ -11,6 +11,8 @@ from shilldetect.records import (
 )
 from shilldetect.synth import MarketConfig, generate
 
+from oracles import rows
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -77,33 +79,33 @@ def test_time_windows(small_corpus):
     c = small_corpus
     act_start = datetime(2011, 1, 1, tzinfo=timezone.utc)
     act_end = datetime(2012, 12, 31, tzinfo=timezone.utc)
-    for p in c.profiles:
+    for p in rows(c.profiles):
         assert date(2010, 1, 1) <= p.registration_date <= date(2010, 12, 31)
-    for t in c.transactions:
+    for t in rows(c.transactions):
         assert act_start <= t.timestamp <= act_end
-    for f in c.feedback:
+    for f in rows(c.feedback):
         assert act_start <= f.timestamp         # follow-ups may spill past window
         assert f.timestamp.year <= 2013
 
 
 def test_records_batch_sorted(small_corpus):
     c = small_corpus
-    tx_ts = [t.timestamp for t in c.transactions]
-    fb_ts = [f.timestamp for f in c.feedback]
+    tx_ts = [t.timestamp for t in rows(c.transactions)]
+    fb_ts = [f.timestamp for f in rows(c.feedback)]
     assert tx_ts == sorted(tx_ts)
     assert fb_ts == sorted(fb_ts)
 
 
 def test_no_self_trades_or_self_feedback(small_corpus):
     c = small_corpus
-    assert all(t.buyer_id != t.seller_id for t in c.transactions)
-    assert all(f.giver_id != f.receiver_id for f in c.feedback)
+    assert all(t.buyer_id != t.seller_id for t in rows(c.transactions))
+    assert all(f.giver_id != f.receiver_id for f in rows(c.feedback))
 
 
 def test_value_bounds(small_corpus):
     c = small_corpus
     cfg = MarketConfig.from_dict(c.manifest["config"])
-    for t in c.transactions:
+    for t in rows(c.transactions):
         assert 1 <= t.quantity <= cfg.quantity_max
         assert t.unit_price_cents >= 1
 
@@ -113,7 +115,7 @@ def test_rings_trade_cheap_internally(small_corpus):
     cheap_hi = round(2.50 * 100)
     for ring in c.rings:
         members = set(ring)
-        internal = [t for t in c.transactions
+        internal = [t for t in rows(c.transactions)
                     if t.buyer_id in members and t.seller_id in members]
         cheap = [t for t in internal
                  if t.quantity == 1 and t.unit_price_cents <= cheap_hi]
@@ -124,7 +126,7 @@ def test_rings_exchange_mutual_positive_feedback(small_corpus):
     c = small_corpus
     for ring in c.rings:
         members = set(ring)
-        pos_pairs = {(f.giver_id, f.receiver_id) for f in c.feedback
+        pos_pairs = {(f.giver_id, f.receiver_id) for f in rows(c.feedback)
                      if f.giver_id in members and f.receiver_id in members
                      and f.rating > 0}
         mutual = [(a, b) for a, b in pos_pairs if (b, a) in pos_pairs]
@@ -146,9 +148,9 @@ def test_same_seed_same_corpus():
     cfg = MarketConfig(n_users=150, shill_fraction=0.04)
     a = generate(cfg, seed=11)
     b = generate(cfg, seed=11)
-    assert a.transactions == b.transactions
-    assert a.feedback == b.feedback
-    assert a.profiles == b.profiles
+    assert rows(a.transactions) == rows(b.transactions)
+    assert rows(a.feedback) == rows(b.feedback)
+    assert rows(a.profiles) == rows(b.profiles)
     assert a.labels == b.labels
     assert a.manifest == b.manifest
 
@@ -157,15 +159,15 @@ def test_different_seed_differs():
     cfg = MarketConfig(n_users=150, shill_fraction=0.04)
     a = generate(cfg, seed=11)
     b = generate(cfg, seed=12)
-    assert a.transactions != b.transactions
+    assert rows(a.transactions) != rows(b.transactions)
 
 
 def test_seed_argument_overrides_config():
     cfg = MarketConfig(n_users=60, shill_fraction=0.0, seed=1)
     c = generate(cfg, seed=9)
     assert c.manifest["seed"] == 9
-    assert c.transactions == generate(MarketConfig(n_users=60, shill_fraction=0.0,
-                                                   seed=9)).transactions
+    assert rows(c.transactions) == rows(generate(MarketConfig(n_users=60, shill_fraction=0.0,
+                                                              seed=9)).transactions)
 
 
 def test_write_round_trip(tmp_path):
@@ -184,9 +186,9 @@ def test_write_round_trip(tmp_path):
             prof = parse_profiles(fh, ext)
         with open(base / "labels.txt") as fh:
             labels = load_label_list(fh)
-        assert tx.records == c.transactions
-        assert fb.records == c.feedback
-        assert prof.records == c.profiles
+        assert rows(tx.records) == rows(c.transactions)
+        assert rows(fb.records) == rows(c.feedback)
+        assert rows(prof.records) == rows(c.profiles)
         assert labels.shill_ids == c.labels.shill_ids
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest == c.manifest
