@@ -203,7 +203,7 @@ def _cmd_features(args) -> None:
     out = _prepare_out(args.out)
     tg, fg = build_graphs(transactions, feedback, profiles)
     matrix = extract_all(tg.users.ids, tg, fg, profiles, labels)
-    with open(out / "features.csv", "w", encoding="utf-8") as fh:
+    with open(out / "features.csv", "wb") as fh:
         write_feature_csv(matrix, fh)
     with open(out / "schema.json", "w", encoding="utf-8") as fh:
         write_feature_schema(matrix, fh)

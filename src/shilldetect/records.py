@@ -24,6 +24,13 @@ timestamps and canonical `YYYY-MM-DD` dates are read from the columns'
 bytes. All three files take one path: a row that a column check cannot
 prove valid goes through the file's row function, which accepts every
 other valid form and gives an invalid row its error.
+
+The writers make bytes too, a block of rows at a time: each column becomes
+a uint8 matrix, ids and states gathered by code from a pool of their
+UTF-8, numbers and dates formatted by digit arithmetic, and one boolean
+mask cuts the rows out of the matrices side by side. A text holding a
+comma, a quote, a carriage return or a newline is quoted as csv quotes it,
+once per distinct text. They write to binary or text streams.
 """
 
 from __future__ import annotations
@@ -174,12 +181,6 @@ def parse_rfc3339(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def format_rfc3339(ts: np.ndarray) -> list[str]:
-    """`YYYY-MM-DDTHH:MM:SSZ` of each epoch second, the year zero-padded
-    to four digits."""
-    return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
-
-
 def parse_price_cents(text: str) -> int:
     """Decimal dollar string to exact integer cents; at most 2 decimals."""
     text = text.strip()
@@ -194,10 +195,6 @@ def parse_price_cents(text: str) -> int:
     if negative and cents != 0:
         raise ValueError(f"negative price: {text!r}")
     return cents
-
-
-def format_price(cents: int) -> str:
-    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def _valid_id(text: str) -> bool:
@@ -730,62 +727,183 @@ def load_label_list(stream) -> LabelSet:
 # Writing
 
 
-def _formatted(values: np.ndarray, fmt=str) -> list[str]:
-    """fmt(v) of each value, formatted once per distinct value."""
-    values = values.tolist()
-    text = {v: fmt(v) for v in set(values)}
-    return list(map(text.__getitem__, values))
+# Rows formatted at once; a block's temporaries take a few bytes per byte
+# of its rows, padded to each column's widest value.
+_BLOCK_ROWS = 1 << 13
+
+# 10 ** k for k = 0..19: the digit count of a uint64 v > 0 is the number of
+# these that are <= v.
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+
+# A cell is the bytes of one column for some rows: a (rows, width) uint8
+# matrix and the mask of the bytes each row writes.
 
 
-def _write_columns(cols: list, stream, fmt: str, columns: tuple[str, ...]) -> None:
-    """A csv header and one line per row, or one JSON object per jsonl line.
+def text_pool(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, mask, size): the UTF-8 of each text, left-aligned in a row
+    of a uint8 matrix, the mask of its bytes and its byte count. Encoding is
+    strict, so a lone surrogate raises UnicodeEncodeError."""
+    joined = "".join(texts)
+    if joined.isascii():
+        data, size = joined.encode(), np.fromiter(map(len, texts), np.int64, len(texts))
+    else:
+        encoded = [t.encode() for t in texts]
+        data, size = b"".join(encoded), np.fromiter(map(len, encoded), np.int64, len(texts))
+    keep = np.arange(max(int(size.max(initial=0)), 1)) < size[:, None]
+    matrix = np.zeros(keep.shape, np.uint8)
+    matrix[keep] = np.frombuffer(data, np.uint8)
+    return matrix, keep, size
 
-    Each column is a list or an int array. csv lines are joined whole; if
-    a field holds a comma, a quote or a newline, which csv quotes,
-    csv.writer writes the rows instead.
-    """
+
+def gather(pool: tuple[np.ndarray, np.ndarray, np.ndarray], codes: np.ndarray):
+    """The cell of pool texts by code, as wide as its widest text."""
+    matrix, keep, size = pool
+    width = max(int(size[codes].max(initial=0)), 1)
+    return matrix[codes, :width], keep[codes, :width]
+
+
+def _digits(values: np.ndarray, count: int) -> np.ndarray:
+    """The last `count` decimal digits of values >= 0 as ASCII, zero-padded."""
+    matrix = np.empty((len(values), count), np.uint8)
+    for k in range(count - 1, -1, -1):    # numpy divides fast by a scalar only
+        matrix[:, k] = values % 10 + ord("0")
+        values = values // 10
+    return matrix
+
+
+def _decimal(values: np.ndarray):
+    """The cell of int64 values in decimal, right-aligned."""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(negative, -magnitude, magnitude)
+    size = np.maximum(np.searchsorted(_POW10_U64, magnitude, "right"), 1) + negative
+    width = int(size.max(initial=1))
+    matrix = _digits(magnitude, width)
+    matrix[np.flatnonzero(negative), width - size[negative]] = ord("-")
+    return matrix, np.arange(width) >= width - size[:, None]
+
+
+def _calendar(days: np.ndarray, seconds: np.ndarray | None = None):
+    """The cell of `YYYY-MM-DD` dates of days since 1970-01-01, or with
+    seconds into the day `YYYY-MM-DDTHH:MM:SSZ` timestamps; years 1-9999,
+    the range the parsers read."""
+    day = days.astype("datetime64[D]")
+    month = day.astype("datetime64[M]")
+    year = month.astype("datetime64[Y]").astype(np.int64) + 1970
+    if len(year) and not (year.min() >= 1 and year.max() <= 9999):
+        raise ValueError("a date outside years 1-9999 cannot be written")
+    number = (year * 100 + month.astype(np.int64) % 12 + 1) * 100 + (day - month).astype(np.int64) + 1
+    if seconds is not None:
+        number = number * 1_000_000 + seconds // 3600 * 10_000 + seconds // 60 % 60 * 100 + seconds % 60
+    form = _TS_LOW[:10 if seconds is None else 20]
+    matrix = np.tile(form, (len(days), 1))
+    digit = form == ord("0")
+    matrix[:, digit] = _digits(number, np.count_nonzero(digit))
+    return matrix, np.broadcast_to(True, matrix.shape)
+
+
+def _timestamp(ts: np.ndarray):
+    return _calendar(*np.divmod(ts, 86_400))
+
+
+def _price(cents: np.ndarray):
+    """The cell of prices: dollar digits, a dot, two cent digits."""
+    dollars, rest = np.divmod(cents, 100)
+    matrix, keep = _decimal(dollars)
+    tail = _digits(rest, 3)
+    tail[:, 0] = ord(".")
+    return np.hstack([matrix, tail]), np.hstack([keep, np.ones(tail.shape, bool)])
+
+
+def _birth_year(year: np.ndarray):
+    """Decimal, and no text for 0 (no birth year)."""
+    matrix, keep = _decimal(year)
+    return matrix, keep & (year != 0)[:, None]
+
+
+def csv_bytes(header, n: int, cells) -> bytearray:
+    """A CSV file: the header line, then n rows. cells(rows) gives the cell
+    of each column for a slice of rows; rows are formatted in blocks."""
+    out = bytearray((",".join(header) + "\n").encode())
+    for start in range(0, n, _BLOCK_ROWS):
+        block = cells(slice(start, start + _BLOCK_ROWS))
+        rows = len(block[0][0])
+        comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+        every = np.broadcast_to(True, (rows, 1))
+        matrix = np.concatenate([part for m, _ in block for part in (m, comma)][:-1] + [newline],
+                                axis=1)
+        out += matrix[np.concatenate([part for _, k in block for part in (k, every)], axis=1)].data
+    return out
+
+
+def write_bytes(stream, data) -> None:
+    """Write UTF-8 data to a binary stream, or its text to a text stream."""
+    try:
+        stream.write(data)
+    except TypeError:
+        stream.write(data.decode())
+
+
+def _quoted(text: str) -> bool:
+    """Whether csv quotes a field holding text, a lone carriage return
+    included: csv.writer leaves one bare when lines end in "\n", and
+    csv.reader then refuses the line."""
+    return any(c in text for c in ',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _quoted(text) else text
+
+
+def _strings(cell, values: np.ndarray) -> list[str]:
+    """The text of each value of a number, price or date column."""
+    return csv_bytes([], len(values), lambda rows: [cell(values[rows])]).decode().split("\n")[1:-1]
+
+
+def _write_table(stream, fmt: str, header: tuple[str, ...], columns: list) -> None:
+    """Write a corpus table. Each column is (texts, codes), a text column,
+    or (cell, values) with cell(values) its bytes; _decimal and _birth_year
+    columns are numbers in jsonl, the rest strings."""
     if fmt == "csv":
-        cols = [_formatted(c) if isinstance(c, np.ndarray) else list(map(str, c)) for c in cols]
-        n = len(cols[0])
-        text = "\n".join(map(",".join, zip(*cols)))
-        if '"' in text or text.count(",") != n * (len(columns) - 1) or text.count("\n") != max(n - 1, 0):
-            w = csv.writer(stream, lineterminator="\n")
-            w.writerow(columns)
-            w.writerows(zip(*cols))
-        else:
-            stream.write(",".join(columns) + "\n" + text + "\n" * (n > 0))
+        pools = {id(texts): text_pool(list(map(_csv_field, texts)) if _quoted("".join(texts))
+                                      else texts)
+                 for texts, _ in columns if isinstance(texts, list)}
+        data = csv_bytes(header, len(columns[0][1]), lambda rows: [
+            gather(pools[id(c)], v[rows]) if isinstance(c, list) else c(v[rows])
+            for c, v in columns])
     elif fmt == "jsonl":
-        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)):
-            stream.write(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n")
+        values = [list(map(c.__getitem__, v.tolist())) if isinstance(c, list)
+                  else [int(t) if t else t for t in _strings(c, v)] if c in (_decimal, _birth_year)
+                  else _strings(c, v) for c, v in columns]
+        data = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                       for row in zip(*values)).encode()
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _names(ids: list[str], codes: np.ndarray) -> list[str]:
-    return list(map(ids.__getitem__, codes.tolist()))
+    write_bytes(stream, data)
 
 
 def write_transactions(table: TransactionTable, stream, fmt: str = "csv") -> None:
-    _write_columns([_names(table.user_ids, table.buyer), _names(table.user_ids, table.seller),
-                    _names(table.product_ids, table.product), table.quantity,
-                    _formatted(table.price_cents, format_price), format_rfc3339(table.ts)],
-                   stream, fmt, TRANSACTION_COLUMNS)
+    """Write the transactions as csv or jsonl to a binary or text stream."""
+    _write_table(stream, fmt, TRANSACTION_COLUMNS, [
+        (table.user_ids, table.buyer), (table.user_ids, table.seller),
+        (table.product_ids, table.product), (_decimal, table.quantity),
+        (_price, table.price_cents), (_timestamp, table.ts)])
 
 
 def write_feedback(table: FeedbackTable, stream, fmt: str = "csv") -> None:
-    _write_columns([_names(table.user_ids, table.giver), _names(table.user_ids, table.receiver),
-                    table.rating, format_rfc3339(table.ts)],
-                   stream, fmt, FEEDBACK_COLUMNS)
+    """Write the feedback as csv or jsonl to a binary or text stream."""
+    _write_table(stream, fmt, FEEDBACK_COLUMNS, [
+        (table.user_ids, table.giver), (table.user_ids, table.receiver),
+        (_decimal, table.rating), (_timestamp, table.ts)])
 
 
 def write_profiles(table: ProfileTable, stream, fmt: str = "csv") -> None:
-    days = table.registration_day.astype("datetime64[D]")
-    _write_columns([table.user_ids, [y or "" for y in table.birth_year.tolist()],
-                    _names(table.states, table.state), np.datetime_as_string(days).tolist()],
-                   stream, fmt, PROFILE_COLUMNS)
+    """Write the profiles as csv or jsonl to a binary or text stream."""
+    _write_table(stream, fmt, PROFILE_COLUMNS, [
+        (table.user_ids, np.arange(len(table))), (_birth_year, table.birth_year),
+        (table.states, table.state), (_calendar, table.registration_day)])
 
 
 def write_labels(labels: LabelSet, stream) -> None:
-    for user_id in sorted(labels.shill_ids):
-        stream.write(user_id + "\n")
+    write_bytes(stream, "".join(u + "\n" for u in sorted(labels.shill_ids)).encode())
 

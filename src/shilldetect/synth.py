@@ -154,13 +154,13 @@ class SynthCorpus:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         ext = "csv" if fmt == "csv" else "jsonl"
-        with open(out / f"transactions.{ext}", "w", encoding="utf-8") as fh:
+        with open(out / f"transactions.{ext}", "wb") as fh:
             write_transactions(self.transactions, fh, fmt)
-        with open(out / f"feedback.{ext}", "w", encoding="utf-8") as fh:
+        with open(out / f"feedback.{ext}", "wb") as fh:
             write_feedback(self.feedback, fh, fmt)
-        with open(out / f"profiles.{ext}", "w", encoding="utf-8") as fh:
+        with open(out / f"profiles.{ext}", "wb") as fh:
             write_profiles(self.profiles, fh, fmt)
-        with open(out / "labels.txt", "w", encoding="utf-8") as fh:
+        with open(out / "labels.txt", "wb") as fh:
             write_labels(self.labels, fh)
         with open(out / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(self.manifest, fh, indent=2, sort_keys=True)

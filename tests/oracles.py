@@ -770,3 +770,79 @@ def parse_rows_reference(text: str, fmt: str, what: str):
         except (ValueError, TypeError) as exc:
             errors.append((line_no, str(exc)))
     return rows, errors
+
+
+# ---------------------------------------------------------------------------
+# Corpus and feature CSV writing, one row at a time
+
+
+def format_price(cents: int) -> str:
+    return f"{cents // 100}.{cents % 100:02d}"
+
+
+def format_rfc3339(ts: np.ndarray) -> list[str]:
+    """`YYYY-MM-DDTHH:MM:SSZ` of each epoch second, the year zero-padded
+    to four digits."""
+    return [t + "Z" for t in np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").tolist()]
+
+
+def _corpus_rows(table) -> tuple[tuple[str, ...], list[tuple]]:
+    """(columns, rows) of a corpus table, each field as the writers give
+    it to csv or json: ids, prices, timestamps and dates as text, the
+    rest as int, and no birth year as ""."""
+    from shilldetect.records import FEEDBACK_COLUMNS, PROFILE_COLUMNS, TRANSACTION_COLUMNS
+
+    if isinstance(table, TransactionTable):
+        ids, products = table.user_ids, table.product_ids
+        return TRANSACTION_COLUMNS, [
+            (ids[b], ids[s], products[p], q, format_price(c), t)
+            for b, s, p, q, c, t in zip(table.buyer.tolist(), table.seller.tolist(),
+                                        table.product.tolist(), table.quantity.tolist(),
+                                        table.price_cents.tolist(), format_rfc3339(table.ts))]
+    if isinstance(table, FeedbackTable):
+        ids = table.user_ids
+        return FEEDBACK_COLUMNS, [
+            (ids[g], ids[r], v, t)
+            for g, r, v, t in zip(table.giver.tolist(), table.receiver.tolist(),
+                                  table.rating.tolist(), format_rfc3339(table.ts))]
+    days = np.datetime_as_string(table.registration_day.astype("datetime64[D]")).tolist()
+    return PROFILE_COLUMNS, [
+        (u, y or "", table.states[s], d)
+        for u, y, s, d in zip(table.user_ids, table.birth_year.tolist(), table.state.tolist(),
+                              days)]
+
+
+def write_corpus_reference(table, fmt: str) -> str:
+    """A corpus file written row by row: csv.writer's quoting for csv, one
+    json.dumps object per line for jsonl.
+
+    csv quotes a field holding a comma, a quote, a carriage return or a
+    newline. With lines ending in "\\n" csv.writer leaves a lone carriage
+    return bare, and csv.reader then refuses the line, so each row is
+    written with a "\\r\\n" terminator, which csv.writer quotes, and ends in
+    "\\n".
+    """
+    import csv
+    import io
+    import json
+
+    columns, body = _corpus_rows(table)
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n"
+                       for row in body)
+    lines = []
+    for row in [columns, *body]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow([str(v) for v in row])
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+def write_feature_csv_reference(user_ids, values, labels, feature_names) -> str:
+    """The feature CSV, row by row: a whole value below 1e15 in magnitude as
+    an integer, any other as its repr; ids as they are."""
+    lines = [",".join(["user_id", *feature_names, "label"]) + "\n"]
+    for user, row, label in zip(user_ids, values.tolist(), labels.tolist()):
+        cells = [str(int(v)) if v == math.trunc(v) and abs(v) < 1e15 else repr(v) for v in row]
+        lines.append(",".join([user, *cells, "shill" if label else "benign"]) + "\n")
+    return "".join(lines)

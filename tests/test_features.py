@@ -19,6 +19,7 @@ from shilldetect.features import (
 )
 from shilldetect.graphs import build_graphs
 from shilldetect.records import crc32_state
+from shilldetect.synth import MarketConfig, generate
 
 from oracles import (
     Profile,
@@ -29,6 +30,7 @@ from oracles import (
     recount_features,
     rows,
     transaction_table,
+    write_feature_csv_reference,
 )
 
 EXPECTED_ORDER = (
@@ -384,6 +386,57 @@ def test_csv_read_memory_is_bounded(small_matrix):
         tracemalloc.stop()
     assert matrix.n_users == 50 * len(rows) == 20_000
     assert peak < 4 * len(text) + matrix.values.nbytes
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e15 + 2,
+                5e-324, -5e-324, 0.1, 1 / 3, -2 / 3, 2.0**53, 1e300, -1.5, 0.05, 4294967295.0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_csv_writer_matches_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 0 if seed == 0 else int(rng.integers(100, 400))     # seed 0: header only
+    kind = rng.integers(0, 4, (n, len(FEATURE_NAMES)))
+    values = np.choose(kind, [
+        rng.choice(_EDGE_VALUES, kind.shape),
+        rng.integers(-10**6, 10**6, kind.shape).astype(np.float64),  # whole
+        rng.integers(0, 10**7, kind.shape) / 100,                    # prices
+        rng.normal(0, 10.0 ** rng.integers(-8, 18, kind.shape)),     # long reprs
+    ])
+    ids = ["".join(rng.choice(list("ab09_-.\"ü€😀"), rng.integers(1, 16))) + str(i)
+           for i in range(n)]
+    matrix = FeatureMatrix(ids, values, rng.integers(0, 2, n).astype(np.int8))
+    buf = io.StringIO()
+    write_feature_csv(matrix, buf)
+    assert buf.getvalue() == write_feature_csv_reference(ids, values, matrix.labels,
+                                                         FEATURE_NAMES)
+
+
+class _Sink:
+    """A binary stream that keeps only the number of bytes written."""
+
+    size = 0
+
+    def write(self, data) -> None:
+        self.size += len(data)
+
+
+def test_csv_write_memory_is_bounded():
+    # 30k users: 930k cells, 174k of them not whole. One str per cell took
+    # some 14 times the output; the bytes take the output, one row block,
+    # and in the sort that finds the distinct values a copy of the matrix.
+    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    tg, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
+    matrix = extract_all(tg.users.ids, tg, fg, corpus.profiles, corpus.labels)
+    stream = _Sink()
+    tracemalloc.start()
+    try:
+        write_feature_csv(matrix, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.n_users == 30_000 and stream.size > 3_000_000
+    assert peak < 4 * stream.size, peak / stream.size
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -11,13 +12,12 @@ from shilldetect.records import (
     FEEDBACK_COLUMNS,
     PROFILE_COLUMNS,
     TRANSACTION_COLUMNS,
+    FeedbackTable,
     LabelSet,
     ParseError,
     ProfileTable,
     TransactionTable,
     crc32_state,
-    format_price,
-    format_rfc3339,
     load_label_list,
     parse_feedback,
     parse_price_cents,
@@ -30,6 +30,7 @@ from shilldetect.records import (
     write_transactions,
 )
 
+from shilldetect.features import write_feature_csv
 from shilldetect.synth import MarketConfig, generate
 
 from oracles import (
@@ -38,10 +39,13 @@ from oracles import (
     Transaction,
     crc32_reference,
     feedback_table,
+    format_price,
+    format_rfc3339,
     parse_rows_reference,
     profile_table,
     rows,
     transaction_table,
+    write_corpus_reference,
 )
 
 
@@ -257,6 +261,65 @@ def test_write_read_roundtrip_csv(tiny_corpus, small_corpus):
     write_labels(labels, buf)
     back = load_label_list(io.BytesIO(buf.getvalue().encode()))
     assert back.shill_ids == labels.shill_ids
+
+
+_WRITERS = {TransactionTable: write_transactions, FeedbackTable: write_feedback,
+            ProfileTable: write_profiles}
+
+# Text for ids and states: ASCII, two- to four-byte UTF-8, and a space;
+# `quoted` adds what csv quotes.
+_PLAIN_CHARS = list("abqz09_.-") + ["ü", "€", "😀", " "]
+_QUOTED_CHARS = [",", '"', "\r", "\n"]
+_DAY_1 = -719_162                    # 0001-01-01
+_DAY_9999 = 2_932_896                # 9999-12-31
+
+
+def _random_tables(seed: int, quoted: bool) -> list:
+    """A transaction, a feedback and a profile table of random rows, with
+    the writers' edge values among them."""
+    rng = np.random.default_rng(seed)
+    chars = _PLAIN_CHARS + (_QUOTED_CHARS if quoted else [])
+
+    def texts(k: int, max_len: int) -> list[str]:
+        return ["".join(rng.choice(chars, rng.integers(1, max_len + 1))) for _ in range(k)]
+
+    def draw(n: int, edges: list[int], low: int, high: int) -> np.ndarray:
+        values = rng.integers(low, high, n)
+        pick = rng.random(n) < 0.3
+        values[pick] = rng.choice(np.array(edges, np.int64), pick.sum())
+        return values
+
+    n = int(rng.integers(50, 300))
+    users, products, states = texts(60, 12), texts(20, 30), texts(8, 6) + [""]
+    ts = draw(n, [0, -1, 86_399, -86_400, _DAY_1 * 86_400, _DAY_9999 * 86_400 + 86_399,
+                  int(datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc).timestamp()),
+                  int(datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())],
+              _DAY_1 * 86_400, _DAY_9999 * 86_400 + 86_400)
+    transactions = TransactionTable(
+        users, rng.integers(0, 60, n), rng.integers(0, 60, n), products,
+        rng.integers(0, 20, n),
+        draw(n, [0, 1, 9, 10, 10**18, 2**63 - 2, 2**63 - 1], 0, 10**6),
+        draw(n, [0, 5, 99, 100, 10**15, 10**15 - 1, 2**63 - 1], 0, 10**7), ts)
+    feedback = FeedbackTable(users, rng.integers(0, 60, n), rng.integers(0, 60, n),
+                             rng.integers(-1, 2, n), ts[::-1].copy())
+    profiles = ProfileTable(texts(n, 12),
+                            draw(n, [0, 0, -1, 999, 1958, -2**63, 2**63 - 1], -3000, 3000),
+                            states, rng.integers(0, len(states), n),
+                            draw(n, [0, -1, _DAY_1, _DAY_9999, -25_567], _DAY_1, _DAY_9999 + 1))
+    return [transactions, feedback, profiles]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("seed", range(3))
+def test_writers_match_row_reference(seed, quoted):
+    tables = _random_tables(seed, quoted)
+    if seed == 0:     # header-only files
+        tables += [transaction_table([]), feedback_table([]), profile_table([])]
+    for table in tables:
+        for fmt in ("csv", "jsonl"):
+            buf = io.StringIO()
+            _WRITERS[type(table)](table, buf, fmt)
+            assert buf.getvalue() == write_corpus_reference(table, fmt), (type(table), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +654,15 @@ def test_rfc3339_round_trip_before_year_1000(fmt):
     assert [r.timestamp for r in rows(again.records)] == [
         datetime(1, 1, 1, tzinfo=timezone.utc),
         datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc)]
+    # a year the parsers cannot read back is refused
+    for ts in (-62_135_596_801, 253_402_300_800):      # years 0 and 10000
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            write_transactions(replace(first.records, ts=np.array([0, ts])), io.StringIO(), fmt)
 
 
 def test_writers_quote_ids_as_csv_does():
     ts = datetime(2011, 1, 1, tzinfo=timezone.utc)
-    ids = ['a"b', "x,y", "n\nl", "ü1", "plain", "cr\r"]
+    ids = ['a"b', "x,y", "n\nl", "ü1", "plain"]
     records = [Transaction(b, s, "p" + b, 1, 150, ts) for b in ids for s in ids[:2]]
     buf = io.StringIO()
     write_transactions(transaction_table(records), buf)
@@ -605,8 +672,7 @@ def test_writers_quote_ids_as_csv_does():
     w.writerows((r.buyer_id, r.seller_id, r.product_id, 1, "1.50", "2011-01-01T00:00:00Z")
                 for r in records)
     assert buf.getvalue() == want.getvalue()
-    # ids csv leaves unquoted (a lone carriage return included) take the
-    # joined fast path, which must write the same bytes
+    # ids csv leaves unquoted are written as they are
     fb = [Feedback(g, r, 1, ts) for g in ids[3:] for r in ids[3:]]
     buf = io.StringIO()
     write_feedback(feedback_table(fb), buf)
@@ -615,6 +681,44 @@ def test_writers_quote_ids_as_csv_does():
     w.writerow(FEEDBACK_COLUMNS)
     w.writerows((r.giver_id, r.receiver_id, 1, "2011-01-01T00:00:00Z") for r in fb)
     assert buf.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["synth", "random"])
+def test_writers_give_binary_and_text_streams_the_same_content(small_corpus, small_matrix,
+                                                               quoted):
+    # a text stream gets the bytes a binary one gets, decoded
+    tables = (_random_tables(5, True) if quoted
+              else [small_corpus.transactions, small_corpus.feedback, small_corpus.profiles])
+    calls = [lambda stream, t=t, fmt=fmt: _WRITERS[type(t)](t, stream, fmt)
+             for t in tables for fmt in ("csv", "jsonl")]
+    calls += [lambda stream: write_labels(small_corpus.labels, stream),
+              lambda stream: write_feature_csv(small_matrix, stream)]
+    for call in calls:
+        binary, text = io.BytesIO(), io.StringIO()
+        call(binary)
+        call(text)
+        assert binary.getvalue() and binary.getvalue().decode() == text.getvalue()
+    # encoding is strict, as in a text file: a lone surrogate raises
+    table = feedback_table([Feedback("a\ud800", "b", 1, datetime(2011, 1, 1, tzinfo=timezone.utc))])
+    for stream in (io.BytesIO(), io.StringIO()):
+        with pytest.raises(UnicodeEncodeError):
+            write_feedback(table, stream)
+
+
+def test_lone_carriage_return_is_quoted_and_reads_back():
+    # csv.writer leaves a lone "\r" bare when lines end in "\n", and
+    # csv.reader then refuses the line; the writers quote it
+    text = b'user_id,birth_year,state,registration_date\nu1,1970,"a\rb",2020-01-01\n' \
+           b'u2,,CA,2020-01-02\n'
+    first = parse_profiles(io.BytesIO(text))
+    assert first.records.states == ["a\rb", "CA"] and not first.errors
+    for fmt in ("csv", "jsonl"):
+        buf = io.StringIO()
+        write_profiles(first.records, buf, fmt)
+        again = parse_profiles(io.BytesIO(buf.getvalue().encode()), fmt)
+        assert not again.errors and rows(again.records) == rows(first.records)
+        if fmt == "csv":
+            assert buf.getvalue().encode() == text
 
 
 def test_out_of_range_numbers_are_row_errors():

@@ -142,3 +142,27 @@ def test_process_pool_lives_in_one_place():
                   for line, name in _pool_uses(tree)
                   if not (path.name == "evaluation.py" and line in allowed)]
     assert found == []
+
+
+def test_csv_is_read_in_records_and_written_by_no_csv_writer():
+    # Every CSV the package writes is made as bytes on one path
+    # (records.csv_bytes); only the corpus parsers use the csv module. A
+    # per-row csv.writer would be a second writing path, and one with a
+    # "\n" line end leaves a lone carriage return unquoted.
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(PACKAGE_DIR)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{where}:{node.lineno} {name}" for name in names
+                      if (name == "csv" and path.name != "records.py")
+                      or name in ("csv.writer", "csv.DictWriter")]
+    assert found == []
