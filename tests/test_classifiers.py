@@ -553,6 +553,43 @@ def test_random_forest_matches_grow_reference(tree_ds):
         assert member.root.to_dict() == expected
 
 
+def _random_tree_datasets(count, seed):
+    """Small datasets with many repeated values: a continuous column (from
+    all-distinct to two values), a coarse copy of it, a categorical column,
+    labels that follow the continuous column with some noise, and both
+    classes. Long single-class stretches of one-row runs are common, so
+    split search meets every shape of class boundary."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 48))
+        x = rng.integers(0, int(rng.integers(2, 2 * n)), n) * 0.25
+        cut = rng.choice(x)
+        y = ((x > cut) ^ (rng.random(n) < rng.choice([0.0, 0.1, 0.3]))).astype(np.int8)
+        y[:2] = 0, 1
+        X = np.column_stack([x, np.floor(x), rng.integers(0, 4, n).astype(float)])
+        yield mk_ds(X, y, categorical=("f2",))
+
+
+def test_tree_matches_grow_reference_on_random_data():
+    rng = np.random.default_rng(5)
+    for ds in _random_tree_datasets(300, seed=1):
+        min_leaf, prune = int(rng.integers(1, 6)), bool(rng.integers(0, 2))
+        model = train_decision_tree(ds, min_leaf=min_leaf, prune=prune)
+        expected = grow_tree_reference(ds.X, ds.y, {2}, min_leaf=min_leaf, prune=prune)
+        assert model.root.to_dict() == expected, (ds.X.tolist(), ds.y.tolist(), min_leaf)
+
+
+def test_random_forest_matches_grow_reference_on_random_data():
+    for seed, ds in enumerate(_random_tree_datasets(100, seed=2)):
+        model = train_random_forest(ds, n_members=2, seed=seed)
+        for i, member in enumerate(model.members):
+            rng = np.random.default_rng(seed + i)
+            boot = ds.take(rng.integers(0, ds.n, ds.n))
+            expected = grow_tree_reference(boot.X, boot.y, {2}, min_leaf=1, prune=False,
+                                           rng=rng, subset_size=2)
+            assert member.root.to_dict() == expected, (ds.X.tolist(), ds.y.tolist())
+
+
 # Entropy table: split scoring gathers side entropies from a memoized table.
 
 
