@@ -206,20 +206,31 @@ def _read_bytes(stream) -> bytes:
     if isinstance(stream, (str, bytes)):
         raise TypeError("pass an open file object, not a path")
     raw = stream.read()
-    if not isinstance(raw, bytes):
-        return raw.encode("utf-8", "surrogatepass")
-    if not raw.isascii():
-        try:
+    try:
+        if not isinstance(raw, bytes):
+            return raw.encode("utf-8")
+        if not raw.isascii():
             raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"stream is not valid UTF-8: {exc}") from exc
+    except UnicodeError as exc:       # invalid bytes, or a lone surrogate in a str
+        raise ParseError(f"stream is not valid UTF-8: {exc}") from exc
     return raw
 
 
 def _text(data: bytes) -> str:
-    # surrogatepass undoes the encoding of a text stream's str; bytes that
-    # came as bytes were checked strictly on reading.
-    return data.decode("utf-8", "surrogatepass")
+    # the bytes were checked strictly on reading
+    return data.decode("utf-8")
+
+
+def _lone_surrogate(value) -> bool:
+    """Whether `value` is a str holding a lone surrogate, which UTF-8 cannot
+    encode; a JSON escape such as "\\ud800" makes one."""
+    if not isinstance(value, str) or value.isascii():
+        return False
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +279,7 @@ def _encoded(values) -> tuple[np.ndarray, np.ndarray]:
     if joined.isascii():
         data = joined.encode()
     else:
-        text = [t.encode("utf-8", "surrogatepass") for t in text]
+        text = [t.encode() for t in text]
         data = b"".join(text)
     del joined
     length = np.fromiter(map(len, text), np.int64, len(text))
@@ -394,11 +405,17 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
                 errors.append(RowError(line_no, "JSONL line is not an object"))
                 continue
             try:
-                rows.append(pick(obj))
+                values = pick(obj)
             except KeyError:
                 missing = [c for c in columns if c not in obj]
                 errors.append(RowError(line_no, f"missing keys: {missing}"))
                 continue
+            if "\\u" in line:
+                odd = [c for c, v in zip(columns, values) if _lone_surrogate(v)]
+                if odd:
+                    errors.append(RowError(line_no, f"lone surrogate in {odd}"))
+                    continue
+            rows.append(values)
             lines.append(line_no)
     else:
         raise ValueError(f"unknown format {fmt!r} (csv or jsonl)")

@@ -288,7 +288,8 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
 
     Each node sorts every candidate column of its own rows with Python's
     stable ``sorted``. Numeric columns split at the midpoint of each pair of
-    adjacent distinct values (``x <= t`` goes left), categorical columns at
+    adjacent distinct values, halved before adding where the sum overflows
+    (``x <= t`` goes left), categorical columns at
     each distinct value (``x == v`` goes left). A candidate needs `min_leaf`
     rows a side and gain and split information above 1e-12. The highest gain
     ratio wins; ties go to the lower column, then the lower threshold. With
@@ -326,7 +327,9 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
                 for k in range(n - 1):
                     pos_l += labels[order[k]]
                     if xs[k] != xs[k + 1]:
-                        cands.append((k + 1, pos_l, (xs[k] + xs[k + 1]) / 2.0))
+                        a, b = xs[k], xs[k + 1]
+                        mid = (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
+                        cands.append((k + 1, pos_l, mid))
             for nl, pl_count, threshold in cands:
                 nr = n - nl
                 if nl < min_leaf or nr < min_leaf:
@@ -682,8 +685,12 @@ def _reference_rows(text: str, fmt: str, columns):
             yield line_no, "JSONL line is not an object"
             continue
         missing = [c for c in columns if c not in obj]
+        odd = [c for c in columns if c in obj and isinstance(obj[c], str)
+               and any(0xD800 <= ord(ch) <= 0xDFFF for ch in obj[c])]
         if missing:
             yield line_no, f"missing keys: {missing}"
+        elif odd:                        # UTF-8 cannot encode a lone surrogate
+            yield line_no, f"lone surrogate in {odd}"
         else:
             yield line_no, {c: obj[c] for c in columns}
 

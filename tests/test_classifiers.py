@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +506,38 @@ def test_deep_tree_needs_no_recursion(tmp_path):
     assert pruned_count < count
 
 
+_HUGE_VALUES_CHILD = """
+import json, sys
+import numpy as np
+from shilldetect.classifiers import Dataset
+from shilldetect.classifiers.tree import train_decision_tree
+x = json.loads(sys.argv[1])
+ds = Dataset(np.array(x)[:, None], np.array([0, 0, 1, 1], np.int8), ("a", "b", "c", "d"),
+             ("f0",), ())
+print(json.dumps(train_decision_tree(ds, min_leaf=1, prune=False).root.to_dict()))
+"""
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_split_between_huge_values(sign):
+    # The midpoint of -1.2e308 and -1.5e308 overflowed to -inf, which sent
+    # no row left, and growth then split the same rows for ever; with the
+    # signs flipped it became inf and the node a leaf. A regression must
+    # fail here, not hang the suite, so the tree grows in a child process.
+    x = [sign * v for v in (1e308, 1.2e308, 1.5e308, 1.7e308)]
+    src = str(Path(tree.__file__).resolve().parents[2])
+    rest = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_VALUES_CHILD, json.dumps(x)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    model = json.loads(proc.stdout)
+    assert model["threshold"] == sign * (1.2e308 / 2 + 1.5e308 / 2)
+    assert model["left"]["counts"] != [0, 0] and model["right"]["counts"] != [0, 0]
+    assert model == grow_tree_reference(np.array(x)[:, None], [0, 0, 1, 1], set(),
+                                        min_leaf=1, prune=False)
+
+
 def _tie_heavy_tree_data():
     """Duplicate rows, a constant and a repeated column, few distinct values,
     and a categorical column that wins the root split."""
@@ -588,6 +623,32 @@ def test_random_forest_matches_grow_reference_on_random_data():
             expected = grow_tree_reference(boot.X, boot.y, {2}, min_leaf=1, prune=False,
                                            rng=rng, subset_size=2)
             assert member.root.to_dict() == expected, (ds.X.tolist(), ds.y.tolist())
+
+
+def test_split_filter_prunes(big_matrix, monkeypatch):
+    # The exactness tests pass even if split search scores every run end. On
+    # the standard 2,000-row sample RotationForest scores about a fifth of
+    # them; a third is the bound.
+    ds = balanced_training_sample(big_matrix, seed=0)
+    search, evaluate = tree._best_split, tree._evaluate_partition
+    run_ends = scored = 0
+
+    def counting_search(columns, y, S, pool, cat_mask, *rest):
+        nonlocal run_ends
+        xs = columns[S[pool] + (pool * len(y))[:, None]]
+        run_ends += np.count_nonzero(xs[:, :-1] != xs[:, 1:]) + np.count_nonzero(cat_mask[pool])
+        return search(columns, y, S, pool, cat_mask, *rest)
+
+    def counting_evaluate(nl, *rest):
+        nonlocal scored
+        scored += len(nl)
+        return evaluate(nl, *rest)
+
+    monkeypatch.setattr(tree, "_best_split", counting_search)
+    monkeypatch.setattr(tree, "_evaluate_partition", counting_evaluate)
+    train_rotation_forest(ds, seed=0)
+    assert ds.n == 2000 and run_ends > 1_000_000
+    assert scored < 0.35 * run_ends, (scored, run_ends)
 
 
 # Entropy table: split scoring gathers side entropies from a memoized table.

@@ -157,6 +157,31 @@ def test_parse_transactions_header_mismatch():
         parse_transactions(io.BytesIO(b"foo,bar\n1,2\n"), "csv")
 
 
+def test_parsers_refuse_what_the_writers_cannot_encode():
+    # UTF-8 cannot encode a lone surrogate, so no writer can write one back
+    header = "giver_id,receiver_id,rating,timestamp\n"
+    row = "a\ud800,u000083,1,2011-01-02T09:08:26Z\n"
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        parse_feedback(io.StringIO(header + row), "csv")
+    with pytest.raises(ParseError, match="not valid UTF-8"):    # invalid bytes too
+        parse_feedback(io.BytesIO(header.encode() + b"a\xff,b,1,2011-01-02T09:08:26Z\n"),
+                       "csv")
+    # a JSON escape makes a lone surrogate from ASCII: that row is an error
+    good = json.dumps({"giver_id": "a", "receiver_id": "b", "rating": 1,
+                       "timestamp": "2011-01-02T09:08:26Z"})
+    bad = good.replace('"a"', '"a\\ud800"').replace('"b"', '"\\udfff"')
+    pair = good.replace('"a"', '"\\ud83d\\ude00"')           # a surrogate pair is fine
+    text = "\n".join([good, bad, pair] + [good] * 8) + "\n"
+    for stream in (io.StringIO(text), io.BytesIO(text.encode())):
+        res = parse_feedback(stream, "jsonl")
+        assert [(e.line, e.message) for e in res.errors] == [
+            (2, "lone surrogate in ['giver_id', 'receiver_id']")]
+        assert sorted(res.records.user_ids) == ["a", "b", "\U0001F600"]
+        write_feedback(res.records, io.BytesIO())
+    assert parse_rows_reference(text, "jsonl", "feedback")[1] == [
+        (2, "lone surrogate in ['giver_id', 'receiver_id']")]
+
+
 _HEADER = TX_CSV.splitlines(keepends=True)[0]
 
 
@@ -594,7 +619,9 @@ def _injected_corpus(corpus, what: str, fmt: str, injections=None) -> str:
     lines[7:7] = ["", "{oops", "[1, 2]", json.dumps({columns[0]: "a"}),
                   # past int's 4,300-digit limit, and past the recursion limit
                   json.dumps(records[0])[:-1] + ', "n": ' + "9" * 5000 + "}",
-                  "[" * 100_000]
+                  "[" * 100_000,
+                  # a lone surrogate, which UTF-8 cannot encode
+                  json.dumps({**records[0], columns[0]: "a\ud800"})]
     return "\n".join(lines) + "\n"
 
 
