@@ -27,15 +27,15 @@ def main():
                                    seed=args.seed))
     tg, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
     matrix = extract_all(tg.users.ids, tg, fg, corpus.profiles, corpus.labels)
-    dataset = balanced_training_sample(matrix, seed=args.seed)
-    print(f"{dataset.n} balanced rows, {args.folds}-fold cross-validation\n")
+    sample = balanced_training_sample(matrix, seed=args.seed)
+    print(f"{sample.n_users} balanced rows, {args.folds}-fold cross-validation\n")
 
     print(f"{'algorithm':<16} {'tp_rate':>8} {'fp_rate':>8} {'f1':>7} "
           f"{'auc':>7} {'secs':>6}")
     rows = []
     for algorithm in ALGORITHMS:
         t0 = time.perf_counter()
-        m = cross_validate(algorithm, dataset, k=args.folds,
+        m = cross_validate(algorithm, sample, k=args.folds,
                            seed=args.seed)["metrics"]
         secs = time.perf_counter() - t0
         rows.append((algorithm, m["auc"]))

@@ -39,8 +39,8 @@ def main():
     for name, r in cohort_feature_ratios(matrix).items():
         print(f"{name:<22} {fmt(r['mean_ratio']):>8} {fmt(r['median_ratio']):>8}")
 
-    dataset = balanced_training_sample(matrix, seed=args.seed)
-    ranking = information_gain_ranking(dataset)
+    sample = balanced_training_sample(matrix, seed=args.seed)
+    ranking = information_gain_ranking(sample)
     print("\ntop 10 features by information gain (balanced sample)\n")
     for name, gain in ranking[:10]:
         bar = "#" * int(round(gain * 40))

@@ -35,11 +35,11 @@ def main():
     matrix = extract_all(tg.users.ids, tg, fg, corpus.profiles, corpus.labels)
     print(f"features: {matrix.n_users} x {len(matrix.feature_names)}")
 
-    dataset = balanced_training_sample(matrix, seed=args.seed)
-    model = train("RotationForest", dataset, seed=args.seed)
+    sample = balanced_training_sample(matrix, seed=args.seed)
+    model = train("RotationForest", sample, seed=args.seed)
     scores = predict_score(model, matrix)
 
-    order = rank_users(scores, None, matrix.user_ids)
+    order = rank_users(scores, matrix.user_ids)
     print("\nrank  user       score  truth")
     for rank, pos in enumerate(order[:args.top], 1):
         uid = matrix.user_ids[pos]

@@ -1,9 +1,9 @@
 """Shill-likelihood learners: training dispatch, scoring, serialization.
 
-Every algorithm trains deterministically from (dataset, hyperparameters,
-seed) and produces a model whose ``scores(X)`` returns a shill likelihood
-in [0, 1] per row. Models pin the feature-manifest hash they were trained
-on; scoring a mismatched matrix is refused.
+Every algorithm trains deterministically from (feature matrix,
+hyperparameters, seed) and produces a model whose ``scores(X)`` returns a
+shill likelihood in [0, 1] per row. Models pin the feature-manifest hash
+they were trained on; scoring a mismatched matrix is refused.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from . import deepjson
-from .base import Dataset, entropy, require_trainable
+from .base import entropy, require_trainable
 from .pca import pca_basis
 from .simple import KNN3, NaiveBayes, OneR, train_knn3, train_naive_bayes, train_oner
 from .tree import DecisionTree, Node, train_decision_tree
@@ -67,7 +67,7 @@ def check_hyperparameters(algorithm: str, hyperparameters: dict | None) -> dict:
     return {**defaults, **hp}
 
 
-def train(algorithm: str, dataset: Dataset, hyperparameters: dict | None = None,
+def train(algorithm: str, matrix: FeatureMatrix, hyperparameters: dict | None = None,
           seed: int = 0):
     """Train one of the supported algorithms with its default configuration.
 
@@ -75,22 +75,22 @@ def train(algorithm: str, dataset: Dataset, hyperparameters: dict | None = None,
     `check_hyperparameters` refuses unknown keys and bad values.
     """
     hp = check_hyperparameters(algorithm, hyperparameters)
-    return _TRAINERS[algorithm][0](dataset, seed=seed, **hp)
+    return _TRAINERS[algorithm][0](matrix, seed=seed, **hp)
 
 
 def predict_score(model, features):
     """Shill likelihood(s) in [0, 1].
 
-    Accepts a FeatureMatrix or Dataset (manifest-checked), a 2-D array
-    (row per user), or a single 1-D feature vector (returns a float).
-    A row holding NaN or infinity raises ValueError.
+    Accepts a FeatureMatrix (manifest-checked), a 2-D array (row per
+    user), or a single 1-D feature vector (returns a float). A row holding
+    NaN or infinity raises ValueError.
     """
     if isinstance(features, FeatureMatrix):
-        _check_manifest(model, features.schema_hash())
+        trained, schema_hash = getattr(model, "schema_hash", ""), features.schema_hash()
+        if trained and trained != schema_hash:
+            raise ValueError("feature manifest mismatch: model was trained on "
+                             f"{trained[:12]}..., input has {schema_hash[:12]}...")
         X = features.values
-    elif isinstance(features, Dataset):
-        _check_manifest(model, features.schema_hash)
-        X = features.X
     else:
         X = np.asarray(features, dtype=np.float64)
         if X.ndim == 1:
@@ -100,13 +100,6 @@ def predict_score(model, features):
         raise ValueError(f"{len(bad)} row(s) hold NaN or infinity, the first is row "
                          f"{bad[0]}; feature values must be finite")
     return model.scores(X)
-
-
-def _check_manifest(model, schema_hash: str) -> None:
-    trained = getattr(model, "schema_hash", "")
-    if trained and schema_hash and trained != schema_hash:
-        raise ValueError("feature manifest mismatch: model was trained on "
-                         f"{trained[:12]}..., input has {schema_hash[:12]}...")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def load_model(path, expected_schema_hash: str | None = None):
 
 
 __all__ = [
-    "ALGORITHMS", "Dataset", "check_hyperparameters", "train", "predict_score",
+    "ALGORITHMS", "check_hyperparameters", "train", "predict_score",
     "pca_basis",
     "train_oner", "train_naive_bayes", "train_knn3", "train_decision_tree",
     "train_bagging", "train_random_forest", "train_rotation_forest",

@@ -10,24 +10,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .base import Dataset, N_CLASSES, require_trainable
+from ..features import FeatureMatrix
+from .base import N_CLASSES, require_trainable
 from .pca import pca_basis
 from .tree import DecisionTree, Node, train_decision_tree
 
 
-def _majority_leaf(dataset: Dataset, seed: int, params: dict) -> DecisionTree:
+def _majority_leaf(matrix: FeatureMatrix, seed: int, params: dict) -> DecisionTree:
     # Degenerate bootstrap (one class): a constant tree, not an error.
-    counts = np.bincount(dataset.y, minlength=N_CLASSES).astype(np.int64)
-    return DecisionTree(Node(counts), dataset.categorical_mask(),
-                        dataset.schema_hash, seed, params=params)
+    return DecisionTree(Node(matrix.class_counts()), matrix.categorical_mask(),
+                        matrix.schema_hash(), seed, params=params)
 
 
-def _bootstrap(dataset: Dataset, rng: np.random.Generator) -> Dataset:
-    return dataset.take(rng.integers(0, dataset.n, dataset.n))
+def _bootstrap(matrix: FeatureMatrix, rng: np.random.Generator) -> FeatureMatrix:
+    return matrix.take(rng.integers(0, matrix.n_users, matrix.n_users))
 
 
 @dataclass
@@ -47,9 +47,9 @@ class TreeEnsemble:
         return votes / len(self.members)
 
 
-def train_bagging(dataset: Dataset, n_members: int = 100, seed: int = 0) -> TreeEnsemble:
-    require_trainable(dataset)
-    ds = dataset.canonical()
+def train_bagging(matrix: FeatureMatrix, n_members: int = 100, seed: int = 0) -> TreeEnsemble:
+    require_trainable(matrix)
+    ds = matrix.canonical()
     tree_params = {"min_leaf": 2, "prune": True, "subset_size": None}
     members = []
     for i in range(n_members):
@@ -61,14 +61,14 @@ def train_bagging(dataset: Dataset, n_members: int = 100, seed: int = 0) -> Tree
             members.append(train_decision_tree(boot, min_leaf=2, prune=True,
                                                seed=seed + i, rng=rng,
                                                canonicalize=False))
-    return TreeEnsemble(members, "Bagging", ds.schema_hash, seed,
+    return TreeEnsemble(members, "Bagging", ds.schema_hash(), seed,
                         params={"n_members": n_members})
 
 
-def train_random_forest(dataset: Dataset, n_members: int = 100,
+def train_random_forest(matrix: FeatureMatrix, n_members: int = 100,
                         seed: int = 0) -> TreeEnsemble:
-    require_trainable(dataset)
-    ds = dataset.canonical()
+    require_trainable(matrix)
+    ds = matrix.canonical()
     subset = int(math.log2(ds.n_features)) + 1
     tree_params = {"min_leaf": 1, "prune": False, "subset_size": subset}
     members = []
@@ -81,7 +81,7 @@ def train_random_forest(dataset: Dataset, n_members: int = 100,
             members.append(train_decision_tree(boot, min_leaf=1, prune=False,
                                                subset_size=subset, seed=seed + i,
                                                rng=rng, canonicalize=False))
-    return TreeEnsemble(members, "RandomForest", ds.schema_hash, seed,
+    return TreeEnsemble(members, "RandomForest", ds.schema_hash(), seed,
                         params={"n_members": n_members, "subset_size": subset})
 
 
@@ -137,10 +137,10 @@ def _stratified_half_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.sort(np.concatenate(parts))
 
 
-def train_rotation_forest(dataset: Dataset, n_members: int = 10,
+def train_rotation_forest(matrix: FeatureMatrix, n_members: int = 10,
                           subset_size: int = 3, seed: int = 0) -> RotationForest:
-    require_trainable(dataset)
-    ds = dataset.canonical()
+    require_trainable(matrix)
+    ds = matrix.canonical()
     numeric = np.nonzero(~ds.categorical_mask())[0]
     members = []
     for i in range(n_members):
@@ -149,20 +149,19 @@ def train_rotation_forest(dataset: Dataset, n_members: int = 10,
         groups = [perm[j:j + subset_size] for j in range(0, len(perm), subset_size)]
         bases = []
         for g in groups:
-            rows = _stratified_half_bootstrap(ds.y, rng)
-            sample = ds.X[rows][:, g]
+            rows = _stratified_half_bootstrap(ds.labels, rng)
+            sample = ds.values[rows][:, g]
             if len(sample) < 2:
-                sample = ds.X[:, g]
+                sample = ds.values[:, g]
             with warnings.catch_warnings():
                 # Constant columns legitimately degrade to identity here.
                 warnings.simplefilter("ignore")
                 bases.append(pca_basis(sample))
         member = RotationMember([np.asarray(g) for g in groups], bases, None)
-        rotated = Dataset(member.rotate(ds.X), ds.y, ds.user_ids,
-                          ds.feature_names, ds.categorical, ds.schema_hash)
+        rotated = replace(ds, values=member.rotate(ds.values))
         member.tree = train_decision_tree(rotated, min_leaf=2, prune=True,
                                           seed=seed + i, rng=rng,
                                           canonicalize=False)
         members.append(member)
-    return RotationForest(members, "RotationForest", ds.schema_hash, seed,
+    return RotationForest(members, "RotationForest", ds.schema_hash(), seed,
                           params={"n_members": n_members, "subset_size": subset_size})

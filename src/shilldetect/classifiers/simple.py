@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Dataset, N_CLASSES, require_trainable
+from ..features import FeatureMatrix
+from .base import N_CLASSES, require_trainable
 
 _VAR_FLOOR = 1e-9
 
@@ -97,15 +98,15 @@ def _numeric_rule(x: np.ndarray, y: np.ndarray, min_bucket: int):
     return edge_arr, np.vstack(merged)
 
 
-def train_oner(dataset: Dataset, min_bucket: int = 6, seed: int = 0) -> OneR:
-    require_trainable(dataset)
-    dataset = dataset.canonical()
-    cat_mask = dataset.categorical_mask()
-    y = dataset.y.astype(np.int64)
+def train_oner(matrix: FeatureMatrix, min_bucket: int = 6, seed: int = 0) -> OneR:
+    require_trainable(matrix)
+    matrix = matrix.canonical()
+    cat_mask = matrix.categorical_mask()
+    y = matrix.labels.astype(np.int64)
     overall = np.bincount(y, minlength=N_CLASSES)
     best = None   # (errors, feature, payload)
-    for f in range(dataset.n_features):
-        col = dataset.X[:, f]
+    for f in range(matrix.n_features):
+        col = matrix.values[:, f]
         if cat_mask[f]:
             values = np.unique(col)
             vc = {}
@@ -122,10 +123,10 @@ def train_oner(dataset: Dataset, min_bucket: int = 6, seed: int = 0) -> OneR:
     _, feature, payload = best
     if payload[0] == "cat":
         return OneR(feature, True, None, None, payload[1], overall,
-                    dataset.schema_hash, seed, params={"min_bucket": min_bucket})
+                    matrix.schema_hash(), seed, params={"min_bucket": min_bucket})
     edges, buckets = payload[1]
     return OneR(feature, False, edges, buckets, None, overall,
-                dataset.schema_hash, seed, params={"min_bucket": min_bucket})
+                matrix.schema_hash(), seed, params={"min_bucket": min_bucket})
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +182,31 @@ class NaiveBayes:
         return post[:, 1] / post.sum(axis=1)
 
 
-def train_naive_bayes(dataset: Dataset, seed: int = 0) -> NaiveBayes:
-    require_trainable(dataset)
-    dataset = dataset.canonical()
-    cat_mask = dataset.categorical_mask()
+def train_naive_bayes(matrix: FeatureMatrix, seed: int = 0) -> NaiveBayes:
+    require_trainable(matrix)
+    matrix = matrix.canonical()
+    cat_mask = matrix.categorical_mask()
     numeric_mask = ~cat_mask
-    F = dataset.n_features
-    priors = dataset.class_counts() / dataset.n
+    F = matrix.n_features
+    priors = matrix.class_counts() / matrix.n_users
     means = np.zeros((N_CLASSES, F))
     variances = np.ones((N_CLASSES, F))
     for c in range(N_CLASSES):
-        rows = dataset.X[dataset.y == c]
+        rows = matrix.values[matrix.labels == c]
         means[c] = rows.mean(axis=0)
         variances[c] = np.maximum(rows.var(axis=0), _VAR_FLOOR)
     cat_tables, cat_totals = {}, {}
     for f in np.nonzero(cat_mask)[0]:
-        col = dataset.X[:, f]
+        col = matrix.values[:, f]
         table = {}
         for v in np.unique(col):
-            counts = np.bincount(dataset.y[col == v].astype(np.int64),
+            counts = np.bincount(matrix.labels[col == v].astype(np.int64),
                                  minlength=N_CLASSES)
             table[float(v)] = counts
         cat_tables[int(f)] = table
-        cat_totals[int(f)] = dataset.class_counts()
+        cat_totals[int(f)] = matrix.class_counts()
     return NaiveBayes(priors, means, variances, numeric_mask, cat_tables,
-                      cat_totals, dataset.schema_hash, seed)
+                      cat_totals, matrix.schema_hash(), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +348,16 @@ class KNN3:
         return (chosen * y).sum(axis=1) / self.k
 
 
-def train_knn3(dataset: Dataset, k: int = 3, seed: int = 0) -> KNN3:
-    require_trainable(dataset)
-    if dataset.n < k:
-        raise ValueError(f"k-NN needs at least {k} training rows, got {dataset.n}")
-    dataset = dataset.canonical()
-    numeric_mask = ~dataset.categorical_mask()
-    mean = dataset.X[:, numeric_mask].mean(axis=0)
-    scale = dataset.X[:, numeric_mask].std(axis=0)
+def train_knn3(matrix: FeatureMatrix, k: int = 3, seed: int = 0) -> KNN3:
+    require_trainable(matrix)
+    if matrix.n_users < k:
+        raise ValueError(f"k-NN needs at least {k} training rows, got {matrix.n_users}")
+    matrix = matrix.canonical()
+    numeric_mask = ~matrix.categorical_mask()
+    mean = matrix.values[:, numeric_mask].mean(axis=0)
+    scale = matrix.values[:, numeric_mask].std(axis=0)
     scale[scale == 0] = 1.0
-    Z = dataset.X.copy()
-    Z[:, numeric_mask] = (dataset.X[:, numeric_mask] - mean) / scale
-    return KNN3(Z, dataset.y.astype(np.float64), mean, scale, numeric_mask, k,
-                dataset.schema_hash, seed, params={"k": k})
+    Z = matrix.values.copy()
+    Z[:, numeric_mask] = (matrix.values[:, numeric_mask] - mean) / scale
+    return KNN3(Z, matrix.labels.astype(np.float64), mean, scale, numeric_mask, k,
+                matrix.schema_hash(), seed, params={"k": k})

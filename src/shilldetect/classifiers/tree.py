@@ -2,7 +2,8 @@
 
 Numeric features get binary <= threshold splits (thresholds at midpoints
 between consecutive distinct values, halved before adding where the sum
-would overflow); the hashed categorical feature gets
+would overflow, and the lower value where the midpoint rounds onto the
+higher); the hashed categorical feature gets
 binary equality splits. Pruning is bottom-up subtree replacement using the
 one-sided binomial upper confidence bound at CF=0.25, the classic
 pessimistic-error recipe.
@@ -68,7 +69,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Dataset, N_CLASSES, require_trainable
+from ..features import FeatureMatrix
+from .base import N_CLASSES, require_trainable
 
 _GAIN_TOL = 1e-12
 _CHUNK = 4096          # candidate splits scored per pass
@@ -316,9 +318,11 @@ def _ratios(flat, n, cum, cat_lines, counts, min_leaf, table):
 
 
 def _midpoint(a: float, b: float) -> float:
-    """(a + b) / 2, or a / 2 + b / 2 where a + b overflows."""
+    """(a + b) / 2, or a / 2 + b / 2 where a + b overflows, for a < b; a
+    itself where that rounds onto b, as it can for adjacent floats."""
     total = a + b
-    return total / 2.0 if math.isfinite(total) else a / 2.0 + b / 2.0
+    mid = total / 2.0 if math.isfinite(total) else a / 2.0 + b / 2.0
+    return mid if mid < b else a
 
 
 def _grow(X, y, cat_mask, min_leaf, rng, subset_size):
@@ -342,8 +346,6 @@ def _grow(X, y, cat_mask, min_leaf, rng, subset_size):
         if found is None:
             continue
         f, threshold, equal, left_rows = found
-        if not 0 < len(left_rows) < n:
-            continue   # the midpoint of two adjacent floats rounded onto the larger
         node.feature, node.threshold, node.equal = f, threshold, equal
         left_counts = np.bincount(y[left_rows], minlength=N_CLASSES)
         node.left, node.right = Node(left_counts), Node(node.counts - left_counts)
@@ -436,20 +438,20 @@ class DecisionTree:
         return sum(1 for _ in self.root.walk())
 
 
-def train_decision_tree(dataset: Dataset, min_leaf: int = 2, prune: bool = True,
+def train_decision_tree(matrix: FeatureMatrix, min_leaf: int = 2, prune: bool = True,
                         subset_size: int | None = None, seed: int = 0,
                         rng: np.random.Generator | None = None,
                         canonicalize: bool = True) -> DecisionTree:
-    require_trainable(dataset)
+    require_trainable(matrix)
     if canonicalize:
-        dataset = dataset.canonical()
+        matrix = matrix.canonical()
     if rng is None:
         rng = np.random.default_rng(seed)
-    cat_mask = dataset.categorical_mask()
-    root = _grow(dataset.X, dataset.y.astype(np.int64), cat_mask, min_leaf,
+    cat_mask = matrix.categorical_mask()
+    root = _grow(matrix.values, matrix.labels.astype(np.int64), cat_mask, min_leaf,
                  rng, subset_size)
     if prune:
         _prune(root)
-    return DecisionTree(root, cat_mask, dataset.schema_hash, seed,
+    return DecisionTree(root, cat_mask, matrix.schema_hash(), seed,
                         params={"min_leaf": min_leaf, "prune": prune,
                                 "subset_size": subset_size})

@@ -35,7 +35,7 @@ from .features import (
     write_feature_csv,
     write_feature_schema,
 )
-from .classifiers import ALGORITHMS, Dataset, check_hyperparameters, save_model, train
+from .classifiers import ALGORITHMS, check_hyperparameters, save_model, train
 from .evaluation import (
     DEFAULT_RATIOS,
     EvaluationReport,
@@ -229,26 +229,25 @@ def _cmd_train(args) -> None:
     algorithm, hyper = _learner_args(args)
     matrix = _load_features(args.features)
     out = _prepare_out(args.out)
-    if args.no_balance:
-        dataset = Dataset.from_matrix(matrix)
-    else:
-        dataset = balanced_training_sample(matrix, seed=args.seed)
-    model = train(algorithm, dataset, hyper, seed=args.seed)
+    if not args.no_balance:
+        matrix = balanced_training_sample(matrix, seed=args.seed)
+    model = train(algorithm, matrix, hyper, seed=args.seed)
     save_model(model, out / "model.json")
     _write_manifest(out, "train",
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "seed": args.seed, "hyper": hyper,
                      "no_balance": bool(args.no_balance)},
                     {Path(args.features).name: _sha256(Path(args.features))})
-    print(f"trained {algorithm} on {dataset.n} rows -> {out}")
+    print(f"trained {algorithm} on {matrix.n_users} rows -> {out}")
 
 
 def _cmd_evaluate(args) -> None:
     algorithm, hyper = _learner_args(args)
+    _at_least("--folds", args.folds, 2)
     matrix = _load_features(args.features)
     out = _prepare_out(args.out)
-    dataset = balanced_training_sample(matrix, seed=args.seed)
-    result = cross_validate(algorithm, dataset, k=args.folds, seed=args.seed,
+    sample = balanced_training_sample(matrix, seed=args.seed)
+    result = cross_validate(algorithm, sample, k=args.folds, seed=args.seed,
                             hyperparameters=hyper)
     metrics = result["metrics"]
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
@@ -263,6 +262,11 @@ def _cmd_evaluate(args) -> None:
     print(f"evaluation -> {out}")
 
 
+def _at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise CliError(f"{option} must be at least {least}, not {value}")
+
+
 def _parse_k_grid(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
@@ -270,15 +274,23 @@ def _parse_k_grid(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+def _positive_ints(option: str, text: str, values: list[int]) -> list[int]:
+    if not values or min(values) < 1:
+        raise CliError(f"{option} must list positive integers, not {text!r}")
+    return values
+
+
 def _cmd_precision_at_k(args) -> None:
     algorithm, hyper = _learner_args(args)
+    _at_least("--repetitions", args.repetitions, 1)
+    ratios = tuple(_positive_ints("--ratios", args.ratios,
+                                  [int(r) for r in args.ratios.split(",")]))
+    k_grid = _positive_ints("--k-grid", args.k_grid, _parse_k_grid(args.k_grid))
     matrix = _load_features(args.features)
     out = _prepare_out(args.out)
-    ratios = tuple(int(r) for r in args.ratios.split(","))
     report = imbalanced_protocol(
         matrix, algorithm, ratios=ratios, repetitions=args.repetitions,
-        seed=args.seed, k_grid=_parse_k_grid(args.k_grid),
-        hyperparameters=hyper)
+        seed=args.seed, k_grid=k_grid, hyperparameters=hyper)
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "precision-at-k",
                     {"features": Path(args.features).name, "algorithm": algorithm,

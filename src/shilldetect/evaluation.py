@@ -20,10 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classifiers import Dataset, predict_score, train
+from .classifiers import predict_score, train
 from .classifiers.base import entropy
 from .classifiers.tree import _binary_entropy, _entropy_table
-from .features import CATEGORICAL_FEATURES, FeatureMatrix
+from .features import FeatureMatrix
 
 DEFAULT_RATIOS = (2, 5, 10, 20, 100)
 
@@ -38,44 +38,37 @@ def _cohort_ids(matrix: FeatureMatrix):
     return shills, benign
 
 
-def balanced_training_sample(matrix: FeatureMatrix, seed: int = 0,
-                             exclude=(), shill_subset=None) -> Dataset:
-    """All shills (or the given subset) + equally many random benign users.
-
-    Benign users are drawn uniformly without replacement from the benign
-    pool minus `exclude`; shills listed in `exclude` are dropped too.
-    """
+def balanced_training_sample(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
+    """All shills + equally many benign users drawn uniformly without
+    replacement, in user-id order."""
     shills, benign = _cohort_ids(matrix)
-    excluded = set(exclude)
-    shills = [u for u in (sorted(shill_subset) if shill_subset is not None else shills)
-              if u not in excluded]
-    pool = [u for u in benign if u not in excluded]
     if not shills:
         raise ValueError("no shill users available for the training sample")
-    if len(pool) < len(shills):
-        raise ValueError(f"benign pool ({len(pool)}) smaller than shill count "
+    if len(benign) < len(shills):
+        raise ValueError(f"benign pool ({len(benign)}) smaller than shill count "
                          f"({len(shills)})")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=len(shills), replace=False)
-    ids = sorted(shills + [pool[i] for i in chosen])
-    return Dataset.from_matrix(matrix.select(ids))
+    chosen = rng.choice(len(benign), size=len(shills), replace=False)
+    return matrix.select(sorted(shills + [benign[i] for i in chosen]))
 
 
-def stratified_kfold(dataset: Dataset, k: int = 10, seed: int = 0) -> list[np.ndarray]:
-    """Disjoint folds covering the dataset; per-fold class counts differ <= 1.
+def stratified_kfold(matrix: FeatureMatrix, k: int = 10, seed: int = 0) -> list[np.ndarray]:
+    """Disjoint folds covering the matrix; per-fold class counts differ <= 1.
 
-    Returns row-index arrays into `dataset`. The partition depends only on
+    Returns row-index arrays into `matrix`. The partition depends only on
     (user ids, labels, k, seed), not on row order.
     """
-    counts = dataset.class_counts()
+    if k < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, not {k}")
+    counts = matrix.class_counts()
     if counts.min() < k:
         raise ValueError(f"every class needs >= {k} rows for {k}-fold CV "
                          f"(counts: {counts.tolist()})")
-    order = sorted(range(dataset.n), key=lambda i: dataset.user_ids[i])
+    order = sorted(range(matrix.n_users), key=lambda i: matrix.user_ids[i])
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for c in (0, 1):
-        rows = np.array([i for i in order if dataset.y[i] == c], dtype=np.int64)
+        rows = np.array([i for i in order if matrix.labels[i] == c], dtype=np.int64)
         rows = rows[rng.permutation(len(rows))]
         for fold_i, part in enumerate(np.array_split(rows, k)):
             folds[fold_i].extend(part.tolist())
@@ -130,7 +123,7 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def rank_users(scores, labels, user_ids):
+def rank_users(scores, user_ids):
     """Indices sorted by score descending, score ties by ascending user id."""
     scores = np.asarray(scores, np.float64)
     uid_rank = np.empty(len(scores), np.int64)
@@ -157,7 +150,7 @@ def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
     if user_ids is None:
         order = np.lexsort((np.arange(len(scores)), -scores))
     else:
-        order = rank_users(scores, labels, user_ids)
+        order = rank_users(scores, user_ids)
     hits = np.cumsum(labels[order], dtype=np.int64)
     ks = np.minimum(ks, len(scores))
     return (hits[ks - 1] / ks).tolist()
@@ -229,23 +222,23 @@ def _map_in_order(task, n_tasks: int, algorithm: str, class_counts) -> list:
 # Cross-validation
 
 
-def cross_validate(algorithm: str, dataset: Dataset, k: int = 10, seed: int = 0,
+def cross_validate(algorithm: str, matrix: FeatureMatrix, k: int = 10, seed: int = 0,
                    hyperparameters: dict | None = None) -> dict:
     """k-fold CV; metrics computed over the pooled out-of-fold scores."""
-    folds = stratified_kfold(dataset, k, seed)
-    all_idx = np.arange(dataset.n)
+    folds = stratified_kfold(matrix, k, seed)
+    all_idx = np.arange(matrix.n_users)
 
     def out_of_fold(i: int) -> np.ndarray:
-        model = train(algorithm, dataset.take(np.setdiff1d(all_idx, folds[i])),
+        model = train(algorithm, matrix.take(np.setdiff1d(all_idx, folds[i])),
                       hyperparameters, seed)
-        return model.scores(dataset.X[folds[i]])
+        return model.scores(matrix.values[folds[i]])
 
-    scores = np.empty(dataset.n, np.float64)
+    scores = np.empty(matrix.n_users, np.float64)
     for fold, fold_scores in zip(folds, _map_in_order(out_of_fold, k, algorithm,
-                                                      dataset.class_counts())):
+                                                      matrix.class_counts())):
         scores[fold] = fold_scores
-    metrics = confusion_metrics(scores, dataset.y)
-    metrics["auc"] = auc(scores, dataset.y)
+    metrics = confusion_metrics(scores, matrix.labels)
+    metrics["auc"] = auc(scores, matrix.labels)
     metrics["algorithm"] = algorithm
     metrics["folds"] = k
     metrics["seed"] = seed
@@ -272,13 +265,11 @@ class ProtocolPlan:
         return self.n_train_shills + max(self.test_benign_per_ratio.values())
 
 
-def protocol_plan(n_shills: int, n_benign: int,
-                  ratios=DEFAULT_RATIOS, train_fraction: float = 0.9) -> ProtocolPlan:
-    n_train = int(n_shills * train_fraction)
+def protocol_plan(n_shills: int, n_benign: int, ratios=DEFAULT_RATIOS) -> ProtocolPlan:
+    n_train = int(n_shills * 0.9)
     n_test = n_shills - n_train
     if n_train < 1 or n_test < 1:
-        raise ValueError(f"{n_shills} shills cannot be split "
-                         f"{train_fraction:.0%}/{1 - train_fraction:.0%}")
+        raise ValueError(f"{n_shills} shills cannot be split 90%/10%")
     per_ratio = {r: r * n_test for r in ratios}
     plan = ProtocolPlan(n_shills, n_benign, n_train, n_test, tuple(ratios), per_ratio)
     for r in ratios:
@@ -304,9 +295,6 @@ class EvaluationReport:
     test_sizes: dict[str, int]
     cv_metrics: dict | None = None
 
-    def curve(self, ratio: int) -> list[float]:
-        return self.curves[f"1:{ratio}"]
-
     def precision_at(self, ratio: int, k: int) -> float:
         return self.curves[f"1:{ratio}"][self.k_grid.index(k)]
 
@@ -317,8 +305,7 @@ class EvaluationReport:
 
 def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest",
                         ratios=DEFAULT_RATIOS, repetitions: int = 3, seed: int = 0,
-                        k_grid=None, hyperparameters: dict | None = None,
-                        train_fraction: float = 0.9) -> EvaluationReport:
+                        k_grid=None, hyperparameters: dict | None = None) -> EvaluationReport:
     """The seven-step protocol, averaged over `repetitions`.
 
     Per repetition r (seed+r): hold out 10% of shills; train on the other
@@ -328,12 +315,14 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     to the test size). Each repetition scores one set, the largest test set;
     the smaller sets are prefixes of it and take their rows' scores from it.
     """
+    if repetitions < 1:
+        raise ValueError(f"the protocol needs at least 1 repetition, not {repetitions}")
     if k_grid is None:
         k_grid = list(range(1, 1001))
     k_grid = sorted(set(int(k) for k in k_grid))
     ratios = tuple(sorted(ratios))
     shills, benign = _cohort_ids(matrix)
-    plan = protocol_plan(len(shills), len(benign), ratios, train_fraction)
+    plan = protocol_plan(len(shills), len(benign), ratios)
 
     rep_seeds = [seed + r for r in range(repetitions)]
     test_sizes = {f"1:{r}": plan.n_test_shills + plan.test_benign_per_ratio[r]
@@ -363,8 +352,7 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
                              f"and the test set, e.g. {min(overlap)!r}; "
                              "user ids must be unique")
 
-        model = train(algorithm, Dataset.from_matrix(matrix.select(train_ids)),
-                      hyperparameters, seed=rep_seed)
+        model = train(algorithm, matrix.select(train_ids), hyperparameters, seed=rep_seed)
         # Score the largest test set once. A row's score does not depend on
         # the rows scored with it, and the ranking breaks ties by user id, not
         # row order, so each ratio's test set is a prefix of the scored rows.
@@ -484,13 +472,13 @@ def information_gain(values: np.ndarray, labels: np.ndarray,
     return max(h_label - cond, 0.0)
 
 
-def information_gain_ranking(dataset: Dataset,
+def information_gain_ranking(matrix: FeatureMatrix,
                              equal_frequency_fallback: bool = False) -> list[tuple[str, float]]:
     """(feature, IG) sorted by IG descending; ties keep feature order."""
-    cat_mask = dataset.categorical_mask()
+    cat_mask = matrix.categorical_mask()
     scored = []
-    for f, name in enumerate(dataset.feature_names):
-        ig = information_gain(dataset.X[:, f], dataset.y, bool(cat_mask[f]),
+    for f, name in enumerate(matrix.feature_names):
+        ig = information_gain(matrix.values[:, f], matrix.labels, bool(cat_mask[f]),
                               equal_frequency_fallback)
         scored.append((name, ig))
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,13 @@ _SECONDS_PER_DAY = 86400
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Row-per-user feature table with a frozen column manifest."""
+    """Row-per-user feature table with a frozen column manifest and a binary
+    label per row; the learners train on it.
+
+    Rows keep their construction order, but learners canonicalize to
+    sorted-by-user-id order before touching any randomness, so shuffling
+    the input rows can never change a trained model.
+    """
 
     user_ids: list[str]
     values: np.ndarray            # shape (n_users, 31), float64
@@ -66,10 +72,24 @@ class FeatureMatrix:
                              f"{len(self.user_ids)} users x {len(self.feature_names)} features")
         if len(self.labels) != len(self.user_ids):
             raise ValueError("labels length does not match user count")
+        # Not np.isin, whose temporaries on int8 labels take 14 bytes a row.
+        if not ((self.labels == 0) | (self.labels == 1)).all():
+            raise ValueError("labels must be binary 0/1")
 
     @property
     def n_users(self) -> int:
         return len(self.user_ids)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
+
+    def categorical_mask(self) -> np.ndarray:
+        return np.array([name in CATEGORICAL_FEATURES for name in self.feature_names], bool)
+
+    def class_counts(self) -> np.ndarray:
+        """Row count per label: (benign, shill)."""
+        return np.bincount(self.labels, minlength=len(LABEL_VALUES))
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_names.index(name)]
@@ -86,11 +106,19 @@ class FeatureMatrix:
         blob = json.dumps(self.schema(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
+    def take(self, idx) -> "FeatureMatrix":
+        """The rows at positions `idx`, in that order."""
+        idx = np.asarray(idx, np.int64)
+        return replace(self, user_ids=[self.user_ids[i] for i in idx.tolist()],
+                       values=self.values[idx], labels=self.labels[idx])
+
     def select(self, user_ids) -> "FeatureMatrix":
         pos = {u: i for i, u in enumerate(self.user_ids)}
-        idx = np.array([pos[u] for u in user_ids], dtype=np.int64)
-        return FeatureMatrix(list(user_ids), self.values[idx], self.labels[idx],
-                             self.feature_names, self.version)
+        return self.take([pos[u] for u in user_ids])
+
+    def canonical(self) -> "FeatureMatrix":
+        """Rows reordered by user id; the order every learner trains on."""
+        return self.take(sorted(range(self.n_users), key=self.user_ids.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +281,14 @@ def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
     return FeatureMatrix(users, full[idx], y)
 
 
-def cohort_feature_ratios(matrix: FeatureMatrix,
-                          labels: LabelSet | None = None) -> dict[str, dict[str, float]]:
+def cohort_feature_ratios(matrix: FeatureMatrix) -> dict[str, dict[str, float]]:
     """shill-cohort / benign-cohort mean and median, per numeric feature.
 
     A zero benign statistic against a nonzero shill statistic reports as
     +-inf; 0/0 reports 1.0. The categorical State-Hash column is skipped.
     """
-    if labels is not None:
-        y = np.fromiter((1 if u in labels else 0 for u in matrix.user_ids),
-                        dtype=np.int8, count=matrix.n_users)
-    else:
-        y = matrix.labels
-    shill_rows = matrix.values[y == 1]
-    benign_rows = matrix.values[y == 0]
+    shill_rows = matrix.values[matrix.labels == 1]
+    benign_rows = matrix.values[matrix.labels == 0]
     if len(shill_rows) == 0 or len(benign_rows) == 0:
         raise ValueError("both cohorts must be non-empty")
 

@@ -288,7 +288,8 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
 
     Each node sorts every candidate column of its own rows with Python's
     stable ``sorted``. Numeric columns split at the midpoint of each pair of
-    adjacent distinct values, halved before adding where the sum overflows
+    adjacent distinct values, halved before adding where the sum overflows,
+    or at the lower value where the midpoint rounds onto the higher
     (``x <= t`` goes left), categorical columns at
     each distinct value (``x == v`` goes left). A candidate needs `min_leaf`
     rows a side and gain and split information above 1e-12. The highest gain
@@ -329,7 +330,7 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
                     if xs[k] != xs[k + 1]:
                         a, b = xs[k], xs[k + 1]
                         mid = (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
-                        cands.append((k + 1, pos_l, mid))
+                        cands.append((k + 1, pos_l, mid if mid < b else a))
             for nl, pl_count, threshold in cands:
                 nr = n - nl
                 if nl < min_leaf or nr < min_leaf:

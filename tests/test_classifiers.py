@@ -12,7 +12,6 @@ from scipy.stats import norm
 
 from shilldetect.classifiers import (
     ALGORITHMS,
-    Dataset,
     check_hyperparameters,
     load_model,
     model_from_dict,
@@ -43,14 +42,17 @@ import shilldetect.classifiers.tree as tree
 from oracles import grow_tree_reference, jacobi_eigh, knn_scores_reference
 
 
-def mk_ds(X, y, names=None, categorical=()):
+def mk_ds(X, y, categorical=None):
+    """A matrix of columns f0, f1, ...; column `categorical`, if given, is
+    the categorical State-Hash."""
     X = np.asarray(X, np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    names = names or tuple(f"f{j}" for j in range(X.shape[1]))
-    return Dataset(X, np.asarray(y, np.int8),
-                   tuple(f"u{i:03d}" for i in range(len(y))),
-                   tuple(names), tuple(categorical), "t" * 64)
+    names = [f"f{j}" for j in range(X.shape[1])]
+    if categorical is not None:
+        names[categorical] = "State-Hash"
+    return FeatureMatrix([f"u{i:03d}" for i in range(len(y))], X, np.asarray(y, np.int8),
+                         tuple(names))
 
 
 @pytest.fixture(scope="module")
@@ -64,22 +66,22 @@ def train_ds(small_matrix):
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="missing"):
-        mk_ds([[np.nan]], [0])
+        train_oner(mk_ds([[np.nan]], [0]))
     for value in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="infinite"):
-            mk_ds([[0.0], [value]], [0, 1])
+            train_oner(mk_ds([[0.0], [value]], [0, 1]))
     with pytest.raises(ValueError, match="binary"):
         mk_ds([[1.0]], [2])
-    with pytest.raises(ValueError, match="row count"):
-        Dataset(np.zeros((2, 1)), np.zeros(2, np.int8), ("u1",))
+    with pytest.raises(ValueError, match="does not match 1 users"):
+        FeatureMatrix(["u1"], np.zeros((2, 1)), np.zeros(2, np.int8), ("f0",))
 
 
 def test_dataset_canonical_sorts_by_user_id():
-    ds = Dataset(np.array([[3.0], [1.0], [2.0]]), np.array([1, 0, 0], np.int8),
-                 ("c", "a", "b"))
+    ds = FeatureMatrix(["c", "a", "b"], np.array([[3.0], [1.0], [2.0]]),
+                       np.array([1, 0, 0], np.int8), ("f0",))
     c = ds.canonical()
-    assert c.user_ids == ("a", "b", "c")
-    assert list(c.X[:, 0]) == [1.0, 2.0, 3.0]
+    assert c.user_ids == ["a", "b", "c"]
+    assert list(c.values[:, 0]) == [1.0, 2.0, 3.0]
 
 
 def test_single_class_refused():
@@ -126,7 +128,7 @@ def test_oner_picks_lowest_errors_then_lowest_index():
 def test_oner_categorical_rule():
     x = np.array([10.0] * 8 + [20.0] * 8)
     y = np.array([1] * 6 + [0] * 2 + [0] * 8)
-    ds = mk_ds(x, y, names=("State-Hash",), categorical=("State-Hash",))
+    ds = mk_ds(x, y, categorical=0)
     model = train_oner(ds, min_bucket=6)
     assert model.is_categorical
     s = model.scores(np.array([[10.0], [20.0], [999.0]]))
@@ -137,11 +139,11 @@ def test_oner_categorical_rule():
 
 def test_oner_row_order_invariance(train_ds):
     rng = np.random.default_rng(3)
-    perm = rng.permutation(train_ds.n)
+    perm = rng.permutation(train_ds.n_users)
     m1 = train_oner(train_ds)
     m2 = train_oner(train_ds.take(perm))
     assert m1.feature == m2.feature
-    assert np.array_equal(m1.scores(train_ds.X), m2.scores(train_ds.X))
+    assert np.array_equal(m1.scores(train_ds.values), m2.scores(train_ds.values))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_naive_bayes_constant_column_finite():
 def test_naive_bayes_laplace_categorical():
     x = np.array([1.0] * 4 + [2.0] * 4)
     y = np.array([1, 1, 1, 0, 0, 0, 0, 1])
-    ds = mk_ds(x, y, names=("State-Hash",), categorical=("State-Hash",))
+    ds = mk_ds(x, y, categorical=0)
     model = train_naive_bayes(ds)
     # class totals 4/4, two seen values + one unseen slot -> denominator 7
     s_seen = model.scores(np.array([[1.0]]))[0]
@@ -191,9 +193,9 @@ def test_naive_bayes_laplace_categorical():
 
 def test_knn_votes_and_tie_break():
     # three identical points at 0 (labels 1,0,0) and two at 1 (labels 1,1)
-    ds = Dataset(np.array([[0.0], [0.0], [0.0], [1.0], [1.0]]),
-                 np.array([1, 0, 0, 1, 1], np.int8),
-                 ("a", "b", "c", "d", "e"))
+    ds = FeatureMatrix(["a", "b", "c", "d", "e"],
+                       np.array([[0.0], [0.0], [0.0], [1.0], [1.0]]),
+                       np.array([1, 0, 0, 1, 1], np.int8), ("f0",))
     model = train_knn3(ds)
     s = model.scores(np.array([[0.0]]))
     assert s[0] == pytest.approx(1 / 3)     # ties resolved toward a, b, c
@@ -202,9 +204,9 @@ def test_knn_votes_and_tie_break():
 
 
 def test_knn_row_order_invariance(train_ds):
-    perm = np.random.default_rng(1).permutation(train_ds.n)
-    s1 = train_knn3(train_ds).scores(train_ds.X[:10])
-    s2 = train_knn3(train_ds.take(perm)).scores(train_ds.X[:10])
+    perm = np.random.default_rng(1).permutation(train_ds.n_users)
+    s1 = train_knn3(train_ds).scores(train_ds.values[:10])
+    s2 = train_knn3(train_ds.take(perm)).scores(train_ds.values[:10])
     assert np.array_equal(s1, s2)
 
 
@@ -214,13 +216,13 @@ def test_knn_needs_k_rows():
 
 
 def test_knn_score_domain(train_ds):
-    s = train_knn3(train_ds).scores(train_ds.X)
+    s = train_knn3(train_ds).scores(train_ds.values)
     assert set(np.round(s * 3).astype(int)) <= {0, 1, 2, 3}
 
 
 def _knn_oracle_scores(model, ds, Q):
     cat = [j for j in range(ds.n_features) if not model.numeric_mask[j]]
-    return knn_scores_reference(ds.X.tolist(), ds.y.tolist(), ds.user_ids,
+    return knn_scores_reference(ds.values.tolist(), ds.labels.tolist(), ds.user_ids,
                                 np.asarray(Q).tolist(), cat,
                                 model.mean.tolist(), model.scale.tolist())
 
@@ -234,8 +236,8 @@ def _tie_heavy_knn_data():
                          rng.choice([7.0, 11.0, 13.0], n)]).astype(np.float64)
     X[30:45] = X[:15]                                   # exact duplicate rows
     y = rng.integers(0, 2, n).astype(np.int8)
-    ids = tuple(f"u{v:03d}" for v in rng.permutation(n))   # ids not in row order
-    ds = Dataset(X, y, ids, ("a", "b", "c", "state"), ("state",), "t" * 64)
+    ids = [f"u{v:03d}" for v in rng.permutation(n)]        # ids not in row order
+    ds = FeatureMatrix(ids, X, y, ("a", "b", "c", "State-Hash"))
     Q = np.vstack([X[::2], rng.integers(0, 3, (40, 4)).astype(np.float64)])
     return ds, Q
 
@@ -244,14 +246,14 @@ def _tie_heavy_knn_data():
 def test_knn_matches_brute_force_oracle(monkeypatch, rows_per_chunk):
     ds, Q = _tie_heavy_knn_data()
     if rows_per_chunk is not None:   # a budget that fits this many query rows
-        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * ds.n * rows_per_chunk)
+        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * ds.n_users * rows_per_chunk)
     model = train_knn3(ds)
     scores = model.scores(Q)
     assert scores.tolist() == _knn_oracle_scores(model, ds, Q)
 
 
 def test_knn_matches_oracle_on_features(monkeypatch, train_ds, small_matrix):
-    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n * 13)
+    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n_users * 13)
     model = train_knn3(train_ds)
     Q = small_matrix.values
     assert model.scores(Q).tolist() == _knn_oracle_scores(model, train_ds.canonical(), Q)
@@ -355,7 +357,7 @@ def test_knn_scoring_memory_is_bounded():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(2000, 31))
     X[:, 30] = rng.integers(0, 50, 2000)
-    ds = mk_ds(X, rng.integers(0, 2, 2000), categorical=("f30",))
+    ds = mk_ds(X, rng.integers(0, 2, 2000), categorical=30)
     model = train_knn3(ds)
     Q = rng.normal(size=(4000, 31))
     tracemalloc.start()
@@ -392,7 +394,7 @@ def test_tree_perfect_split_and_midpoint_threshold():
 def test_tree_categorical_equality_split():
     x = np.array([10.0] * 5 + [20.0] * 5)
     y = np.array([1] * 5 + [0] * 5)
-    ds = mk_ds(x, y, names=("State-Hash",), categorical=("State-Hash",))
+    ds = mk_ds(x, y, categorical=0)
     model = train_decision_tree(ds, prune=False)
     assert model.root.equal                   # categorical split is v == c
     s = model.scores(np.array([[10.0], [20.0], [30.0]]))
@@ -430,7 +432,7 @@ def test_tree_vote_threshold():
 
 
 def test_tree_row_order_invariance(train_ds):
-    perm = np.random.default_rng(2).permutation(train_ds.n)
+    perm = np.random.default_rng(2).permutation(train_ds.n_users)
     t1 = train_decision_tree(train_ds)
     t2 = train_decision_tree(train_ds.take(perm))
     assert t1.root.to_dict() == t2.root.to_dict()
@@ -471,7 +473,7 @@ def test_tree_json_roundtrip(train_ds):
     model = train_decision_tree(train_ds)
     d = json.loads(json.dumps(model_to_dict(model)))
     back = model_from_dict(d)
-    assert np.array_equal(back.scores(train_ds.X), model.scores(train_ds.X))
+    assert np.array_equal(back.scores(train_ds.values), model.scores(train_ds.values))
 
 
 def _stack_depth() -> int:
@@ -491,16 +493,16 @@ def test_deep_tree_needs_no_recursion(tmp_path):
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
         model = train_decision_tree(ds, min_leaf=1, prune=False)
-        scores = model.scores(ds.X)
+        scores = model.scores(ds.values)
         count = model.node_count()
         save_model(model, path)
         back = load_model(path)
-        back_scores = back.scores(ds.X)
+        back_scores = back.scores(ds.values)
         pruned_count = train_decision_tree(ds, min_leaf=1, prune=True).node_count()
     finally:
         sys.setrecursionlimit(limit)
     assert count == 2 * n - 1
-    assert np.array_equal(scores, ds.y)                # every leaf is pure
+    assert np.array_equal(scores, ds.labels)                # every leaf is pure
     assert np.array_equal(back_scores, scores)
     assert back.root.to_dict() == model.root.to_dict()
     assert pruned_count < count
@@ -509,11 +511,11 @@ def test_deep_tree_needs_no_recursion(tmp_path):
 _HUGE_VALUES_CHILD = """
 import json, sys
 import numpy as np
-from shilldetect.classifiers import Dataset
 from shilldetect.classifiers.tree import train_decision_tree
+from shilldetect.features import FeatureMatrix
 x = json.loads(sys.argv[1])
-ds = Dataset(np.array(x)[:, None], np.array([0, 0, 1, 1], np.int8), ("a", "b", "c", "d"),
-             ("f0",), ())
+ds = FeatureMatrix(["a", "b", "c", "d"], np.array(x)[:, None], np.array([0, 0, 1, 1], np.int8),
+                   ("f0",))
 print(json.dumps(train_decision_tree(ds, min_leaf=1, prune=False).root.to_dict()))
 """
 
@@ -538,6 +540,21 @@ def test_split_between_huge_values(sign):
                                         min_leaf=1, prune=False)
 
 
+def test_split_between_adjacent_floats():
+    # (a + b) / 2 rounds onto b here, which sent every row left: the node
+    # stayed a leaf, and the reference recursed without end.
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2 == b
+    ds = mk_ds([a, b], [0, 1])
+    model = train_decision_tree(ds, min_leaf=1, prune=False)
+    assert model.root.threshold == a
+    assert model.root.left.counts.tolist() == [1, 0]
+    assert model.root.right.counts.tolist() == [0, 1]
+    assert model.root.to_dict() == grow_tree_reference(ds.values, ds.labels, (),
+                                                       min_leaf=1, prune=False)
+
+
 def _tie_heavy_tree_data():
     """Duplicate rows, a constant and a repeated column, few distinct values,
     and a categorical column that wins the root split."""
@@ -549,9 +566,8 @@ def _tie_heavy_tree_data():
     X = np.column_stack([np.full(n, 2.0), half, state,
                          rng.integers(0, 2, n).astype(float), half])
     X, y = np.vstack([X, X[:16]]), np.concatenate([y, y[:16]])
-    return Dataset(X, y, tuple(f"u{i:03d}" for i in range(len(y))),
-                   ("const", "half", "state", "bit", "half-copy"), ("state",),
-                   "t" * 64)
+    return FeatureMatrix([f"u{i:03d}" for i in range(len(y))], X, y,
+                         ("const", "half", "State-Hash", "bit", "half-copy"))
 
 
 @pytest.fixture(scope="module", params=["small_matrix", "tie_heavy"])
@@ -560,7 +576,7 @@ def tree_ds(request):
         ds = _tie_heavy_tree_data()
         assert train_decision_tree(ds).root.equal     # categorical root split
         return ds
-    return Dataset.from_matrix(request.getfixturevalue("small_matrix")).canonical()
+    return request.getfixturevalue("small_matrix").canonical()
 
 
 def _categorical_columns(ds):
@@ -571,7 +587,7 @@ def _categorical_columns(ds):
 @pytest.mark.parametrize("prune", [False, True])
 def test_tree_matches_grow_reference(tree_ds, min_leaf, prune):
     model = train_decision_tree(tree_ds, min_leaf=min_leaf, prune=prune)
-    expected = grow_tree_reference(tree_ds.X, tree_ds.y, _categorical_columns(tree_ds),
+    expected = grow_tree_reference(tree_ds.values, tree_ds.labels, _categorical_columns(tree_ds),
                                    min_leaf=min_leaf, prune=prune)
     assert model.root.to_dict() == expected
 
@@ -581,8 +597,8 @@ def test_random_forest_matches_grow_reference(tree_ds):
     model = train_random_forest(tree_ds, n_members=4, seed=seed)
     for i, member in enumerate(model.members):
         rng = np.random.default_rng(seed + i)
-        boot = tree_ds.take(rng.integers(0, tree_ds.n, tree_ds.n))
-        expected = grow_tree_reference(boot.X, boot.y, _categorical_columns(tree_ds),
+        boot = tree_ds.take(rng.integers(0, tree_ds.n_users, tree_ds.n_users))
+        expected = grow_tree_reference(boot.values, boot.labels, _categorical_columns(tree_ds),
                                        min_leaf=1, prune=False, rng=rng,
                                        subset_size=subset)
         assert member.root.to_dict() == expected
@@ -602,7 +618,7 @@ def _random_tree_datasets(count, seed):
         y = ((x > cut) ^ (rng.random(n) < rng.choice([0.0, 0.1, 0.3]))).astype(np.int8)
         y[:2] = 0, 1
         X = np.column_stack([x, np.floor(x), rng.integers(0, 4, n).astype(float)])
-        yield mk_ds(X, y, categorical=("f2",))
+        yield mk_ds(X, y, categorical=2)
 
 
 def test_tree_matches_grow_reference_on_random_data():
@@ -610,8 +626,8 @@ def test_tree_matches_grow_reference_on_random_data():
     for ds in _random_tree_datasets(300, seed=1):
         min_leaf, prune = int(rng.integers(1, 6)), bool(rng.integers(0, 2))
         model = train_decision_tree(ds, min_leaf=min_leaf, prune=prune)
-        expected = grow_tree_reference(ds.X, ds.y, {2}, min_leaf=min_leaf, prune=prune)
-        assert model.root.to_dict() == expected, (ds.X.tolist(), ds.y.tolist(), min_leaf)
+        expected = grow_tree_reference(ds.values, ds.labels, {2}, min_leaf=min_leaf, prune=prune)
+        assert model.root.to_dict() == expected, (ds.values.tolist(), ds.labels.tolist(), min_leaf)
 
 
 def test_random_forest_matches_grow_reference_on_random_data():
@@ -619,10 +635,10 @@ def test_random_forest_matches_grow_reference_on_random_data():
         model = train_random_forest(ds, n_members=2, seed=seed)
         for i, member in enumerate(model.members):
             rng = np.random.default_rng(seed + i)
-            boot = ds.take(rng.integers(0, ds.n, ds.n))
-            expected = grow_tree_reference(boot.X, boot.y, {2}, min_leaf=1, prune=False,
+            boot = ds.take(rng.integers(0, ds.n_users, ds.n_users))
+            expected = grow_tree_reference(boot.values, boot.labels, {2}, min_leaf=1, prune=False,
                                            rng=rng, subset_size=2)
-            assert member.root.to_dict() == expected, (ds.X.tolist(), ds.y.tolist())
+            assert member.root.to_dict() == expected, (ds.values.tolist(), ds.labels.tolist())
 
 
 def test_split_filter_prunes(big_matrix, monkeypatch):
@@ -647,7 +663,7 @@ def test_split_filter_prunes(big_matrix, monkeypatch):
     monkeypatch.setattr(tree, "_best_split", counting_search)
     monkeypatch.setattr(tree, "_evaluate_partition", counting_evaluate)
     train_rotation_forest(ds, seed=0)
-    assert ds.n == 2000 and run_ends > 1_000_000
+    assert ds.n_users == 2000 and run_ends > 1_000_000
     assert scored < 0.35 * run_ends, (scored, run_ends)
 
 
@@ -690,7 +706,7 @@ def test_trees_same_with_and_without_entropy_table(tree_ds, monkeypatch):
     assert tree._entropy.size == 0                    # no table was built
     for min_leaf in (1, 2):
         for prune in (False, True):
-            expected = grow_tree_reference(tree_ds.X, tree_ds.y,
+            expected = grow_tree_reference(tree_ds.values, tree_ds.labels,
                                            _categorical_columns(tree_ds),
                                            min_leaf=min_leaf, prune=prune)
             assert without_table[min_leaf, prune] == expected
@@ -797,20 +813,20 @@ def test_pca_dimension_truncation():
 def test_bagging_deterministic_and_sane(train_ds):
     m1 = train_bagging(train_ds, n_members=15, seed=5)
     m2 = train_bagging(train_ds, n_members=15, seed=5)
-    s1, s2 = m1.scores(train_ds.X), m2.scores(train_ds.X)
+    s1, s2 = m1.scores(train_ds.values), m2.scores(train_ds.values)
     assert np.array_equal(s1, s2)
     assert (0 <= s1).all() and (s1 <= 1).all()
-    assert auc(s1, train_ds.y) > 0.9
+    assert auc(s1, train_ds.labels) > 0.9
     m3 = train_bagging(train_ds, n_members=15, seed=6)
-    assert not np.array_equal(s1, m3.scores(train_ds.X))
+    assert not np.array_equal(s1, m3.scores(train_ds.values))
 
 
 def test_random_forest_subset_size(train_ds):
     model = train_random_forest(train_ds, n_members=10, seed=0)
     assert model.params["subset_size"] == int(np.log2(train_ds.n_features)) + 1
     assert model.params["subset_size"] == 5        # floor(log2(31)) + 1
-    s = model.scores(train_ds.X)
-    assert auc(s, train_ds.y) > 0.9
+    s = model.scores(train_ds.values)
+    assert auc(s, train_ds.labels) > 0.9
 
 
 def test_rotation_forest_structure(train_ds):
@@ -825,20 +841,20 @@ def test_rotation_forest_structure(train_ds):
         for g, B in zip(member.groups, member.bases):
             assert B.shape == (len(g), len(g))
             assert np.allclose(B.T @ B, np.eye(len(g)), atol=1e-8)
-    rotated = model.members[0].rotate(train_ds.X)
-    assert np.array_equal(rotated[:, state_col], train_ds.X[:, state_col])
+    rotated = model.members[0].rotate(train_ds.values)
+    assert np.array_equal(rotated[:, state_col], train_ds.values[:, state_col])
 
 
 def test_rotation_forest_beats_chance(train_ds):
-    s = train_rotation_forest(train_ds, seed=0).scores(train_ds.X)
-    assert auc(s, train_ds.y) > 0.9
+    s = train_rotation_forest(train_ds, seed=0).scores(train_ds.values)
+    assert auc(s, train_ds.labels) > 0.9
     assert set(np.round(s * 10).astype(int)) <= set(range(11))
 
 
 def test_ensemble_row_order_invariance(train_ds):
-    perm = np.random.default_rng(7).permutation(train_ds.n)
-    s1 = train_rotation_forest(train_ds, seed=3).scores(train_ds.X)
-    s2 = train_rotation_forest(train_ds.take(perm), seed=3).scores(train_ds.X)
+    perm = np.random.default_rng(7).permutation(train_ds.n_users)
+    s1 = train_rotation_forest(train_ds, seed=3).scores(train_ds.values)
+    s2 = train_rotation_forest(train_ds.take(perm), seed=3).scores(train_ds.values)
     assert np.array_equal(s1, s2)
 
 
@@ -912,8 +928,8 @@ def test_save_load_schema_guard(tmp_path, train_ds):
     model = train("DecisionTree", train_ds, seed=0)
     path = tmp_path / "model.json"
     save_model(model, path)
-    back = load_model(path, expected_schema_hash=train_ds.schema_hash)
-    assert np.array_equal(back.scores(train_ds.X), model.scores(train_ds.X))
+    back = load_model(path, expected_schema_hash=train_ds.schema_hash())
+    assert np.array_equal(back.scores(train_ds.values), model.scores(train_ds.values))
     with pytest.raises(ValueError, match="mismatched"):
         load_model(path, expected_schema_hash="0" * 64)
 
@@ -978,5 +994,5 @@ def test_all_algorithms_roundtrip_via_dict(train_ds):
         hyper = {"n_members": 8} if algo in ("Bagging", "RandomForest") else None
         model = train(algo, train_ds, hyper, seed=2)
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
-        assert np.array_equal(predict_score(back, train_ds.X),
-                              predict_score(model, train_ds.X)), algo
+        assert np.array_equal(predict_score(back, train_ds.values),
+                              predict_score(model, train_ds.values)), algo

@@ -99,6 +99,15 @@ def test_train_subcommand(ws, tmp_path, capsys):
     assert "trained NaiveBayes" in capsys.readouterr().out
 
 
+def test_train_no_balance_uses_every_row(ws, tmp_path, capsys):
+    features = ws / "features" / "features.csv"
+    rows = len(features.read_text().splitlines()) - 1
+    assert main(["train", "--features", str(features), "--algorithm", "OneR",
+                 "--no-balance", "--out", str(tmp_path / "run")]) == 0
+    assert f"trained OneR on {rows} rows" in capsys.readouterr().out
+    assert read_manifest(tmp_path / "run")["args"]["no_balance"] is True
+
+
 def test_evaluate_subcommand(ws, tmp_path, capsys):
     rc = main(["evaluate", "--features", str(ws / "features" / "features.csv"),
                "--algorithm", "OneR", "--folds", "4",
@@ -278,6 +287,10 @@ def test_run_directory_does_not_depend_on_workers(ws, tmp_path, monkeypatch, arg
     assert runs[0] == runs[1]
 
 
+def _features(ws):
+    return ["--features", str(ws / "features" / "features.csv")]
+
+
 def _unlabelled_corpus(ws, tmp_path):
     corpus = tmp_path / "unlabelled"
     shutil.copytree(ws / "corpus", corpus)
@@ -295,8 +308,22 @@ def _unlabelled_corpus(ws, tmp_path):
      "missing transactions.csv/.jsonl"),
     (lambda ws, tmp: ["ecosystem", "--data", str(_unlabelled_corpus(ws, tmp))],
      "needs labels.txt"),
+    (lambda ws, tmp: ["precision-at-k", *_features(ws), "--repetitions", "0"],
+     "--repetitions must be at least 1, not 0"),
+    (lambda ws, tmp: ["evaluate", *_features(ws), "--folds", "1"],
+     "--folds must be at least 2, not 1"),
+    (lambda ws, tmp: ["precision-at-k", *_features(ws), "--ratios", "2,x"],
+     "invalid literal for int()"),
+    (lambda ws, tmp: ["precision-at-k", *_features(ws), "--ratios", "0,5"],
+     "--ratios must list positive integers, not '0,5'"),
+    (lambda ws, tmp: ["precision-at-k", *_features(ws), "--k-grid", "1:x"],
+     "invalid literal for int()"),
+    (lambda ws, tmp: ["precision-at-k", *_features(ws), "--k-grid", "0:5"],
+     "--k-grid must list positive integers, not '0:5'"),
 ], ids=["synth-bad-config", "synth-missing-config", "report-missing-run",
-        "features-missing-corpus", "ecosystem-missing-corpus", "ecosystem-no-labels"])
+        "features-missing-corpus", "ecosystem-missing-corpus", "ecosystem-no-labels",
+        "protocol-no-repetitions", "evaluate-one-fold", "protocol-bad-ratio",
+        "protocol-zero-ratio", "protocol-bad-k-grid", "protocol-zero-k"])
 def test_refused_input_leaves_no_run_directory(ws, tmp_path, capsys, argv, message):
     (tmp_path / "bad.json").write_text(json.dumps({"n_users": -5}))
     out = tmp_path / "run"

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import shilldetect.evaluation as evaluation
-from shilldetect.classifiers import Dataset
 from shilldetect.features import FeatureMatrix
 from shilldetect.evaluation import (
     DEFAULT_RATIOS,
@@ -56,7 +55,7 @@ def test_balanced_sample_composition(small_matrix):
     # every shill included, benign drawn without replacement
     shills = {u for u, y in zip(small_matrix.user_ids, small_matrix.labels) if y}
     assert shills <= set(ds.user_ids)
-    assert len(set(ds.user_ids)) == ds.n
+    assert len(set(ds.user_ids)) == ds.n_users
 
 
 def test_balanced_sample_deterministic(small_matrix):
@@ -67,32 +66,31 @@ def test_balanced_sample_deterministic(small_matrix):
     assert a.user_ids != c.user_ids
 
 
-def test_balanced_sample_exclusions(small_matrix):
-    base = balanced_training_sample(small_matrix, seed=0)
-    banned = base.user_ids[:3]
-    ds = balanced_training_sample(small_matrix, seed=0, exclude=banned)
-    assert not set(banned) & set(ds.user_ids)
+def _one_column(labels):
+    return FeatureMatrix([f"u{i}" for i in range(len(labels))],
+                         np.zeros((len(labels), 1)), np.array(labels, np.int8), ("f0",))
 
 
-def test_balanced_sample_error_paths(small_matrix):
-    shills = [u for u, y in zip(small_matrix.user_ids, small_matrix.labels) if y]
+def test_balanced_sample_error_paths():
     with pytest.raises(ValueError, match="no shill"):
-        balanced_training_sample(small_matrix, exclude=shills)
+        balanced_training_sample(_one_column([0, 0, 0]))
+    with pytest.raises(ValueError, match=r"benign pool \(1\) smaller than shill count \(2\)"):
+        balanced_training_sample(_one_column([1, 0, 1]))
 
 
 def test_stratified_kfold_properties(small_matrix):
     ds = balanced_training_sample(small_matrix, seed=1)
     folds = stratified_kfold(ds, k=5, seed=2)
     all_rows = np.concatenate(folds)
-    assert len(all_rows) == ds.n and len(set(all_rows.tolist())) == ds.n
-    per_class = np.array([[int((ds.y[f] == c).sum()) for c in (0, 1)]
+    assert len(all_rows) == ds.n_users and len(set(all_rows.tolist())) == ds.n_users
+    per_class = np.array([[int((ds.labels[f] == c).sum()) for c in (0, 1)]
                           for f in folds])
     assert (per_class.max(axis=0) - per_class.min(axis=0) <= 1).all()
 
 
 def test_stratified_kfold_order_invariant(small_matrix):
     ds = balanced_training_sample(small_matrix, seed=1)
-    perm = np.random.default_rng(0).permutation(ds.n)
+    perm = np.random.default_rng(0).permutation(ds.n_users)
     shuffled = ds.take(perm)
     f1 = stratified_kfold(ds, k=4, seed=9)
     f2 = stratified_kfold(shuffled, k=4, seed=9)
@@ -102,10 +100,11 @@ def test_stratified_kfold_order_invariant(small_matrix):
 
 
 def test_stratified_kfold_requires_rows():
-    ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1], np.int8),
-                 ("a", "b", "c", "d"))
+    ds = _one_column([0, 0, 1, 1])
     with pytest.raises(ValueError, match="needs"):
         stratified_kfold(ds, k=3)
+    with pytest.raises(ValueError, match="at least 2 folds, not 1"):
+        stratified_kfold(ds, k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def test_auc_extremes():
 def test_rank_users_tie_by_user_id():
     scores = np.array([0.5, 0.9, 0.5])
     uids = ("zeta", "mid", "alpha")
-    order = rank_users(scores, None, uids)
+    order = rank_users(scores, uids)
     assert [uids[i] for i in order] == ["mid", "alpha", "zeta"]
 
 
@@ -216,7 +215,7 @@ def test_cross_validate_structure(small_matrix):
     out = cross_validate("NaiveBayes", ds, k=4, seed=3)
     m = out["metrics"]
     assert set(("tp_rate", "fp_rate", "f_measure", "auc")) <= set(m)
-    assert len(out["scores"]) == ds.n
+    assert len(out["scores"]) == ds.n_users
     out2 = cross_validate("NaiveBayes", ds, k=4, seed=3)
     assert np.array_equal(out["scores"], out2["scores"])
 
@@ -299,10 +298,10 @@ def test_pooled_fold_error_reaches_the_caller(small_matrix, monkeypatch):
     first = min(ds.user_ids)
     real_train = evaluation.train
 
-    def train_but_one_fold(algorithm, dataset, *args, **kwargs):
-        if first not in dataset.user_ids:      # the fold that holds `first` out
+    def train_but_one_fold(algorithm, matrix, *args, **kwargs):
+        if first not in matrix.user_ids:       # the fold that holds `first` out
             raise ValueError(f"no row for {first}")
-        return real_train(algorithm, dataset, *args, **kwargs)
+        return real_train(algorithm, matrix, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "train", train_but_one_fold)
     _use_workers(monkeypatch, 2)
@@ -359,6 +358,11 @@ def test_imbalanced_protocol_structure(small_matrix):
         assert mean == pytest.approx(rep.curves[label])
     assert (0 <= np.array(rep.curves["1:2"])).all()
     assert (np.array(rep.curves["1:2"]) <= 1).all()
+
+
+def test_imbalanced_protocol_needs_a_repetition(small_matrix):
+    with pytest.raises(ValueError, match="at least 1 repetition, not 0"):
+        imbalanced_protocol(small_matrix, "OneR", repetitions=0)
 
 
 def test_imbalanced_protocol_deterministic(small_matrix):
@@ -481,12 +485,12 @@ def test_mdl_matches_recursive_reference(levels):
 
 def test_information_gain_matches_direct_recompute(small_matrix):
     ds = balanced_training_sample(small_matrix, seed=2)
-    y = ds.y.astype(np.int64)
+    y = ds.labels.astype(np.int64)
     checked = 0
     for f, name in enumerate(ds.feature_names):
         if name == "State-Hash":
             continue
-        x = ds.X[:, f]
+        x = ds.values[:, f]
         cuts = mdl_discretize(x, y)
         got = information_gain(x, y)
         if cuts:
@@ -501,8 +505,8 @@ def test_information_gain_matches_direct_recompute(small_matrix):
 def test_information_gain_categorical_route(small_matrix):
     ds = balanced_training_sample(small_matrix, seed=2)
     f = ds.feature_names.index("State-Hash")
-    got = information_gain(ds.X[:, f], ds.y, categorical=True)
-    want = info_gain_categorical(ds.X[:, f].tolist(), ds.y.tolist())
+    got = information_gain(ds.values[:, f], ds.labels, categorical=True)
+    want = info_gain_categorical(ds.values[:, f].tolist(), ds.labels.tolist())
     assert got == pytest.approx(want, abs=1e-12)
 
 
