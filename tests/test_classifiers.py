@@ -609,15 +609,18 @@ def _random_tree_datasets(count, seed):
     all-distinct to two values), a coarse copy of it, a categorical column,
     labels that follow the continuous column with some noise, and both
     classes. Long single-class stretches of one-row runs are common, so
-    split search meets every shape of class boundary."""
+    split search meets every shape of class boundary. Every column holds
+    negative values and zeros of both signs, which compare equal."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(4, 48))
-        x = rng.integers(0, int(rng.integers(2, 2 * n)), n) * 0.25
+        m = int(rng.integers(2, 2 * n))
+        x = (rng.integers(0, m, n) - m // 2) * 0.25
         cut = rng.choice(x)
         y = ((x > cut) ^ (rng.random(n) < rng.choice([0.0, 0.1, 0.3]))).astype(np.int8)
         y[:2] = 0, 1
-        X = np.column_stack([x, np.floor(x), rng.integers(0, 4, n).astype(float)])
+        X = np.column_stack([x, np.floor(x), rng.integers(-1, 3, n).astype(float)])
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
         yield mk_ds(X, y, categorical=2)
 
 
