@@ -126,14 +126,11 @@ class RotationForest:
         return votes / len(self.members)
 
 
-def _stratified_half_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """50% of each class, drawn with replacement, in class order."""
-    parts = []
-    for c in range(N_CLASSES):
-        rows = np.nonzero(y == c)[0]
-        if len(rows) == 0:
-            continue
-        parts.append(rng.choice(rows, size=max(1, len(rows) // 2), replace=True))
+def _stratified_half_bootstrap(class_rows: list[np.ndarray],
+                               rng: np.random.Generator) -> np.ndarray:
+    """50% of each class's rows `class_rows[c]`, drawn with replacement, sorted."""
+    parts = [rng.choice(rows, size=max(1, len(rows) // 2), replace=True)
+             for rows in class_rows if len(rows)]
     return np.sort(np.concatenate(parts))
 
 
@@ -142,6 +139,7 @@ def train_rotation_forest(matrix: FeatureMatrix, n_members: int = 10,
     require_trainable(matrix)
     ds = matrix.canonical()
     numeric = np.nonzero(~ds.categorical_mask())[0]
+    class_rows = [np.flatnonzero(ds.labels == c) for c in range(N_CLASSES)]
     members = []
     for i in range(n_members):
         rng = np.random.default_rng(seed + i)
@@ -149,7 +147,7 @@ def train_rotation_forest(matrix: FeatureMatrix, n_members: int = 10,
         groups = [perm[j:j + subset_size] for j in range(0, len(perm), subset_size)]
         bases = []
         for g in groups:
-            rows = _stratified_half_bootstrap(ds.labels, rng)
+            rows = _stratified_half_bootstrap(class_rows, rng)
             sample = ds.values[rows][:, g]
             if len(sample) < 2:
                 sample = ds.values[:, g]

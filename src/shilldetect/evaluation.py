@@ -165,8 +165,10 @@ def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
 # Independent tasks on every CPU
 
 # The learners whose CV folds and protocol repetitions `_map_in_order` runs
-# on a fork pool. KNN3 stays in process: its scoring matrix product already
-# runs on every core through BLAS, and pooled children oversubscribe them.
+# on a fork pool. KNN3 stays in process, where pooled children oversubscribed
+# OpenBLAS's threads. Its scoring does not use every core: in a 10,100-row
+# `KNN3.scores` call the BLAS product takes about 20 of 160-200 ms, the rest
+# runs on one core, and splitting the chunks over two threads was no faster.
 # OneR and NaiveBayes train in less time than the pool costs.
 POOLED_ALGORITHMS = frozenset({"DecisionTree", "Bagging", "RandomForest", "RotationForest"})
 
@@ -253,25 +255,20 @@ def cross_validate(algorithm: str, matrix: FeatureMatrix, k: int = 10, seed: int
 class ProtocolPlan:
     """Resolved sample sizes for one repetition of the protocol."""
 
-    n_shills: int
-    n_benign: int
     n_train_shills: int
     n_test_shills: int
-    ratios: tuple[int, ...]
     test_benign_per_ratio: dict[int, int]
-
-    @property
-    def max_benign_needed(self) -> int:
-        return self.n_train_shills + max(self.test_benign_per_ratio.values())
 
 
 def protocol_plan(n_shills: int, n_benign: int, ratios=DEFAULT_RATIOS) -> ProtocolPlan:
+    if not ratios:
+        raise ValueError("ratios is empty: the protocol needs at least one benign:shill ratio")
     n_train = int(n_shills * 0.9)
     n_test = n_shills - n_train
     if n_train < 1 or n_test < 1:
         raise ValueError(f"{n_shills} shills cannot be split 90%/10%")
     per_ratio = {r: r * n_test for r in ratios}
-    plan = ProtocolPlan(n_shills, n_benign, n_train, n_test, tuple(ratios), per_ratio)
+    plan = ProtocolPlan(n_train, n_test, per_ratio)
     for r in ratios:
         if n_benign < n_train + per_ratio[r]:
             raise ValueError(
@@ -320,6 +317,8 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     if k_grid is None:
         k_grid = list(range(1, 1001))
     k_grid = sorted(set(int(k) for k in k_grid))
+    if not k_grid:
+        raise ValueError("k_grid is empty: the protocol needs at least one k")
     ratios = tuple(sorted(ratios))
     shills, benign = _cohort_ids(matrix)
     plan = protocol_plan(len(shills), len(benign), ratios)

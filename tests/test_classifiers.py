@@ -644,6 +644,21 @@ def test_random_forest_matches_grow_reference_on_random_data():
             assert member.root.to_dict() == expected, (ds.values.tolist(), ds.labels.tolist())
 
 
+def test_presort_is_the_stable_argsort():
+    """The root presort orders each column by (value, row). Its columns are
+    tie-heavy, one is constant, zeros come in both signs, and 40 of the 240
+    matrices have one or two rows."""
+    rng = np.random.default_rng(8)
+    for i in range(240):
+        n = 1 if i < 20 else 2 if i < 40 else int(rng.integers(3, 600))
+        levels = int(rng.integers(1, n + 2))
+        X = (rng.integers(0, levels, (n, int(rng.integers(1, 7)))) - levels // 2) * 0.5
+        X[:, 0] = X[0, 0]
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+        expected = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        assert np.array_equal(tree._presort(np.ascontiguousarray(X.T)), expected), (i, X.shape)
+
+
 def test_split_filter_prunes(big_matrix, monkeypatch):
     # The exactness tests pass even if split search scores every run end. On
     # the standard 2,000-row sample RotationForest scores about a fifth of

@@ -338,7 +338,16 @@ def test_protocol_plan_math():
     plan = protocol_plan(100, 5000, ratios=(2, 10))
     assert plan.n_train_shills == 90 and plan.n_test_shills == 10
     assert plan.test_benign_per_ratio == {2: 20, 10: 100}
-    assert plan.max_benign_needed == 190
+
+
+def test_protocol_plan_refuses_no_ratios():
+    with pytest.raises(ValueError, match="ratios is empty"):
+        protocol_plan(100, 5000, ratios=())
+
+
+def test_imbalanced_protocol_refuses_empty_k_grid(small_matrix):
+    with pytest.raises(ValueError, match="k_grid is empty"):
+        imbalanced_protocol(small_matrix, "OneR", ratios=(2,), repetitions=1, k_grid=[])
 
 
 def test_protocol_plan_infeasible_ratio_named():
