@@ -19,7 +19,8 @@ def pca_basis(samples: np.ndarray, dimension: int | None = None) -> np.ndarray:
     samples : (n, d) array, n >= 2
     dimension : number of leading axes to keep; defaults to d (full basis).
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    # np.cov's bits depend on the memory layout; one layout gives one basis.
+    samples = np.asfortranarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("pca_basis needs at least 2 sample rows")
     d = samples.shape[1]

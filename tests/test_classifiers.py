@@ -817,6 +817,17 @@ def test_pca_needs_two_rows():
         pca_basis(np.ones((1, 3)))
 
 
+def test_pca_basis_ignores_memory_layout():
+    # np.cov gives different bits for C- and F-ordered copies of one sample,
+    # so a layout change in how a sample is cut out would change the model.
+    rng = np.random.default_rng(10)
+    wide = rng.normal(size=(900, 7))
+    sample = wide[:, 1:7:2]
+    expected = pca_basis(np.asfortranarray(sample))
+    for layout in (np.ascontiguousarray(sample), sample, wide[:, [1, 3, 5]]):
+        assert np.array_equal(pca_basis(layout), expected)
+
+
 def test_pca_dimension_truncation():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(30, 4))
