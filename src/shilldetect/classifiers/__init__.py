@@ -8,10 +8,11 @@ they were trained on; scoring a mismatched matrix is refused.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from ..features import FeatureMatrix
-from . import deepjson
 from .base import entropy, require_trainable
 from .pca import pca_basis
 from .simple import KNN3, NaiveBayes, OneR, train_knn3, train_naive_bayes, train_oner
@@ -39,7 +40,7 @@ _TRAINERS = {
 ALGORITHMS = tuple(_TRAINERS)
 
 MODEL_FORMAT = "shilldetect-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def check_hyperparameters(algorithm: str, hyperparameters: dict | None) -> dict:
@@ -202,14 +203,14 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path) -> None:
-    """Write the model's JSON and a newline; trees of any depth fit."""
+    """Write the model's JSON and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(deepjson.dumps(model_to_dict(model)) + "\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")
 
 
 def load_model(path, expected_schema_hash: str | None = None):
     with open(path, encoding="utf-8") as fh:
-        model = model_from_dict(deepjson.loads(fh.read()))
+        model = model_from_dict(json.loads(fh.read()))
     if expected_schema_hash is not None and model.schema_hash != expected_schema_hash:
         raise ValueError("refusing model with mismatched feature manifest hash")
     return model

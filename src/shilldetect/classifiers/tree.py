@@ -53,16 +53,17 @@ of `_binary_entropy` values instead of computing them per candidate. The
 table is memoized for the process: it covers the largest class counts
 grown so far, every tree shares it, and it never exceeds
 ENTROPY_TABLE_BYTES; a training set whose class counts need more scores
-without it. numpy's elementwise log2 gives the same bits wherever an
-element sits in an array, so each entry, and so each gain ratio, equals
-the direct computation to the bit.
+without it. On one machine, numpy's elementwise log2 gives the same bits
+wherever an element sits in an array, so each entry, and so each gain
+ratio, equals the direct computation to the bit. Across machines the bits
+can differ, with the SIMD code that numpy dispatches to for the CPU.
 
 Tie-breaking is fixed everywhere: candidates are ordered by feature index,
 then by threshold (categorical value), and the first maximal gain ratio
 wins, so the lower feature index wins and within a feature the lowest
-threshold wins; leaf majorities tie toward class 0. Growth, pruning,
-scoring and (de)serialization walk the tree with explicit stacks, so tree
-depth is not bounded by the recursion limit.
+threshold wins; leaf majorities tie toward class 0. Growth, pruning and
+scoring walk the tree with explicit stacks, and it is saved as flat lists
+(`Node.to_dict`), so tree depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ _entropy = np.empty((0, 0))    # the memo; empty until a tree is grown
 
 # Phi^-1(0.75): normal deviate for the CF=0.25 one-sided bound.
 Z_CF25 = 0.6744897501960817
+
+# The lists of a saved tree besides "counts", in `Node.to_dict`'s row order.
+_SPLIT_LISTS = ("feature", "threshold", "equal", "left", "right")
 
 
 @dataclass
@@ -111,32 +115,36 @@ class Node:
                 stack += (node.right, node.left)
 
     def to_dict(self) -> dict:
-        out = {"counts": self.counts.tolist()}
-        stack = [(self, out)]
-        while stack:
-            node, d = stack.pop()
-            if not node.is_leaf:
-                left = {"counts": node.left.counts.tolist()}
-                right = {"counts": node.right.counts.tolist()}
-                d.update(feature=node.feature, threshold=node.threshold,
-                         equal=node.equal, left=left, right=right)
-                stack += ((node.left, left), (node.right, right))
+        """The subtree as parallel lists in pre-order, children by position;
+        a leaf has feature, left and right -1, threshold 0.0 and equal false."""
+        nodes = list(self.walk())
+        index = {id(node): i for i, node in enumerate(nodes)}
+        rows = [(-1, 0.0, False, -1, -1) if node.is_leaf else
+                (node.feature, node.threshold, node.equal,
+                 index[id(node.left)], index[id(node.right)]) for node in nodes]
+        out = dict(zip(_SPLIT_LISTS, map(list, zip(*rows))))
+        out["counts"] = [node.counts.tolist() for node in nodes]
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
-        root = cls(np.array(d["counts"], dtype=np.int64))
-        stack = [(root, d)]
-        while stack:
-            node, d = stack.pop()
-            if "feature" in d:
-                node.feature = d["feature"]
-                node.threshold = d["threshold"]
-                node.equal = d["equal"]
-                node.left = cls(np.array(d["left"]["counts"], dtype=np.int64))
-                node.right = cls(np.array(d["right"]["counts"], dtype=np.int64))
-                stack += ((node.left, d["left"]), (node.right, d["right"]))
-        return root
+        """The tree `to_dict` wrote. ValueError if the lists differ in length
+        or an inner node's child does not come after it in the lists, so a
+        loaded tree has no cycle."""
+        n = len(d["counts"])
+        if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
+            raise ValueError("tree lists must be non-empty and of one length")
+        nodes = [cls(np.array(c, dtype=np.int64)) for c in d["counts"]]
+        splits = zip(*(d[key] for key in _SPLIT_LISTS))
+        for i, (node, (feature, threshold, equal, left, right)) in enumerate(zip(nodes, splits)):
+            if feature < 0:
+                continue
+            if not (i < left < n and i < right < n):
+                raise ValueError(f"tree node {i} has children {left} and {right}; "
+                                 f"each must lie in ({i}, {n})")
+            node.feature, node.threshold, node.equal = feature, threshold, equal
+            node.left, node.right = nodes[left], nodes[right]
+        return nodes[0]
 
 
 def _binary_entropy(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -197,7 +205,7 @@ def _evaluate_partition(nl, pos_l, counts, min_leaf, table):
     neg - nl + pos_l], at the node's corner pos * w + neg minus that index.
     `table` is None when the tree's class counts would need a table of more
     than ENTROPY_TABLE_BYTES (16 MiB, about 1,450 rows of each class); the
-    entropies are then computed directly, to the same bits.
+    entropies are then computed directly, to the same bits on one machine.
 
     Scores `_CHUNK` splits at a time: whole-node temporaries run to MBs,
     and freeing that much at every node lets the allocator hand the memory
@@ -207,8 +215,8 @@ def _evaluate_partition(nl, pos_l, counts, min_leaf, table):
     """
     neg, pos = int(counts[0]), int(counts[1])
     n = neg + pos
-    # entropy(counts), to the bit, without its array temporaries; a node
-    # that is searched holds both classes
+    # entropy(counts), to the bit on one machine, without its array
+    # temporaries; a node that is searched holds both classes
     parent_h = -(neg / n * float(np.log2(neg / n)) + pos / n * float(np.log2(pos / n)))
     sizes = np.arange(n + 1)                  # every left size a node can have
     pl = sizes / n

@@ -284,7 +284,8 @@ def _added_errors(n: float, e: float) -> float:
 
 def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
                         subset_size=None) -> dict:
-    """The gain-ratio tree as a nested ``Node.to_dict()`` dict, grown naively.
+    """The gain-ratio tree as nested dicts, grown naively (`flat_tree` gives
+    the lists of ``Node.to_dict()``).
 
     Each node sorts every candidate column of its own rows with Python's
     stable ``sorted``. Numeric columns split at the midpoint of each pair of
@@ -375,6 +376,30 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
     if prune:
         pruned_error(root)
     return root
+
+
+def flat_tree(nested: dict) -> dict:
+    """`grow_tree_reference`'s nested tree as the parallel pre-order lists
+    ``Node.to_dict()`` writes: a leaf has feature, left and right -1,
+    threshold 0.0 and equal false; an inner node's left and right are its
+    children's positions in the lists."""
+    flat = {key: [] for key in ("feature", "threshold", "equal", "left", "right", "counts")}
+
+    def add(node):
+        i, leaf = len(flat["counts"]), "feature" not in node
+        flat["counts"].append(node["counts"])
+        flat["feature"].append(-1 if leaf else node["feature"])
+        flat["threshold"].append(0.0 if leaf else node["threshold"])
+        flat["equal"].append(False if leaf else node["equal"])
+        flat["left"].append(-1)
+        flat["right"].append(-1)
+        if not leaf:
+            flat["left"][i] = add(node["left"])
+            flat["right"][i] = add(node["right"])
+        return i
+
+    add(nested)
+    return flat
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from shilldetect.classifiers import (
     save_model,
     train,
 )
-from shilldetect.classifiers import deepjson
 from shilldetect.classifiers.ensembles import (
     train_bagging,
     train_random_forest,
@@ -39,7 +38,7 @@ from shilldetect.features import FeatureMatrix
 import shilldetect.classifiers.simple as simple
 import shilldetect.classifiers.tree as tree
 
-from oracles import grow_tree_reference, jacobi_eigh, knn_scores_reference
+from oracles import flat_tree, grow_tree_reference, jacobi_eigh, knn_scores_reference
 
 
 def mk_ds(X, y, categorical=None):
@@ -534,10 +533,11 @@ def test_split_between_huge_values(sign):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     model = json.loads(proc.stdout)
-    assert model["threshold"] == sign * (1.2e308 / 2 + 1.5e308 / 2)
-    assert model["left"]["counts"] != [0, 0] and model["right"]["counts"] != [0, 0]
-    assert model == grow_tree_reference(np.array(x)[:, None], [0, 0, 1, 1], set(),
-                                        min_leaf=1, prune=False)
+    assert model["threshold"][0] == sign * (1.2e308 / 2 + 1.5e308 / 2)
+    counts = model["counts"]
+    assert counts[model["left"][0]] != [0, 0] and counts[model["right"][0]] != [0, 0]
+    assert model == flat_tree(grow_tree_reference(np.array(x)[:, None], [0, 0, 1, 1], set(),
+                                                  min_leaf=1, prune=False))
 
 
 def test_split_between_adjacent_floats():
@@ -551,8 +551,8 @@ def test_split_between_adjacent_floats():
     assert model.root.threshold == a
     assert model.root.left.counts.tolist() == [1, 0]
     assert model.root.right.counts.tolist() == [0, 1]
-    assert model.root.to_dict() == grow_tree_reference(ds.values, ds.labels, (),
-                                                       min_leaf=1, prune=False)
+    assert model.root.to_dict() == flat_tree(grow_tree_reference(ds.values, ds.labels, (),
+                                                                 min_leaf=1, prune=False))
 
 
 def _tie_heavy_tree_data():
@@ -589,7 +589,7 @@ def test_tree_matches_grow_reference(tree_ds, min_leaf, prune):
     model = train_decision_tree(tree_ds, min_leaf=min_leaf, prune=prune)
     expected = grow_tree_reference(tree_ds.values, tree_ds.labels, _categorical_columns(tree_ds),
                                    min_leaf=min_leaf, prune=prune)
-    assert model.root.to_dict() == expected
+    assert model.root.to_dict() == flat_tree(expected)
 
 
 def test_random_forest_matches_grow_reference(tree_ds):
@@ -601,7 +601,7 @@ def test_random_forest_matches_grow_reference(tree_ds):
         expected = grow_tree_reference(boot.values, boot.labels, _categorical_columns(tree_ds),
                                        min_leaf=1, prune=False, rng=rng,
                                        subset_size=subset)
-        assert member.root.to_dict() == expected
+        assert member.root.to_dict() == flat_tree(expected)
 
 
 def _random_tree_datasets(count, seed):
@@ -630,7 +630,8 @@ def test_tree_matches_grow_reference_on_random_data():
         min_leaf, prune = int(rng.integers(1, 6)), bool(rng.integers(0, 2))
         model = train_decision_tree(ds, min_leaf=min_leaf, prune=prune)
         expected = grow_tree_reference(ds.values, ds.labels, {2}, min_leaf=min_leaf, prune=prune)
-        assert model.root.to_dict() == expected, (ds.values.tolist(), ds.labels.tolist(), min_leaf)
+        assert model.root.to_dict() == flat_tree(expected), (
+            ds.values.tolist(), ds.labels.tolist(), min_leaf)
 
 
 def test_random_forest_matches_grow_reference_on_random_data():
@@ -641,7 +642,8 @@ def test_random_forest_matches_grow_reference_on_random_data():
             boot = ds.take(rng.integers(0, ds.n_users, ds.n_users))
             expected = grow_tree_reference(boot.values, boot.labels, {2}, min_leaf=1, prune=False,
                                            rng=rng, subset_size=2)
-            assert member.root.to_dict() == expected, (ds.values.tolist(), ds.labels.tolist())
+            assert member.root.to_dict() == flat_tree(expected), (
+                ds.values.tolist(), ds.labels.tolist())
 
 
 def test_presort_is_the_stable_argsort():
@@ -727,7 +729,7 @@ def test_trees_same_with_and_without_entropy_table(tree_ds, monkeypatch):
             expected = grow_tree_reference(tree_ds.values, tree_ds.labels,
                                            _categorical_columns(tree_ds),
                                            min_leaf=min_leaf, prune=prune)
-            assert without_table[min_leaf, prune] == expected
+            assert without_table[min_leaf, prune] == flat_tree(expected)
     assert without_table == with_table
 
 
@@ -963,33 +965,30 @@ def test_save_load_schema_guard(tmp_path, train_ds):
         load_model(path, expected_schema_hash="0" * 64)
 
 
-def test_deep_json_fallback_matches_json_module():
-    doc = {"s": "q\"b\\s\n\u00e9\u2603", "i": [0, -3, 2 ** 70],
-           "f": [0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf")],
-           "c": [True, False, None], "e": {}, "l": [], "t": (1, 2),
-           "n": {"k": [{"x": [[]]}, {}]}}
-    text = json.dumps(doc)
-    assert deepjson._dumps(doc) == text
-    assert deepjson._loads(text) == json.loads(text)
-    spaced = ' { "a" : [ 1 , 2.5e3 , -0 ] ,\n"b" : -Infinity, "c": NaN } '
-    back = deepjson._loads(spaced)
-    assert back["a"] == [1, 2500.0, 0] and back["b"] == float("-inf")
-    assert back["c"] != back["c"] and deepjson._dumps(back["c"]) == "NaN"
-    for bad in ("[1,]", '{"a" 1}', "[1] x", "{1: 2}", "", "[1 2]"):
-        with pytest.raises(json.JSONDecodeError):
-            deepjson._loads(bad)
-    with pytest.raises(TypeError):
-        deepjson._dumps({1: 2})
-    # Nesting far past the recursion limit round-trips through the fallback.
-    depth, deep = 3 * sys.getrecursionlimit(), []
-    for _ in range(depth):
-        deep = [deep, 1]
-    text = deepjson.dumps(deep)
-    assert text == "[" * depth + "[]" + ", 1]" * depth
-    back, levels = deepjson.loads(text), 0
-    while back:
-        back, levels = back[0], levels + 1
-    assert levels == depth
+# Each edit replaces one field of a saved DecisionTree, in its header or its
+# tree lists. The tree's five nodes are, in pre-order, 0 -> (1, 4) and 1 -> (2, 3).
+@pytest.mark.parametrize("edit, message", [
+    ({"format_version": 1}, "unsupported model format version 1"),
+    ({"threshold": [2.5, 0.5, 0.0, 0.0]},
+     "tree lists must be non-empty and of one length"),
+    ({"left": [1, 0, -1, -1, -1]},
+     "tree node 1 has children 0 and 3; each must lie in (1, 5)"),
+    ({"right": [4, 1, -1, -1, -1]},
+     "tree node 1 has children 2 and 1; each must lie in (1, 5)"),
+    ({"right": [5, 3, -1, -1, -1]},
+     "tree node 0 has children 1 and 5; each must lie in (0, 5)"),
+], ids=["version-1", "unequal-lengths", "child-before-parent", "child-is-parent",
+        "child-past-end"])
+def test_model_from_dict_refuses(edit, message):
+    y = [1, 0, 0, 1, 1, 1]
+    d = model_to_dict(train_decision_tree(mk_ds(np.arange(6.0), y), min_leaf=1, prune=False))
+    root = d["tree"]["root"]
+    assert root["left"] == [1, 2, -1, -1, -1] and root["right"] == [4, 3, -1, -1, -1]
+    for key, value in edit.items():
+        (root if key in root else d)[key] = value
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(d)
+    assert str(exc.value) == message
 
 
 def test_predict_score_checks_matrix_schema(small_matrix, train_ds):

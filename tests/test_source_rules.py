@@ -166,3 +166,20 @@ def test_csv_is_read_in_records_and_written_by_no_csv_writer():
                       if (name == "csv" and path.name != "records.py")
                       or name in ("csv.writer", "csv.DictWriter")]
     assert found == []
+
+
+def test_recursion_error_is_caught_only_in_records():
+    # A JSONL row can nest past the recursion limit, so records.py catches
+    # RecursionError. Nothing else should: saved models nest to a fixed
+    # depth, and other deep structures are walked with explicit stacks.
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "records.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and any(isinstance(name, ast.Name) and name.id == "RecursionError"
+                          for name in ast.walk(node.type))]
+    assert found == []
