@@ -128,9 +128,9 @@ class Node:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
-        """The tree `to_dict` wrote. ValueError if the lists differ in length
-        or an inner node's child does not come after it in the lists, so a
-        loaded tree has no cycle."""
+        """The tree `to_dict` wrote. ValueError if the lists are empty or differ
+        in length, or an inner node's child does not come after it in the
+        lists, so a loaded tree has no cycle."""
         n = len(d["counts"])
         if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
             raise ValueError("tree lists must be non-empty and of one length")

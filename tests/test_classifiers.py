@@ -971,13 +971,15 @@ def test_save_load_schema_guard(tmp_path, train_ds):
     ({"format_version": 1}, "unsupported model format version 1"),
     ({"threshold": [2.5, 0.5, 0.0, 0.0]},
      "tree lists must be non-empty and of one length"),
+    (dict.fromkeys(["feature", "threshold", "equal", "left", "right", "counts"], []),
+     "tree lists must be non-empty and of one length"),
     ({"left": [1, 0, -1, -1, -1]},
      "tree node 1 has children 0 and 3; each must lie in (1, 5)"),
     ({"right": [4, 1, -1, -1, -1]},
      "tree node 1 has children 2 and 1; each must lie in (1, 5)"),
     ({"right": [5, 3, -1, -1, -1]},
      "tree node 0 has children 1 and 5; each must lie in (0, 5)"),
-], ids=["version-1", "unequal-lengths", "child-before-parent", "child-is-parent",
+], ids=["version-1", "unequal-lengths", "empty", "child-before-parent", "child-is-parent",
         "child-past-end"])
 def test_model_from_dict_refuses(edit, message):
     y = [1, 0, 0, 1, 1, 1]
