@@ -246,3 +246,62 @@ def test_edgelist_and_graphml_outputs():
     text = xml.getvalue()
     assert text.startswith("<?xml") and "graphml" in text
     assert '"a"' in text or ">a<" in text or 'id="a"' in text
+
+
+# ---------------------------------------------------------------------------
+# id order and unknown ids, parse to features
+
+_ODD_IDS = ["z", "zz", "\u00e9", "e\u0301", "\u03a9", "\U0001F600",
+            "m" * 70, "\u00e9" * 40, 'say "hi"']
+
+
+def _csv_text(header, rows) -> bytes:
+    import csv
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue().encode()
+
+
+def _as_text(ids) -> list[str]:
+    return [u.decode() if isinstance(u, bytes) else u for u in list(ids)]
+
+
+def test_non_ascii_ids_keep_python_order_from_parse_to_features():
+    # UTF-8 byte order is code-point order, and the parsers refuse NUL in
+    # ids, so ids held as bytes sort as Python sorts the str. The ids
+    # differ in length and in their first non-ASCII byte. The two longest
+    # are past the bytes columns' width, so their rows take the row path,
+    # in plain CSV (transactions, profiles) and in quoted CSV (feedback,
+    # which the id holding a quote makes quoted).
+    from shilldetect.features import extract_all
+    from shilldetect.records import parse_feedback, parse_profiles, parse_transactions
+
+    ids = _ODD_IDS
+    ts = "2011-01-01T00:00:00Z"
+    tx = [(ids[i], ids[i + 1], "p", 1, "1.00", ts) for i in range(6)]
+    fb = [(ids[i], ids[(i + 3) % len(ids)], 1, ts) for i in range(3, len(ids))]
+    pr = [(ids[4], 1970, "Ohio", "2010-01-01"), (ids[7], "", "", "2010-01-01")]
+    transactions = parse_transactions(io.BytesIO(_csv_text(
+        ["buyer_id", "seller_id", "product_id", "quantity", "unit_price", "timestamp"], tx)))
+    feedback = parse_feedback(io.BytesIO(_csv_text(
+        ["giver_id", "receiver_id", "rating", "timestamp"], fb)))
+    profiles = parse_profiles(io.BytesIO(_csv_text(
+        ["user_id", "birth_year", "state", "registration_date"], pr)))
+    assert not (transactions.errors or feedback.errors or profiles.errors)
+    tg, fg = build_graphs(transactions.records, feedback.records, profiles.records)
+
+    assert _as_text(tg.users.ids) == sorted(ids)
+    matrix = extract_all(tg.users.ids, tg, fg, profiles.records)
+    assert matrix.user_ids == sorted(ids)
+    buys = matrix.column("Buy-Trans-Num")
+    assert [matrix.user_ids[i] for i in np.flatnonzero(buys)] == sorted(ids[:6])
+
+    with pytest.raises(KeyError) as exc:
+        tg.users.positions(["z", "nobody", "\u00e9x"])
+    assert exc.value.args == ("unknown user id 'nobody'",)
+    with pytest.raises(KeyError) as exc:
+        extract_all(["z", "\u00e9x", "zz", "q"], tg, fg)
+    assert exc.value.args == ("2 ids not in the graphs, e.g. ['\u00e9x', 'q']",)
+    with pytest.raises(KeyError) as exc:
+        project_feedback_graph(fg, ["z", "\u00e9x", "q", "q"])
+    assert exc.value.args == ("2 subset ids not in graph, e.g. ['q', '\u00e9x']",)
