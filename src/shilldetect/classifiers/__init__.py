@@ -187,9 +187,12 @@ def model_from_dict(d: dict):
                     params=params)
     if algo == "DecisionTree":
         t = d["tree"]
-        return DecisionTree(Node.from_dict(t["root"]),
-                            np.array(t["categorical_mask"], bool), schema_hash,
-                            seed, params=params)
+        root, mask = Node.from_dict(t["root"]), np.array(t["categorical_mask"], bool)
+        for i, feature in enumerate(t["root"]["feature"]):
+            if type(feature) is not int or feature >= len(mask):
+                raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
+                                 f"has {len(mask)} features")
+        return DecisionTree(root, mask, schema_hash, seed, params=params)
     if algo in ("Bagging", "RandomForest"):
         members = [model_from_dict(m) for m in d["members"]]
         return TreeEnsemble(members, algo, schema_hash, seed, params=params)

@@ -129,11 +129,19 @@ class Node:
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
         """The tree `to_dict` wrote. ValueError if the lists are empty or differ
-        in length, or an inner node's child does not come after it in the
-        lists, so a loaded tree has no cycle."""
+        in length, an inner node's child does not come after it in the lists
+        (so a loaded tree has no cycle), a node's counts are not two
+        non-negative ints with a positive sum, or an `equal` is not a bool."""
         n = len(d["counts"])
         if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
             raise ValueError("tree lists must be non-empty and of one length")
+        for i, (counts, equal) in enumerate(zip(d["counts"], d["equal"])):
+            if not (isinstance(counts, list) and len(counts) == N_CLASSES
+                    and all(type(c) is int and c >= 0 for c in counts) and sum(counts) > 0):
+                raise ValueError(f"tree node {i} has counts {counts!r}; they must be "
+                                 f"{N_CLASSES} non-negative ints with a positive sum")
+            if type(equal) is not bool:
+                raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
         nodes = [cls(np.array(c, dtype=np.int64)) for c in d["counts"]]
         splits = zip(*(d[key] for key in _SPLIT_LISTS))
         for i, (node, (feature, threshold, equal, left, right)) in enumerate(zip(nodes, splits)):
@@ -471,9 +479,8 @@ class DecisionTree:
         stack = [(self.root, np.arange(len(X)))]
         while stack:
             node, idx = stack.pop()
-            if node.is_leaf:
-                total = node.counts.sum()
-                out[idx] = node.counts[1] / total if total else 0.0
+            if node.is_leaf:    # counts have a positive sum (see from_dict)
+                out[idx] = node.counts[1] / node.counts.sum()
                 continue
             col = X[idx, node.feature]
             go_left = (col == node.threshold) if node.equal else (col <= node.threshold)

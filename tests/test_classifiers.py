@@ -21,6 +21,7 @@ from shilldetect.classifiers import (
     train,
 )
 from shilldetect.classifiers.ensembles import (
+    TreeEnsemble,
     train_bagging,
     train_random_forest,
     train_rotation_forest,
@@ -990,6 +991,40 @@ def test_model_from_dict_refuses(edit, message):
         (root if key in root else d)[key] = value
     with pytest.raises(ValueError) as exc:
         model_from_dict(d)
+    assert str(exc.value) == message
+
+
+_COUNTS_RULE = "they must be 2 non-negative ints with a positive sum"
+
+
+# Each edit sets one node's entry in one list of the same saved tree. Were
+# they loaded, counts [] would score its rows 0.0, counts [-5, 3] would score
+# -1.5, and feature 40 would fail only at scoring, with an IndexError.
+@pytest.mark.parametrize("key, node, value, message", [
+    ("counts", 4, [], f"tree node 4 has counts []; {_COUNTS_RULE}"),
+    ("counts", 4, [-5, 3], f"tree node 4 has counts [-5, 3]; {_COUNTS_RULE}"),
+    ("counts", 2, [0, 0], f"tree node 2 has counts [0, 0]; {_COUNTS_RULE}"),
+    ("counts", 3, [1.0, 2], f"tree node 3 has counts [1.0, 2]; {_COUNTS_RULE}"),
+    ("counts", 3, [1, 2, 3], f"tree node 3 has counts [1, 2, 3]; {_COUNTS_RULE}"),
+    ("feature", 0, 40, "tree node 0 splits on feature 40; the model has 1 features"),
+    ("feature", 1, 1, "tree node 1 splits on feature 1; the model has 1 features"),
+    ("feature", 1, 0.0, "tree node 1 splits on feature 0.0; the model has 1 features"),
+    ("equal", 1, 1, "tree node 1 has equal 1; it must be true or false"),
+    ("equal", 4, None, "tree node 4 has equal None; it must be true or false"),
+])
+def test_model_from_dict_refuses_bad_values(key, node, value, message):
+    y = [1, 0, 0, 1, 1, 1]
+    tree = train_decision_tree(mk_ds(np.arange(6.0), y), min_leaf=1, prune=False)
+    d = model_to_dict(tree)
+    d["tree"]["root"][key][node] = value
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(d)
+    assert str(exc.value) == message
+    # the same tree inside an ensemble
+    ensemble = model_to_dict(TreeEnsemble([tree], "Bagging"))
+    ensemble["members"][0]["tree"]["root"][key][node] = value
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(ensemble)
     assert str(exc.value) == message
 
 
