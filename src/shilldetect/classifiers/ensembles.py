@@ -20,16 +20,6 @@ from .pca import pca_basis
 from .tree import DecisionTree, Node, train_decision_tree
 
 
-def _majority_leaf(matrix: FeatureMatrix, seed: int, params: dict) -> DecisionTree:
-    # Degenerate bootstrap (one class): a constant tree, not an error.
-    return DecisionTree(Node(matrix.class_counts()), matrix.categorical_mask(),
-                        matrix.schema_hash(), seed, params=params)
-
-
-def _bootstrap(matrix: FeatureMatrix, rng: np.random.Generator) -> FeatureMatrix:
-    return matrix.take(rng.integers(0, matrix.n_users, matrix.n_users))
-
-
 @dataclass
 class TreeEnsemble:
     """Bagged trees; the score is the fraction of members voting shill."""
@@ -47,42 +37,35 @@ class TreeEnsemble:
         return votes / len(self.members)
 
 
-def train_bagging(matrix: FeatureMatrix, n_members: int = 100, seed: int = 0) -> TreeEnsemble:
+def _bagged_trees(matrix: FeatureMatrix, n_members: int, seed: int, algorithm: str,
+                  params: dict, **tree_params) -> TreeEnsemble:
+    """`n_members` trees, each grown with `tree_params` on its own bootstrap."""
     require_trainable(matrix)
     ds = matrix.canonical()
-    tree_params = {"min_leaf": 2, "prune": True, "subset_size": None}
     members = []
     for i in range(n_members):
         rng = np.random.default_rng(seed + i)
-        boot = _bootstrap(ds, rng)
-        if boot.class_counts().min() == 0:
-            members.append(_majority_leaf(boot, seed + i, tree_params))
+        boot = ds.take(rng.integers(0, ds.n_users, ds.n_users))
+        if boot.class_counts().min() == 0:    # one class: a constant tree, not an error
+            members.append(DecisionTree(Node(boot.class_counts()), boot.categorical_mask(),
+                                        boot.schema_hash(), seed + i, params=tree_params))
         else:
-            members.append(train_decision_tree(boot, min_leaf=2, prune=True,
-                                               seed=seed + i, rng=rng,
-                                               canonicalize=False))
-    return TreeEnsemble(members, "Bagging", ds.schema_hash(), seed,
-                        params={"n_members": n_members})
+            members.append(train_decision_tree(boot, seed=seed + i, rng=rng,
+                                               canonicalize=False, **tree_params))
+    return TreeEnsemble(members, algorithm, ds.schema_hash(), seed, params=params)
+
+
+def train_bagging(matrix: FeatureMatrix, n_members: int = 100, seed: int = 0) -> TreeEnsemble:
+    return _bagged_trees(matrix, n_members, seed, "Bagging", {"n_members": n_members},
+                         min_leaf=2, prune=True, subset_size=None)
 
 
 def train_random_forest(matrix: FeatureMatrix, n_members: int = 100,
                         seed: int = 0) -> TreeEnsemble:
-    require_trainable(matrix)
-    ds = matrix.canonical()
-    subset = int(math.log2(ds.n_features)) + 1
-    tree_params = {"min_leaf": 1, "prune": False, "subset_size": subset}
-    members = []
-    for i in range(n_members):
-        rng = np.random.default_rng(seed + i)
-        boot = _bootstrap(ds, rng)
-        if boot.class_counts().min() == 0:
-            members.append(_majority_leaf(boot, seed + i, tree_params))
-        else:
-            members.append(train_decision_tree(boot, min_leaf=1, prune=False,
-                                               subset_size=subset, seed=seed + i,
-                                               rng=rng, canonicalize=False))
-    return TreeEnsemble(members, "RandomForest", ds.schema_hash(), seed,
-                        params={"n_members": n_members, "subset_size": subset})
+    subset = int(math.log2(matrix.n_features)) + 1
+    return _bagged_trees(matrix, n_members, seed, "RandomForest",
+                         {"n_members": n_members, "subset_size": subset},
+                         min_leaf=1, prune=False, subset_size=subset)
 
 
 # ---------------------------------------------------------------------------
