@@ -443,14 +443,8 @@ def mdl_discretize(values: np.ndarray, labels: np.ndarray) -> list[float]:
     return sorted((x[c - 1] + x[c]) / 2.0 for c in cut_positions)
 
 
-def equal_frequency_cuts(values: np.ndarray, bins: int = 10) -> list[float]:
-    qs = np.quantile(values, np.linspace(0, 1, bins + 1)[1:-1])
-    return sorted(set(float(q) for q in qs))
-
-
 def information_gain(values: np.ndarray, labels: np.ndarray,
-                     categorical: bool = False,
-                     equal_frequency_fallback: bool = False) -> float:
+                     categorical: bool = False) -> float:
     """IG in bits: H(label) - H(label | binned feature)."""
     labels = np.asarray(labels, np.int64)
     h_label = entropy(np.bincount(labels, minlength=2))
@@ -458,8 +452,6 @@ def information_gain(values: np.ndarray, labels: np.ndarray,
         _, bin_idx = np.unique(values, return_inverse=True)
     else:
         cuts = mdl_discretize(np.asarray(values, np.float64), labels)
-        if not cuts and equal_frequency_fallback:
-            cuts = equal_frequency_cuts(np.asarray(values, np.float64))
         if not cuts:
             return 0.0
         bin_idx = np.searchsorted(np.array(cuts), values, side="left")
@@ -471,14 +463,12 @@ def information_gain(values: np.ndarray, labels: np.ndarray,
     return max(h_label - cond, 0.0)
 
 
-def information_gain_ranking(matrix: FeatureMatrix,
-                             equal_frequency_fallback: bool = False) -> list[tuple[str, float]]:
+def information_gain_ranking(matrix: FeatureMatrix) -> list[tuple[str, float]]:
     """(feature, IG) sorted by IG descending; ties keep feature order."""
     cat_mask = matrix.categorical_mask()
     scored = []
     for f, name in enumerate(matrix.feature_names):
-        ig = information_gain(matrix.values[:, f], matrix.labels, bool(cat_mask[f]),
-                              equal_frequency_fallback)
+        ig = information_gain(matrix.values[:, f], matrix.labels, bool(cat_mask[f]))
         scored.append((name, ig))
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
     return [scored[i] for i in order]

@@ -18,7 +18,6 @@ from shilldetect.evaluation import (
     balanced_training_sample,
     confusion_metrics,
     cross_validate,
-    equal_frequency_cuts,
     imbalanced_protocol,
     information_gain,
     information_gain_ranking,
@@ -517,17 +516,6 @@ def test_information_gain_categorical_route(small_matrix):
     got = information_gain(ds.values[:, f], ds.labels, categorical=True)
     want = info_gain_categorical(ds.values[:, f].tolist(), ds.labels.tolist())
     assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_equal_frequency_fallback():
-    rng = np.random.default_rng(3)
-    x = rng.random(200)
-    y = rng.integers(0, 2, 200)
-    cuts = equal_frequency_cuts(x, bins=10)
-    assert len(cuts) == 9
-    ig = information_gain(x, y, equal_frequency_fallback=True)
-    assert ig == pytest.approx(info_gain_with_cuts(x.tolist(), y.tolist(), cuts),
-                               abs=1e-9)
 
 
 def test_information_gain_ranking_order(small_matrix):
