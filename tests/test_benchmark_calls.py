@@ -1,0 +1,45 @@
+"""Smoke test of the benchmark's calls into the program.
+
+`perfbench/worker.py` drives shilldetect as the benchmark does. With
+`--trace` its tracer first looks up every function it wraps, so renaming
+any of them (`tg.users.ids`, `extract_all`, `KNN3.scores`,
+`precision_at_k`, ...) fails here. One traced set-up and one traced round
+of the `protocol` workload run in fresh interpreters, and the benchmark's
+own `checks.check_round` then checks the round's outputs.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SEED = 1
+
+
+def _worker(mode: str, out: Path, *extra: str) -> subprocess.CompletedProcess:
+    argv = [sys.executable, str(PERFBENCH / "worker.py"), mode, "--root", str(ROOT),
+            "--workload", "protocol", "--seed", str(SEED), "--dir", str(out), "--trace", *extra]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+
+def _checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_protocol_workload_runs_traced(tmp_path):
+    inputs, out = tmp_path / "setup", tmp_path / "run"
+    setup = _worker("setup", inputs)
+    assert setup.returncode == 0, setup.stderr
+    run = _worker("run", out, "--inputs", str(inputs), "--rounds", "1")
+    assert run.returncode == 0, run.stderr
+    rounds = json.loads((out / "result.json").read_text(encoding="utf-8"))["rounds"]
+    assert [(r["ops"], r["codes"]) for r in rounds] == [(["precision-at-k"], [0])]
+    found = _checks().check_round("protocol", Path(rounds[0]["dir"]), SEED,
+                                  inputs / "features.csv")
+    assert found == {"precision-at-k": []}
