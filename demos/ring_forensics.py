@@ -19,6 +19,7 @@ from shilldetect.ecosystem import (
     write_dot,
 )
 from shilldetect.graphs import build_graphs, project_feedback_graph
+from shilldetect.records import decode_ids
 from shilldetect.synth import MarketConfig, generate
 
 
@@ -34,7 +35,7 @@ def main():
     _, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
 
     shills = sorted(corpus.labels.shill_ids)
-    benign_pool = sorted(set(fg.users.ids) - corpus.labels.shill_ids)
+    benign_pool = sorted(set(decode_ids(fg.users.ids)) - corpus.labels.shill_ids)
     rng = np.random.default_rng(args.seed)
     benign = sorted(benign_pool[i] for i in
                     rng.choice(len(benign_pool), size=len(shills), replace=False))

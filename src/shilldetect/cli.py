@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .records import (
     ParseError,
+    encode_ids,
     load_label_list,
     parse_feedback,
     parse_profiles,
@@ -320,14 +321,14 @@ def _cmd_ecosystem(args) -> None:
     if labels is None:
         raise CliError("ecosystem comparison needs labels.txt in the data directory")
     _, fg = build_graphs(transactions, feedback, profiles)
-    shill_cohort = sorted(labels.shill_ids & set(fg.users.ids))
-    if not shill_cohort:
+    shill = np.isin(fg.users.ids, encode_ids(labels.shill_ids))
+    shill_cohort, benign_ids = fg.users.ids[shill], fg.users.ids[~shill]
+    if not len(shill_cohort):
         raise CliError("no labeled shill users appear in the corpus")
-    benign_ids = sorted(set(fg.users.ids) - labels.shill_ids)
     rng = np.random.default_rng(args.seed)
     sample = rng.choice(len(benign_ids), size=min(len(shill_cohort), len(benign_ids)),
                         replace=False)
-    benign_cohort = sorted(benign_ids[i] for i in sample)
+    benign_cohort = np.sort(benign_ids[sample])
 
     out = _prepare_out(args.out)
     results = {}

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import decode_ids
 from .graphs import (
     FeedbackMultigraph,
+    UserIndex,
     WeightedFeedbackGraph,
     bidirectional_link_count,
     connected_components,
@@ -148,10 +150,10 @@ def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph,
     endpoints in the cohort (self-feedback included there, though the
     projection drops it). Pass precomputed `cliques` to avoid re-enumeration.
     """
-    cohort = sorted(set(cohort))
-    if not cohort:
+    cohort = UserIndex(cohort).ids
+    if not len(cohort):
         raise ValueError("cohort is empty")
-    if graph.node_ids != cohort:
+    if graph.node_ids != decode_ids(cohort):
         raise ValueError("graph was not projected over this cohort")
     member = np.zeros(feedback.n_vertices, bool)
     member[feedback.users.positions(cohort)] = True

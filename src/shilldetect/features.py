@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import LabelSet, ProfileTable, crc32_state, csv_bytes, gather, text_pool, write_bytes
-from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts, sorted_contains
+from .records import (LabelSet, ProfileTable, crc32_state, csv_bytes, decode_ids, encode_ids,
+                      gather, sorted_find, text_pool, write_bytes)
+from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts
 
 TRANSACTION_FEATURES = (
     "Buy-Trans-Num", "Sell-Trans-Num", "Unique-Sellers", "Unique-Buyers",
@@ -136,7 +137,7 @@ def _pair_stats(src: np.ndarray, dst: np.ndarray, n: int):
     out_unique = np.bincount(u_src, minlength=n)
     in_unique = np.bincount(u_dst, minlength=n)
     # A key's reverse is present exactly when the key is among the reverses.
-    mutual = sorted_contains(keys, u_dst * n + u_src)
+    mutual = sorted_find(keys, u_dst * n + u_src)[1]
     bidir = np.bincount(u_src[mutual], minlength=n)
     return out_unique, in_unique, bidir
 
@@ -257,28 +258,26 @@ def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable | None) 
 def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
                 profiles: ProfileTable | None = None,
                 labels: LabelSet | None = None) -> FeatureMatrix:
-    """Feature matrix for `users`, in the given order.
+    """Feature matrix for `users` (str ids or a bytes array), in the given order.
 
     Both graphs must share one vertex index (build them with build_graphs,
     which also takes in every profiled user). Unknown ids raise KeyError
     listing the offenders.
     """
-    if tg.users is not fg.users and tg.users.ids != fg.users.ids:
+    if tg.users is not fg.users and not np.array_equal(tg.users.ids, fg.users.ids):
         raise ValueError("transaction and feedback graphs must share a vertex set")
-    users = list(users)
-    unknown = [u for u in users if u not in tg.users]
-    if unknown:
-        raise KeyError(f"{len(unknown)} ids not in the graphs, e.g. {unknown[:5]}")
+    users = encode_ids(users)
+    idx, found = sorted_find(tg.users.ids, users)
+    if not found.all():
+        raise KeyError(f"{np.count_nonzero(~found)} ids not in the graphs, "
+                       f"e.g. {decode_ids(users[~found][:5])}")
     full = np.hstack([
         _transaction_block_all(tg),
         _feedback_block_all(fg),
         _detail_block_all(tg, profiles),
     ])
-    idx = tg.users.positions(users)
-    label_set = labels.shill_ids if labels is not None else frozenset()
-    y = np.fromiter((1 if u in label_set else 0 for u in users),
-                    dtype=np.int8, count=len(users))
-    return FeatureMatrix(users, full[idx], y)
+    y = np.isin(users, encode_ids(labels.shill_ids if labels else [])).astype(np.int8)
+    return FeatureMatrix(decode_ids(users), full[idx], y)
 
 
 def cohort_feature_ratios(matrix: FeatureMatrix) -> dict[str, dict[str, float]]:
@@ -409,10 +408,9 @@ def _read_feature_lines(lines) -> FeatureMatrix:
     if len(set(ids)) != len(ids):
         first_line: dict[str, int] = {}
         for line_no, user in enumerate(ids, start=2):
-            if user in first_line:
+            if first_line.setdefault(user, line_no) != line_no:
                 raise ValueError(f"feature CSV line {line_no}: user {user!r} is "
                                  f"already on line {first_line[user]}")
-            first_line[user] = line_no
     values = np.array(rows, np.float64) if rows else np.zeros((0, len(FEATURE_NAMES)))
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):

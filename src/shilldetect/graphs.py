@@ -5,8 +5,9 @@ transaction graph (links buyer -> seller, one per transaction) and the
 feedback graph (links giver -> receiver, one per rating). Each is a set of
 parallel numpy edge arrays (one entry per link) over a shared dense vertex
 index, so per-vertex aggregates over million-link graphs are single
-bincount or ufunc.at passes. Building them gathers each table's id codes
-into vertex positions; no row is visited one at a time. A weighted
+bincount or ufunc.at passes. Building them finds each table's distinct ids
+among the sorted vertex ids by binary search and gathers the id codes into
+vertex positions; no row is visited one at a time. A weighted
 simple-graph projection of the feedback multigraph over a user subset
 supports the ecosystem statistics.
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import FeedbackTable, ProfileTable, TransactionTable
+from .records import (FeedbackTable, ProfileTable, TransactionTable, decode_ids, encode_ids,
+                      sorted_find)
 
 
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -27,35 +29,24 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def sorted_contains(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Whether each value occurs in `sorted_keys` (ascending); what `np.isin`
-    gives, by binary search rather than hashing."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(values), bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
-    return sorted_keys[pos] == values
-
-
 class UserIndex:
-    """Bidirectional user_id <-> dense position map, sorted by id."""
+    """Dense vertex positions of user ids, from str ids or bytes arrays: ids
+    holds each distinct id once as UTF-8 bytes (numpy `S`), sorted."""
 
-    __slots__ = ("ids", "_pos")
+    __slots__ = ("ids",)
 
     def __init__(self, ids):
-        self.ids: list[str] = sorted(set(ids))
-        self._pos = {u: i for i, u in enumerate(self.ids)}
-
-    def position(self, user_id: str) -> int:
-        return self._pos[user_id]
+        # A stable sort merges the sorted arrays a graph is built from in linear time.
+        ids = np.sort(encode_ids(ids), kind="stable")
+        self.ids: np.ndarray = ids[run_starts(ids)]
 
     def positions(self, user_ids) -> np.ndarray:
-        try:
-            return np.fromiter((self._pos[u] for u in user_ids), dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError(f"unknown user id {exc.args[0]!r}") from None
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._pos
+        """The position of each id; KeyError names the first unknown one."""
+        keys = encode_ids(user_ids)
+        pos, found = sorted_find(self.ids, keys)
+        if not found.all():
+            raise KeyError(f"unknown user id {keys[np.argmin(found)].decode()!r}")
+        return pos
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -103,42 +94,23 @@ class FeedbackMultigraph:
         return len(self.giver)
 
 
-def _in_use(ids: list[str], codes) -> tuple[np.ndarray, list[str]]:
-    """The codes into `ids` that some row uses, and their ids."""
-    used = np.zeros(len(ids), bool)
-    for c in codes:
-        used[c] = True
-    used = np.flatnonzero(used)
-    return used, [ids[i] for i in used.tolist()]
+def _in_use(ids: np.ndarray, *codes: np.ndarray) -> np.ndarray:
+    """The ids of `ids` that some code array uses."""
+    return ids[np.bincount(np.concatenate(codes), minlength=len(ids)) > 0]
 
 
-def _vertices(users: UserIndex, ids: list[str], codes) -> list[np.ndarray]:
+def _vertices(users: UserIndex, ids: np.ndarray, *codes: np.ndarray) -> list[np.ndarray]:
     """Each code array into `ids`, gathered into vertex positions."""
-    position = np.array([users._pos.get(u, -1) for u in ids], np.int64)
-    gathered = [position[c] for c in codes]
-    for c, p in zip(codes, gathered):
-        if len(p) and p.min() < 0:
-            raise KeyError(f"unknown user id {ids[c[np.argmin(p)]]!r}")
-    return gathered
+    pos, found = sorted_find(users.ids, ids)
+    for c in codes:
+        if not found[c].all():
+            raise KeyError(f"unknown user id {ids[c[np.argmin(found[c])]].decode()!r}")
+    return [pos[c] for c in codes]
 
 
-def build_transaction_graph(table: TransactionTable,
-                            users: UserIndex | None = None) -> TransactionMultigraph:
-    """Vertices = all ids the table uses (or `users`); one link per transaction."""
-    codes = (table.buyer, table.seller)
-    if users is None:
-        users = UserIndex(_in_use(table.user_ids, codes)[1])
-    buyer, seller = _vertices(users, table.user_ids, codes)
-    return TransactionMultigraph(users, buyer, seller, table.quantity, table.price_cents,
-                                 table.ts)
-
-
-def build_feedback_graph(table: FeedbackTable,
-                         users: UserIndex | None = None) -> FeedbackMultigraph:
-    codes = (table.giver, table.receiver)
-    if users is None:
-        users = UserIndex(_in_use(table.user_ids, codes)[1])
-    giver, receiver = _vertices(users, table.user_ids, codes)
+def build_feedback_graph(table: FeedbackTable, users: UserIndex) -> FeedbackMultigraph:
+    """The feedback multigraph over `users`, which must hold every id a row uses."""
+    giver, receiver = _vertices(users, table.user_ids, table.giver, table.receiver)
     return FeedbackMultigraph(users, giver, receiver, table.rating)
 
 
@@ -146,11 +118,13 @@ def build_graphs(transactions: TransactionTable, feedback: FeedbackTable,
                  profiles: ProfileTable | None = None):
     """Both multigraphs over one shared vertex set: every id the tables use,
     plus every profiled user."""
-    users = UserIndex([*_in_use(transactions.user_ids,
-                                (transactions.buyer, transactions.seller))[1],
-                       *_in_use(feedback.user_ids, (feedback.giver, feedback.receiver))[1],
-                       *(profiles.user_ids if profiles is not None else ())])
-    return (build_transaction_graph(transactions, users),
+    t = transactions
+    users = UserIndex(np.concatenate([
+        _in_use(t.user_ids, t.buyer, t.seller),
+        _in_use(feedback.user_ids, feedback.giver, feedback.receiver),
+        *([profiles.user_ids] if profiles is not None else [])]))
+    buyer, seller = _vertices(users, t.user_ids, t.buyer, t.seller)
+    return (TransactionMultigraph(users, buyer, seller, t.quantity, t.price_cents, t.ts),
             build_feedback_graph(feedback, users))
 
 
@@ -198,13 +172,14 @@ def project_feedback_graph(graph: FeedbackMultigraph, subset,
     """Collapse parallel feedback links within `subset` into weighted links."""
     if weight_mode not in ("count", "rating_sum"):
         raise ValueError(f"weight_mode must be 'count' or 'rating_sum', got {weight_mode!r}")
-    node_ids = sorted(set(subset))
-    missing = [u for u in node_ids if u not in graph.users]
-    if missing:
-        raise KeyError(f"{len(missing)} subset ids not in graph, e.g. {missing[:5]}")
-    n_full = graph.n_vertices
-    remap = np.full(n_full, -1, dtype=np.int64)
-    remap[graph.users.positions(node_ids)] = np.arange(len(node_ids), dtype=np.int64)
+    subset = UserIndex(subset).ids
+    pos, found = sorted_find(graph.users.ids, subset)
+    if not found.all():
+        raise KeyError(f"{np.count_nonzero(~found)} subset ids not in graph, "
+                       f"e.g. {decode_ids(subset[~found][:5])}")
+    node_ids = decode_ids(subset)
+    remap = np.full(graph.n_vertices, -1, dtype=np.int64)
+    remap[pos] = np.arange(len(node_ids), dtype=np.int64)
 
     g = remap[graph.giver]
     r = remap[graph.receiver]
@@ -312,7 +287,7 @@ def bidirectional_link_count(graph: WeightedFeedbackGraph) -> int:
     k = max(graph.n_vertices, 1)
     keys = np.sort(graph.src * k + graph.dst)
     reverse = graph.dst * k + graph.src
-    return int(np.count_nonzero(sorted_contains(keys, reverse)))
+    return int(np.count_nonzero(sorted_find(keys, reverse)[1]))
 
 
 # ---------------------------------------------------------------------------

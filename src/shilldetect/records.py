@@ -2,9 +2,11 @@
 
 Three input corpora (transactions, feedback, user profiles) plus a
 ground-truth shill list. Each corpus is a columnar table: int64 numpy
-columns, with ids and state texts held as codes into per-table lists, so
-synth, the writers, the parsers, `build_graphs` and the features pass
-whole columns and no per-row objects. Prices are exact integer cents so
+columns, with ids held as codes into a per-table array of their UTF-8
+(numpy `S`) and state texts as codes into a list, so no layer holds
+per-row objects. UTF-8 byte order is code-point order and no id holds a
+NUL, so a sorted `S` array holds ids in Python's sorted() order of their
+text. Prices are exact integer cents so
 that large aggregation sums stay associative; they become floats only when
 features are emitted. Timestamps are int epoch seconds and registration
 dates int epoch days, UTC. A birth year of 0 means the profile has none.
@@ -15,10 +17,10 @@ NULs, and width - 1 commas then a newline on every line) is read as bytes:
 one pass over its commas and newlines finds every field, and each column
 is gathered from the body with one index per field. Quoted CSV and JSONL
 are read row by row, and their values are encoded into the same columns.
-Ids are coded by sorting: each id is packed into uint64 words, a sort
-groups equal ids, and the smallest row of each group is the id's first
-occurrence, so codes follow first occurrence, buyer column before seller.
-Each distinct id is checked once, on its end bytes, and decoded once.
+Ids are coded by sorting: each id is packed into big-endian uint64 words,
+whose sort is the bytes' order, so an id's code is its place among the
+table's distinct ids, sorted. Each distinct id is checked once, on its
+end bytes, and none is decoded.
 Quantities, prices, ratings, birth years, canonical `YYYY-MM-DDTHH:MM:SSZ`
 timestamps and canonical `YYYY-MM-DD` dates are read from the columns'
 bytes. All three files take one path: a row that a column check cannot
@@ -82,15 +84,16 @@ def _epoch(ts) -> int:
 class TransactionTable:
     """The transaction corpus, one entry per transaction in each column.
 
-    buyer/seller are codes into user_ids, product codes into product_ids;
-    an id list may hold ids that no row uses. price_cents is the unit
-    price and ts the epoch second, UTC.
+    user_ids and product_ids hold distinct ids as UTF-8 bytes (numpy `S`),
+    sorted when parsed; buyer/seller are codes into user_ids, product codes
+    into product_ids, and an id array may hold ids that no row uses.
+    price_cents is the unit price and ts the epoch second, UTC.
     """
 
-    user_ids: list[str]
+    user_ids: np.ndarray
     buyer: np.ndarray
     seller: np.ndarray
-    product_ids: list[str]
+    product_ids: np.ndarray
     product: np.ndarray
     quantity: np.ndarray
     price_cents: np.ndarray
@@ -102,9 +105,9 @@ class TransactionTable:
 
 @dataclass(frozen=True, eq=False)
 class FeedbackTable:
-    """The feedback corpus: giver/receiver codes into user_ids, rating, ts."""
+    """The feedback corpus: giver/receiver codes into user_ids (as in TransactionTable), rating, ts."""
 
-    user_ids: list[str]
+    user_ids: np.ndarray
     giver: np.ndarray
     receiver: np.ndarray
     rating: np.ndarray
@@ -118,12 +121,13 @@ class FeedbackTable:
 class ProfileTable:
     """The profile corpus, one entry per user in each column.
 
-    user_ids holds one id per row. birth_year is 0 for a user without one;
-    state holds codes into states, which may hold texts that no row uses;
-    registration_day counts days since 1970-01-01, UTC.
+    user_ids holds one id per row, as UTF-8 bytes (numpy `S`). birth_year is
+    0 for a user without one; state holds codes into states, which may hold
+    texts that no row uses; registration_day counts days since 1970-01-01,
+    UTC.
     """
 
-    user_ids: list[str]
+    user_ids: np.ndarray
     birth_year: np.ndarray
     states: list[str]
     state: np.ndarray
@@ -198,7 +202,7 @@ def parse_price_cents(text: str) -> int:
 
 
 def _valid_id(text: str) -> bool:
-    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
+    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r\0")
 
 
 def _read_bytes(stream) -> bytes:
@@ -219,6 +223,32 @@ def _read_bytes(stream) -> bytes:
 def _text(data: bytes) -> str:
     # the bytes were checked strictly on reading
     return data.decode("utf-8")
+
+
+def encode_ids(ids) -> np.ndarray:
+    """The UTF-8 of str ids as one bytes array (numpy `S`), strictly, or an
+    `S` array as it is. `S` drops final NULs, so a NUL in an id is refused."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
+        return ids
+    ids = list(ids)
+    if "\0" in "".join(ids):
+        raise ValueError("a user id holds a NUL")
+    return np.array(list(map(str.encode, ids)), "S")
+
+
+def decode_ids(ids: np.ndarray) -> list[str]:
+    """The text of each id in a bytes array; the inverse of encode_ids."""
+    return list(map(bytes.decode, ids.tolist()))
+
+
+def sorted_find(sorted_keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found): where each value is in `sorted_keys` (ascending),
+    if it is there. `found` is what `np.isin` gives, by binary search rather
+    than hashing."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(values), np.int64), np.zeros(len(values), bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == values
 
 
 def _lone_surrogate(value) -> bool:
@@ -432,32 +462,28 @@ def _matrix(col: np.ndarray) -> np.ndarray:
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(code of each value, row of each code's first occurrence), codes
-    numbered in order of first occurrence.
+    """(code of each value, the distinct values), codes numbered in the
+    values' sorted order.
 
-    The values are packed into uint64 words and sorted; equal values form
-    a run, and the smallest row of a run is where its value first occurs.
+    The values are packed into big-endian uint64 words, whose order is the
+    bytes' order, and sorted; equal values form a run.
     """
     n = len(values)
     if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return np.zeros(0, np.int64), values
     width = values.dtype.itemsize
     packed = np.zeros((n, -(-width // 8) * 8), np.uint8)
     packed[:, :width] = _matrix(values)
-    words = packed.view(np.uint64)
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    words = packed.view(">u8")
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
     words = words[order]
     new = np.empty(n, bool)
     new[0] = True
     np.any(words[1:] != words[:-1], axis=1, out=new[1:])
     del words
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_first = np.argsort(first)
-    code = np.empty(len(first), np.int64)
-    code[by_first] = np.arange(len(first))
     codes = np.empty(n, np.int64)
-    codes[order] = code[np.cumsum(new) - 1]
-    return codes, first[by_first]
+    codes[order] = np.cumsum(new) - 1
+    return codes, values[order[new]]
 
 
 # Bytes that str.strip() removes from an ASCII end, and bytes no id holds.
@@ -465,17 +491,15 @@ _STRIPPED = np.array([*b"\t\n\v\f\r\x1c\x1d\x1e\x1f "], np.uint8)
 _NOT_IN_ID = np.array([*b",\n\r"], np.uint8)
 
 
-def _code_ids(*columns: np.ndarray) -> tuple[list[np.ndarray], dict[str, int]]:
+def _code_ids(*columns: np.ndarray) -> tuple[list[np.ndarray], tuple[np.ndarray, dict]]:
     """Codes of the valid ids in bytes columns sharing one id table, and
-    that table; _BAD for an invalid id.
+    that table: the distinct valid ids, sorted, and a dict of the ids only
+    the row function finds, coded past them as met; _BAD for an invalid id.
 
-    Codes follow first occurrence, the first column before the next. Each
-    distinct id is checked once, on its first and last bytes; only an id
-    with a non-ASCII end is checked by _valid_id.
+    Each distinct id is checked once, on its first and last bytes; only an
+    id with a non-ASCII end is checked by _valid_id.
     """
-    values = np.concatenate(columns)
-    codes, first = _distinct(values)
-    distinct = values[first]
+    codes, distinct = _distinct(np.concatenate(columns))
     raw = _matrix(distinct)
     size = np.count_nonzero(raw, axis=1)
     head, tail = raw[:, 0], raw[np.arange(len(raw)), np.maximum(size - 1, 0)]
@@ -484,10 +508,7 @@ def _code_ids(*columns: np.ndarray) -> tuple[list[np.ndarray], dict[str, int]]:
     for i in np.flatnonzero(valid & ((head >= 0x80) | (tail >= 0x80))).tolist():
         valid[i] = _valid_id(_text(distinct[i]))
     code = np.where(valid, np.cumsum(valid) - 1, _BAD)
-    # No valid id holds a newline, so one decode splits into the ids.
-    ids = _text(b"\n".join(distinct[valid].tolist())).split("\n") if valid.any() else []
-    return (np.split(code[codes], np.cumsum([len(c) for c in columns[:-1]])),
-            dict(zip(ids, range(len(distinct)))))
+    return np.split(code[codes], np.cumsum([len(c) for c in columns[:-1]])), (distinct[valid], {})
 
 
 # 10 ** k for k = 0..18: an int64 holds every value of at most 18 digits.
@@ -592,6 +613,21 @@ def _feedback(giver, receiver, rating, timestamp) -> tuple:
     return giver, receiver, rating, _epoch(ts)
 
 
+def _id_code(table: tuple[np.ndarray, dict], user_id: str) -> int:
+    ids, added = table
+    pos, found = sorted_find(ids, encode_ids([user_id]))
+    return int(pos[0]) if found[0] else added.setdefault(user_id, len(ids) + len(added))
+
+
+def _sorted_ids(table: tuple[np.ndarray, dict], *codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ids of an id table sorted, and the code arrays recoded to match."""
+    ids, added = table
+    if not added:
+        return ids, *codes
+    ids, rank = np.unique(np.concatenate([ids, encode_ids(added)]), return_inverse=True)
+    return ids, *(rank[c] for c in codes)
+
+
 def _row_path(lines, row, out, tables, make, errors) -> np.ndarray:
     """Settle the rows a fast check left as _BAD with `make`; the rows kept.
 
@@ -602,7 +638,7 @@ def _row_path(lines, row, out, tables, make, errors) -> np.ndarray:
     for i in np.flatnonzero(~keep).tolist():
         try:
             for column, table, value in zip(out, tables, make(*row(i))):
-                column[i] = value if table is None else table.setdefault(value, len(table))
+                column[i] = value if table is None else _id_code(table, value)
         except (ValueError, TypeError, OverflowError) as exc:
             errors.append(RowError(lines[i], str(exc)))
         else:
@@ -620,7 +656,7 @@ def _transaction_table(lines, cols, odd, row, errors) -> TransactionTable:
     keep = _row_path(lines, row, out, (users, users, products, None, None, None),
                      _transaction, errors)
     b, s, p, q, c, t = (column[keep] for column in out)
-    return TransactionTable(list(users), b, s, list(products), p, q, c, t)
+    return TransactionTable(*_sorted_ids(users, b, s), *_sorted_ids(products, p), q, c, t)
 
 
 def _feedback_table(lines, cols, odd, row, errors) -> FeedbackTable:
@@ -630,7 +666,7 @@ def _feedback_table(lines, cols, odd, row, errors) -> FeedbackTable:
     out = [g, r, rating, _epoch_seconds(timestamp)]
     keep = _row_path(lines, row, out, (users, users, None, None), _feedback, errors)
     g, r, v, t = (column[keep] for column in out)
-    return FeedbackTable(list(users), g, r, v, t)
+    return FeedbackTable(*_sorted_ids(users, g, r), v, t)
 
 
 def _parse(stream, fmt: str, columns: tuple[str, ...], build, what: str,
@@ -677,15 +713,15 @@ def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
     year[odd] = _BAD
     seconds = _epoch_seconds(np.char.add(registration, b"T00:00:00Z"))
     day = np.where(seconds == _BAD, _BAD, seconds // 86_400)
-    state_codes, first = _distinct(state)
-    states = {_text(s): k for k, s in enumerate(state[first].tolist())}
+    state_codes, distinct = _distinct(state)
+    states = {_text(s): k for k, s in enumerate(distinct.tolist())}
     # owner[code] is the row holding the id, n while none does. The first
     # row of an id to pass every column check holds it, and the id's later
     # rows go to the row function, which finds it held. A row that the row
     # function accepts ahead of the holder takes the id from it.
     fast = np.flatnonzero((u != _BAD) & (year != _BAD) & (day != _BAD))
     fast_claims = fast[np.unique(u[fast], return_index=True)[1]]
-    owner = np.full(len(users) + n, n)
+    owner = np.full(len(users[0]) + n, n)
     owner[u[fast_claims]] = fast_claims
     u[np.setdiff1d(fast, fast_claims, assume_unique=True)] = _BAD
     taken: list[int] = []
@@ -694,7 +730,7 @@ def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
         user_id = str(user_id)
         if not _valid_id(user_id):
             raise ValueError("empty or malformed identifier")
-        code = users.setdefault(user_id, len(users))
+        code = _id_code(users, user_id)
         if owner[code] < i:
             raise ValueError(f"duplicate user_id {user_id!r}")
         birth_year = 0 if birth_raw in ("", None) else _integer("birth_year", birth_raw)
@@ -708,13 +744,12 @@ def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
 
     out = [u, year, state_codes, day]
     keep = _row_path(lines, lambda i: (i, *row(i)), out, (None,) * 4, profile, errors)
-    ids = list(users)
+    ids = np.concatenate([users[0], encode_ids(users[1])])
     for i in taken:
         keep[i] = False
-        errors.append(RowError(lines[i], f"duplicate user_id {ids[u[i]]!r}"))
+        errors.append(RowError(lines[i], f"duplicate user_id {_text(ids[u[i]])!r}"))
     u, year, state_codes, day = (column[keep] for column in out)
-    return ProfileTable(list(map(ids.__getitem__, u.tolist())), year, list(states),
-                        state_codes, day)
+    return ProfileTable(ids[u], year, list(states), state_codes, day)
 
 
 def parse_profiles(stream, fmt: str = "csv",
@@ -878,9 +913,11 @@ def _strings(cell, values: np.ndarray) -> list[str]:
 
 
 def _write_table(stream, fmt: str, header: tuple[str, ...], columns: list) -> None:
-    """Write a corpus table. Each column is (texts, codes), a text column,
-    or (cell, values) with cell(values) its bytes; _decimal and _birth_year
-    columns are numbers in jsonl, the rest strings."""
+    """Write a corpus table. Each column is (texts, codes), a text column of
+    a list or an id array, or (cell, values) with cell(values) its bytes;
+    _decimal and _birth_year columns are numbers in jsonl, the rest strings."""
+    decoded = {id(c): decode_ids(c) for c, _ in columns if isinstance(c, np.ndarray)}
+    columns = [(decoded.get(id(c), c), v) for c, v in columns]
     if fmt == "csv":
         pools = {id(texts): text_pool(list(map(_csv_field, texts)) if _quoted("".join(texts))
                                       else texts)

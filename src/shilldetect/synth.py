@@ -37,6 +37,8 @@ from .records import (
     LabelSet,
     ProfileTable,
     TransactionTable,
+    decode_ids,
+    encode_ids,
     write_feedback,
     write_labels,
     write_profiles,
@@ -205,7 +207,7 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
         seed = config.seed
     rng = np.random.default_rng(seed)
     n = config.n_users
-    ids = [f"u{i:06d}" for i in range(n)]
+    ids = encode_ids([f"u{i:06d}" for i in range(n)])
     n_shills = round(n * config.shill_fraction)
 
     # --- cohort assignment and rings ------------------------------------
@@ -365,12 +367,12 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
     # --- assemble, sorted by time for realistic logs -------------------------
     t_order = np.lexsort((seller, buyer, ts))
     transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
-                                    [f"p{i:06d}" for i in range(n_products)],
+                                    encode_ids([f"p{i:06d}" for i in range(n_products)]),
                                     prod[t_order], qty[t_order], price[t_order], ts[t_order])
     f_order = np.lexsort((recv, giver, fts))
     feedback = FeedbackTable(ids, giver[f_order], recv[f_order], rating[f_order], fts[f_order])
-    labels = LabelSet(frozenset(ids[i] for i in shill_pos))
-    ring_ids = [[ids[v] for v in ring] for ring in rings]
+    labels = LabelSet(frozenset(decode_ids(ids[shill_pos])))
+    ring_ids = [decode_ids(ids[ring]) for ring in rings]
     manifest = {
         "generator_version": GENERATOR_VERSION,
         "seed": int(seed),

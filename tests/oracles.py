@@ -16,7 +16,8 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
-from shilldetect.records import FeedbackTable, ProfileTable, TransactionTable
+from shilldetect.records import (FeedbackTable, ProfileTable, TransactionTable, decode_ids,
+                                 encode_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +490,18 @@ class Profile:
 def rows(table) -> list:
     """The rows of a transaction, feedback or profile table, in order."""
     if isinstance(table, TransactionTable):
-        ids, products = table.user_ids, table.product_ids
+        ids, products = decode_ids(table.user_ids), decode_ids(table.product_ids)
         return [Transaction(ids[b], ids[s], products[p], q, c, _EPOCH + timedelta(seconds=t))
                 for b, s, p, q, c, t in zip(table.buyer.tolist(), table.seller.tolist(),
                                             table.product.tolist(), table.quantity.tolist(),
                                             table.price_cents.tolist(), table.ts.tolist())]
     if isinstance(table, FeedbackTable):
-        ids = table.user_ids
+        ids = decode_ids(table.user_ids)
         return [Feedback(ids[g], ids[r], v, _EPOCH + timedelta(seconds=t))
                 for g, r, v, t in zip(table.giver.tolist(), table.receiver.tolist(),
                                       table.rating.tolist(), table.ts.tolist())]
     return [Profile(u, y, table.states[s], _EPOCH.date() + timedelta(days=d))
-            for u, y, s, d in zip(table.user_ids, table.birth_year.tolist(),
+            for u, y, s, d in zip(decode_ids(table.user_ids), table.birth_year.tolist(),
                                   table.state.tolist(), table.registration_day.tolist())]
 
 
@@ -520,7 +521,7 @@ def transaction_table(records) -> TransactionTable:
     buyer = _codes([r.buyer_id for r in records], users)
     seller = _codes([r.seller_id for r in records], users)
     product = _codes([r.product_id for r in records], products)
-    return TransactionTable(list(users), buyer, seller, list(products), product,
+    return TransactionTable(encode_ids(users), buyer, seller, encode_ids(products), product,
                             np.array([r.quantity for r in records], np.int64),
                             np.array([r.unit_price_cents for r in records], np.int64),
                             np.array([_seconds(r.timestamp) for r in records], np.int64))
@@ -531,7 +532,7 @@ def feedback_table(records) -> FeedbackTable:
     users: dict[str, int] = {}
     giver = _codes([r.giver_id for r in records], users)
     receiver = _codes([r.receiver_id for r in records], users)
-    return FeedbackTable(list(users), giver, receiver,
+    return FeedbackTable(encode_ids(users), giver, receiver,
                          np.array([r.rating for r in records], np.int64),
                          np.array([_seconds(r.timestamp) for r in records], np.int64))
 
@@ -540,7 +541,7 @@ def profile_table(records) -> ProfileTable:
     records = list(records)
     states: dict[str, int] = {}
     state = _codes([p.state_text for p in records], states)
-    return ProfileTable([p.user_id for p in records],
+    return ProfileTable(encode_ids([p.user_id for p in records]),
                         np.array([p.birth_year for p in records], np.int64), list(states), state,
                         np.array([(p.registration_date - _EPOCH.date()).days for p in records],
                                  np.int64))
@@ -676,7 +677,7 @@ def read_feature_csv_reference(stream):
 
 
 def _reference_valid_id(text: str) -> bool:
-    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r")
+    return bool(text) and text == text.strip() and not any(c in text for c in ",\n\r\0")
 
 
 def _reference_rows(text: str, fmt: str, columns):
@@ -826,14 +827,14 @@ def _corpus_rows(table) -> tuple[tuple[str, ...], list[tuple]]:
     from shilldetect.records import FEEDBACK_COLUMNS, PROFILE_COLUMNS, TRANSACTION_COLUMNS
 
     if isinstance(table, TransactionTable):
-        ids, products = table.user_ids, table.product_ids
+        ids, products = decode_ids(table.user_ids), decode_ids(table.product_ids)
         return TRANSACTION_COLUMNS, [
             (ids[b], ids[s], products[p], q, format_price(c), t)
             for b, s, p, q, c, t in zip(table.buyer.tolist(), table.seller.tolist(),
                                         table.product.tolist(), table.quantity.tolist(),
                                         table.price_cents.tolist(), format_rfc3339(table.ts))]
     if isinstance(table, FeedbackTable):
-        ids = table.user_ids
+        ids = decode_ids(table.user_ids)
         return FEEDBACK_COLUMNS, [
             (ids[g], ids[r], v, t)
             for g, r, v, t in zip(table.giver.tolist(), table.receiver.tolist(),
@@ -841,8 +842,8 @@ def _corpus_rows(table) -> tuple[tuple[str, ...], list[tuple]]:
     days = np.datetime_as_string(table.registration_day.astype("datetime64[D]")).tolist()
     return PROFILE_COLUMNS, [
         (u, y or "", table.states[s], d)
-        for u, y, s, d in zip(table.user_ids, table.birth_year.tolist(), table.state.tolist(),
-                              days)]
+        for u, y, s, d in zip(decode_ids(table.user_ids), table.birth_year.tolist(),
+                              table.state.tolist(), days)]
 
 
 def write_corpus_reference(table, fmt: str) -> str:

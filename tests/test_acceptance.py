@@ -33,6 +33,7 @@ from shilldetect.graphs import (
     graph_density,
     project_feedback_graph,
 )
+from shilldetect.records import decode_ids
 from shilldetect.synth import MarketConfig, generate
 
 from oracles import (
@@ -245,7 +246,7 @@ def test_criterion_08_ecosystem_contrast(criterion, big_corpus, big_graphs):
     c = big_corpus
     _, fg = big_graphs
     shills = sorted(c.labels.shill_ids)
-    benign_ids = sorted(set(fg.users.ids) - c.labels.shill_ids)
+    benign_ids = sorted(set(decode_ids(fg.users.ids)) - c.labels.shill_ids)
     rng = np.random.default_rng(0)
     pick = rng.choice(len(benign_ids), size=len(shills), replace=False)
     benign = sorted(benign_ids[i] for i in pick)

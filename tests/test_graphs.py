@@ -10,14 +10,13 @@ from shilldetect.graphs import (
     bidirectional_link_count,
     build_feedback_graph,
     build_graphs,
-    build_transaction_graph,
     connected_components,
     graph_density,
     project_feedback_graph,
     write_edgelist_csv,
     write_graphml,
 )
-from shilldetect.records import FeedbackTable
+from shilldetect.records import FeedbackTable, decode_ids, encode_ids
 
 from oracles import Feedback, components_flood_fill, density_reference, feedback_table
 
@@ -33,23 +32,25 @@ def _fb(giver, recv, rating=1, ts="2011-01-01T00:00:00Z"):
 
 def test_user_index_sorted_and_positions(tiny_graphs):
     idx = tiny_graphs[0].users
-    assert list(idx.ids) == sorted(idx.ids)
-    assert "eve" in idx.ids          # profiled but inactive users are vertices
-    for i, uid in enumerate(idx.ids):
-        assert idx.position(uid) == i
-    with pytest.raises(KeyError):
-        idx.position("nobody")
+    ids = decode_ids(idx.ids)
+    assert ids == sorted(ids)
+    assert "eve" in ids              # profiled but inactive users are vertices
+    assert idx.positions(ids).tolist() == list(range(len(ids)))
+    assert idx.positions(idx.ids).tolist() == list(range(len(ids)))
+    with pytest.raises(KeyError, match="unknown user id 'nobody'"):
+        idx.positions(["alice", "nobody"])
 
 
 def test_transaction_graph_slices(tiny_graphs):
     tg, _ = tiny_graphs
-    a = tg.users.position("alice")
+    ids = decode_ids(tg.users.ids)
+    a = ids.index("alice")
     out = np.flatnonzero(tg.buyer == a)
     assert len(out) == 2                       # alice buys from bob and carol
-    sellers = sorted(tg.users.ids[tg.seller[e]] for e in out)
+    sellers = sorted(ids[tg.seller[e]] for e in out)
     assert sellers == ["bob", "carol"]
     inn = np.flatnonzero(tg.seller == a)
-    assert [tg.users.ids[tg.buyer[e]] for e in inn] == ["bob"]
+    assert [ids[tg.buyer[e]] for e in inn] == ["bob"]
     # amounts are quantity * unit price, in cents
     amounts = sorted(int(tg.amount_cents()[e]) for e in out)
     assert amounts == [99, 300]
@@ -64,7 +65,7 @@ def test_multigraph_keeps_parallel_links():
 
 def test_graph_vertices_must_cover_the_ids_rows_use():
     # "x" is in the table's id list but no row uses it, so the index may lack it
-    table = FeedbackTable(["a", "x", "b"], np.array([0, 2]), np.array([2, 0]),
+    table = FeedbackTable(encode_ids(["a", "x", "b"]), np.array([0, 2]), np.array([2, 0]),
                           np.array([1, -1]), np.array([0, 0]))
     g = build_feedback_graph(table, UserIndex(("a", "b")))
     assert g.giver.tolist() == [0, 1] and g.receiver.tolist() == [1, 0]
@@ -74,7 +75,7 @@ def test_graph_vertices_must_cover_the_ids_rows_use():
 
 def test_self_loop_kept_in_multigraph(tiny_graphs):
     tg, _ = tiny_graphs
-    d = tg.users.position("dave")
+    d = decode_ids(tg.users.ids).index("dave")
     assert np.count_nonzero(tg.buyer == d) == 1 and np.count_nonzero(tg.seller == d) == 1
     assert np.count_nonzero((tg.buyer == d) & (tg.seller == d)) == 1
 
@@ -253,6 +254,9 @@ def test_edgelist_and_graphml_outputs():
 
 _ODD_IDS = ["z", "zz", "\u00e9", "e\u0301", "\u03a9", "\U0001F600",
             "m" * 70, "\u00e9" * 40, 'say "hi"']
+# Ids alike in their first 8 bytes, so that their order is set by the
+# second uint64 word the parsers sort them by.
+_WORD_IDS = ["abcdefgh9", "abcdefgh", "abcdefgh\u00e9", "abcdefgh10"]
 
 
 def _csv_text(header, rows) -> bytes:
@@ -262,24 +266,23 @@ def _csv_text(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def _as_text(ids) -> list[str]:
-    return [u.decode() if isinstance(u, bytes) else u for u in list(ids)]
-
-
 def test_non_ascii_ids_keep_python_order_from_parse_to_features():
     # UTF-8 byte order is code-point order, and the parsers refuse NUL in
     # ids, so ids held as bytes sort as Python sorts the str. The ids
-    # differ in length and in their first non-ASCII byte. The two longest
-    # are past the bytes columns' width, so their rows take the row path,
-    # in plain CSV (transactions, profiles) and in quoted CSV (feedback,
-    # which the id holding a quote makes quoted).
+    # differ in length and in their first non-ASCII byte. The transactions
+    # are plain CSV, coded by the column pass alone. The two longest ids are
+    # past the bytes columns' width, so their rows take the row path, in
+    # plain CSV (profiles) and in quoted CSV (feedback, which the id
+    # holding a quote makes quoted).
     from shilldetect.features import extract_all
     from shilldetect.records import parse_feedback, parse_profiles, parse_transactions
 
-    ids = _ODD_IDS
+    ids, words = _ODD_IDS, _WORD_IDS
     ts = "2011-01-01T00:00:00Z"
-    tx = [(ids[i], ids[i + 1], "p", 1, "1.00", ts) for i in range(6)]
+    tx = [(ids[i], ids[i + 1], "p", 1, "1.00", ts) for i in range(5)]
+    tx += [(words[i], words[i - 1], "p", 1, "1.00", ts) for i in range(len(words))]
     fb = [(ids[i], ids[(i + 3) % len(ids)], 1, ts) for i in range(3, len(ids))]
+    fb += [(u, ids[0], 1, ts) for u in words]
     pr = [(ids[4], 1970, "Ohio", "2010-01-01"), (ids[7], "", "", "2010-01-01")]
     transactions = parse_transactions(io.BytesIO(_csv_text(
         ["buyer_id", "seller_id", "product_id", "quantity", "unit_price", "timestamp"], tx)))
@@ -288,13 +291,17 @@ def test_non_ascii_ids_keep_python_order_from_parse_to_features():
     profiles = parse_profiles(io.BytesIO(_csv_text(
         ["user_id", "birth_year", "state", "registration_date"], pr)))
     assert not (transactions.errors or feedback.errors or profiles.errors)
+    # each table's ids are sorted, the row path's among them
+    assert decode_ids(transactions.records.user_ids) == sorted(ids[:6] + words)
+    assert decode_ids(feedback.records.user_ids) == sorted(ids + words)
+    assert decode_ids(profiles.records.user_ids) == [ids[4], ids[7]]
     tg, fg = build_graphs(transactions.records, feedback.records, profiles.records)
 
-    assert _as_text(tg.users.ids) == sorted(ids)
+    assert decode_ids(tg.users.ids) == sorted(ids + words)
     matrix = extract_all(tg.users.ids, tg, fg, profiles.records)
-    assert matrix.user_ids == sorted(ids)
+    assert matrix.user_ids == sorted(ids + words)
     buys = matrix.column("Buy-Trans-Num")
-    assert [matrix.user_ids[i] for i in np.flatnonzero(buys)] == sorted(ids[:6])
+    assert [matrix.user_ids[i] for i in np.flatnonzero(buys)] == sorted(ids[:5] + words)
 
     with pytest.raises(KeyError) as exc:
         tg.users.positions(["z", "nobody", "\u00e9x"])

@@ -18,6 +18,8 @@ from shilldetect.records import (
     ProfileTable,
     TransactionTable,
     crc32_state,
+    decode_ids,
+    encode_ids,
     load_label_list,
     parse_feedback,
     parse_price_cents,
@@ -176,7 +178,7 @@ def test_parsers_refuse_what_the_writers_cannot_encode():
         res = parse_feedback(stream, "jsonl")
         assert [(e.line, e.message) for e in res.errors] == [
             (2, "lone surrogate in ['giver_id', 'receiver_id']")]
-        assert sorted(res.records.user_ids) == ["a", "b", "\U0001F600"]
+        assert decode_ids(res.records.user_ids) == ["a", "b", "\U0001F600"]
         write_feedback(res.records, io.BytesIO())
     assert parse_rows_reference(text, "jsonl", "feedback")[1] == [
         (2, "lone surrogate in ['giver_id', 'receiver_id']")]
@@ -242,16 +244,33 @@ def test_load_label_list_rejects_malformed():
         load_label_list(io.BytesIO(b"u1\nbad id,\n"))
 
 
+def test_ids_holding_nul_are_refused():
+    # A bytes array drops a value's final NULs and would hold "a\0" as "a",
+    # so an id holding a NUL is a malformed identifier
+    ts = "2011-01-01T00:00:00Z"
+    text = "".join(json.dumps({"giver_id": g, "receiver_id": "a", "rating": 1,
+                               "timestamp": ts}) + "\n" for g in ("a\0", "b\0c", "b"))
+    res = parse_feedback(io.BytesIO(text.encode()), "jsonl", max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == [(1, _BAD_ID), (2, _BAD_ID)]
+    assert decode_ids(res.records.user_ids) == ["a", "b"]
+    text = f"giver_id,receiver_id,rating,timestamp\na\0,a,1,{ts}\nb,a,1,{ts}\n"
+    res = parse_feedback(io.BytesIO(text.encode()), max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == [(2, _BAD_ID)]
+    with pytest.raises(ParseError, match="line 2: malformed identifier"):
+        load_label_list(io.BytesIO(b"u1\nu\x002\n"))
+    with pytest.raises(ValueError, match="NUL"):
+        encode_ids(["a", "b\0"])
+
+
 # ---------------------------------------------------------------------------
 # writers round-trip
 
 
-def _first_seen(table) -> list[str]:
-    """A table's user ids in order of first occurrence, the first id column
-    before the second."""
+def _used_ids(table) -> list[str]:
+    """The user ids a table's rows use, sorted."""
     pairs = [(r.buyer_id, r.seller_id) if isinstance(table, TransactionTable)
              else (r.giver_id, r.receiver_id) for r in rows(table)]
-    return list(dict.fromkeys([p[0] for p in pairs] + [p[1] for p in pairs]))
+    return sorted({u for pair in pairs for u in pair})
 
 
 def test_write_read_roundtrip_csv(tiny_corpus, small_corpus):
@@ -281,7 +300,7 @@ def test_write_read_roundtrip_csv(tiny_corpus, small_corpus):
             back = parser(io.BytesIO(buf.getvalue().encode()), fmt)
             assert rows(back.records) == rows(recs), fmt
             if not isinstance(recs, ProfileTable):
-                assert back.records.user_ids == _first_seen(recs), fmt
+                assert decode_ids(back.records.user_ids) == _used_ids(recs), fmt
     buf = io.StringIO()
     write_labels(labels, buf)
     back = load_label_list(io.BytesIO(buf.getvalue().encode()))
@@ -320,6 +339,7 @@ def _random_tables(seed: int, quoted: bool) -> list:
                   int(datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc).timestamp()),
                   int(datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())],
               _DAY_1 * 86_400, _DAY_9999 * 86_400 + 86_400)
+    users, products = encode_ids(users), encode_ids(products)
     transactions = TransactionTable(
         users, rng.integers(0, 60, n), rng.integers(0, 60, n), products,
         rng.integers(0, 20, n),
@@ -327,7 +347,7 @@ def _random_tables(seed: int, quoted: bool) -> list:
         draw(n, [0, 5, 99, 100, 10**15, 10**15 - 1, 2**63 - 1], 0, 10**7), ts)
     feedback = FeedbackTable(users, rng.integers(0, 60, n), rng.integers(0, 60, n),
                              rng.integers(-1, 2, n), ts[::-1].copy())
-    profiles = ProfileTable(texts(n, 12),
+    profiles = ProfileTable(encode_ids(texts(n, 12)),
                             draw(n, [0, 0, -1, 999, 1958, -2**63, 2**63 - 1], -3000, 3000),
                             states, rng.integers(0, len(states), n),
                             draw(n, [0, -1, _DAY_1, _DAY_9999, -25_567], _DAY_1, _DAY_9999 + 1))
@@ -725,11 +745,15 @@ def test_writers_give_binary_and_text_streams_the_same_content(small_corpus, sma
         call(binary)
         call(text)
         assert binary.getvalue() and binary.getvalue().decode() == text.getvalue()
-    # encoding is strict, as in a text file: a lone surrogate raises
-    table = feedback_table([Feedback("a\ud800", "b", 1, datetime(2011, 1, 1, tzinfo=timezone.utc))])
+    # encoding is strict, as in a text file: a lone surrogate raises, in an
+    # id when the table is made (ids are held as UTF-8), in a state when the
+    # table is written
+    with pytest.raises(UnicodeEncodeError):
+        feedback_table([Feedback("a\ud800", "b", 1, datetime(2011, 1, 1, tzinfo=timezone.utc))])
+    table = profile_table([Profile("a", 0, "a\ud800", date(2011, 1, 1))])
     for stream in (io.BytesIO(), io.StringIO()):
         with pytest.raises(UnicodeEncodeError):
-            write_feedback(table, stream)
+            write_profiles(table, stream)
 
 
 def test_lone_carriage_return_is_quoted_and_reads_back():
@@ -738,7 +762,7 @@ def test_lone_carriage_return_is_quoted_and_reads_back():
     text = b'user_id,birth_year,state,registration_date\nu1,1970,"a\rb",2020-01-01\n' \
            b'u2,,CA,2020-01-02\n'
     first = parse_profiles(io.BytesIO(text))
-    assert first.records.states == ["a\rb", "CA"] and not first.errors
+    assert first.records.states == ["CA", "a\rb"] and not first.errors    # in byte order
     for fmt in ("csv", "jsonl"):
         buf = io.StringIO()
         write_profiles(first.records, buf, fmt)
@@ -765,7 +789,8 @@ def test_out_of_range_numbers_are_row_errors():
         (1, "cannot convert float infinity to integer"),
         (2, "birth_year 99999999999999999999 does not fit in 64 bits"),
         (3, "birth_year -9223372036854775809 does not fit in 64 bits")]
-    assert res.records.user_ids == ["d"] and res.records.birth_year.tolist() == [-2**63]
+    assert decode_ids(res.records.user_ids) == ["d"]
+    assert res.records.birth_year.tolist() == [-2**63]
 
 
 def test_transaction_parse_memory_is_bounded():
