@@ -128,10 +128,9 @@ class Node:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
-        """The tree `to_dict` wrote. ValueError if the lists are empty or differ
-        in length, an inner node's child does not come after it in the lists
-        (so a loaded tree has no cycle), a node's counts are not two
-        non-negative ints with a positive sum, or an `equal` is not a bool."""
+        """The tree `to_dict` wrote. ValueError if the lists are empty or differ in length,
+        a child does not come after its parent (so a loaded tree has no cycle), counts
+        are not two non-negative ints with a positive sum, or an `equal` is not a bool."""
         n = len(d["counts"])
         if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
             raise ValueError("tree lists must be non-empty and of one length")

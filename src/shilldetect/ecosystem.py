@@ -150,10 +150,10 @@ def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph,
     endpoints in the cohort (self-feedback included there, though the
     projection drops it). Pass precomputed `cliques` to avoid re-enumeration.
     """
-    cohort = UserIndex(cohort).ids
-    if not len(cohort):
+    cohort = decode_ids(UserIndex(cohort).ids)
+    if not cohort:
         raise ValueError("cohort is empty")
-    if graph.node_ids != decode_ids(cohort):
+    if graph.node_ids != cohort:
         raise ValueError("graph was not projected over this cohort")
     member = np.zeros(feedback.n_vertices, bool)
     member[feedback.users.positions(cohort)] = True

@@ -408,9 +408,10 @@ def _read_feature_lines(lines) -> FeatureMatrix:
     if len(set(ids)) != len(ids):
         first_line: dict[str, int] = {}
         for line_no, user in enumerate(ids, start=2):
-            if first_line.setdefault(user, line_no) != line_no:
+            if user in first_line:
                 raise ValueError(f"feature CSV line {line_no}: user {user!r} is "
                                  f"already on line {first_line[user]}")
+            first_line[user] = line_no
     values = np.array(rows, np.float64) if rows else np.zeros((0, len(FEATURE_NAMES)))
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):

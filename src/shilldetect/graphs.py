@@ -96,7 +96,10 @@ class FeedbackMultigraph:
 
 def _in_use(ids: np.ndarray, *codes: np.ndarray) -> np.ndarray:
     """The ids of `ids` that some code array uses."""
-    return ids[np.bincount(np.concatenate(codes), minlength=len(ids)) > 0]
+    used = np.zeros(len(ids), bool)
+    for c in codes:
+        used[c] = True
+    return ids[used]
 
 
 def _vertices(users: UserIndex, ids: np.ndarray, *codes: np.ndarray) -> list[np.ndarray]:

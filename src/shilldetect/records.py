@@ -3,13 +3,14 @@
 Three input corpora (transactions, feedback, user profiles) plus a
 ground-truth shill list. Each corpus is a columnar table: int64 numpy
 columns, with ids held as codes into a per-table array of their UTF-8
-(numpy `S`) and state texts as codes into a list, so no layer holds
+(numpy `S`) and state texts as codes into a list, so synth, the writers,
+the parsers, `build_graphs` and the features pass whole columns and no
 per-row objects. UTF-8 byte order is code-point order and no id holds a
-NUL, so a sorted `S` array holds ids in Python's sorted() order of their
-text. Prices are exact integer cents so
-that large aggregation sums stay associative; they become floats only when
-features are emitted. Timestamps are int epoch seconds and registration
-dates int epoch days, UTC. A birth year of 0 means the profile has none.
+NUL, so a sorted `S` array holds ids in Python's sorted() order. Prices
+are exact integer cents so that large aggregation sums stay associative;
+they become floats only when features are emitted. Timestamps are int
+epoch seconds and registration dates int epoch days, UTC. A birth year
+of 0 means the profile has none.
 
 The parsers work on bytes columns: one fixed-width numpy `S` array per
 column. A CSV body whose lines are plain (no quotes, carriage returns or
@@ -105,7 +106,7 @@ class TransactionTable:
 
 @dataclass(frozen=True, eq=False)
 class FeedbackTable:
-    """The feedback corpus: giver/receiver codes into user_ids (as in TransactionTable), rating, ts."""
+    """The feedback corpus: giver/receiver codes into user_ids (as above), rating, ts."""
 
     user_ids: np.ndarray
     giver: np.ndarray
@@ -232,7 +233,7 @@ def encode_ids(ids) -> np.ndarray:
         return ids
     ids = list(ids)
     if "\0" in "".join(ids):
-        raise ValueError("a user id holds a NUL")
+        raise ValueError("an id holds a NUL")
     return np.array(list(map(str.encode, ids)), "S")
 
 
@@ -242,9 +243,8 @@ def decode_ids(ids: np.ndarray) -> list[str]:
 
 
 def sorted_find(sorted_keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, found): where each value is in `sorted_keys` (ascending),
-    if it is there. `found` is what `np.isin` gives, by binary search rather
-    than hashing."""
+    """(position, found) of each value in `sorted_keys` (ascending), by binary
+    search and one comparison; `found` is what `np.isin` gives."""
     if len(sorted_keys) == 0:
         return np.zeros(len(values), np.int64), np.zeros(len(values), bool)
     pos = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
@@ -469,16 +469,13 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bytes' order, and sorted; equal values form a run.
     """
     n = len(values)
-    if n == 0:
-        return np.zeros(0, np.int64), values
     width = values.dtype.itemsize
     packed = np.zeros((n, -(-width // 8) * 8), np.uint8)
     packed[:, :width] = _matrix(values)
     words = packed.view(">u8")
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
     words = words[order]
-    new = np.empty(n, bool)
-    new[0] = True
+    new = np.ones(n, bool)
     np.any(words[1:] != words[:-1], axis=1, out=new[1:])
     del words
     codes = np.empty(n, np.int64)

@@ -80,6 +80,19 @@ def test_self_loop_kept_in_multigraph(tiny_graphs):
     assert np.count_nonzero((tg.buyer == d) & (tg.seller == d)) == 1
 
 
+def test_graphs_from_header_only_files():
+    # empty id columns parse to empty bytes arrays, which join the profiles'
+    from shilldetect.records import parse_feedback, parse_profiles, parse_transactions
+    tx = parse_transactions(io.BytesIO(b"buyer_id,seller_id,product_id,quantity,unit_price,"
+                                       b"timestamp\n")).records
+    fb = parse_feedback(io.BytesIO(b"giver_id,receiver_id,rating,timestamp\n")).records
+    pr = parse_profiles(io.BytesIO(b"user_id,birth_year,state,registration_date\n"
+                                   b"u1,1970,CA,2010-01-01\n")).records
+    assert tx.user_ids.dtype.kind == fb.user_ids.dtype.kind == "S"
+    tg, fg = build_graphs(tx, fb, pr)
+    assert decode_ids(tg.users.ids) == ["u1"] and tg.n_links == fg.n_links == 0
+
+
 def test_build_graphs_share_index(tiny_corpus):
     transactions, feedback, profiles, _ = tiny_corpus
     tg, fg = build_graphs(transactions, feedback, profiles)
