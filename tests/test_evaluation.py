@@ -65,6 +65,14 @@ def test_balanced_sample_deterministic(small_matrix):
     assert a.user_ids != c.user_ids
 
 
+def test_balanced_sample_row_order_invariant(small_matrix):
+    perm = np.random.default_rng(4).permutation(small_matrix.n_users)
+    a = balanced_training_sample(small_matrix, seed=3)
+    b = balanced_training_sample(small_matrix.take(perm), seed=3)
+    assert a.user_ids == b.user_ids
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.labels, b.labels)
+
+
 def _one_column(labels):
     return FeatureMatrix([f"u{i}" for i in range(len(labels))],
                          np.zeros((len(labels), 1)), np.array(labels, np.int8), ("f0",))
@@ -381,6 +389,15 @@ def test_imbalanced_protocol_deterministic(small_matrix):
     assert a.to_dict() == b.to_dict()
 
 
+@pytest.mark.parametrize("algorithm", ["OneR", "KNN3"])
+def test_imbalanced_protocol_row_order_invariant(small_matrix, algorithm):
+    perm = np.random.default_rng(5).permutation(small_matrix.n_users)
+    kwargs = dict(ratios=(2, 100), repetitions=2, seed=1, k_grid=range(1, 201))
+    a = imbalanced_protocol(small_matrix, algorithm, **kwargs)
+    b = imbalanced_protocol(small_matrix.take(perm), algorithm, **kwargs)
+    assert a.to_dict() == b.to_dict()
+
+
 def _protocol_test_sets(matrix, seed, ratios):
     """Each ratio's sorted test ids, drawn as the protocol documents."""
     shills = sorted(u for u, y in zip(matrix.user_ids, matrix.labels) if y == 1)
@@ -439,7 +456,7 @@ def test_imbalanced_protocol_rejects_train_test_overlap(small_matrix):
     for i, u in zip(benign_rows, shill_ids):
         ids[i] = u
     clash = FeatureMatrix(ids, small_matrix.values, small_matrix.labels)
-    with pytest.raises(ValueError, match="both the training and the test set"):
+    with pytest.raises(ValueError, match="user ids must be unique"):
         imbalanced_protocol(clash, "OneR", ratios=(100,), repetitions=1,
                             k_grid=[1])
 
