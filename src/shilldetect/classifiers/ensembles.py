@@ -50,8 +50,7 @@ def _bagged_trees(matrix: FeatureMatrix, n_members: int, seed: int, algorithm: s
             members.append(DecisionTree(Node(boot.class_counts()), boot.categorical_mask(),
                                         boot.schema_hash(), seed + i, params=tree_params))
         else:
-            members.append(train_decision_tree(boot, seed=seed + i, rng=rng,
-                                               canonicalize=False, **tree_params))
+            members.append(train_decision_tree(boot, seed=seed + i, rng=rng, **tree_params))
     return TreeEnsemble(members, algorithm, ds.schema_hash(), seed, params=params)
 
 
@@ -141,8 +140,7 @@ def train_rotation_forest(matrix: FeatureMatrix, n_members: int = 10,
         member = RotationMember([np.asarray(g) for g in groups], bases, None)
         rotated = replace(ds, values=member.rotate(ds.values))
         member.tree = train_decision_tree(rotated, min_leaf=2, prune=True,
-                                          seed=seed + i, rng=rng,
-                                          canonicalize=False)
+                                          seed=seed + i, rng=rng)
         members.append(member)
     return RotationForest(members, "RotationForest", ds.schema_hash(), seed,
                           params={"n_members": n_members, "subset_size": subset_size})

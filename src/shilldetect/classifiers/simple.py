@@ -100,7 +100,6 @@ def _numeric_rule(x: np.ndarray, y: np.ndarray, min_bucket: int):
 
 def train_oner(matrix: FeatureMatrix, min_bucket: int = 6, seed: int = 0) -> OneR:
     require_trainable(matrix)
-    matrix = matrix.canonical()
     cat_mask = matrix.categorical_mask()
     y = matrix.labels.astype(np.int64)
     overall = np.bincount(y, minlength=N_CLASSES)

@@ -496,11 +496,8 @@ class DecisionTree:
 
 def train_decision_tree(matrix: FeatureMatrix, min_leaf: int = 2, prune: bool = True,
                         subset_size: int | None = None, seed: int = 0,
-                        rng: np.random.Generator | None = None,
-                        canonicalize: bool = True) -> DecisionTree:
+                        rng: np.random.Generator | None = None) -> DecisionTree:
     require_trainable(matrix)
-    if canonicalize:
-        matrix = matrix.canonical()
     if rng is None:
         rng = np.random.default_rng(seed)
     cat_mask = matrix.categorical_mask()

@@ -142,7 +142,6 @@ class EcosystemReport:
 
 
 def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph, cohort,
-                     clique_limit: int = DEFAULT_CLIQUE_LIMIT,
                      cliques: list[frozenset[int]] | None = None) -> EcosystemReport:
     """Populate the report for `cohort`, whose projection of `feedback` is `graph`.
 
@@ -164,7 +163,7 @@ def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph,
 
     comps = connected_components(graph)
     if cliques is None:
-        cliques = maximal_cliques(graph, clique_limit)
+        cliques = maximal_cliques(graph)
     hist = clique_size_histogram(cliques)
     small = {s: sum(1 for c in cliques if len(c) == s) for s in (1, 2)}
     w = graph.weight

@@ -6,9 +6,10 @@ the score ranking on test sets rebuilt at increasing benign:shill ratios.
 Test sets are nested across ratios within a repetition (the benign pool is
 drawn once and sliced by prefix), which keeps the ratio curves comparable.
 
-Everything stochastic draws from numpy Generators seeded explicitly, with
-draws defined over the sorted-by-user-id ordering, so shuffling input rows
-never changes a result.
+Everything stochastic draws from numpy Generators seeded explicitly, over
+ranks in `FeatureMatrix.id_order()`, and score ties break toward the lower
+rank, so shuffling input rows never changes a result; a user id on more
+than one row is refused.
 """
 
 from __future__ import annotations
@@ -32,24 +33,20 @@ DEFAULT_RATIOS = (2, 5, 10, 20, 100)
 # Sampling
 
 
-def _cohort_ids(matrix: FeatureMatrix):
-    shills = sorted(u for u, y in zip(matrix.user_ids, matrix.labels) if y == 1)
-    benign = sorted(u for u, y in zip(matrix.user_ids, matrix.labels) if y == 0)
-    return shills, benign
-
-
 def balanced_training_sample(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
     """All shills + equally many benign users drawn uniformly without
     replacement, in user-id order."""
-    shills, benign = _cohort_ids(matrix)
-    if not shills:
+    order = matrix.id_order()
+    labels = matrix.labels[order]
+    shills, benign = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)   # id ranks
+    if not len(shills):
         raise ValueError("no shill users available for the training sample")
     if len(benign) < len(shills):
         raise ValueError(f"benign pool ({len(benign)}) smaller than shill count "
                          f"({len(shills)})")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(benign), size=len(shills), replace=False)
-    return matrix.select(sorted(shills + [benign[i] for i in chosen]))
+    return matrix.take(order[np.sort(np.concatenate([shills, benign[chosen]]))])
 
 
 def stratified_kfold(matrix: FeatureMatrix, k: int = 10, seed: int = 0) -> list[np.ndarray]:
@@ -64,15 +61,16 @@ def stratified_kfold(matrix: FeatureMatrix, k: int = 10, seed: int = 0) -> list[
     if counts.min() < k:
         raise ValueError(f"every class needs >= {k} rows for {k}-fold CV "
                          f"(counts: {counts.tolist()})")
-    order = sorted(range(matrix.n_users), key=lambda i: matrix.user_ids[i])
+    order = matrix.id_order()
+    labels = matrix.labels[order]
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for c in (0, 1):
-        rows = np.array([i for i in order if matrix.labels[i] == c], dtype=np.int64)
+        rows = order[labels == c]
         rows = rows[rng.permutation(len(rows))]
         for fold_i, part in enumerate(np.array_split(rows, k)):
-            folds[fold_i].extend(part.tolist())
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+            folds[fold_i].append(part)
+    return [np.sort(np.concatenate(f)) for f in folds]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +134,9 @@ def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
 
     The rows are ranked once; precision at k is read off the running count
     of shills down the ranking. k larger than the row count saturates to the
-    row count. Ties in score are broken toward the lower user id (stable,
-    never optimistic); when user ids are not supplied, input order stands in
-    for id order.
+    row count. Ties in score are broken toward the lower user id, or any key
+    that sorts as the ids do, such as an id rank (stable, never optimistic);
+    when none is supplied, input order stands in for id order.
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
@@ -320,7 +318,9 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     if not k_grid:
         raise ValueError("k_grid is empty: the protocol needs at least one k")
     ratios = tuple(sorted(ratios))
-    shills, benign = _cohort_ids(matrix)
+    order = matrix.id_order()
+    labels = matrix.labels[order]
+    shills, benign = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)   # id ranks
     plan = protocol_plan(len(shills), len(benign), ratios)
 
     rep_seeds = [seed + r for r in range(repetitions)]
@@ -332,33 +332,23 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
         rep_seed = rep_seeds[r]
         rng = np.random.default_rng(rep_seed)
         shill_pick = rng.choice(len(shills), size=plan.n_train_shills, replace=False)
-        train_shills = [shills[i] for i in sorted(shill_pick)]
-        test_shills = sorted(set(shills) - set(train_shills))
         benign_pick = rng.choice(len(benign), size=plan.n_train_shills, replace=False)
-        train_benign = [benign[i] for i in sorted(benign_pick)]
-        train_ids = sorted(train_shills + train_benign)
-        train_benign_set = set(train_benign)
-        pool = [u for u in benign if u not in train_benign_set]
+        pool = np.delete(benign, benign_pick)
         pool_pick = rng.choice(len(pool), size=max(plan.test_benign_per_ratio.values()),
                                replace=False)
-        test_pool = [pool[i] for i in pool_pick]    # draw order kept: prefixes nest
+        train_rows = order[np.sort(np.concatenate([shills[shill_pick], benign[benign_pick]]))]
+        # Test sets nest by prefix, so the largest one covers every ratio:
+        # the held-out shills, then the pool in draw order.
+        test_ranks = np.concatenate([np.delete(shills, shill_pick), pool[pool_pick]])
 
-        # Test sets nest by prefix, so the largest one covers every ratio.
-        test_ids = test_shills + test_pool
-        overlap = set(test_ids) & set(train_ids)
-        if overlap:
-            raise ValueError(f"{len(overlap)} user id(s) fall in both the training "
-                             f"and the test set, e.g. {min(overlap)!r}; "
-                             "user ids must be unique")
-
-        model = train(algorithm, matrix.select(train_ids), hyperparameters, seed=rep_seed)
+        model = train(algorithm, matrix.take(train_rows), hyperparameters, seed=rep_seed)
         # Score the largest test set once. A row's score does not depend on
-        # the rows scored with it, and the ranking breaks ties by user id, not
+        # the rows scored with it, and the ranking breaks ties by id rank, not
         # row order, so each ratio's test set is a prefix of the scored rows.
-        largest = matrix.select(test_ids)
+        largest = matrix.take(order[test_ranks])
         scores = predict_score(model, largest)
-        return [precision_curve(scores[:n], largest.labels[:n], k_grid,
-                                largest.user_ids[:n]) for n in test_sizes.values()]
+        return [precision_curve(scores[:n], largest.labels[:n], k_grid, test_ranks[:n])
+                for n in test_sizes.values()]
 
     per_rep: dict[str, list[list[float]]] = {label: [] for label in test_sizes}
     n_train = plan.n_train_shills
@@ -494,13 +484,13 @@ def write_precision_csv(report: EvaluationReport, stream) -> None:
 
 
 _SVG_COLORS = ("#1b6ca8", "#d1495b", "#3a7d44", "#8e5fa8", "#c77d1e", "#4f5d75")
+_SVG_WIDTH, _SVG_HEIGHT = 840, 520
 
 
-def write_precision_svg(report: EvaluationReport, stream,
-                        width: int = 840, height: int = 520) -> None:
+def write_precision_svg(report: EvaluationReport, stream) -> None:
     """Deterministic line plot of precision@k per ratio (no plotting deps)."""
     left, right, top, bottom = 70, 190, 40, 60
-    plot_w, plot_h = width - left - right, height - top - bottom
+    plot_w, plot_h = _SVG_WIDTH - left - right, _SVG_HEIGHT - top - bottom
     k_max = max(report.k_grid)
 
     def sx(k: float) -> float:
@@ -509,9 +499,9 @@ def write_precision_svg(report: EvaluationReport, stream,
     def sy(p: float) -> float:
         return top + plot_h * (1.0 - p)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+           f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+           f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
            f'<text x="{left + plot_w / 2:.1f}" y="24" text-anchor="middle" '
            f'font-family="sans-serif" font-size="15">precision@k by benign:shill '
            f'ratio — {report.algorithm}</text>']
@@ -533,7 +523,7 @@ def write_precision_svg(report: EvaluationReport, stream,
                    f'font-family="sans-serif" font-size="11">{int(round(k))}</text>')
     out.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
                'fill="none" stroke="#333333" stroke-width="1"/>')
-    out.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 18}" text-anchor="middle" '
+    out.append(f'<text x="{left + plot_w / 2:.1f}" y="{_SVG_HEIGHT - 18}" text-anchor="middle" '
                'font-family="sans-serif" font-size="13">k</text>')
     # Curves + legend
     for i, r in enumerate(report.ratios):

@@ -56,9 +56,12 @@ class FeatureMatrix:
     """Row-per-user feature table with a frozen column manifest and a binary
     label per row; the learners train on it.
 
-    Rows keep their construction order, but learners canonicalize to
-    sorted-by-user-id order before touching any randomness, so shuffling
-    the input rows can never change a trained model.
+    Rows keep their construction order. What depends on it is defined over
+    `id_order()`, so shuffling the rows never changes a result: evaluation's
+    samples, folds and score tie-breaks, NaiveBayes's float sums, KNN3's
+    ties between equidistant neighbours and the ensembles' bootstrap draws.
+    OneR and DecisionTree read only counts of rows and take rows as given.
+    `id_order()` refuses a user id that is on more than one row.
     """
 
     user_ids: list[str]
@@ -117,9 +120,19 @@ class FeatureMatrix:
         pos = {u: i for i, u in enumerate(self.user_ids)}
         return self.take([pos[u] for u in user_ids])
 
+    def id_order(self) -> np.ndarray:
+        """Row positions in user-id order; the one place rows are sorted by id."""
+        ids = self.user_ids
+        order = sorted(range(self.n_users), key=ids.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if ids[a] == ids[b]:
+                raise ValueError(f"user id {ids[a]!r} is on more than one row; "
+                                 "user ids must be unique")
+        return np.array(order, np.int64)
+
     def canonical(self) -> "FeatureMatrix":
-        """Rows reordered by user id; the order every learner trains on."""
-        return self.take(sorted(range(self.n_users), key=self.user_ids.__getitem__))
+        """Rows reordered by user id."""
+        return self.take(self.id_order())
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,20 @@ def test_dataset_validation():
 def test_dataset_canonical_sorts_by_user_id():
     ds = FeatureMatrix(["c", "a", "b"], np.array([[3.0], [1.0], [2.0]]),
                        np.array([1, 0, 0], np.int8), ("f0",))
+    assert ds.id_order().tolist() == [1, 2, 0]
     c = ds.canonical()
     assert c.user_ids == ["a", "b", "c"]
     assert list(c.values[:, 0]) == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="user id 'c' is on more than one row"):
+        ds.take([0, 1, 0]).id_order()
+
+
+@pytest.mark.parametrize("algorithm", ["KNN3", "NaiveBayes"])
+def test_learners_reading_id_order_refuse_a_repeated_id(train_ds, algorithm):
+    ids = list(train_ds.user_ids)
+    ids[1] = ids[0]
+    with pytest.raises(ValueError, match="user ids must be unique"):
+        train(algorithm, FeatureMatrix(ids, train_ds.values, train_ds.labels))
 
 
 def test_single_class_refused():

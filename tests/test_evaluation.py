@@ -106,6 +106,15 @@ def test_stratified_kfold_order_invariant(small_matrix):
     assert ids1 == ids2
 
 
+@pytest.mark.parametrize("evaluate", [balanced_training_sample, stratified_kfold])
+def test_sampling_refuses_a_repeated_id(small_matrix, evaluate):
+    # imbalanced_protocol: test_imbalanced_protocol_rejects_train_test_overlap
+    ids = list(small_matrix.user_ids)
+    ids[-1] = ids[0]
+    with pytest.raises(ValueError, match="user ids must be unique"):
+        evaluate(FeatureMatrix(ids, small_matrix.values, small_matrix.labels))
+
+
 def test_stratified_kfold_requires_rows():
     ds = _one_column([0, 0, 1, 1])
     with pytest.raises(ValueError, match="needs"):

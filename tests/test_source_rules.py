@@ -168,6 +168,19 @@ def test_csv_is_read_in_records_and_written_by_no_csv_writer():
     assert found == []
 
 
+def test_rows_are_put_in_id_order_in_one_place():
+    # Evaluation and the learners get id order from FeatureMatrix.id_order()
+    # (or canonical()), which refuses a repeated id; a second sort by id
+    # would be a second notion of row order that might not.
+    paths = [PACKAGE_DIR / "evaluation.py", *sorted((PACKAGE_DIR / "classifiers").rglob("*.py"))]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "user_ids"]
+    assert len(paths) > 2 and found == []
+
+
 def test_recursion_error_is_caught_only_in_records():
     # A JSONL row can nest past the recursion limit, so records.py catches
     # RecursionError. Nothing else should: saved models nest to a fixed
