@@ -26,8 +26,6 @@ from .graphs import (
     graph_density,
 )
 
-DEFAULT_CLIQUE_LIMIT = 10_000_000
-
 
 class CliqueLimitError(RuntimeError):
     """Enumeration aborted: the graph has more maximal cliques than allowed."""
@@ -63,7 +61,7 @@ def _degeneracy_order(adj: list[set[int]]) -> list[int]:
 
 
 def maximal_cliques(graph: WeightedFeedbackGraph,
-                    limit: int = DEFAULT_CLIQUE_LIMIT) -> list[frozenset[int]]:
+                    limit: int = 10_000_000) -> list[frozenset[int]]:
     """All maximal cliques of the undirected view, singletons included.
 
     Raises CliqueLimitError past `limit` cliques (dense misconfigured inputs

@@ -33,12 +33,18 @@ DEFAULT_RATIOS = (2, 5, 10, 20, 100)
 # Sampling
 
 
+def _id_ranks(matrix: FeatureMatrix):
+    """`matrix.id_order()` and the shill and benign rows' ranks in it, as int32:
+    the protocol holds all three through every repetition, at 4 bytes a row."""
+    order = matrix.id_order().astype(np.int32)
+    shills, benign = (np.flatnonzero(matrix.labels[order] == c).astype(np.int32) for c in (1, 0))
+    return order, shills, benign
+
+
 def balanced_training_sample(matrix: FeatureMatrix, seed: int = 0) -> FeatureMatrix:
     """All shills + equally many benign users drawn uniformly without
     replacement, in user-id order."""
-    order = matrix.id_order()
-    labels = matrix.labels[order]
-    shills, benign = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)   # id ranks
+    order, shills, benign = _id_ranks(matrix)
     if not len(shills):
         raise ValueError("no shill users available for the training sample")
     if len(benign) < len(shills):
@@ -61,13 +67,11 @@ def stratified_kfold(matrix: FeatureMatrix, k: int = 10, seed: int = 0) -> list[
     if counts.min() < k:
         raise ValueError(f"every class needs >= {k} rows for {k}-fold CV "
                          f"(counts: {counts.tolist()})")
-    order = matrix.id_order()
-    labels = matrix.labels[order]
+    order, shills, benign = _id_ranks(matrix)
     rng = np.random.default_rng(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for c in (0, 1):
-        rows = order[labels == c]
-        rows = rows[rng.permutation(len(rows))]
+    for ranks in (benign, shills):
+        rows = order[ranks][rng.permutation(len(ranks))]
         for fold_i, part in enumerate(np.array_split(rows, k)):
             folds[fold_i].append(part)
     return [np.sort(np.concatenate(f)) for f in folds]
@@ -318,9 +322,7 @@ def imbalanced_protocol(matrix: FeatureMatrix, algorithm: str = "RotationForest"
     if not k_grid:
         raise ValueError("k_grid is empty: the protocol needs at least one k")
     ratios = tuple(sorted(ratios))
-    order = matrix.id_order()
-    labels = matrix.labels[order]
-    shills, benign = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)   # id ranks
+    order, shills, benign = _id_ranks(matrix)
     plan = protocol_plan(len(shills), len(benign), ratios)
 
     rep_seeds = [seed + r for r in range(repetitions)]
