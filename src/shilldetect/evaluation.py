@@ -35,7 +35,7 @@ DEFAULT_RATIOS = (2, 5, 10, 20, 100)
 
 def _id_ranks(matrix: FeatureMatrix):
     """`matrix.id_order()` and the shill and benign rows' ranks in it, as int32:
-    the protocol holds all three through every repetition, at 4 bytes a row."""
+    the protocol holds all three through its repetitions, and int64 raised its peak RSS."""
     order = matrix.id_order().astype(np.int32)
     shills, benign = (np.flatnonzero(matrix.labels[order] == c).astype(np.int32) for c in (1, 0))
     return order, shills, benign

@@ -108,7 +108,7 @@ def test_stratified_kfold_order_invariant(small_matrix):
 
 @pytest.mark.parametrize("evaluate", [balanced_training_sample, stratified_kfold])
 def test_sampling_refuses_a_repeated_id(small_matrix, evaluate):
-    # imbalanced_protocol: test_imbalanced_protocol_rejects_train_test_overlap
+    # test_imbalanced_protocol_rejects_train_test_overlap checks imbalanced_protocol
     ids = list(small_matrix.user_ids)
     ids[-1] = ids[0]
     with pytest.raises(ValueError, match="user ids must be unique"):
