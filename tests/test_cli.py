@@ -184,6 +184,35 @@ def test_ecosystem_requires_labels(ws, tmp_path, capsys):
     assert err["error"] == "CliError" and "labels.txt" in err["message"]
 
 
+def test_ecosystem_tallies_self_feedback_and_cohort_links(tmp_path):
+    # Three shills and three benign users, so the benign sample is all of them.
+    # Each cohort rates itself once, and some ratings leave the cohort.
+    data = tmp_path / "corpus"
+    data.mkdir()
+    ts = "2011-01-01T00:00:00Z"
+    (data / "transactions.csv").write_text(
+        "buyer_id,seller_id,product_id,quantity,unit_price,timestamp\n"
+        f"b1,s1,p1,1,1.00,{ts}\n")
+    ratings = [("s1", "s1", 1), ("s1", "s2", 1), ("s2", "s1", 1), ("s2", "s3", -1),
+               ("s3", "s1", 0), ("s1", "b1", 1), ("b1", "s2", -1),
+               ("b1", "b2", 1), ("b2", "b2", -1), ("b3", "s3", 1)]
+    (data / "feedback.csv").write_text(
+        "giver_id,receiver_id,rating,timestamp\n"
+        + "".join(f"{g},{r},{v},{ts}\n" for g, r, v in ratings))
+    (data / "profiles.csv").write_text(
+        "user_id,birth_year,state,registration_date\n"
+        + "".join(f"{u},1970,Ohio,2010-01-01\n" for u in ("s1", "s2", "s3", "b1", "b2", "b3")))
+    (data / "labels.txt").write_text("s1\ns2\ns3\n")
+    run = tmp_path / "eco"
+    assert main(["ecosystem", "--data", str(data), "--out", str(run)]) == 0
+    tallies = ("total_feedback", "positive_feedback", "negative_feedback", "self_loops")
+    shill = json.loads((run / "ecosystem_shill.json").read_text())
+    benign = json.loads((run / "ecosystem_benign.json").read_text())
+    assert [shill[k] for k in tallies] == [5, 3, 1, 1]
+    assert [benign[k] for k in tallies] == [2, 1, 1, 1]
+    assert shill["n_links"] == 4 and benign["n_links"] == 1
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -219,6 +219,25 @@ def test_precision_curve_equals_per_k_oracle(with_ids):
             for k in ks] == curve
 
 
+def test_precision_curve_ranks_id_ranks_as_their_ids():
+    # Tie-heavy scores over non-ASCII ids, some a prefix of another: the
+    # ranks of the ids in sorted order break ties as the ids themselves do.
+    rng = np.random.default_rng(23)
+    alphabet = ["a", "b", "z", "é", "ß", "日", "\U0001f600", "A", "_"]
+    for _ in range(30):
+        ids = sorted({"".join(rng.choice(alphabet, int(rng.integers(1, 4))))
+                      for _ in range(int(rng.integers(2, 120)))})
+        uids = [ids[i] for i in rng.permutation(len(ids))]
+        ranks = np.array([ids.index(u) for u in uids], np.int32)
+        scores = rng.integers(0, 4, len(uids)) / 3
+        labels = rng.integers(0, 2, len(uids))
+        ks = list(range(1, len(uids) + 3))
+        curve = precision_curve(scores, labels, ks, uids)
+        assert precision_curve(scores, labels, ks, ranks) == curve
+        s, y = scores.tolist(), labels.tolist()
+        assert curve == [precision_at_k_reference(s, y, uids, k) for k in ks]
+
+
 def test_precision_curve_rejects_bad_input():
     with pytest.raises(ValueError, match="k must be"):
         precision_curve([0.5, 0.2], [1, 0], [1, 0, 2])
