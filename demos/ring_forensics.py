@@ -44,7 +44,7 @@ def main():
     for name, cohort in (("shill", shills), ("benign", benign)):
         graph = project_feedback_graph(fg, cohort)
         cliques = maximal_cliques(graph)
-        reports[name] = ecosystem_report(graph, fg, cohort, cliques=cliques)
+        reports[name] = ecosystem_report(graph, cliques)
         if name == "shill" and args.dot:
             path = Path(args.dot)
             with open(path, "w") as fh:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 
-def pca_basis(samples: np.ndarray, dimension: int | None = None) -> np.ndarray:
+def pca_basis(samples: np.ndarray) -> np.ndarray:
     """Orthonormal eigenbasis of the sample covariance.
 
     Columns are unit eigenvectors in descending eigenvalue order; each is
@@ -17,24 +17,19 @@ def pca_basis(samples: np.ndarray, dimension: int | None = None) -> np.ndarray:
     Parameters
     ----------
     samples : (n, d) array, n >= 2
-    dimension : number of leading axes to keep; defaults to d (full basis).
     """
     # np.cov's bits depend on the memory layout; one layout gives one basis.
     samples = np.asfortranarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("pca_basis needs at least 2 sample rows")
     d = samples.shape[1]
-    if dimension is None:
-        dimension = d
-    if not 1 <= dimension <= d:
-        raise ValueError(f"dimension must be in [1, {d}], got {dimension}")
     cov = np.cov(samples, rowvar=False, ddof=1).reshape(d, d)
     if not np.any(np.abs(cov) > 1e-15):
         warnings.warn("zero-variance sample; returning identity basis", stacklevel=2)
-        return np.eye(d)[:, :dimension]
+        return np.eye(d)
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")
-    basis = vectors[:, order[:dimension]]
+    basis = vectors[:, order]
     # Sign convention: largest-|entry| of each axis points positive.
     peaks = np.argmax(np.abs(basis), axis=0)
     signs = np.sign(basis[peaks, np.arange(basis.shape[1])])

@@ -161,28 +161,18 @@ def _load_features(path: str) -> FeatureMatrix:
         return read_feature_csv(fh)
 
 
-def _config_overlay(args, keys) -> dict:
-    """File config (if any) overlaid by explicitly passed flags."""
-    merged = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            merged.update(json.load(fh))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_synth(args) -> None:
-    merged = _config_overlay(args, ())
+    merged = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            merged.update(json.load(fh))
     seed = args.seed if args.seed is not None else merged.get("seed", 0)
     merged.pop("seed", None)
-    config = MarketConfig.from_dict(merged) if merged else MarketConfig()
+    config = MarketConfig.from_dict(merged)
     corpus = generate(config, seed=seed)
     out = _prepare_out(args.out)
     corpus.write(out, fmt=args.format)
@@ -335,7 +325,7 @@ def _cmd_ecosystem(args) -> None:
     for name, cohort in (("shill", shill_cohort), ("benign", benign_cohort)):
         graph = project_feedback_graph(fg, cohort, weight_mode=args.weight_mode)
         cliques = maximal_cliques(graph)
-        report = ecosystem_report(graph, fg, cohort, cliques=cliques)
+        report = ecosystem_report(graph, cliques)
         results[name] = report
         with open(out / f"ecosystem_{name}.json", "w", encoding="utf-8") as fh:
             write_ecosystem_json(report, fh)

@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .records import decode_ids
 from .graphs import (
-    FeedbackMultigraph,
-    UserIndex,
     WeightedFeedbackGraph,
     bidirectional_link_count,
     connected_components,
     graph_density,
 )
+
+
+# Cliques below this size are left out of the histograms and the clique lists.
+MIN_CLIQUE_SIZE = 3
+
+# The two cohorts a comparison contrasts, in column order.
+COHORTS = ("shill", "benign")
 
 
 class CliqueLimitError(RuntimeError):
@@ -96,10 +98,10 @@ def maximal_cliques(graph: WeightedFeedbackGraph,
     return out
 
 
-def clique_size_histogram(cliques, min_size: int = 3) -> dict[int, int]:
+def clique_size_histogram(cliques) -> dict[int, int]:
     hist: dict[int, int] = {}
     for c in cliques:
-        if len(c) >= min_size:
+        if len(c) >= MIN_CLIQUE_SIZE:
             hist[len(c)] = hist.get(len(c), 0) + 1
     return dict(sorted(hist.items()))
 
@@ -128,9 +130,9 @@ class EcosystemReport:
     largest_component_size: int
     largest_component_fraction: float   # denominator: full cohort incl. isolated
     max_clique_size: int
-    clique_count: int                   # maximal cliques of size >= 3
-    clique_histogram: dict[int, int]    # size -> count, sizes >= 3
-    small_clique_counts: dict[int, int] = field(default_factory=dict)  # sizes 1-2
+    clique_count: int                   # maximal cliques of size >= MIN_CLIQUE_SIZE
+    clique_histogram: dict[int, int]    # size -> count, sizes >= MIN_CLIQUE_SIZE
+    small_clique_counts: dict[int, int]  # size -> count, smaller sizes from 1
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -139,38 +141,26 @@ class EcosystemReport:
         return d
 
 
-def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph, cohort,
-                     cliques: list[frozenset[int]] | None = None) -> EcosystemReport:
-    """Populate the report for `cohort`, whose projection of `feedback` is `graph`.
+def ecosystem_report(graph: WeightedFeedbackGraph,
+                     cliques: list[frozenset[int]]) -> EcosystemReport:
+    """The report for the cohort `graph` was projected over, whose maximal
+    cliques are `cliques`.
 
-    The total/positive/negative counts tally every feedback link with both
-    endpoints in the cohort (self-feedback included there, though the
-    projection drops it). Pass precomputed `cliques` to avoid re-enumeration.
+    The feedback tallies are the projection's: every rating with both ends
+    in the cohort, self-feedback included, though the links drop it.
     """
-    cohort = decode_ids(UserIndex(cohort).ids)
-    if not cohort:
+    if not graph.n_vertices:
         raise ValueError("cohort is empty")
-    if graph.node_ids != cohort:
-        raise ValueError("graph was not projected over this cohort")
-    member = np.zeros(feedback.n_vertices, bool)
-    member[feedback.users.positions(cohort)] = True
-    ratings = feedback.rating[member[feedback.giver] & member[feedback.receiver]]
-    total = len(ratings)
-    pos = int(np.count_nonzero(ratings > 0))
-    neg = int(np.count_nonzero(ratings < 0))
-
     comps = connected_components(graph)
-    if cliques is None:
-        cliques = maximal_cliques(graph)
     hist = clique_size_histogram(cliques)
-    small = {s: sum(1 for c in cliques if len(c) == s) for s in (1, 2)}
+    small = {s: sum(1 for c in cliques if len(c) == s) for s in range(1, MIN_CLIQUE_SIZE)}
     w = graph.weight
     return EcosystemReport(
-        cohort_size=len(cohort),
+        cohort_size=graph.n_vertices,
         weight_mode=graph.weight_mode,
-        total_feedback=total,
-        positive_feedback=pos,
-        negative_feedback=neg,
+        total_feedback=graph.total_feedback,
+        positive_feedback=graph.positive_feedback,
+        negative_feedback=graph.negative_feedback,
         non_isolated=graph.n_non_isolated,
         n_links=graph.n_links,
         avg_link_weight=float(w.mean()) if len(w) else 0.0,
@@ -181,7 +171,7 @@ def ecosystem_report(graph: WeightedFeedbackGraph, feedback: FeedbackMultigraph,
         density=graph_density(graph),
         component_count=comps.count,
         largest_component_size=comps.largest,
-        largest_component_fraction=comps.largest / len(cohort),
+        largest_component_fraction=comps.largest / graph.n_vertices,
         max_clique_size=max((len(c) for c in cliques), default=0),
         clique_count=sum(hist.values()),
         clique_histogram=hist,
@@ -204,36 +194,34 @@ _COMPARE_FIELDS = (
 
 @dataclass
 class CohortComparison:
-    name_a: str
-    name_b: str
+    """Two reports side by side; every pair is (shill, benign), as in COHORTS."""
+
     rows: list[tuple[str, float, float]]
-    clique_table: dict[int, tuple[int, int]]    # size -> (count_a, count_b)
+    clique_table: dict[int, tuple[int, int]]    # size -> (shill count, benign count)
     headline: dict[str, tuple[float, float]]
 
     def to_dict(self) -> dict:
+        a, b = COHORTS
         return {
-            "cohorts": [self.name_a, self.name_b],
-            "rows": [{"field": f, self.name_a: a, self.name_b: b}
-                     for f, a, b in self.rows],
-            "clique_table": {str(s): {self.name_a: a, self.name_b: b}
-                             for s, (a, b) in self.clique_table.items()},
-            "headline": {k: {self.name_a: a, self.name_b: b}
-                         for k, (a, b) in self.headline.items()},
+            "cohorts": list(COHORTS),
+            "rows": [{"field": f, a: x, b: y} for f, x, y in self.rows],
+            "clique_table": {str(s): {a: x, b: y}
+                             for s, (x, y) in self.clique_table.items()},
+            "headline": {k: {a: x, b: y} for k, (x, y) in self.headline.items()},
         }
 
 
-def compare_cohorts(report_a: EcosystemReport, report_b: EcosystemReport,
-                    name_a: str = "shill", name_b: str = "benign") -> CohortComparison:
-    rows = [(f, getattr(report_a, f), getattr(report_b, f)) for f in _COMPARE_FIELDS]
-    sizes = sorted(set(report_a.clique_histogram) | set(report_b.clique_histogram))
-    clique_table = {s: (report_a.clique_histogram.get(s, 0),
-                        report_b.clique_histogram.get(s, 0)) for s in sizes}
+def compare_cohorts(shill: EcosystemReport, benign: EcosystemReport) -> CohortComparison:
+    rows = [(f, getattr(shill, f), getattr(benign, f)) for f in _COMPARE_FIELDS]
+    sizes = sorted(set(shill.clique_histogram) | set(benign.clique_histogram))
+    clique_table = {s: (shill.clique_histogram.get(s, 0), benign.clique_histogram.get(s, 0))
+                    for s in sizes}
     headline = {
-        "largest_component_fraction": (report_a.largest_component_fraction,
-                                       report_b.largest_component_fraction),
-        "max_clique_size": (report_a.max_clique_size, report_b.max_clique_size),
+        "largest_component_fraction": (shill.largest_component_fraction,
+                                       benign.largest_component_fraction),
+        "max_clique_size": (shill.max_clique_size, benign.max_clique_size),
     }
-    return CohortComparison(name_a, name_b, rows, clique_table, headline)
+    return CohortComparison(rows, clique_table, headline)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +244,17 @@ def write_ecosystem_csv(report: EcosystemReport, stream) -> None:
 
 
 def write_comparison_csv(cmp: CohortComparison, stream) -> None:
-    stream.write(f"field,{cmp.name_a},{cmp.name_b}\n")
+    stream.write(f"field,{','.join(COHORTS)}\n")
     for f, a, b in cmp.rows:
         stream.write(f"{f},{a},{b}\n")
     for s, (a, b) in cmp.clique_table.items():
         stream.write(f"cliques_size_{s},{a},{b}\n")
 
 
-def write_clique_list(cliques, node_ids, stream, min_size: int = 3) -> None:
+def write_clique_list(cliques, node_ids, stream) -> None:
     """One clique per line, members space-separated; big cliques first."""
     named = sorted((sorted(node_ids[v] for v in c) for c in cliques
-                    if len(c) >= min_size),
+                    if len(c) >= MIN_CLIQUE_SIZE),
                    key=lambda ids: (-len(ids), ids))
     for ids in named:
         stream.write(" ".join(ids) + "\n")

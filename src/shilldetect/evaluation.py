@@ -81,14 +81,14 @@ def stratified_kfold(matrix: FeatureMatrix, k: int = 10, seed: int = 0) -> list[
 # Metrics
 
 
-def confusion_metrics(scores, labels, threshold: float = 0.5) -> dict:
-    """TP rate, FP rate, F-measure for the shill class at `threshold`.
+def confusion_metrics(scores, labels) -> dict:
+    """TP rate, FP rate, F-measure for the shill class.
 
-    A score >= threshold predicts shill. Degenerate denominators yield 0.0.
+    A score >= 0.5 predicts shill. Degenerate denominators yield 0.0.
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
-    pred = scores >= threshold
+    pred = scores >= 0.5
     pos, neg = labels == 1, labels == 0
     tp = int((pred & pos).sum())
     fp = int((pred & neg).sum())
@@ -125,12 +125,10 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def rank_users(scores, user_ids):
-    """Indices sorted by score descending, score ties by ascending user id."""
-    scores = np.asarray(scores, np.float64)
-    uid_rank = np.empty(len(scores), np.int64)
-    uid_rank[np.argsort(np.asarray(user_ids, dtype=object))] = np.arange(len(scores))
-    return np.lexsort((uid_rank, -scores))
+def rank_users(scores, keys):
+    """Indices sorted by score descending, score ties by ascending key: the
+    user ids, or any keys that sort as the ids do, such as id ranks."""
+    return np.lexsort((np.asarray(keys), -np.asarray(scores, np.float64)))
 
 
 def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
@@ -149,10 +147,7 @@ def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
         raise ValueError("k must be >= 1")
     if len(scores) == 0:
         raise ValueError("precision@k needs at least one scored row")
-    if user_ids is None:
-        order = np.lexsort((np.arange(len(scores)), -scores))
-    else:
-        order = rank_users(scores, user_ids)
+    order = rank_users(scores, np.arange(len(scores)) if user_ids is None else user_ids)
     hits = np.cumsum(labels[order], dtype=np.int64)
     ks = np.minimum(ks, len(scores))
     return (hits[ks - 1] / ks).tolist()

@@ -242,15 +242,13 @@ def _last_transaction_days(tg: TransactionMultigraph) -> np.ndarray:
     return days
 
 
-def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable | None) -> np.ndarray:
+def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable) -> np.ndarray:
     """(n_vertices, 3): Birth-Year, State-Hash, Active-Days.
 
     Users without a profile get the sentinel row (0, crc32(""), 0).
     """
     cols = np.zeros((tg.n_vertices, 3), np.float64)
     cols[:, 1] = crc32_state("")
-    if profiles is None:
-        return cols
     v = tg.users.positions(profiles.user_ids)
     cols[v, 0] = profiles.birth_year
     state_hash = np.array([crc32_state(s) for s in profiles.states], np.float64)
@@ -269,8 +267,7 @@ def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable | None) 
 
 
 def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
-                profiles: ProfileTable | None = None,
-                labels: LabelSet | None = None) -> FeatureMatrix:
+                profiles: ProfileTable, labels: LabelSet | None = None) -> FeatureMatrix:
     """Feature matrix for `users` (str ids or a bytes array), in the given order.
 
     Both graphs must share one vertex index (build them with build_graphs,
@@ -366,11 +363,13 @@ def write_feature_schema(matrix: FeatureMatrix, stream) -> None:
 def read_feature_csv(stream) -> FeatureMatrix:
     """Inverse of write_feature_csv (header must match the current manifest).
 
-    A malformed row or a user id already read raises ValueError naming
-    the line. The whole file is checked first and its 31 numeric columns
-    parsed in one np.loadtxt call; only when that fails are the lines
-    parsed again one by one with float(), which names the first bad line
-    or accepts a number loadtxt refuses (such as 1_000).
+    A malformed row, a user id that holds a NUL or a user id already read
+    raises ValueError naming the line. (A numpy `U` array drops final NULs,
+    so the ids "a" and "a" + NUL would rank as one.) The whole file is
+    checked first and its 31 numeric columns parsed in one np.loadtxt call;
+    only when that fails are the lines parsed again one by one with
+    float(), which names the first bad line or accepts a number loadtxt
+    refuses (such as 1_000).
     """
     header = stream.readline().rstrip("\n").split(",")
     if header != _CSV_HEADER:
@@ -380,6 +379,7 @@ def read_feature_csv(stream) -> FeatureMatrix:
     labels = np.array([LABEL_VALUES.get(line.rstrip("\n").rpartition(",")[2], -1)
                        for line in lines], np.int8)
     if (lines and labels.min() >= 0 and len(set(ids)) == len(ids)
+            and "\0" not in "".join(ids)
             and all(line.count(",") == len(_CSV_HEADER) - 1 for line in lines)
             and not _has_loadtxt_only_space(lines)):
         try:
@@ -411,6 +411,8 @@ def _read_feature_lines(lines) -> FeatureMatrix:
         if parts[-1] not in LABEL_VALUES:
             raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
                              "is neither 'shill' nor 'benign'")
+        if "\0" in parts[0]:
+            raise ValueError(f"feature CSV line {line_no}: user id {parts[0]!r} holds a NUL")
         ids.append(parts[0])
         try:
             rows.append([float(x) for x in parts[1:-1]])

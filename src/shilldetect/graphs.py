@@ -118,14 +118,14 @@ def build_feedback_graph(table: FeedbackTable, users: UserIndex) -> FeedbackMult
 
 
 def build_graphs(transactions: TransactionTable, feedback: FeedbackTable,
-                 profiles: ProfileTable | None = None):
+                 profiles: ProfileTable):
     """Both multigraphs over one shared vertex set: every id the tables use,
     plus every profiled user."""
     t = transactions
     users = UserIndex(np.concatenate([
         _in_use(t.user_ids, t.buyer, t.seller),
         _in_use(feedback.user_ids, feedback.giver, feedback.receiver),
-        *([profiles.user_ids] if profiles is not None else [])]))
+        profiles.user_ids]))
     buyer, seller = _vertices(users, t.user_ids, t.buyer, t.seller)
     return (TransactionMultigraph(users, buyer, seller, t.quantity, t.price_cents, t.ts),
             build_feedback_graph(feedback, users))
@@ -137,11 +137,13 @@ def build_graphs(transactions: TransactionTable, feedback: FeedbackTable,
 
 @dataclass(frozen=True)
 class WeightedFeedbackGraph:
-    """Simple directed weighted graph over a user subset.
+    """Simple directed weighted graph over a user subset (the cohort).
 
     weight_mode "count": link weight = number of parallel feedback links.
     weight_mode "rating_sum": link weight = sum of ratings (can be negative).
-    Self-loops are excluded from the links and counted separately.
+    Self-loops are excluded from the links and counted separately. The
+    feedback tallies count every rating with both ends in the cohort,
+    self-loops included.
     """
 
     node_ids: list[str]      # sorted subset
@@ -149,7 +151,10 @@ class WeightedFeedbackGraph:
     dst: np.ndarray
     weight: np.ndarray       # int64
     weight_mode: str
-    self_loops: int = 0      # raw self-feedback records dropped
+    self_loops: int          # raw self-feedback records dropped
+    total_feedback: int
+    positive_feedback: int
+    negative_feedback: int
 
     @property
     def n_vertices(self) -> int:
@@ -189,6 +194,8 @@ def project_feedback_graph(graph: FeedbackMultigraph, subset,
     keep = (g >= 0) & (r >= 0)
     g, r = g[keep], r[keep]
     ratings = graph.rating[keep]
+    tallies = (len(ratings), int(np.count_nonzero(ratings > 0)),
+               int(np.count_nonzero(ratings < 0)))
     loops = g == r
     self_loops = int(loops.sum())
     if self_loops:
@@ -207,7 +214,7 @@ def project_feedback_graph(graph: FeedbackMultigraph, subset,
     else:
         weight = np.zeros(0, dtype=np.int64)
     return WeightedFeedbackGraph(node_ids, uniq // k, uniq % k, weight,
-                                 weight_mode, self_loops)
+                                 weight_mode, self_loops, *tallies)
 
 
 def graph_density(graph: WeightedFeedbackGraph) -> float:

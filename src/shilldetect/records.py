@@ -145,9 +145,6 @@ class LabelSet:
     shill_ids: frozenset[str]
     duplicates: int = 0
 
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self.shill_ids
-
     def __len__(self) -> int:
         return len(self.shill_ids)
 

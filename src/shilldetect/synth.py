@@ -313,12 +313,12 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
         # buyer u <- seller v: the ring member sells cheap to a ring mate
         add_trades(ring_pairs_u[keep], ring_pairs_v[keep], 1, cheap=True)
 
-    buyer = np.concatenate(tx_buyer) if tx_buyer else np.zeros(0, np.int64)
-    seller = np.concatenate(tx_seller) if tx_seller else np.zeros(0, np.int64)
-    prod = np.concatenate(tx_prod) if tx_prod else np.zeros(0, np.int64)
-    qty = np.concatenate(tx_qty) if tx_qty else np.zeros(0, np.int64)
-    price = np.concatenate(tx_price) if tx_price else np.zeros(0, np.int64)
-    ts = np.concatenate(tx_ts) if tx_ts else np.zeros(0, np.int64)
+    buyer = np.concatenate(tx_buyer)
+    seller = np.concatenate(tx_seller)
+    prod = np.concatenate(tx_prod)
+    qty = np.concatenate(tx_qty)
+    price = np.concatenate(tx_price)
+    ts = np.concatenate(tx_ts)
 
     # --- feedback following transactions ------------------------------------
     fb_giver, fb_recv, fb_rating, fb_ts = [], [], [], []
@@ -359,10 +359,10 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
         fb_rating.append(np.ones(len(g), np.int64))
         fb_ts.append(rng.integers(_ACT_START, _ACT_END + 1, len(g)))
 
-    giver = np.concatenate(fb_giver) if fb_giver else np.zeros(0, np.int64)
-    recv = np.concatenate(fb_recv) if fb_recv else np.zeros(0, np.int64)
-    rating = np.concatenate(fb_rating) if fb_rating else np.zeros(0, np.int64)
-    fts = np.concatenate(fb_ts) if fb_ts else np.zeros(0, np.int64)
+    giver = np.concatenate(fb_giver)
+    recv = np.concatenate(fb_recv)
+    rating = np.concatenate(fb_rating)
+    fts = np.concatenate(fb_ts)
 
     # --- assemble, sorted by time for realistic logs -------------------------
     t_order = np.lexsort((seller, buyer, ts))

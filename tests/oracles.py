@@ -630,7 +630,7 @@ def read_feature_csv_reference(stream):
     """(user ids, rows of 31 floats, 0/1 labels) of a feature CSV.
 
     A bad file raises the reader's ValueError. Lines are checked in file
-    order (field count, label, then each cell with float()); then repeated
+    order (field count, label, a NUL in the id, then each cell with float()); then repeated
     user ids; then non-finite values, first in row-major order.
     """
     from shilldetect.features import FEATURE_NAMES, LABEL_VALUES
@@ -648,6 +648,8 @@ def read_feature_csv_reference(stream):
         if parts[-1] not in LABEL_VALUES:
             raise ValueError(f"feature CSV line {line_no}: label {parts[-1]!r} "
                              "is neither 'shill' nor 'benign'")
+        if "\0" in parts[0]:
+            raise ValueError(f"feature CSV line {line_no}: user id {parts[0]!r} holds a NUL")
         row = []
         for name, text in zip(FEATURE_NAMES, parts[1:-1]):
             try:

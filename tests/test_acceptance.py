@@ -77,7 +77,7 @@ def test_criterion_01_clique_enumeration_exact(criterion):
             [f"u{i:02d}" for i in range(n)],
             np.array([a for a, b in directed], np.int64),
             np.array([b for a, b in directed], np.int64),
-            np.ones(len(directed), np.int64), "count")
+            np.ones(len(directed), np.int64), "count", 0, 0, 0, 0)
         adj = [set() for _ in range(n)]
         for a, b in und:
             adj[a].add(b)
@@ -147,7 +147,7 @@ def test_criterion_04_density_reference_point(criterion):
     src = np.concatenate(blocks_src)[:m]
     dst = np.concatenate(blocks_dst)[:m]
     g = WeightedFeedbackGraph([f"u{i:06d}" for i in range(n)], src, dst,
-                              np.ones(m, np.int64), "count")
+                              np.ones(m, np.int64), "count", 0, 0, 0, 0)
     assert g.n_non_isolated == n and g.n_links == m
     got = graph_density(g)
     criterion("4. density of a 156,769-user / 1,805,199-link graph is "
@@ -254,7 +254,7 @@ def test_criterion_08_ecosystem_contrast(criterion, big_corpus, big_graphs):
     reports = {}
     for name, cohort in (("shill", shills), ("benign", benign)):
         g = project_feedback_graph(fg, cohort)
-        reports[name] = ecosystem_report(g, fg, cohort)
+        reports[name] = ecosystem_report(g, maximal_cliques(g))
     s, b = reports["shill"], reports["benign"]
     criterion("8. shill cohort: max clique >= 5 vs benign <= 3, larger "
               "main component",

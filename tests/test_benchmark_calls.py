@@ -3,9 +3,10 @@
 `perfbench/worker.py` drives shilldetect as the benchmark does. With
 `--trace` its tracer first looks up every function it wraps, so renaming
 any of them (`tg.users.ids`, `extract_all`, `KNN3.scores`,
-`precision_at_k`, ...) fails here. One traced set-up and one traced round
-of the `protocol` workload run in fresh interpreters, and the benchmark's
-own `checks.check_round` then checks the round's outputs.
+`precision_at_k`, `ecosystem_report`, ...) or changing what a count hook
+reads of a result fails here. For the `protocol` and `market` workloads,
+one traced set-up and one traced round run in fresh interpreters, and the
+benchmark's own `checks.check_round` then checks the round's outputs.
 """
 
 import importlib.util
@@ -14,14 +15,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SEED = 1
+OPS = {"protocol": ["precision-at-k"], "market": ["synth", "features", "ecosystem"]}
 
 
-def _worker(mode: str, out: Path, *extra: str) -> subprocess.CompletedProcess:
+def _worker(mode: str, workload: str, out: Path, *extra: str) -> subprocess.CompletedProcess:
     argv = [sys.executable, str(PERFBENCH / "worker.py"), mode, "--root", str(ROOT),
-            "--workload", "protocol", "--seed", str(SEED), "--dir", str(out), "--trace", *extra]
+            "--workload", workload, "--seed", str(SEED), "--dir", str(out), "--trace", *extra]
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
@@ -32,14 +36,16 @@ def _checks():
     return module
 
 
-def test_protocol_workload_runs_traced(tmp_path):
+@pytest.mark.parametrize("workload", OPS)
+def test_workload_runs_traced(tmp_path, workload):
     inputs, out = tmp_path / "setup", tmp_path / "run"
-    setup = _worker("setup", inputs)
+    setup = _worker("setup", workload, inputs)
     assert setup.returncode == 0, setup.stderr
-    run = _worker("run", out, "--inputs", str(inputs), "--rounds", "1")
+    run = _worker("run", workload, out, "--inputs", str(inputs), "--rounds", "1")
     assert run.returncode == 0, run.stderr
     rounds = json.loads((out / "result.json").read_text(encoding="utf-8"))["rounds"]
-    assert [(r["ops"], r["codes"]) for r in rounds] == [(["precision-at-k"], [0])]
-    found = _checks().check_round("protocol", Path(rounds[0]["dir"]), SEED,
+    ops = OPS[workload]
+    assert [(r["ops"], r["codes"]) for r in rounds] == [(ops, [0] * len(ops))]
+    found = _checks().check_round(workload, Path(rounds[0]["dir"]), SEED,
                                   inputs / "features.csv")
-    assert found == {"precision-at-k": []}
+    assert found == {op: [] for op in ops}

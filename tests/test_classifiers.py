@@ -858,13 +858,6 @@ def test_pca_basis_ignores_memory_layout():
         assert np.array_equal(pca_basis(layout), expected)
 
 
-def test_pca_dimension_truncation():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(30, 4))
-    B = pca_basis(X, dimension=2)
-    assert B.shape == (4, 2)
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 

@@ -27,7 +27,7 @@ def mk_graph(n, edges, weights=None):
     dst = np.array([b for a, b in edges], dtype=np.int64)
     w = (np.asarray(weights, dtype=np.int64) if weights is not None
          else np.ones(len(edges), dtype=np.int64))
-    return WeightedFeedbackGraph(node_ids, src, dst, w, "count")
+    return WeightedFeedbackGraph(node_ids, src, dst, w, "count", 0, 0, 0, 0)
 
 
 def undirected(n, edges):
@@ -93,7 +93,6 @@ def test_clique_histogram_threshold():
     cliques = [frozenset({0}), frozenset({1, 2}), frozenset({3, 4, 5}),
                frozenset({6, 7, 8}), frozenset({0, 1, 2, 3, 4})]
     assert clique_size_histogram(cliques) == {3: 2, 5: 1}
-    assert clique_size_histogram(cliques, min_size=2) == {2: 1, 3: 2, 5: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def _feedback(rows):
 def test_ecosystem_report_hand_values(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
-    rep = ecosystem_report(g, tiny_graphs[1], cohort)
+    rep = ecosystem_report(g, maximal_cliques(g))
     assert rep.cohort_size == 3
     assert rep.total_feedback == 5          # every record stays inside cohort
     assert rep.positive_feedback == 3       # zero ratings are neither pos nor neg
@@ -136,7 +135,7 @@ def test_ecosystem_report_counts_raw_self_feedback(tiny_graphs):
     from shilldetect.graphs import UserIndex, build_feedback_graph
     mg = build_feedback_graph(feedback, UserIndex(["alice", "dave", "eve"]))
     g = project_feedback_graph(mg, cohort)
-    rep = ecosystem_report(g, mg, cohort)
+    rep = ecosystem_report(g, maximal_cliques(g))
     # the self-record counts in the tallies but is dropped from the projection
     assert rep.total_feedback == 2
     assert rep.positive_feedback == 1 and rep.negative_feedback == 1
@@ -145,20 +144,17 @@ def test_ecosystem_report_counts_raw_self_feedback(tiny_graphs):
     assert rep.density == pytest.approx(1 / 2)
 
 
-def test_ecosystem_report_rejects_mismatched_cohort(tiny_graphs):
-    fg = tiny_graphs[1]
-    g = project_feedback_graph(fg, ["alice", "bob"])
-    with pytest.raises(ValueError, match="projected"):
-        ecosystem_report(g, fg, ["alice", "bob", "carol"])
-    with pytest.raises(ValueError, match="empty"):
-        ecosystem_report(g, fg, [])
+def test_ecosystem_report_rejects_empty_cohort(tiny_graphs):
+    g = project_feedback_graph(tiny_graphs[1], [])
+    with pytest.raises(ValueError, match="cohort is empty"):
+        ecosystem_report(g, maximal_cliques(g))
 
 
 def test_ecosystem_report_reuses_precomputed_cliques(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
     cliques = maximal_cliques(g)
-    rep = ecosystem_report(g, tiny_graphs[1], cohort, cliques=cliques)
+    rep = ecosystem_report(g, cliques)
     assert rep.clique_histogram == {3: 1}
 
 
@@ -167,7 +163,7 @@ def test_small_corpus_ring_structure(small_corpus):
     shills = sorted(c.labels.shill_ids)
     tg, fg = build_graphs(c.transactions, c.feedback, c.profiles)
     g = project_feedback_graph(fg, shills)
-    rep = ecosystem_report(g, fg, shills)
+    rep = ecosystem_report(g, maximal_cliques(g))
     # rings are 3-7 members with near-complete reciprocal feedback
     assert rep.max_clique_size >= 3
     assert rep.largest_component_fraction > 0
@@ -190,7 +186,6 @@ def test_compare_cohorts_layout():
     a = stub(10, {3: 2, 5: 1}, 0.9, 5)
     b = stub(10, {3: 1}, 0.2, 3)
     cmp_ = compare_cohorts(a, b)
-    assert cmp_.name_a == "shill" and cmp_.name_b == "benign"
     fields = [f for f, _, _ in cmp_.rows]
     assert "density" in fields and "max_clique_size" in fields
     assert cmp_.clique_table == {3: (2, 1), 5: (1, 0)}
@@ -208,7 +203,7 @@ def test_compare_cohorts_layout():
 def demo_report(tiny_graphs):
     cohort = ["alice", "bob", "carol"]
     g = project_feedback_graph(tiny_graphs[1], cohort)
-    return g, ecosystem_report(g, tiny_graphs[1], cohort)
+    return g, ecosystem_report(g, maximal_cliques(g))
 
 
 def test_json_writer_roundtrip(demo_report):
@@ -232,17 +227,17 @@ def test_csv_writer_flattens_histograms(demo_report):
 
 def test_comparison_csv(demo_report):
     _, rep = demo_report
-    cmp_ = compare_cohorts(rep, rep, "left", "right")
+    cmp_ = compare_cohorts(rep, rep)
     buf = io.StringIO()
     write_comparison_csv(cmp_, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "field,left,right"
+    assert lines[0] == "field,shill,benign"
     assert any(line.startswith("cliques_size_3,1,1") for line in lines)
 
 
 def test_clique_list_ordering():
     node_ids = [f"u{i}" for i in range(8)]
-    cliques = [frozenset({0, 1}),               # below min_size, dropped
+    cliques = [frozenset({0, 1}),               # below MIN_CLIQUE_SIZE, dropped
                frozenset({5, 6, 7}),
                frozenset({0, 2, 3, 4}),
                frozenset({1, 2, 3})]

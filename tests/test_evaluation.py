@@ -130,7 +130,7 @@ def test_stratified_kfold_requires_rows():
 def test_confusion_metrics_hand_case():
     scores = np.array([0.9, 0.8, 0.6, 0.4, 0.3, 0.1])
     labels = np.array([1, 1, 0, 1, 0, 0])
-    m = confusion_metrics(scores, labels, threshold=0.5)
+    m = confusion_metrics(scores, labels)
     assert m["tp"] == 2 and m["fp"] == 1 and m["fn"] == 1 and m["tn"] == 2
     assert m["tp_rate"] == pytest.approx(2 / 3)
     assert m["fp_rate"] == pytest.approx(1 / 3)

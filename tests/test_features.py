@@ -354,6 +354,7 @@ _EDGE_CASES = {
     "crlf": lambda lines: [lines[0], *(line.replace("\n", "\r\n") for line in lines[1:])],
     "no-final-newline": lambda lines: [*lines[:-1], lines[-1].rstrip("\n")],
     "header-only": lambda lines: lines[:1],
+    "nul-id": lambda lines: [*lines[:5], lines[5].replace(",", "\0,", 1), *lines[6:]],
 }
 
 
@@ -362,6 +363,19 @@ def test_csv_reader_edge_cases_match_reference(small_matrix, edit):
     text = "".join(edit(_csv_lines(small_matrix)))
     assert _read_result(read_feature_csv, text) == _read_result(read_feature_csv_reference,
                                                                 text)
+
+
+@pytest.mark.parametrize("cell", [None, "1_000"], ids=["loadtxt-path", "line-path"])
+def test_csv_user_id_with_nul_names_the_line(small_matrix, cell):
+    # np.loadtxt reads the file, or, with a 1_000 on line 6, refuses it.
+    lines = _csv_lines(small_matrix)
+    if cell:
+        lines = _cell(cell)(lines)
+    user = lines[8].split(",", 1)[0] + "\0"
+    lines[8] = lines[8].replace(",", "\0,", 1)
+    with pytest.raises(ValueError, match=rf"^feature CSV line 9: user id "
+                       rf"{re.escape(repr(user))} holds a NUL$"):
+        read_feature_csv(io.StringIO("".join(lines)))
 
 
 def test_csv_header_only_gives_empty_matrix_without_warning():

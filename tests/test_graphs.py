@@ -129,6 +129,15 @@ def test_projection_excludes_and_counts_self_loops():
     assert h.n_links == 1
 
 
+def test_projection_tallies_ratings_inside_the_cohort():
+    # The tallies keep the self-rating the links drop, not the rating that leaves.
+    fb = [_fb("a", "a", -1), _fb("a", "b", 1), _fb("b", "a", 0), _fb("b", "c", 1)]
+    g = build_feedback_graph(feedback_table(fb), UserIndex(("a", "b", "c")))
+    h = project_feedback_graph(g, ["a", "b"])
+    assert (h.total_feedback, h.positive_feedback, h.negative_feedback) == (3, 1, 1)
+    assert h.self_loops == 1 and h.n_links == 2
+
+
 def test_projection_restricted_to_cohort():
     fb = [_fb("a", "b"), _fb("b", "c"), _fb("c", "a")]
     g = build_feedback_graph(feedback_table(fb), UserIndex(("a", "b", "c")))
@@ -211,7 +220,7 @@ def test_long_shuffled_path_matches_flood_fill():
     src = np.concatenate([perm[:3999], perm[4000:5998]])
     dst = np.concatenate([perm[1:4000], perm[4001:5999]])
     h = WeightedFeedbackGraph([f"u{i:04d}" for i in range(n)], src, dst,
-                              np.ones(len(src), np.int64), "count")
+                              np.ones(len(src), np.int64), "count", 0, 0, 0, 0)
     part = connected_components(h)
     assert part.sizes.tolist() == [4000, 1999]
     assert part.isolated == 1
@@ -320,7 +329,7 @@ def test_non_ascii_ids_keep_python_order_from_parse_to_features():
         tg.users.positions(["z", "nobody", "\u00e9x"])
     assert exc.value.args == ("unknown user id 'nobody'",)
     with pytest.raises(KeyError) as exc:
-        extract_all(["z", "\u00e9x", "zz", "q"], tg, fg)
+        extract_all(["z", "\u00e9x", "zz", "q"], tg, fg, profiles.records)
     assert exc.value.args == ("2 ids not in the graphs, e.g. ['\u00e9x', 'q']",)
     with pytest.raises(KeyError) as exc:
         project_feedback_graph(fg, ["z", "\u00e9x", "q", "q"])
