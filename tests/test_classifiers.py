@@ -340,17 +340,61 @@ def _overflow_knn_data():
     return X, y, Q, (2,)
 
 
-@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
-@pytest.mark.parametrize("data", [_near_tie_knn_data, _overflow_knn_data])
-def test_knn_exact_at_large_norm_and_overflow(monkeypatch, data, rows_per_chunk):
-    X, y, Q, categorical = data()
+def _assert_standardized_knn_matches_oracle(monkeypatch, X, y, Q, categorical,
+                                            rows_per_chunk):
     model, ids = _standardized_knn(X, y, categorical)
-    if rows_per_chunk is not None:
+    if rows_per_chunk is not None:   # a budget that fits this many query rows
         monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * len(X) * rows_per_chunk)
     m = int(model.numeric_mask.sum())
     expected = knn_scores_reference(X.tolist(), list(y), ids, Q.tolist(),
                                     list(categorical), [0.0] * m, [1.0] * m)
     assert model.scores(Q).tolist() == expected
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+@pytest.mark.parametrize("data", [_near_tie_knn_data, _overflow_knn_data])
+def test_knn_exact_at_large_norm_and_overflow(monkeypatch, data, rows_per_chunk):
+    _assert_standardized_knn_matches_oracle(monkeypatch, *data(), rows_per_chunk)
+
+
+def _category_knn_data(n_train, n_cat):
+    """Tie-heavy grid rows with `n_cat` categorical columns, in standardized units.
+
+    The first 20 query rows share one categorical value in every column, so
+    they fill whole chunks of 7 and run on across chunks; the others draw
+    their values from those of training plus 9.0, which no training row
+    holds. Ten queries repeat training rows.
+    """
+    rng = np.random.default_rng(100 + n_train + n_cat)
+    categorical = (1, 3)[:n_cat]
+    X = rng.integers(0, 3, (n_train, 3 + n_cat)) * 0.5
+    X[:, categorical] = rng.choice([1.0, 2.0, 3.0], (n_train, n_cat))
+    X[n_train // 2:n_train // 2 + n_train // 4] = X[:n_train // 4]   # duplicate rows
+    y = rng.integers(0, 2, n_train)
+    Q = rng.integers(0, 3, (60, 3 + n_cat)) * 0.5
+    Q[:, categorical] = rng.choice([1.0, 2.0, 3.0, 9.0], (60, n_cat))
+    Q[:20, categorical] = 2.0
+    Q[40:50] = X[rng.integers(0, n_train, 10)]
+    return X, y, Q, categorical
+
+
+# Training sizes: k, and either side of a few hundred rows, where the
+# filter's work per row changes shape; 300 is no multiple of a power of two.
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+@pytest.mark.parametrize("n_cat", [0, 1, 2])
+@pytest.mark.parametrize("n_train", [3, 100, 256, 300])
+def test_knn_matches_oracle_across_sizes_and_categories(monkeypatch, n_train, n_cat,
+                                                        rows_per_chunk):
+    _assert_standardized_knn_matches_oracle(
+        monkeypatch, *_category_knn_data(n_train, n_cat), rows_per_chunk)
+
+
+def test_knn_query_order_invariance(monkeypatch, train_ds, small_matrix):
+    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n_users * 13)
+    model = train_knn3(train_ds)
+    Q = small_matrix.values
+    perm = np.random.default_rng(4).permutation(len(Q))
+    assert np.array_equal(model.scores(Q[perm]), model.scores(Q)[perm])
 
 
 def test_knn_filter_prunes(train_ds, small_matrix):
