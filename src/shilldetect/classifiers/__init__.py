@@ -180,11 +180,7 @@ def model_from_dict(d: dict):
                            for f, c in b["cat_class_totals"].items()},
                           schema_hash, seed, params=params)
     if algo == "KNN3":
-        k = d["knn"]
-        return KNN3(np.array(k["train_X"]), np.array(k["train_y"]),
-                    np.array(k["mean"]), np.array(k["scale"]),
-                    np.array(k["numeric_mask"], bool), k["k"], schema_hash, seed,
-                    params=params)
+        return _knn_from_dict(d["knn"], schema_hash, seed, params)
     if algo == "DecisionTree":
         t = d["tree"]
         root, mask = Node.from_dict(t["root"]), np.array(t["categorical_mask"], bool)
@@ -203,6 +199,33 @@ def model_from_dict(d: dict):
                    for m in d["members"]]
         return RotationForest(members, algo, schema_hash, seed, params=params)
     raise ValueError(f"unknown algorithm {algo!r} in model container")
+
+
+def _knn_from_dict(d: dict, schema_hash: str, seed: int, params: dict) -> KNN3:
+    """The KNN3 `model_to_dict` wrote. ValueError unless train_X is a non-empty
+    table, k an int in [1, rows], train_y one 0 or 1 per row, numeric_mask one
+    bool per column with mean and scale one value per numeric column, and
+    every value finite with scale positive."""
+    train_X, train_y = np.array(d["train_X"], np.float64), np.array(d["train_y"], np.float64)
+    mean, scale = np.array(d["mean"], np.float64), np.array(d["scale"], np.float64)
+    mask, k = d["numeric_mask"], d["k"]
+    if train_X.ndim != 2 or not train_X.size:
+        raise ValueError("KNN3 train_X must be a non-empty table of rows")
+    rows, cols = train_X.shape
+    if type(k) is not int or not 1 <= k <= rows:
+        raise ValueError(f"KNN3 k is {k!r}; it must be an int in [1, {rows}]")
+    if train_y.shape != (rows,) or not np.isin(train_y, (0, 1)).all():
+        raise ValueError(f"KNN3 train_y must hold a 0 or 1 for each of the {rows} rows")
+    if not (isinstance(mask, list) and len(mask) == cols
+            and all(type(v) is bool for v in mask)
+            and mean.shape == scale.shape == (sum(mask),)):
+        raise ValueError(f"KNN3 numeric_mask must hold a bool for each of the {cols} "
+                         f"columns, and mean and scale a value for each numeric one")
+    if not (np.isfinite(train_X).all() and np.isfinite(mean).all()
+            and np.isfinite(scale).all() and (scale > 0).all()):
+        raise ValueError("KNN3 train_X, mean and scale must be finite, and scale positive")
+    return KNN3(train_X, train_y, mean, scale, np.array(mask, bool), k, schema_hash, seed,
+                params=params)
 
 
 def save_model(model, path) -> None:

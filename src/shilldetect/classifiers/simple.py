@@ -11,9 +11,13 @@ from .base import N_CLASSES, require_trainable
 
 _VAR_FLOOR = 1e-9
 
-# Bytes of the two scratch arrays KNN3 estimates distances in (the estimates
-# and their partitioned copy); query rows are scored in chunks that fit them.
+# Bytes of the distance estimates KNN3 holds for one chunk of query rows,
+# 8 per (query, training row) pair; query rows are scored in chunks that fit
+# them. The keep test's two boolean masks add a quarter of this again.
 KNN_BUFFER_BYTES = 2 << 20
+# Runs of training rows whose least estimates bound a query row's k-th
+# estimate; there are fewer when there are fewer training rows.
+KNN_BLOCKS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +227,20 @@ class KNN3:
     A distance d2 adds the squared numeric differences one column at a
     time, in column order, then the count of categorical mismatches.
     Scoring computes d2 only for candidate pairs, picked per chunk of query
-    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t, one matrix
-    product per chunk, plus the mismatches. A pair stays a candidate unless
-    est - margin is above the k-th smallest est + margin of its row.
+    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t plus the
+    mismatches, from one matrix product per chunk. Chunks take the query
+    rows in order of their categorical values, so the rows that share the
+    chunk's first row's values are a prefix of it. For them the product's
+    constant term is ||t||^2 plus t's mismatches with that first row,
+    which are their own; the other rows add their mismatches one column at
+    a time after the product. A pair stays a candidate unless est - margin
+    is above its row's bound + margin. The bound is the k-th smallest of
+    the row's block minima: with b = min(KNN_BLOCKS, training rows) blocks,
+    training row i falls in block i mod b unless it is in the last
+    (rows mod b), which fall in none, and a block's minimum is its least
+    est. The k smallest minima are the ests of k different training rows,
+    so the bound is at or above the row's k-th smallest est; a higher
+    bound only keeps more pairs.
 
     The margin bounds |est - d2|. Take u = 2^-53, m numeric and c
     categorical columns, Q = ||q||^2, T = ||t||^2, S = Q + T + c, D the
@@ -233,22 +248,30 @@ class KNN3:
     - d2: each term is within 3u of (q_j - t_j)^2, the m-term sum and the
       count add (m - 1)u and u: |d2 - D - C| <= (m + 3)u (D + C), and
       D <= 2(Q + T), so this is at most 2(m + 3)u S.
-    - est is one dot product, [q, Q, 1] . [-2t, 1, T], whose m + 2 terms
-      have magnitudes summing to at most 2(Q + T). In any summation order,
-      fused or not, it errs by at most (m + 2)u times that (Higham,
-      Accuracy and Stability of Numerical Algorithms, 3.1); the computed Q
-      and T are within m u Q and m u T, and each of the c additions of a
-      mismatch column rounds by at most u (2(Q + T) + c): |est - D - C| <=
-      (3m + 2c + 4)u S.
-    - With the rounding of the k-th est plus the margin, at most
+    - est, mismatches added after the product: one dot product,
+      [q, Q, 1] . [-2t, 1, T], whose m + 2 terms have magnitudes summing to
+      at most 2(Q + T). In any summation order, fused or not, it errs by at
+      most (m + 2)u times that (Higham, Accuracy and Stability of Numerical
+      Algorithms, 3.1); the computed Q and T are within m u Q and m u T, and
+      each of the c additions of a mismatch column rounds by at most
+      u (2(Q + T) + c): |est - D - C| <= (3m + 2c + 4)u S.
+    - est, mismatches in the product: [q, Q, 1] . [-2t, 1, T + C], whose
+      terms' magnitudes sum to at most 2(Q + T) + C(1 + u), about 2S. The
+      product errs by at most 2(m + 2)u S, Q and T by m u S, and T + C,
+      rounded once, by u S; with c = 0 it is T and exact. So |est - D - C|
+      <= (3m + 5)u S, within (3m + 2c + 4)u S when c >= 1.
+    - With the rounding of the bound plus the margin, at most
       5(m + c + 3)u S separates a pruned pair from the k-th distance.
     The margin is 128(m + c + 3)u (Q + max T + c), over 25 times that, plus
     the smallest normal float, which covers the 2^-1075 each product can
     lose to underflow. So every pair nearer than or tied with the k-th
     distance is a candidate, and the vote sees the distances a full
-    computation gives. A row whose estimate or margin is not finite keeps
-    every pair. The product's last bits may vary with the BLAS build and
-    its threads; only the filter reads them.
+    computation gives. A row whose margin is not finite keeps every pair,
+    and so does one with fewer than k finite block minima: a block's
+    minimum is nan if any of its ests is, and the partition puts nan last,
+    so the bound is nan. A nan est keeps its pair. The product's last bits
+    may vary with the BLAS build and its threads; only the filter reads
+    them.
     """
 
     train_X: np.ndarray               # standardized numerics + raw categoricals
@@ -271,19 +294,23 @@ class KNN3:
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, np.float64)
         out = np.empty(len(X))
-        for lo, d2, y in self._candidates(X):
-            out[lo:lo + len(d2)] = self._vote(d2, y)
+        for rows, d2, y in self._candidates(X):
+            out[rows] = self._vote(d2, y)
         return out
 
     def _candidates(self, X: np.ndarray):
-        """Yield (first row, d2, y) for each chunk of query rows.
+        """Yield (query rows, d2, y) for each chunk of query rows.
 
-        Row i of d2 holds the exact distances of query row lo + i to its
+        Chunks take the query rows in order of their categorical values.
+        Row i of d2 holds the exact distances of query row rows[i] to its
         candidates in training-row order, padded with +inf; y holds their
         labels.
         """
-        Z = self._standardize(X)
         num, cat = self.numeric_mask, ~self.numeric_mask
+        # Rows that share categorical values come together, so the rows of
+        # a chunk that share its first row's values are a prefix of it.
+        order = np.lexsort(X[:, cat].T) if cat.any() else np.arange(len(X))
+        Z = self._standardize(X[order])
         train_num = np.ascontiguousarray(self.train_X[:, num])
         train_cat = self.train_X[:, cat]
         n_train, m = train_num.shape
@@ -294,16 +321,26 @@ class KNN3:
             train_sq = np.einsum("ij,ij->i", train_num, train_num)
         train = np.vstack([-2.0 * train_num.T, np.ones(n_train), train_sq])
         rel, t_max = 128 * (m + c + 3) * 2.0 ** -53, train_sq.max()
+        blocks = min(KNN_BLOCKS, n_train)
+        per = n_train // blocks
         rows = max(1, KNN_BUFFER_BYTES // (2 * 8 * n_train))
         est_buf = np.empty((min(rows, len(Z)), n_train))
         for lo in range(0, len(Z), rows):
             zq, zc = query[lo:lo + rows], Z[lo:lo + rows, cat]
             est = est_buf[:len(zq)]
+            same = (zc == zc[0]).all(axis=1)
+            p = len(zq) if same.all() else int(same.argmin())
             with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(zq, train, out=est)
-                for j in range(c):
-                    est += zc[:, j, None] != train_cat[:, j]
-                kth = np.partition(est, self.k - 1, axis=1)[:, self.k - 1]
+                # The first p rows' mismatches ride in the product's constant row.
+                train[m + 1] = train_sq + (train_cat != zc[0]).sum(axis=1)
+                np.matmul(zq[:p], train, out=est[:p])
+                if p < len(zq):
+                    train[m + 1] = train_sq
+                    np.matmul(zq[p:], train, out=est[p:])
+                    for j in range(c):
+                        est[p:] += zc[p:, j, None] != train_cat[:, j]
+                mins = est[:, :per * blocks].reshape(len(zq), per, blocks).min(axis=1)
+                kth = np.partition(mins, self.k - 1, axis=1)[:, self.k - 1]
                 margin = rel * (zq[:, m] + t_max + c) + np.finfo(np.float64).tiny
                 # Written so that a nan or inf estimate or margin keeps the pair.
                 keep = ~(est > (kth + 2 * margin)[:, None])
@@ -324,7 +361,7 @@ class KNN3:
             y = np.zeros(d2.shape)
             d2[qi, col] = exact
             y[qi, col] = self.train_y[ti]
-            yield lo, d2, y
+            yield order[lo:lo + rows], d2, y
 
     def _vote(self, d2: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Shill share of the k nearest of each row's candidates.

@@ -256,14 +256,14 @@ def _tie_heavy_knn_data():
 def test_knn_matches_brute_force_oracle(monkeypatch, rows_per_chunk):
     ds, Q = _tie_heavy_knn_data()
     if rows_per_chunk is not None:   # a budget that fits this many query rows
-        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * ds.n_users * rows_per_chunk)
+        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 8 * ds.n_users * rows_per_chunk)
     model = train_knn3(ds)
     scores = model.scores(Q)
     assert scores.tolist() == _knn_oracle_scores(model, ds, Q)
 
 
 def test_knn_matches_oracle_on_features(monkeypatch, train_ds, small_matrix):
-    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n_users * 13)
+    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 8 * train_ds.n_users * 13)
     model = train_knn3(train_ds)
     Q = small_matrix.values
     assert model.scores(Q).tolist() == _knn_oracle_scores(model, train_ds.canonical(), Q)
@@ -344,7 +344,7 @@ def _assert_standardized_knn_matches_oracle(monkeypatch, X, y, Q, categorical,
                                             rows_per_chunk):
     model, ids = _standardized_knn(X, y, categorical)
     if rows_per_chunk is not None:   # a budget that fits this many query rows
-        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * len(X) * rows_per_chunk)
+        monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 8 * len(X) * rows_per_chunk)
     m = int(model.numeric_mask.sum())
     expected = knn_scores_reference(X.tolist(), list(y), ids, Q.tolist(),
                                     list(categorical), [0.0] * m, [1.0] * m)
@@ -390,7 +390,7 @@ def test_knn_matches_oracle_across_sizes_and_categories(monkeypatch, n_train, n_
 
 
 def test_knn_query_order_invariance(monkeypatch, train_ds, small_matrix):
-    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 2 * 8 * train_ds.n_users * 13)
+    monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 8 * train_ds.n_users * 13)
     model = train_knn3(train_ds)
     Q = small_matrix.values
     perm = np.random.default_rng(4).permutation(len(Q))
@@ -420,7 +420,7 @@ def test_knn_scoring_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -1089,6 +1089,49 @@ def test_model_from_dict_refuses_bad_values(key, node, value, message):
     ensemble["members"][0]["tree"]["root"][key][node] = value
     with pytest.raises(ValueError) as exc:
         model_from_dict(ensemble)
+    assert str(exc.value) == message
+
+
+_KNN_MASK_RULE = ("KNN3 numeric_mask must hold a bool for each of the 2 columns, and "
+                  "mean and scale a value for each numeric one")
+_KNN_FINITE_RULE = "KNN3 train_X, mean and scale must be finite, and scale positive"
+
+
+# Each edit replaces one field of a saved KNN3 with 6 rows and 2 columns, the
+# second categorical. Were they loaded, k -1 would score below 0 and k true
+# as k = 1; a label of 5 would score above 1 wherever its row is a neighbour,
+# and a short train_y would fail there; k 0, k 7 and k 3.0 would fail at
+# scoring, with bare numpy errors.
+@pytest.mark.parametrize("key, value, message", [
+    ("k", -1, "KNN3 k is -1; it must be an int in [1, 6]"),
+    ("k", 0, "KNN3 k is 0; it must be an int in [1, 6]"),
+    ("k", 7, "KNN3 k is 7; it must be an int in [1, 6]"),
+    ("k", True, "KNN3 k is True; it must be an int in [1, 6]"),
+    ("k", 3.0, "KNN3 k is 3.0; it must be an int in [1, 6]"),
+    ("train_y", [1.0, 0.0, 0.0, 1.0, 1.0, 5.0],
+     "KNN3 train_y must hold a 0 or 1 for each of the 6 rows"),
+    ("train_y", [1.0, 0.0, 0.0, 1.0, 1.0],
+     "KNN3 train_y must hold a 0 or 1 for each of the 6 rows"),
+    ("train_X", [], "KNN3 train_X must be a non-empty table of rows"),
+    ("numeric_mask", [True], _KNN_MASK_RULE),
+    ("numeric_mask", [1, 0], _KNN_MASK_RULE),
+    ("numeric_mask", [True, True], _KNN_MASK_RULE),
+    ("mean", [], _KNN_MASK_RULE),
+    ("scale", [1.0, 1.0], _KNN_MASK_RULE),
+    ("mean", [float("nan")], _KNN_FINITE_RULE),
+    ("scale", [float("inf")], _KNN_FINITE_RULE),
+    ("scale", [0.0], _KNN_FINITE_RULE),
+    ("train_X", [[0.0, 1.0]] * 5 + [[float("inf"), 1.0]], _KNN_FINITE_RULE),
+])
+def test_model_from_dict_refuses_bad_knn3(key, value, message):
+    model = train_knn3(mk_ds([[0.0, 1], [1, 2], [2, 1], [3, 2], [4, 1], [5, 2]],
+                             [1, 0, 0, 1, 1, 1], categorical=1))
+    d = model_to_dict(model)
+    assert model_from_dict(json.loads(json.dumps(d))).scores(model.train_X).tolist() == \
+        model.scores(model.train_X).tolist()
+    d["knn"][key] = value
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(d)
     assert str(exc.value) == message
 
 
