@@ -14,7 +14,7 @@ _VAR_FLOOR = 1e-9
 # Bytes of the distance estimates KNN3 holds for one chunk of query rows,
 # 8 per (query, training row) pair; query rows are scored in chunks that fit
 # them. The keep test's two boolean masks add a quarter of this again.
-KNN_BUFFER_BYTES = 2 << 20
+KNN_BUFFER_BYTES = 1 << 20
 # Runs of training rows whose least estimates bound a query row's k-th
 # estimate; there are fewer when there are fewer training rows.
 KNN_BLOCKS = 128
@@ -323,7 +323,7 @@ class KNN3:
         rel, t_max = 128 * (m + c + 3) * 2.0 ** -53, train_sq.max()
         blocks = min(KNN_BLOCKS, n_train)
         per = n_train // blocks
-        rows = max(1, KNN_BUFFER_BYTES // (2 * 8 * n_train))
+        rows = max(1, KNN_BUFFER_BYTES // (8 * n_train))
         est_buf = np.empty((min(rows, len(Z)), n_train))
         for lo in range(0, len(Z), rows):
             zq, zc = query[lo:lo + rows], Z[lo:lo + rows, cat]
