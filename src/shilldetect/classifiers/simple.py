@@ -285,12 +285,6 @@ class KNN3:
     algorithm: str = "KNN3"
     params: dict = field(default_factory=dict)
 
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        Z = X.copy()
-        Z[:, self.numeric_mask] = ((X[:, self.numeric_mask] - self.mean)
-                                   / self.scale)
-        return Z
-
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, np.float64)
         out = np.empty(len(X))
@@ -306,16 +300,19 @@ class KNN3:
         candidates in training-row order, padded with +inf; y holds their
         labels.
         """
-        num, cat = self.numeric_mask, ~self.numeric_mask
+        num, cat = np.flatnonzero(self.numeric_mask), np.flatnonzero(~self.numeric_mask)
         # Rows that share categorical values come together, so the rows of
         # a chunk that share its first row's values are a prefix of it.
-        order = np.lexsort(X[:, cat].T) if cat.any() else np.arange(len(X))
-        Z = self._standardize(X[order])
+        order = np.lexsort(X[:, cat].T) if len(cat) else np.arange(len(X))
+        query_cat = X[order[:, None], cat]
         train_num = np.ascontiguousarray(self.train_X[:, num])
         train_cat = self.train_X[:, cat]
         n_train, m = train_num.shape
-        c = train_cat.shape[1]
-        query = np.column_stack([Z[:, num], np.zeros(len(Z)), np.ones(len(Z))])
+        c = len(cat)
+        # [z-scored numerics, squared norm, 1], one row per query.
+        query = np.ones((len(X), m + 2))
+        np.subtract(X[order[:, None], num], self.mean, out=query[:, :m])
+        query[:, :m] /= self.scale
         with np.errstate(over="ignore", invalid="ignore"):
             query[:, m] = np.einsum("ij,ij->i", query[:, :m], query[:, :m])
             train_sq = np.einsum("ij,ij->i", train_num, train_num)
@@ -324,9 +321,9 @@ class KNN3:
         blocks = min(KNN_BLOCKS, n_train)
         per = n_train // blocks
         rows = max(1, KNN_BUFFER_BYTES // (8 * n_train))
-        est_buf = np.empty((min(rows, len(Z)), n_train))
-        for lo in range(0, len(Z), rows):
-            zq, zc = query[lo:lo + rows], Z[lo:lo + rows, cat]
+        est_buf = np.empty((min(rows, len(X)), n_train))
+        for lo in range(0, len(X), rows):
+            zq, zc = query[lo:lo + rows], query_cat[lo:lo + rows]
             est = est_buf[:len(zq)]
             same = (zc == zc[0]).all(axis=1)
             p = len(zq) if same.all() else int(same.argmin())
