@@ -15,8 +15,8 @@ _VAR_FLOOR = 1e-9
 # 8 per (query, training row) pair; query rows are scored in chunks that fit
 # them. The keep test's two boolean masks add a quarter of this again.
 KNN_BUFFER_BYTES = 1 << 20
-# Runs of training rows whose least estimates bound a query row's k-th
-# estimate; there are fewer when there are fewer training rows.
+# Blocks of training rows, row i in block i mod KNN_BLOCKS, whose least
+# estimates bound a query row's k-th estimate; fewer if rows are fewer.
 KNN_BLOCKS = 128
 
 
@@ -301,14 +301,13 @@ class KNN3:
         labels.
         """
         num, cat = np.flatnonzero(self.numeric_mask), np.flatnonzero(~self.numeric_mask)
+        n_train, m, c = len(self.train_X), len(num), len(cat)
         # Rows that share categorical values come together, so the rows of
         # a chunk that share its first row's values are a prefix of it.
-        order = np.lexsort(X[:, cat].T) if len(cat) else np.arange(len(X))
+        order = np.lexsort(X[:, cat].T) if c else np.arange(len(X))
         query_cat = X[order[:, None], cat]
         train_num = np.ascontiguousarray(self.train_X[:, num])
         train_cat = self.train_X[:, cat]
-        n_train, m = train_num.shape
-        c = len(cat)
         # [z-scored numerics, squared norm, 1], one row per query.
         query = np.ones((len(X), m + 2))
         np.subtract(X[order[:, None], num], self.mean, out=query[:, :m])

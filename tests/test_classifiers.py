@@ -378,8 +378,8 @@ def _category_knn_data(n_train, n_cat):
     return X, y, Q, categorical
 
 
-# Training sizes: k, and either side of a few hundred rows, where the
-# filter's work per row changes shape; 300 is no multiple of a power of two.
+# Training sizes: k, either side of simple.KNN_BLOCKS (128) and a multiple
+# of it, and 300, which is none.
 @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
 @pytest.mark.parametrize("n_cat", [0, 1, 2])
 @pytest.mark.parametrize("n_train", [3, 100, 256, 300])
