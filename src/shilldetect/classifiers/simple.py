@@ -16,7 +16,8 @@ _VAR_FLOOR = 1e-9
 # them. The keep test's two boolean masks add a quarter of this again.
 KNN_BUFFER_BYTES = 1 << 20
 # Blocks of training rows, row i in block i mod KNN_BLOCKS, whose least
-# estimates bound a query row's k-th estimate; fewer if rows are fewer.
+# estimates bound a query row's k-th estimate; fewer if rows are fewer,
+# and k if k is more.
 KNN_BLOCKS = 128
 
 
@@ -235,10 +236,11 @@ class KNN3:
     which are their own; the other rows add their mismatches one column at
     a time after the product. A pair stays a candidate unless est - margin
     is above its row's bound + margin. The bound is the k-th smallest of
-    the row's block minima: with b = min(KNN_BLOCKS, training rows) blocks,
-    training row i falls in block i mod b unless it is in the last
-    (rows mod b), which fall in none, and a block's minimum is its least
-    est. The k smallest minima are the ests of k different training rows,
+    the row's b block minima, b = max(min(KNN_BLOCKS, training rows), k):
+    at least k, and at most the training rows, as k is. Training row i
+    falls in block i mod b unless it is in the last (rows mod b), which
+    fall in none, and a block's minimum is its least est. The k smallest
+    minima are the ests of k different training rows,
     so the bound is at or above the row's k-th smallest est; a higher
     bound only keeps more pairs.
 
@@ -317,7 +319,7 @@ class KNN3:
             train_sq = np.einsum("ij,ij->i", train_num, train_num)
         train = np.vstack([-2.0 * train_num.T, np.ones(n_train), train_sq])
         rel, t_max = 128 * (m + c + 3) * 2.0 ** -53, train_sq.max()
-        blocks = min(KNN_BLOCKS, n_train)
+        blocks = max(min(KNN_BLOCKS, n_train), self.k)
         per = n_train // blocks
         rows = max(1, KNN_BUFFER_BYTES // (8 * n_train))
         est_buf = np.empty((min(rows, len(X)), n_train))

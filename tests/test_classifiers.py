@@ -269,7 +269,7 @@ def test_knn_matches_oracle_on_features(monkeypatch, train_ds, small_matrix):
     assert model.scores(Q).tolist() == _knn_oracle_scores(model, train_ds.canonical(), Q)
 
 
-def _standardized_knn(train_X, train_y, categorical):
+def _standardized_knn(train_X, train_y, categorical, k=3):
     """A KNN3 built directly in standardized units (mean 0, scale 1).
 
     `train_knn3` z-scores its rows, which bounds every training value by
@@ -280,7 +280,7 @@ def _standardized_knn(train_X, train_y, categorical):
     numeric = np.ones(train_X.shape[1], bool)
     numeric[list(categorical)] = False
     model = simple.KNN3(train_X, np.asarray(train_y, np.float64),
-                        np.zeros(numeric.sum()), np.ones(numeric.sum()), numeric)
+                        np.zeros(numeric.sum()), np.ones(numeric.sum()), numeric, k)
     ids = tuple(f"u{i:03d}" for i in range(len(train_X)))
     return model, ids
 
@@ -341,13 +341,13 @@ def _overflow_knn_data():
 
 
 def _assert_standardized_knn_matches_oracle(monkeypatch, X, y, Q, categorical,
-                                            rows_per_chunk):
-    model, ids = _standardized_knn(X, y, categorical)
+                                            rows_per_chunk, k=3):
+    model, ids = _standardized_knn(X, y, categorical, k)
     if rows_per_chunk is not None:   # a budget that fits this many query rows
         monkeypatch.setattr(simple, "KNN_BUFFER_BYTES", 8 * len(X) * rows_per_chunk)
     m = int(model.numeric_mask.sum())
     expected = knn_scores_reference(X.tolist(), list(y), ids, Q.tolist(),
-                                    list(categorical), [0.0] * m, [1.0] * m)
+                                    list(categorical), [0.0] * m, [1.0] * m, k)
     assert model.scores(Q).tolist() == expected
 
 
@@ -387,6 +387,14 @@ def test_knn_matches_oracle_across_sizes_and_categories(monkeypatch, n_train, n_
                                                         rows_per_chunk):
     _assert_standardized_knn_matches_oracle(
         monkeypatch, *_category_knn_data(n_train, n_cat), rows_per_chunk)
+
+
+# k above simple.KNN_BLOCKS (128), up to every training row.
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+@pytest.mark.parametrize("k", [130, 300])
+def test_knn_matches_oracle_with_k_above_the_block_count(monkeypatch, k, rows_per_chunk):
+    _assert_standardized_knn_matches_oracle(
+        monkeypatch, *_category_knn_data(300, 1), rows_per_chunk, k)
 
 
 def test_knn_query_order_invariance(monkeypatch, train_ds, small_matrix):
