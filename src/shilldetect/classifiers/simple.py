@@ -228,19 +228,14 @@ class KNN3:
     A distance d2 adds the squared numeric differences one column at a
     time, in column order, then the count of categorical mismatches.
     Scoring computes d2 only for candidate pairs, picked per chunk of query
-    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t plus the
-    mismatches, from one matrix product per chunk. Chunks take the query
-    rows in order of their categorical values, so the rows that share the
-    chunk's first row's values are a prefix of it. For them the product's
-    constant term is ||t||^2 plus t's mismatches with that first row,
-    which are their own; the other rows add their mismatches one column at
-    a time after the product. A pair stays a candidate unless est - margin
-    is above its row's bound + margin. The bound is the k-th smallest of
-    the row's b block minima, b = max(min(KNN_BLOCKS, training rows), k):
-    at least k, and at most the training rows, as k is. Training row i
-    falls in block i mod b unless it is in the last (rows mod b), which
-    fall in none, and a block's minimum is its least est. The k smallest
-    minima are the ests of k different training rows,
+    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t, one matrix
+    product per chunk, plus the mismatches. A pair stays a candidate unless
+    est - margin is above its row's bound + margin. The bound is the k-th
+    smallest of the row's b block minima, b = max(min(KNN_BLOCKS, training
+    rows), k): at least k, and at most the training rows, as k is.
+    Training row i falls in block i mod b unless it is in the last
+    (rows mod b), which fall in none, and a block's minimum is its least
+    est. The k smallest minima are the ests of k different training rows,
     so the bound is at or above the row's k-th smallest est; a higher
     bound only keeps more pairs.
 
@@ -250,18 +245,13 @@ class KNN3:
     - d2: each term is within 3u of (q_j - t_j)^2, the m-term sum and the
       count add (m - 1)u and u: |d2 - D - C| <= (m + 3)u (D + C), and
       D <= 2(Q + T), so this is at most 2(m + 3)u S.
-    - est, mismatches added after the product: one dot product,
-      [q, Q, 1] . [-2t, 1, T], whose m + 2 terms have magnitudes summing to
-      at most 2(Q + T). In any summation order, fused or not, it errs by at
-      most (m + 2)u times that (Higham, Accuracy and Stability of Numerical
-      Algorithms, 3.1); the computed Q and T are within m u Q and m u T, and
-      each of the c additions of a mismatch column rounds by at most
-      u (2(Q + T) + c): |est - D - C| <= (3m + 2c + 4)u S.
-    - est, mismatches in the product: [q, Q, 1] . [-2t, 1, T + C], whose
-      terms' magnitudes sum to at most 2(Q + T) + C(1 + u), about 2S. The
-      product errs by at most 2(m + 2)u S, Q and T by m u S, and T + C,
-      rounded once, by u S; with c = 0 it is T and exact. So |est - D - C|
-      <= (3m + 5)u S, within (3m + 2c + 4)u S when c >= 1.
+    - est is one dot product, [q, Q, 1] . [-2t, 1, T], whose m + 2 terms
+      have magnitudes summing to at most 2(Q + T). In any summation order,
+      fused or not, it errs by at most (m + 2)u times that (Higham,
+      Accuracy and Stability of Numerical Algorithms, 3.1); the computed Q
+      and T are within m u Q and m u T, and each of the c additions of a
+      mismatch column rounds by at most u (2(Q + T) + c): |est - D - C| <=
+      (3m + 2c + 4)u S.
     - With the rounding of the bound plus the margin, at most
       5(m + c + 3)u S separates a pruned pair from the k-th distance.
     The margin is 128(m + c + 3)u (Q + max T + c), over 25 times that, plus
@@ -290,29 +280,24 @@ class KNN3:
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, np.float64)
         out = np.empty(len(X))
-        for rows, d2, y in self._candidates(X):
-            out[rows] = self._vote(d2, y)
+        for lo, d2, y in self._candidates(X):
+            out[lo:lo + len(d2)] = self._vote(d2, y)
         return out
 
     def _candidates(self, X: np.ndarray):
-        """Yield (query rows, d2, y) for each chunk of query rows.
+        """Yield (first row, d2, y) for each chunk of query rows.
 
-        Chunks take the query rows in order of their categorical values.
-        Row i of d2 holds the exact distances of query row rows[i] to its
+        Row i of d2 holds the exact distances of query row lo + i to its
         candidates in training-row order, padded with +inf; y holds their
         labels.
         """
         num, cat = np.flatnonzero(self.numeric_mask), np.flatnonzero(~self.numeric_mask)
         n_train, m, c = len(self.train_X), len(num), len(cat)
-        # Rows that share categorical values come together, so the rows of
-        # a chunk that share its first row's values are a prefix of it.
-        order = np.lexsort(X[:, cat].T) if c else np.arange(len(X))
-        query_cat = X[order[:, None], cat]
         train_num = np.ascontiguousarray(self.train_X[:, num])
-        train_cat = self.train_X[:, cat]
+        train_cat, query_cat = self.train_X[:, cat], X[:, cat]
         # [z-scored numerics, squared norm, 1], one row per query.
         query = np.ones((len(X), m + 2))
-        np.subtract(X[order[:, None], num], self.mean, out=query[:, :m])
+        np.subtract(X[:, num], self.mean, out=query[:, :m])
         query[:, :m] /= self.scale
         with np.errstate(over="ignore", invalid="ignore"):
             query[:, m] = np.einsum("ij,ij->i", query[:, :m], query[:, :m])
@@ -326,17 +311,10 @@ class KNN3:
         for lo in range(0, len(X), rows):
             zq, zc = query[lo:lo + rows], query_cat[lo:lo + rows]
             est = est_buf[:len(zq)]
-            same = (zc == zc[0]).all(axis=1)
-            p = len(zq) if same.all() else int(same.argmin())
             with np.errstate(over="ignore", invalid="ignore"):
-                # The first p rows' mismatches ride in the product's constant row.
-                train[m + 1] = train_sq + (train_cat != zc[0]).sum(axis=1)
-                np.matmul(zq[:p], train, out=est[:p])
-                if p < len(zq):
-                    train[m + 1] = train_sq
-                    np.matmul(zq[p:], train, out=est[p:])
-                    for j in range(c):
-                        est[p:] += zc[p:, j, None] != train_cat[:, j]
+                np.matmul(zq, train, out=est)
+                for j in range(c):
+                    est += zc[:, j, None] != train_cat[:, j]
                 mins = est[:, :per * blocks].reshape(len(zq), per, blocks).min(axis=1)
                 kth = np.partition(mins, self.k - 1, axis=1)[:, self.k - 1]
                 margin = rel * (zq[:, m] + t_max + c) + np.finfo(np.float64).tiny
@@ -359,7 +337,7 @@ class KNN3:
             y = np.zeros(d2.shape)
             d2[qi, col] = exact
             y[qi, col] = self.train_y[ti]
-            yield order[lo:lo + rows], d2, y
+            yield lo, d2, y
 
     def _vote(self, d2: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Shill share of the k nearest of each row's candidates.
