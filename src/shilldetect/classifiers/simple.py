@@ -228,26 +228,18 @@ class KNN3:
     A distance d2 adds the squared numeric differences one column at a
     time, in column order, then the count of categorical mismatches.
     Scoring computes d2 only for candidate pairs, picked per chunk of query
-    rows in two tests. The first reads est = ||q||^2 + ||t||^2 - 2 q.t,
-    one matrix product per chunk, and keeps a pair unless est - margin is
-    above its row's bound + c + margin, c the categorical column count.
-    The bound is the k-th smallest of the row's b block minima, b =
-    max(min(KNN_BLOCKS, training rows), k): at least k, and at most the
-    training rows, as k is. Training row i falls in block i mod b unless
-    it is in the last (rows mod b), which fall in none, and a block's
-    minimum is its least est. The k smallest minima are the ests of k
-    different training rows, so at least k rows have est + C at most the
-    bound + c, C a pair's mismatch count, and the row's k-th smallest
-    est + C is at most that too. The second test adds C to the
-    candidates' ests and keeps a pair unless est + C - margin is above
-    the k-th smallest est + C of the row's candidates + margin. Since
-    est <= est + C, the candidates hold every pair whose est + C is at or
-    below the bound + c, so that k-th smallest is the one over all
-    training rows, and a pair the second test keeps passed the first.
-    Rounding is monotone, so each step holds for the computed values.
-    With no categorical column C is 0 and the first test is the filter.
+    rows from an estimate: est = ||q||^2 + ||t||^2 - 2 q.t, one matrix
+    product per chunk, plus the mismatches. A pair stays a candidate unless
+    est - margin is above its row's bound + margin. The bound is the k-th
+    smallest of the row's b block minima, b = max(min(KNN_BLOCKS, training
+    rows), k): at least k, and at most the training rows, as k is.
+    Training row i falls in block i mod b unless it is in the last
+    (rows mod b), which fall in none, and a block's minimum is its least
+    est. The k smallest minima are the ests of k different training rows,
+    so the bound is at or above the row's k-th smallest est; a higher
+    bound only keeps more pairs.
 
-    The margin bounds |est + C - d2|. Take u = 2^-53, m numeric and c
+    The margin bounds |est - d2|. Take u = 2^-53, m numeric and c
     categorical columns, Q = ||q||^2, T = ||t||^2, S = Q + T + c, D the
     exact squared distance and C the mismatch count, with no overflow:
     - d2: each term is within 3u of (q_j - t_j)^2, the m-term sum and the
@@ -257,9 +249,10 @@ class KNN3:
       have magnitudes summing to at most 2(Q + T). In any summation order,
       fused or not, it errs by at most (m + 2)u times that (Higham,
       Accuracy and Stability of Numerical Algorithms, 3.1); the computed Q
-      and T are within m u Q and m u T, and the addition of C rounds by
-      at most u (2(Q + T) + c): |est + C - D - C| <= (3m + 2c + 4)u S.
-    - With the rounding of the k-th est + C plus the margin, at most
+      and T are within m u Q and m u T, and each of the c additions of a
+      mismatch column rounds by at most u (2(Q + T) + c): |est - D - C| <=
+      (3m + 2c + 4)u S.
+    - With the rounding of the bound plus the margin, at most
       5(m + c + 3)u S separates a pruned pair from the k-th distance.
     The margin is 128(m + c + 3)u (Q + max T + c), over 25 times that, plus
     the smallest normal float, which covers the 2^-1075 each product can
@@ -268,9 +261,9 @@ class KNN3:
     computation gives. A row whose margin is not finite keeps every pair,
     and so does one with fewer than k finite block minima: a block's
     minimum is nan if any of its ests is, and the partition puts nan last,
-    so the bound is nan and every pair is a candidate. A nan est keeps its
-    pair in both tests. The product's last bits may vary with the BLAS
-    build and its threads; only the filter reads them.
+    so the bound is nan. A nan est keeps its pair. The product's last bits
+    may vary with the BLAS build and its threads; only the filter reads
+    them.
     """
 
     train_X: np.ndarray               # standardized numerics + raw categoricals
@@ -320,23 +313,14 @@ class KNN3:
             est = est_buf[:len(zq)]
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(zq, train, out=est)
+                for j in range(c):
+                    est += zc[:, j, None] != train_cat[:, j]
                 mins = est[:, :per * blocks].reshape(len(zq), per, blocks).min(axis=1)
                 kth = np.partition(mins, self.k - 1, axis=1)[:, self.k - 1]
                 margin = rel * (zq[:, m] + t_max + c) + np.finfo(np.float64).tiny
                 # Written so that a nan or inf estimate or margin keeps the pair.
-                keep = ~(est > (kth + c + 2 * margin)[:, None])
+                keep = ~(est > (kth + 2 * margin)[:, None])
             qi, ti = divmod(np.flatnonzero(keep), n_train)
-            counts = np.bincount(qi, minlength=len(zq))
-            if c:
-                # The candidates' ests with their mismatches, and the same
-                # test against the k-th smallest of those in each row.
-                mismatches = (zc[qi] != train_cat[ti]).sum(axis=1)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    full = est[qi, ti] + mismatches
-                    kth = full[np.lexsort((full, qi))[np.cumsum(counts) - counts + self.k - 1]]
-                    keep = ~(full > (kth + 2 * margin)[qi])
-                qi, ti, mismatches = qi[keep], ti[keep], mismatches[keep]
-                counts = np.bincount(qi, minlength=len(zq))
             # Exact distances: the operations and column order of a full
             # computation, so each is the value it would give.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -346,7 +330,8 @@ class KNN3:
                 for term in terms.T:
                     exact += term
             if c:
-                exact += mismatches
+                exact += (zc[qi] != train_cat[ti]).sum(axis=1)
+            counts = np.bincount(qi, minlength=len(zq))
             col = np.arange(len(qi)) - (np.cumsum(counts) - counts)[qi]
             d2 = np.full((len(zq), counts.max()), np.inf)
             y = np.zeros(d2.shape)
