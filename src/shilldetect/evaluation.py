@@ -164,7 +164,7 @@ def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
 # The learners whose CV folds and protocol repetitions `_map_in_order` runs
 # on a fork pool. KNN3 stays in process, where pooled children oversubscribed
 # OpenBLAS's threads. Its scoring does not use every core: in a 10,100-row
-# `KNN3.scores` call the BLAS products take about 20 of 130-140 ms, the rest
+# `KNN3.scores` call the BLAS product takes about 20 of 120-160 ms, the rest
 # runs on one core, and splitting the chunks over two threads was no faster.
 # OneR and NaiveBayes train in less time than the pool costs.
 POOLED_ALGORITHMS = frozenset({"DecisionTree", "Bagging", "RandomForest", "RotationForest"})

@@ -415,18 +415,6 @@ def test_knn_filter_prunes(train_ds, small_matrix):
     assert kept.min() >= model.k
 
 
-def test_knn_filter_prunes_on_mismatches():
-    # The numerics put every training row within 1 of the queries, so only
-    # the mismatch count separates them; the filter still leaves the k
-    # nearest.
-    X = np.column_stack([np.arange(200) / 1000, 1 + np.arange(200) % 2])
-    model, _ = _standardized_knn(X, np.arange(200) % 4 == 0, (1,))
-    Q = np.array([[0.0, 1.0], [0.0, 2.0]])
-    kept = [np.isfinite(d2).sum(axis=1) for _, d2, _ in model._candidates(Q)]
-    assert np.concatenate(kept).tolist() == [3, 3]
-    assert model.scores(Q).tolist() == [2 / 3, 0.0]
-
-
 def test_knn_scoring_memory_is_bounded():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(2000, 31))
