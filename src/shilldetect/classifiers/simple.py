@@ -15,9 +15,8 @@ _VAR_FLOOR = 1e-9
 # 8 per (query, training row) pair; query rows are scored in chunks that fit
 # them. The keep test's two boolean masks add a quarter of this again.
 KNN_BUFFER_BYTES = 1 << 20
-# Blocks of training rows, row i in block i mod KNN_BLOCKS, whose least
-# estimates bound a query row's k-th estimate; fewer if rows are fewer,
-# and k if k is more.
+# Blocks of training rows (fewer if rows are fewer, k if k is more); the
+# k-th smallest of a query row's block minima bounds its k-th estimate.
 KNN_BLOCKS = 128
 
 
