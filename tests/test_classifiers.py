@@ -1176,3 +1176,17 @@ def test_all_algorithms_roundtrip_via_dict(train_ds):
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert np.array_equal(predict_score(back, train_ds.values),
                               predict_score(model, train_ds.values)), algo
+
+
+def test_model_json_roundtrips_byte_for_byte(train_ds):
+    # model_to_dict -> JSON -> model_from_dict -> model_to_dict gives the
+    # same bytes for every algorithm, and for a categorical OneR rule.
+    models = [train(algo, train_ds, {"n_members": 8} if algo in ("Bagging", "RandomForest")
+                    else None, seed=2) for algo in ALGORITHMS]
+    models.append(train_oner(mk_ds([[0.1, 5], [0.1, 6], [7, 5], [7, 6]], [0, 0, 1, 1],
+                                   categorical=0)))
+    assert models[-1].is_categorical and not models[0].is_categorical
+    for model in models:
+        text = json.dumps(model_to_dict(model))
+        assert json.dumps(model_to_dict(model_from_dict(json.loads(text)))) == text, \
+            model.algorithm
