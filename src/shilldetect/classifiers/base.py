@@ -25,3 +25,34 @@ def entropy(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
+
+
+
+# A saved model is a header, then the body its class writes (`to_dict`).
+MODEL_FORMAT = "shilldetect-model"
+MODEL_FORMAT_VERSION = 2
+
+
+def model_to_dict(model) -> dict:
+    return {"format": MODEL_FORMAT, "format_version": MODEL_FORMAT_VERSION,
+            "algorithm": model.algorithm, "seed": model.seed,
+            "schema_hash": model.schema_hash, "params": dict(model.params),
+            **model.to_dict()}
+
+
+def model_algorithm(d: dict, algorithms) -> str:
+    """The algorithm of saved model `d`; ValueError unless `d` is a model
+    container of this format version and its algorithm one of `algorithms`."""
+    if d.get("format") != MODEL_FORMAT:
+        raise ValueError("not a model container")
+    if d.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {d.get('format_version')}")
+    if d["algorithm"] not in algorithms:
+        raise ValueError(f"model algorithm is {d['algorithm']!r}, not {' or '.join(algorithms)}")
+    return d["algorithm"]
+
+
+def read_header(d: dict, key: str, algorithms) -> tuple[object, dict]:
+    """Saved model `d`'s body, under `key`, and its header as its class's keywords."""
+    return d[key], {"algorithm": model_algorithm(d, algorithms), "seed": d["seed"],
+                    "schema_hash": d["schema_hash"], "params": d["params"]}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, require_trainable
+from .base import N_CLASSES, model_to_dict, read_header, require_trainable
 from .pca import pca_basis
 from .tree import DecisionTree, Node, train_decision_tree
 
@@ -24,7 +24,7 @@ from .tree import DecisionTree, Node, train_decision_tree
 class TreeEnsemble:
     """Bagged trees; the score is the fraction of members voting shill."""
 
-    members: list[DecisionTree]
+    members: list
     algorithm: str
     schema_hash: str = ""
     seed: int = 0
@@ -32,9 +32,17 @@ class TreeEnsemble:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(len(X), np.float64)
-        for tree in self.members:
-            votes += tree.votes(X)
+        for member in self.members:
+            votes += member.votes(X)
         return votes / len(self.members)
+
+    def to_dict(self) -> dict:
+        return {"members": [model_to_dict(tree) for tree in self.members]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TreeEnsemble":
+        members, head = read_header(d, "members", ("Bagging", "RandomForest"))
+        return cls([DecisionTree.from_dict(m) for m in members], **head)
 
 
 def _bagged_trees(matrix: FeatureMatrix, n_members: int, seed: int, algorithm: str,
@@ -83,9 +91,11 @@ class RotationMember:
             out[:, g] = X[:, g] @ B
         return out
 
+    def votes(self, X: np.ndarray) -> np.ndarray:
+        return self.tree.votes(self.rotate(X))
 
-@dataclass
-class RotationForest:
+
+class RotationForest(TreeEnsemble):
     """Per-member PCA rotations of random numeric-feature subsets.
 
     Each member permutes the numeric columns, partitions them into groups
@@ -94,18 +104,17 @@ class RotationForest:
     categorical State column is never rotated; it passes through raw.
     """
 
-    members: list[RotationMember]
-    algorithm: str = "RotationForest"
-    schema_hash: str = ""
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+    def to_dict(self) -> dict:
+        return {"members": [{"groups": [g.tolist() for g in m.groups],
+                             "bases": [b.tolist() for b in m.bases],
+                             "tree": model_to_dict(m.tree)} for m in self.members]}
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, np.float64)
-        votes = np.zeros(len(X), np.float64)
-        for m in self.members:
-            votes += m.tree.votes(m.rotate(X))
-        return votes / len(self.members)
+    @classmethod
+    def from_dict(cls, d: dict) -> "RotationForest":
+        members, head = read_header(d, "members", ("RotationForest",))
+        return cls([RotationMember([np.array(g, np.int64) for g in m["groups"]],
+                                   [np.array(b) for b in m["bases"]],
+                                   DecisionTree.from_dict(m["tree"])) for m in members], **head)
 
 
 def _stratified_half_bootstrap(class_rows: list[np.ndarray],

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, require_trainable
+from .base import N_CLASSES, read_header, require_trainable
 
 _VAR_FLOOR = 1e-9
 
@@ -60,6 +60,25 @@ class OneR:
         idx = np.searchsorted(self.edges, col, side="left")
         counts = self.bucket_counts[idx]
         return counts[:, 1] / counts.sum(axis=1)
+
+    def to_dict(self) -> dict:
+        return {"rule": {
+            "feature": self.feature, "is_categorical": self.is_categorical,
+            "edges": None if self.edges is None else self.edges.tolist(),
+            "bucket_counts": None if self.bucket_counts is None else self.bucket_counts.tolist(),
+            "value_counts": None if self.value_counts is None else
+                {repr(v): c.tolist() for v, c in self.value_counts.items()},
+            "overall_counts": self.overall_counts.tolist()}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "OneR":
+        r, head = read_header(d, "rule", ("OneR",))
+        return cls(r["feature"], r["is_categorical"],
+                   None if r["edges"] is None else np.array(r["edges"]),
+                   None if r["bucket_counts"] is None else np.array(r["bucket_counts"], np.int64),
+                   None if r["value_counts"] is None else
+                       {float(v): np.array(c, np.int64) for v, c in r["value_counts"].items()},
+                   np.array(r["overall_counts"], np.int64), **head)
 
     def training_errors(self) -> int:
         if self.is_categorical:
@@ -184,6 +203,24 @@ class NaiveBayes:
         post = np.exp(log_post)
         return post[:, 1] / post.sum(axis=1)
 
+    def to_dict(self) -> dict:
+        return {"bayes": {
+            "priors": self.priors.tolist(), "means": self.means.tolist(),
+            "variances": self.variances.tolist(), "numeric_mask": self.numeric_mask.tolist(),
+            "cat_tables": {str(f): {repr(v): c.tolist() for v, c in t.items()}
+                           for f, t in self.cat_tables.items()},
+            "cat_class_totals": {str(f): c.tolist() for f, c in self.cat_class_totals.items()}}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NaiveBayes":
+        b, head = read_header(d, "bayes", ("NaiveBayes",))
+        return cls(np.array(b["priors"]), np.array(b["means"]), np.array(b["variances"]),
+                   np.array(b["numeric_mask"], bool),
+                   {int(f): {float(v): np.array(c, np.int64) for v, c in t.items()}
+                    for f, t in b["cat_tables"].items()},
+                   {int(f): np.array(c, np.int64) for f, c in b["cat_class_totals"].items()},
+                   **head)
+
 
 def train_naive_bayes(matrix: FeatureMatrix, seed: int = 0) -> NaiveBayes:
     require_trainable(matrix)
@@ -282,6 +319,35 @@ class KNN3:
         for lo, d2, y in self._candidates(X):
             out[lo:lo + len(d2)] = self._vote(d2, y)
         return out
+
+    def to_dict(self) -> dict:
+        return {"knn": {
+            "train_X": self.train_X.tolist(), "train_y": self.train_y.tolist(),
+            "mean": self.mean.tolist(), "scale": self.scale.tolist(),
+            "numeric_mask": self.numeric_mask.tolist(), "k": self.k}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "KNN3":
+        b, head = read_header(d, "knn", ("KNN3",))
+        train_X, train_y = np.array(b["train_X"], np.float64), np.array(b["train_y"], np.float64)
+        mean, scale = np.array(b["mean"], np.float64), np.array(b["scale"], np.float64)
+        mask, k = b["numeric_mask"], b["k"]
+        if train_X.ndim != 2 or not train_X.size:
+            raise ValueError("KNN3 train_X must be a non-empty table of rows")
+        rows, cols = train_X.shape
+        if type(k) is not int or not 1 <= k <= rows:
+            raise ValueError(f"KNN3 k is {k!r}; it must be an int in [1, {rows}]")
+        if train_y.shape != (rows,) or not np.isin(train_y, (0, 1)).all():
+            raise ValueError(f"KNN3 train_y must hold a 0 or 1 for each of the {rows} rows")
+        if not (isinstance(mask, list) and len(mask) == cols
+                and all(type(v) is bool for v in mask)
+                and mean.shape == scale.shape == (sum(mask),)):
+            raise ValueError(f"KNN3 numeric_mask must hold a bool for each of the {cols} "
+                             f"columns, and mean and scale a value for each numeric one")
+        if not (np.isfinite(train_X).all() and np.isfinite(mean).all()
+                and np.isfinite(scale).all() and (scale > 0).all()):
+            raise ValueError("KNN3 train_X, mean and scale must be finite, and scale positive")
+        return cls(train_X, train_y, mean, scale, np.array(mask, bool), k, **head)
 
     def _candidates(self, X: np.ndarray):
         """Yield (first row, d2, y) for each chunk of query rows.

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, require_trainable
+from .base import N_CLASSES, read_header, require_trainable
 
 _GAIN_TOL = 1e-12
 _CHUNK = 4096          # candidate splits scored per pass
@@ -127,10 +127,11 @@ class Node:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Node":
+    def from_dict(cls, d: dict, n_features: int) -> "Node":
         """The tree `to_dict` wrote. ValueError if the lists are empty or differ in length,
         a child does not come after its parent (so a loaded tree has no cycle), counts
-        are not two non-negative ints with a positive sum, or an `equal` is not a bool."""
+        are not two non-negative ints with a positive sum, an `equal` is not a bool, or
+        a feature is not an int below `n_features`."""
         n = len(d["counts"])
         if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
             raise ValueError("tree lists must be non-empty and of one length")
@@ -144,6 +145,9 @@ class Node:
         nodes = [cls(np.array(c, dtype=np.int64)) for c in d["counts"]]
         splits = zip(*(d[key] for key in _SPLIT_LISTS))
         for i, (node, (feature, threshold, equal, left, right)) in enumerate(zip(nodes, splits)):
+            if type(feature) is not int or feature >= n_features:
+                raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
+                                 f"has {n_features} features")
             if feature < 0:
                 continue
             if not (i < left < n and i < right < n):
@@ -485,6 +489,16 @@ class DecisionTree:
             go_left = (col == node.threshold) if node.equal else (col <= node.threshold)
             stack += ((node.left, idx[go_left]), (node.right, idx[~go_left]))
         return out
+
+    def to_dict(self) -> dict:
+        return {"tree": {"root": self.root.to_dict(),
+                         "categorical_mask": self.categorical_mask.tolist()}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DecisionTree":
+        t, head = read_header(d, "tree", ("DecisionTree",))
+        mask = np.array(t["categorical_mask"], bool)
+        return cls(Node.from_dict(t["root"], len(mask)), mask, **head)
 
     def votes(self, X: np.ndarray) -> np.ndarray:
         """Hard class votes; score ties resolve to class 0 (benign)."""
