@@ -84,8 +84,8 @@ def predict_score(model, features):
     NaN or infinity raises ValueError.
     """
     if isinstance(features, FeatureMatrix):
-        trained, schema_hash = getattr(model, "schema_hash", ""), features.schema_hash()
-        if trained and trained != schema_hash:
+        trained, schema_hash = model.schema_hash, features.schema_hash()
+        if trained != schema_hash:
             raise ValueError("feature manifest mismatch: model was trained on "
                              f"{trained[:12]}..., input has {schema_hash[:12]}...")
         X = features.values

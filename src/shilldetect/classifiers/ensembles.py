@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, model_to_dict, read_header, require_trainable
+from .base import N_CLASSES, model_to_dict, read_header, require_trainable, unpack
 from .pca import pca_basis
 from .tree import DecisionTree, Node, train_decision_tree
 
@@ -24,11 +24,12 @@ from .tree import DecisionTree, Node, train_decision_tree
 class TreeEnsemble:
     """Bagged trees; the score is the fraction of members voting shill."""
 
-    members: list
+    members: list                     # DecisionTrees; RotationMembers in a RotationForest
     algorithm: str
-    schema_hash: str = ""
-    seed: int = 0
+    schema_hash: str
+    seed: int
     params: dict = field(default_factory=dict)
+    _member, _algorithms = DecisionTree, ("Bagging", "RandomForest")
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(len(X), np.float64)
@@ -41,8 +42,10 @@ class TreeEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
-        members, head = read_header(d, "members", ("Bagging", "RandomForest"))
-        return cls([DecisionTree.from_dict(m) for m in members], **head)
+        members, head = read_header(d, "members", cls._algorithms)
+        if not (isinstance(members, list) and members):
+            raise ValueError(f"{head['algorithm']} members must be a non-empty list")
+        return cls([cls._member.from_dict(m, head["schema_hash"]) for m in members], **head)
 
 
 def _bagged_trees(matrix: FeatureMatrix, n_members: int, seed: int, algorithm: str,
@@ -94,6 +97,20 @@ class RotationMember:
     def votes(self, X: np.ndarray) -> np.ndarray:
         return self.tree.votes(self.rotate(X))
 
+    @classmethod
+    def from_dict(cls, d: dict, schema_hash: str) -> "RotationMember":
+        groups, bases, tree = unpack(d, ("groups", "bases", "tree"), "RotationForest member")
+        tree = DecisionTree.from_dict(tree, schema_hash)
+        flat, bases = [c for g in groups for c in g], [np.array(b, np.float64) for b in bases]
+        if not (all(type(c) is int for c in flat) and len(set(flat)) == len(flat)
+                and set(flat) <= set(np.flatnonzero(~tree.categorical_mask).tolist())
+                and len(bases) == len(groups) and all(b.shape == (len(g),) * 2
+                                                      and np.isfinite(b).all()
+                                                      for g, b in zip(groups, bases))):
+            raise ValueError("RotationForest groups must be disjoint lists of the member tree's "
+                             "numeric columns, each with a finite square basis of its size")
+        return cls([np.array(g, np.int64) for g in groups], bases, tree)
+
 
 class RotationForest(TreeEnsemble):
     """Per-member PCA rotations of random numeric-feature subsets.
@@ -104,17 +121,12 @@ class RotationForest(TreeEnsemble):
     categorical State column is never rotated; it passes through raw.
     """
 
+    _member, _algorithms = RotationMember, ("RotationForest",)
+
     def to_dict(self) -> dict:
         return {"members": [{"groups": [g.tolist() for g in m.groups],
                              "bases": [b.tolist() for b in m.bases],
                              "tree": model_to_dict(m.tree)} for m in self.members]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RotationForest":
-        members, head = read_header(d, "members", ("RotationForest",))
-        return cls([RotationMember([np.array(g, np.int64) for g in m["groups"]],
-                                   [np.array(b) for b in m["bases"]],
-                                   DecisionTree.from_dict(m["tree"])) for m in members], **head)
 
 
 def _stratified_half_bootstrap(class_rows: list[np.ndarray],

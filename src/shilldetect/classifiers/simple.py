@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureMatrix
-from .base import N_CLASSES, read_header, require_trainable
+from ..features import FEATURE_NAMES, FeatureMatrix
+from .base import N_CLASSES, class_counts, read_header, require_trainable, unpack
 
 _VAR_FLOOR = 1e-9
 
@@ -18,6 +18,9 @@ KNN_BUFFER_BYTES = 1 << 20
 # Blocks of training rows (fewer if rows are fewer, k if k is more); the
 # k-th smallest of a query row's block minima bounds its k-th estimate.
 KNN_BLOCKS = 128
+
+# The standard manifest's hash; a OneR saved with it must read one of its columns.
+_STANDARD_HASH = FeatureMatrix([], np.empty((0, len(FEATURE_NAMES))), np.empty(0)).schema_hash()
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +46,16 @@ class OneR:
     # categorical rule: value -> counts; fallback = overall counts
     value_counts: dict | None
     overall_counts: np.ndarray
-    schema_hash: str = ""
-    seed: int = 0
+    schema_hash: str
+    seed: int
     algorithm: str = "OneR"
     params: dict = field(default_factory=dict)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         col = X[:, self.feature]
         if self.is_categorical:
-            fallback = self.overall_counts
-            out = np.empty(len(col))
-            for i, v in enumerate(col):
-                counts = self.value_counts.get(float(v), fallback)
-                out[i] = counts[1] / counts.sum()
-            return out
+            counts = [self.value_counts.get(float(v), self.overall_counts) for v in col]
+            return np.array([c[1] / c.sum() for c in counts], np.float64)
         idx = np.searchsorted(self.edges, col, side="left")
         counts = self.bucket_counts[idx]
         return counts[:, 1] / counts.sum(axis=1)
@@ -73,12 +72,27 @@ class OneR:
     @classmethod
     def from_dict(cls, d: dict) -> "OneR":
         r, head = read_header(d, "rule", ("OneR",))
-        return cls(r["feature"], r["is_categorical"],
-                   None if r["edges"] is None else np.array(r["edges"]),
-                   None if r["bucket_counts"] is None else np.array(r["bucket_counts"], np.int64),
-                   None if r["value_counts"] is None else
-                       {float(v): np.array(c, np.int64) for v, c in r["value_counts"].items()},
-                   np.array(r["overall_counts"], np.int64), **head)
+        feature, categorical, edges, buckets, values, overall = unpack(r, (
+            "feature", "is_categorical", "edges", "bucket_counts", "value_counts",
+            "overall_counts"), "OneR rule")
+        columns = len(FEATURE_NAMES) if head["schema_hash"] == _STANDARD_HASH else np.inf
+        if type(feature) is not int or not 0 <= feature < columns:
+            raise ValueError(f"OneR feature {feature!r} is not an int in [0, {columns})")
+        ok = False
+        if categorical is True and edges is None and buckets is None and values:
+            values = {float(v): class_counts(c, f"OneR value {v}") for v, c in values.items()}
+            ok = np.isfinite(list(values)).all()
+        elif categorical is False and values is None and buckets:
+            edges = np.array(edges, np.float64)
+            buckets = np.array([class_counts(c, f"OneR bucket {i}")
+                                for i, c in enumerate(buckets)])
+            ok = (edges.shape == (len(buckets),) and edges[-1] == np.inf
+                  and np.isfinite(edges[:-1]).all() and (np.diff(edges) > 0).all())
+        if not ok:
+            raise ValueError("OneR needs finite value_counts, or edges rising to Infinity, "
+                             "one per bucket_counts row, as its is_categorical says")
+        return cls(feature, categorical, edges, buckets, values,
+                   class_counts(overall, "OneR overall_counts"), **head)
 
     def training_errors(self) -> int:
         if self.is_categorical:
@@ -121,34 +135,28 @@ def _numeric_rule(x: np.ndarray, y: np.ndarray, min_bucket: int):
     return edge_arr, np.vstack(merged)
 
 
+def _value_counts(col: np.ndarray, y: np.ndarray) -> dict:
+    """Class counts `y` of the rows holding each distinct value of `col`."""
+    return {float(v): np.bincount(y[col == v], minlength=N_CLASSES) for v in np.unique(col)}
+
+
 def train_oner(matrix: FeatureMatrix, min_bucket: int = 6, seed: int = 0) -> OneR:
     require_trainable(matrix)
     cat_mask = matrix.categorical_mask()
     y = matrix.labels.astype(np.int64)
-    overall = np.bincount(y, minlength=N_CLASSES)
-    best = None   # (errors, feature, payload)
+    overall, schema_hash = np.bincount(y, minlength=N_CLASSES), matrix.schema_hash()
+    best = None
     for f in range(matrix.n_features):
         col = matrix.values[:, f]
         if cat_mask[f]:
-            values = np.unique(col)
-            vc = {}
-            for v in values:
-                vc[float(v)] = np.bincount(y[col == v], minlength=N_CLASSES)
-            errors = int(sum(c.sum() - c.max() for c in vc.values()))
-            payload = ("cat", vc)
+            rule = (None, None, _value_counts(col, y))
         else:
-            edges, buckets = _numeric_rule(col, y, min_bucket)
-            errors = int((buckets.sum(axis=1) - buckets.max(axis=1)).sum())
-            payload = ("num", (edges, buckets))
-        if best is None or errors < best[0]:
-            best = (errors, f, payload)
-    _, feature, payload = best
-    if payload[0] == "cat":
-        return OneR(feature, True, None, None, payload[1], overall,
-                    matrix.schema_hash(), seed, params={"min_bucket": min_bucket})
-    edges, buckets = payload[1]
-    return OneR(feature, False, edges, buckets, None, overall,
-                matrix.schema_hash(), seed, params={"min_bucket": min_bucket})
+            rule = (*_numeric_rule(col, y, min_bucket), None)
+        rule = OneR(f, bool(cat_mask[f]), *rule, overall, schema_hash, seed,
+                    params={"min_bucket": min_bucket})
+        if best is None or rule.training_errors() < best.training_errors():
+            best = rule
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +177,8 @@ class NaiveBayes:
     numeric_mask: np.ndarray
     cat_tables: dict                   # feature -> {value: (2,) counts}
     cat_class_totals: dict             # feature -> (2,) row counts
-    schema_hash: str = ""
-    seed: int = 0
+    schema_hash: str
+    seed: int
     algorithm: str = "NaiveBayes"
     params: dict = field(default_factory=dict)
 
@@ -214,38 +222,39 @@ class NaiveBayes:
     @classmethod
     def from_dict(cls, d: dict) -> "NaiveBayes":
         b, head = read_header(d, "bayes", ("NaiveBayes",))
-        return cls(np.array(b["priors"]), np.array(b["means"]), np.array(b["variances"]),
-                   np.array(b["numeric_mask"], bool),
-                   {int(f): {float(v): np.array(c, np.int64) for v, c in t.items()}
-                    for f, t in b["cat_tables"].items()},
-                   {int(f): np.array(c, np.int64) for f, c in b["cat_class_totals"].items()},
-                   **head)
+        *moments, mask, tables, totals = unpack(b, (
+            "priors", "means", "variances", "numeric_mask", "cat_tables", "cat_class_totals"),
+            "NaiveBayes bayes")
+        priors, means, variances = (np.array(v, np.float64) for v in moments)
+        mask = np.array(mask, bool)
+        if priors.shape != (N_CLASSES,) or not ((priors > 0) & (priors <= 1)).all():
+            raise ValueError(f"NaiveBayes priors {priors.tolist()} are not each in (0, 1]")
+        if not (means.shape == variances.shape == (N_CLASSES, len(mask)) and np.isfinite(
+                means).all() and np.isfinite(variances).all() and (variances > 0).all()):
+            raise ValueError("NaiveBayes means and variances must be finite, variances positive, "
+                             "one per class and numeric_mask column")
+        tables = {int(f): {float(v): class_counts(c, f"NaiveBayes column {f} value {v}")
+                           for v, c in t.items()} for f, t in tables.items()}
+        totals = {int(f): class_counts(c, f"NaiveBayes column {f}") for f, c in totals.items()}
+        if not (list(tables) == list(totals) == np.flatnonzero(~mask).tolist()
+                and np.isfinite([v for t in tables.values() for v in t]).all()):
+            raise ValueError("NaiveBayes cat_tables and cat_class_totals must hold finite "
+                             "values for each categorical column")
+        return cls(priors, means, variances, mask, tables, totals, **head)
 
 
 def train_naive_bayes(matrix: FeatureMatrix, seed: int = 0) -> NaiveBayes:
     require_trainable(matrix)
     matrix = matrix.canonical()
     cat_mask = matrix.categorical_mask()
-    numeric_mask = ~cat_mask
-    F = matrix.n_features
     priors = matrix.class_counts() / matrix.n_users
-    means = np.zeros((N_CLASSES, F))
-    variances = np.ones((N_CLASSES, F))
-    for c in range(N_CLASSES):
-        rows = matrix.values[matrix.labels == c]
-        means[c] = rows.mean(axis=0)
-        variances[c] = np.maximum(rows.var(axis=0), _VAR_FLOOR)
-    cat_tables, cat_totals = {}, {}
-    for f in np.nonzero(cat_mask)[0]:
-        col = matrix.values[:, f]
-        table = {}
-        for v in np.unique(col):
-            counts = np.bincount(matrix.labels[col == v].astype(np.int64),
-                                 minlength=N_CLASSES)
-            table[float(v)] = counts
-        cat_tables[int(f)] = table
-        cat_totals[int(f)] = matrix.class_counts()
-    return NaiveBayes(priors, means, variances, numeric_mask, cat_tables,
+    rows = [matrix.values[matrix.labels == c] for c in range(N_CLASSES)]
+    means = np.array([r.mean(axis=0) for r in rows])
+    variances = np.array([np.maximum(r.var(axis=0), _VAR_FLOOR) for r in rows])
+    y, categorical = matrix.labels.astype(np.int64), np.flatnonzero(cat_mask).tolist()
+    cat_tables = {f: _value_counts(matrix.values[:, f], y) for f in categorical}
+    cat_totals = {f: matrix.class_counts() for f in categorical}
+    return NaiveBayes(priors, means, variances, ~cat_mask, cat_tables,
                       cat_totals, matrix.schema_hash(), seed)
 
 
@@ -307,9 +316,9 @@ class KNN3:
     mean: np.ndarray
     scale: np.ndarray
     numeric_mask: np.ndarray
-    k: int = 3
-    schema_hash: str = ""
-    seed: int = 0
+    k: int
+    schema_hash: str
+    seed: int
     algorithm: str = "KNN3"
     params: dict = field(default_factory=dict)
 
@@ -329,9 +338,9 @@ class KNN3:
     @classmethod
     def from_dict(cls, d: dict) -> "KNN3":
         b, head = read_header(d, "knn", ("KNN3",))
-        train_X, train_y = np.array(b["train_X"], np.float64), np.array(b["train_y"], np.float64)
-        mean, scale = np.array(b["mean"], np.float64), np.array(b["scale"], np.float64)
-        mask, k = b["numeric_mask"], b["k"]
+        *arrays, mask, k = unpack(b, ("train_X", "train_y", "mean", "scale", "numeric_mask", "k"),
+                                  "KNN3 knn")
+        train_X, train_y, mean, scale = (np.array(v, np.float64) for v in arrays)
         if train_X.ndim != 2 or not train_X.size:
             raise ValueError("KNN3 train_X must be a non-empty table of rows")
         rows, cols = train_X.shape

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, read_header, require_trainable
+from .base import N_CLASSES, class_counts, read_header, require_trainable, unpack
 
 _GAIN_TOL = 1e-12
 _CHUNK = 4096          # candidate splits scored per pass
@@ -128,26 +128,20 @@ class Node:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "Node":
-        """The tree `to_dict` wrote. ValueError if the lists are empty or differ in length,
-        a child does not come after its parent (so a loaded tree has no cycle), counts
-        are not two non-negative ints with a positive sum, an `equal` is not a bool, or
-        a feature is not an int below `n_features`."""
+        """The tree `to_dict` wrote; ValueError unless a trainer could have grown it.
+        A child must come after its parent, so a loaded tree has no cycle."""
+        unpack(d, (*_SPLIT_LISTS, "counts"), "tree root")
         n = len(d["counts"])
         if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
             raise ValueError("tree lists must be non-empty and of one length")
-        for i, (counts, equal) in enumerate(zip(d["counts"], d["equal"])):
-            if not (isinstance(counts, list) and len(counts) == N_CLASSES
-                    and all(type(c) is int and c >= 0 for c in counts) and sum(counts) > 0):
-                raise ValueError(f"tree node {i} has counts {counts!r}; they must be "
-                                 f"{N_CLASSES} non-negative ints with a positive sum")
-            if type(equal) is not bool:
-                raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
-        nodes = [cls(np.array(c, dtype=np.int64)) for c in d["counts"]]
+        nodes = [cls(class_counts(c, f"tree node {i}")) for i, c in enumerate(d["counts"])]
         splits = zip(*(d[key] for key in _SPLIT_LISTS))
         for i, (node, (feature, threshold, equal, left, right)) in enumerate(zip(nodes, splits)):
             if type(feature) is not int or feature >= n_features:
                 raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
                                  f"has {n_features} features")
+            if type(equal) is not bool:
+                raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
             if feature < 0:
                 continue
             if not (i < left < n and i < right < n):
@@ -472,8 +466,8 @@ class DecisionTree:
 
     root: Node
     categorical_mask: np.ndarray
-    schema_hash: str = ""
-    seed: int = 0
+    schema_hash: str
+    seed: int
     algorithm: str = "DecisionTree"
     params: dict = field(default_factory=dict)
 
@@ -495,10 +489,14 @@ class DecisionTree:
                          "categorical_mask": self.categorical_mask.tolist()}}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
+    def from_dict(cls, d: dict, schema_hash: str | None = None) -> "DecisionTree":
+        """The tree `to_dict` wrote, which must have `schema_hash` if one is given."""
         t, head = read_header(d, "tree", ("DecisionTree",))
-        mask = np.array(t["categorical_mask"], bool)
-        return cls(Node.from_dict(t["root"], len(mask)), mask, **head)
+        if schema_hash not in (None, head["schema_hash"]):
+            raise ValueError(f"member schema_hash {head['schema_hash']!r} is not the ensemble's")
+        root, mask = unpack(t, ("root", "categorical_mask"), "DecisionTree tree")
+        mask = np.array(mask, bool)
+        return cls(Node.from_dict(root, len(mask)), mask, **head)
 
     def votes(self, X: np.ndarray) -> np.ndarray:
         """Hard class votes; score ties resolve to class 0 (benign)."""

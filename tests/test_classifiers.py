@@ -280,7 +280,8 @@ def _standardized_knn(train_X, train_y, categorical, k=3):
     numeric = np.ones(train_X.shape[1], bool)
     numeric[list(categorical)] = False
     model = simple.KNN3(train_X, np.asarray(train_y, np.float64),
-                        np.zeros(numeric.sum()), np.ones(numeric.sum()), numeric, k)
+                        np.zeros(numeric.sum()), np.ones(numeric.sum()), numeric, k,
+                        mk_ds(train_X, train_y).schema_hash(), 0)
     ids = tuple(f"u{i:03d}" for i in range(len(train_X)))
     return model, ids
 
@@ -1093,7 +1094,7 @@ def test_model_from_dict_refuses_bad_values(key, node, value, message):
         model_from_dict(d)
     assert str(exc.value) == message
     # the same tree inside an ensemble
-    ensemble = model_to_dict(TreeEnsemble([tree], "Bagging"))
+    ensemble = model_to_dict(TreeEnsemble([tree], "Bagging", tree.schema_hash, 0))
     ensemble["members"][0]["tree"]["root"][key][node] = value
     with pytest.raises(ValueError) as exc:
         model_from_dict(ensemble)
@@ -1190,3 +1191,218 @@ def test_model_json_roundtrips_byte_for_byte(train_ds):
         text = json.dumps(model_to_dict(model))
         assert json.dumps(model_to_dict(model_from_dict(json.loads(text)))) == text, \
             model.algorithm
+
+
+def _edited(d: dict, path: tuple, value):
+    """A deep copy of saved model `d` with the entry at `path` set to `value`,
+    or deleted where `value` is _DELETE."""
+    d = json.loads(json.dumps(d))
+    *parents, last = path
+    target = d
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return d
+
+
+_DELETE = object()
+_HASH_RULE = "is not 64 lowercase hex digits"
+
+
+# Each edit changes one key of a saved DecisionTree's header or body. Were
+# they loaded, an empty schema_hash would let `predict_score` take any
+# matrix, and an extra key would be dropped unseen.
+@pytest.mark.parametrize("path, value, message", [
+    (("params",), _DELETE, "model lacks key 'params'"),
+    (("note",), "hello", "model has extra key 'note'"),
+    (("tree",), _DELETE, "model lacks key 'tree'"),
+    (("tree", "depth"), 3, "DecisionTree tree has extra key 'depth'"),
+    (("tree", "root", "counts"), _DELETE, "tree root lacks key 'counts'"),
+    (("seed",), True, "model seed True is not an int"),
+    (("seed",), 2.0, "model seed 2.0 is not an int"),
+    (("schema_hash",), "", f"model schema_hash '' {_HASH_RULE}"),
+    (("schema_hash",), "A" * 64, f"model schema_hash '{'A' * 64}' {_HASH_RULE}"),
+    (("schema_hash",), "0" * 63, f"model schema_hash '{'0' * 63}' {_HASH_RULE}"),
+    (("algorithm",), "C4.5", "algorithm 'C4.5' is not OneR or NaiveBayes or DecisionTree or "
+                             "KNN3 or Bagging or RandomForest or RotationForest"),
+])
+def test_model_from_dict_refuses_bad_header(path, value, message):
+    d = model_to_dict(train_decision_tree(mk_ds(np.arange(6.0), [1, 0, 0, 1, 1, 1])))
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, path, value))
+    assert str(exc.value) == message
+
+
+_ONER_RULE = ("OneR needs finite value_counts, or edges rising to Infinity, one per "
+              "bucket_counts row, as its is_categorical says")
+_COUNTS = "they must be 2 non-negative ints with a positive sum"
+
+
+# Each edit changes one field of the numeric OneR rule of the standard
+# 31-column sample (two buckets). Were they
+# loaded, feature 99 would fail at scoring with an IndexError, overall
+# counts [-3, 1] would score 1.5 for values no rule covers, and edges out of
+# order or short of Infinity would put values in the wrong bucket or none.
+@pytest.mark.parametrize("path, value, message", [
+    (("rule", "feature"), 99, "OneR feature 99 is not an int in [0, 31)"),
+    (("rule", "feature"), -1, "OneR feature -1 is not an int in [0, 31)"),
+    (("rule", "feature"), True, "OneR feature True is not an int in [0, 31)"),
+    (("rule", "overall_counts"), [-3, 1], f"OneR overall_counts has counts [-3, 1]; {_COUNTS}"),
+    (("rule", "bucket_counts", 1), [0, 0], f"OneR bucket 1 has counts [0, 0]; {_COUNTS}"),
+    (("rule", "edges", 0), float("nan"), _ONER_RULE),
+    (("rule", "edges", 0), float("-inf"), _ONER_RULE),
+    (("rule", "edges", 1), 1e300, _ONER_RULE),
+    (("rule", "edges"), [float("inf"), float("inf")], _ONER_RULE),
+    (("rule", "edges"), [float("inf")], _ONER_RULE),
+    (("rule", "is_categorical"), True, _ONER_RULE),
+    (("rule", "is_categorical"), 0, _ONER_RULE),
+    (("rule", "value_counts"), {"1.0": [1, 2]}, _ONER_RULE),
+    (("rule", "bucket_counts"), [], _ONER_RULE),
+    (("rule", "edges"), _DELETE, "OneR rule lacks key 'edges'"),
+])
+def test_model_from_dict_refuses_bad_oner(train_ds, path, value, message):
+    d = model_to_dict(train_oner(train_ds))
+    assert len(d["rule"]["edges"]) == 2 and d["rule"]["edges"][-1] == float("inf")
+    assert model_to_dict(model_from_dict(json.loads(json.dumps(d)))) == d
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, path, value))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges", [[3.5, 1.5, 5.5, np.inf], [1.5, 1.5, 5.5, np.inf],
+                                   [1.5, 3.5, 5.5, 7.5]])
+def test_model_from_dict_refuses_unsorted_oner_edges(edges):
+    # Were they loaded, values would fall in the wrong bucket, or in none.
+    d = model_to_dict(train_oner(mk_ds(np.arange(8.0), [0, 0, 1, 1, 0, 0, 1, 1]), min_bucket=2))
+    assert d["rule"]["edges"] == [1.5, 3.5, 5.5, np.inf]
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, ("rule", "edges"), edges))
+    assert str(exc.value) == _ONER_RULE
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("rule", "value_counts", "1.0"), [1, -1], f"OneR value 1.0 has counts [1, -1]; {_COUNTS}"),
+    (("rule", "value_counts", "nan"), [1, 1], _ONER_RULE),
+    (("rule", "value_counts"), {}, _ONER_RULE),
+    (("rule", "edges"), [float("inf")], _ONER_RULE),
+    (("rule", "is_categorical"), False, _ONER_RULE),
+])
+def test_model_from_dict_refuses_bad_categorical_oner(path, value, message):
+    model = train_oner(mk_ds([[1.0, 5], [1, 6], [2, 5], [2, 6]], [0, 0, 1, 1], categorical=0))
+    d = model_to_dict(model)
+    assert d["rule"]["value_counts"] == {"1.0": [2, 0], "2.0": [0, 2]}
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, path, value))
+    assert str(exc.value) == message
+
+
+_NB_MOMENTS = ("NaiveBayes means and variances must be finite, variances positive, one per "
+               "class and numeric_mask column")
+_NB_TABLES = ("NaiveBayes cat_tables and cat_class_totals must hold finite values for each "
+              "categorical column")
+
+
+# Each edit changes one field of the NaiveBayes of the standard 31-column
+# sample, whose column 29 (State-Hash) is categorical. Were they loaded, a
+# variance of -1 would score NaN for every row, a prior of 5 would skew every
+# score, and short means would fail at scoring with an IndexError.
+@pytest.mark.parametrize("path, value, message", [
+    (("bayes", "variances", 1, 0), -1.0, _NB_MOMENTS),
+    (("bayes", "variances", 0, 3), 0.0, _NB_MOMENTS),
+    (("bayes", "means", 0, 2), float("nan"), _NB_MOMENTS),
+    (("bayes", "means"), [[0.0] * 30] * 2, _NB_MOMENTS),
+    (("bayes", "numeric_mask"), [True] * 30, _NB_MOMENTS),
+    (("bayes", "priors", 1), 5.0, "NaiveBayes priors [0.5, 5.0] are not each in (0, 1]"),
+    (("bayes", "priors", 0), 0.0, "NaiveBayes priors [0.0, 0.5] are not each in (0, 1]"),
+    (("bayes", "priors"), [1.0], "NaiveBayes priors [1.0] are not each in (0, 1]"),
+    (("bayes", "cat_tables", "29", "nan"), [1, 1], _NB_TABLES),
+    (("bayes", "cat_tables", "5"), {"1.0": [1, 1]}, _NB_TABLES),
+    (("bayes", "cat_tables", "29", "first"), [0, 0],
+     f"NaiveBayes column 29 value {{first}} has counts [0, 0]; {_COUNTS}"),
+    (("bayes", "cat_class_totals", "29"), [-1, 3],
+     f"NaiveBayes column 29 has counts [-1, 3]; {_COUNTS}"),
+    (("bayes", "priors"), _DELETE, "NaiveBayes bayes lacks key 'priors'"),
+])
+def test_model_from_dict_refuses_bad_naive_bayes(train_ds, path, value, message):
+    d = model_to_dict(train_naive_bayes(train_ds))
+    assert d["bayes"]["priors"] == [0.5, 0.5] and list(d["bayes"]["cat_tables"]) == ["29"]
+    if path[-1] == "first":                       # the table's first value
+        first = next(iter(d["bayes"]["cat_tables"]["29"]))
+        path, message = path[:-1] + (first,), message.format(first=first)
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, path, value))
+    assert str(exc.value) == message
+
+
+@pytest.fixture(scope="module")
+def saved_models(train_ds):
+    return {"Bagging": model_to_dict(train_bagging(train_ds, n_members=2, seed=1)),
+            "RotationForest": model_to_dict(train_rotation_forest(train_ds, n_members=2,
+                                                                  seed=1)),
+            "KNN3": model_to_dict(train_knn3(train_ds))}
+
+
+# Each edit changes one member tree, at the same place in a Bagging member
+# and in a RotationForest member's "tree". Were they loaded, a KNN3 member
+# would fail at scoring with an AttributeError (it has no `votes`), and an
+# empty member list would score NaN for every row.
+@pytest.mark.parametrize("algorithm", ["Bagging", "RotationForest"])
+@pytest.mark.parametrize("path, value, message", [
+    ((), "KNN3", "algorithm 'KNN3' is not DecisionTree"),
+    (("schema_hash",), "0" * 64, f"member schema_hash '{'0' * 64}' is not the ensemble's"),
+    (("schema_hash",), "", f"model schema_hash '' {_HASH_RULE}"),
+    (("note",), 1, "model has extra key 'note'"),
+])
+def test_model_from_dict_refuses_bad_ensemble_member(saved_models, algorithm, path, value,
+                                                     message):
+    d = saved_models[algorithm]
+    member = ("members", 0) + (("tree",) if algorithm == "RotationForest" else ())
+    if value == "KNN3":
+        value = saved_models["KNN3"]
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, member + path, value))
+    assert str(exc.value) == message
+
+
+_ROTATION_RULE = ("RotationForest groups must be disjoint lists of the member tree's numeric "
+                  "columns, each with a finite square basis of its size")
+
+
+# Each edit changes the first member of a saved RotationForest, whose 30
+# numeric columns fall in ten groups of three; column 29 (State-Hash) is
+# categorical. Were they loaded, overlapping groups or a NaN basis entry
+# would score, a 2x2 basis for a 3-column group would fail at scoring with a
+# matmul ValueError, and a group holding column 99 with an IndexError.
+@pytest.mark.parametrize("path, value, message", [
+    (("groups", 1, 0), "first", _ROTATION_RULE),
+    (("groups", 0, 0), 29, _ROTATION_RULE),
+    (("groups", 0, 0), 99, _ROTATION_RULE),
+    (("groups", 0, 0), -1, _ROTATION_RULE),
+    (("groups", 0, 0), True, _ROTATION_RULE),
+    (("groups", 0, 0), 1.0, _ROTATION_RULE),
+    (("bases", 0), [[1.0, 0.0], [0.0, 1.0]], _ROTATION_RULE),
+    (("bases", 0, 1, 2), float("nan"), _ROTATION_RULE),
+    (("bases", 0, 1, 2), float("inf"), _ROTATION_RULE),
+    (("bases",), [], _ROTATION_RULE),
+    (("groups",), [], _ROTATION_RULE),
+    (("bases",), _DELETE, "RotationForest member lacks key 'bases'"),
+])
+def test_model_from_dict_refuses_bad_rotation(saved_models, path, value, message):
+    d = saved_models["RotationForest"]
+    groups = d["members"][0]["groups"]
+    assert len(groups) == 10 and all(len(g) == 3 for g in groups) and 29 not in sum(groups, [])
+    if value == "first":
+        value = groups[0][0]
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(d, ("members", 0) + path, value))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("algorithm", ["Bagging", "RotationForest"])
+def test_model_from_dict_refuses_empty_ensemble(saved_models, algorithm):
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(_edited(saved_models[algorithm], ("members",), []))
+    assert str(exc.value) == f"{algorithm} members must be a non-empty list"
