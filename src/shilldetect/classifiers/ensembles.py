@@ -17,7 +17,7 @@ import numpy as np
 from ..features import FeatureMatrix
 from .base import N_CLASSES, model_to_dict, read_header, require_trainable, unpack
 from .pca import pca_basis
-from .tree import DecisionTree, Node, train_decision_tree
+from .tree import DecisionTree, leaf_tree, train_decision_tree
 
 
 @dataclass
@@ -58,7 +58,7 @@ def _bagged_trees(matrix: FeatureMatrix, n_members: int, seed: int, algorithm: s
         rng = np.random.default_rng(seed + i)
         boot = ds.take(rng.integers(0, ds.n_users, ds.n_users))
         if boot.class_counts().min() == 0:    # one class: a constant tree, not an error
-            members.append(DecisionTree(Node(boot.class_counts()), boot.categorical_mask(),
+            members.append(DecisionTree(leaf_tree(boot.class_counts()), boot.categorical_mask(),
                                         boot.schema_hash(), seed + i, params=tree_params))
         else:
             members.append(train_decision_tree(boot, seed=seed + i, rng=rng, **tree_params))

@@ -62,8 +62,8 @@ Tie-breaking is fixed everywhere: candidates are ordered by feature index,
 then by threshold (categorical value), and the first maximal gain ratio
 wins, so the lower feature index wins and within a feature the lowest
 threshold wins; leaf majorities tie toward class 0. Growth, pruning and
-scoring walk the tree with explicit stacks, and it is saved as flat lists
-(`Node.to_dict`), so tree depth is not bounded by the recursion limit.
+scoring walk the tree with explicit stacks over its flat lists (see
+`DecisionTree`), so tree depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -88,68 +88,54 @@ _entropy = np.empty((0, 0))    # the memo; empty until a tree is grown
 # Phi^-1(0.75): normal deviate for the CF=0.25 one-sided bound.
 Z_CF25 = 0.6744897501960817
 
-# The lists of a saved tree besides "counts", in `Node.to_dict`'s row order.
-_SPLIT_LISTS = ("feature", "threshold", "equal", "left", "right")
+# The lists of a tree, in its saved order, and a leaf's entries in all but "counts".
+_LISTS = ("feature", "threshold", "equal", "left", "right", "counts")
+_LEAF = (-1, 0.0, False, -1, -1)
 
 
-@dataclass
-class Node:
-    counts: np.ndarray                # class counts reaching this node
-    feature: int = -1                 # -1 marks a leaf
-    threshold: float = 0.0            # numeric: x <= threshold goes left
-    equal: bool = False               # categorical: x == threshold goes left
-    left: "Node | None" = None
-    right: "Node | None" = None
+def leaf_tree(counts: np.ndarray) -> dict:
+    """The lists of a tree that is one leaf, with class `counts`."""
+    return {key: [value] for key, value in zip(_LISTS, (*_LEAF, counts.tolist()))}
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
-    def walk(self):
-        """Every node of the subtree, each parent before its children."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack += (node.right, node.left)
+def _copied(nodes: dict) -> dict:
+    """A tree's lists copied, each node's counts too, so that no list is shared."""
+    return {key: [list(c) for c in nodes[key]] if key == "counts" else list(nodes[key])
+            for key in _LISTS}
 
-    def to_dict(self) -> dict:
-        """The subtree as parallel lists in pre-order, children by position;
-        a leaf has feature, left and right -1, threshold 0.0 and equal false."""
-        nodes = list(self.walk())
-        index = {id(node): i for i, node in enumerate(nodes)}
-        rows = [(-1, 0.0, False, -1, -1) if node.is_leaf else
-                (node.feature, node.threshold, node.equal,
-                 index[id(node.left)], index[id(node.right)]) for node in nodes]
-        out = dict(zip(_SPLIT_LISTS, map(list, zip(*rows))))
-        out["counts"] = [node.counts.tolist() for node in nodes]
-        return out
 
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "Node":
-        """The tree `to_dict` wrote; ValueError unless a trainer could have grown it.
-        A child must come after its parent, so a loaded tree has no cycle."""
-        unpack(d, (*_SPLIT_LISTS, "counts"), "tree root")
-        n = len(d["counts"])
-        if n == 0 or any(len(d[key]) != n for key in _SPLIT_LISTS):
-            raise ValueError("tree lists must be non-empty and of one length")
-        nodes = [cls(class_counts(c, f"tree node {i}")) for i, c in enumerate(d["counts"])]
-        splits = zip(*(d[key] for key in _SPLIT_LISTS))
-        for i, (node, (feature, threshold, equal, left, right)) in enumerate(zip(nodes, splits)):
-            if type(feature) is not int or feature >= n_features:
-                raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
-                                 f"has {n_features} features")
-            if type(equal) is not bool:
-                raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
-            if feature < 0:
-                continue
-            if not (i < left < n and i < right < n):
-                raise ValueError(f"tree node {i} has children {left} and {right}; "
-                                 f"each must lie in ({i}, {n})")
-            node.feature, node.threshold, node.equal = feature, threshold, equal
-            node.left, node.right = nodes[left], nodes[right]
-        return nodes[0]
+def _read_nodes(d: dict, n_features: int) -> dict:
+    """Copies of the lists `DecisionTree.to_dict` wrote; ValueError unless a
+    trainer could have grown them. A child must come after its parent, so a
+    loaded tree has no cycle."""
+    lists = unpack(d, _LISTS, "tree root")
+    n = len(lists[-1])
+    if n == 0 or any(len(values) != n for values in lists):
+        raise ValueError("tree lists must be non-empty and of one length")
+    for i, (feature, threshold, equal, left, right, counts) in enumerate(zip(*lists)):
+        class_counts(counts, f"tree node {i}")
+        if type(feature) is not int or feature >= n_features:
+            raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
+                             f"has {n_features} features")
+        if type(equal) is not bool:
+            raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
+        if feature >= 0 and not (i < left < n and i < right < n):
+            raise ValueError(f"tree node {i} has children {left} and {right}; "
+                             f"each must lie in ({i}, {n})")
+    return _copied(dict(zip(_LISTS, lists)))
+
+
+class _NodeView:
+    """Node `i` of a tree's lists, read-only: whether it is a leaf, and its children."""
+
+    __slots__ = ("_nodes", "_i")
+
+    def __init__(self, nodes: dict, i: int):
+        self._nodes, self._i = nodes, i
+
+    is_leaf = property(lambda self: self._nodes["feature"][self._i] < 0)
+    left = property(lambda self: _NodeView(self._nodes, self._nodes["left"][self._i]))
+    right = property(lambda self: _NodeView(self._nodes, self._nodes["right"][self._i]))
 
 
 def _binary_entropy(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -376,41 +362,64 @@ def _splittable(counts, min_leaf):
     return neg > 0 and pos > 0 and neg + pos >= 2 * min_leaf
 
 
-def _grow(X, y, cat_mask, min_leaf, rng, subset_size):
+def _grow(X, y, cat_mask, min_leaf, rng, subset_size, prune):
+    """The tree's lists (see `DecisionTree`), written in pre-order. With
+    `prune`, each split is pruned as soon as both its subtrees are grown;
+    its subtree is then the tail of the lists."""
     n_features = X.shape[1]
-    every_feature = np.arange(n_features)
+    pool = np.arange(n_features)
     columns = X.T.ravel()
     in_left = np.zeros(len(y), bool)          # marks one split's left rows
-    root = Node(np.bincount(y, minlength=N_CLASSES))
-    table = _entropy_table(int(root.counts[1]), int(root.counts[0]))
-    stack = []
-    if _splittable(root.counts, min_leaf):
-        stack.append((root, _presort(columns.reshape(n_features, -1))))
+    lists = [[] for _ in _LISTS]
+    feature, threshold, equal, left, right, node_counts = lists
+    counts = np.bincount(y, minlength=N_CLASSES)
+    table = _entropy_table(int(counts[1]), int(counts[0]))
+    # (class counts, lines or None where not searched, the split whose right
+    # child it is or -1); (None, None, i) comes up once split i's subtrees are
+    # grown, and `errors` then ends in their pruned errors.
+    stack = [(counts, _presort(columns.reshape(n_features, -1))
+              if _splittable(counts, min_leaf) else None, -1)]
+    errors = []
     while stack:
-        node, S = stack.pop()
-        if subset_size is not None:
-            pool = np.sort(rng.choice(n_features, size=min(subset_size, n_features),
-                                      replace=False))
-        else:
-            pool = every_feature
-        found = _best_split(columns, y, S, pool, cat_mask, node.counts, min_leaf, table)
-        if found is None:
+        counts, S, parent = stack.pop()
+        if counts is None:
+            subtree_err = errors.pop(-2) + errors.pop()
+            leaf_err = _pessimistic(node_counts[parent])
+            if leaf_err <= subtree_err + 0.1:     # near-ties collapse to the simpler tree
+                for values, value in zip(lists, (*_LEAF, node_counts[parent])):
+                    values[parent:] = [value]
+                subtree_err = leaf_err
+            errors.append(subtree_err)
             continue
-        f, threshold, equal, left_rows = found
-        node.feature, node.threshold, node.equal = f, threshold, equal
+        i = len(node_counts)
+        if parent >= 0:
+            right[parent] = i
+        for values, value in zip(lists, (*_LEAF, counts.tolist())):
+            values.append(value)
+        if S is not None and subset_size is not None:
+            pool = np.sort(rng.choice(n_features, min(subset_size, n_features), replace=False))
+        found = S is not None and _best_split(columns, y, S, pool, cat_mask, counts,
+                                              min_leaf, table)
+        if not found:
+            if prune:
+                errors.append(_pessimistic(node_counts[i]))
+            continue
+        feature[i], threshold[i], equal[i], left_rows = found
+        left[i] = i + 1
         left_counts = np.bincount(y[left_rows], minlength=N_CLASSES)
-        node.left, node.right = Node(left_counts), Node(node.counts - left_counts)
-        # Only a child that is searched needs its lines. Right below left on
-        # the stack: nodes are visited (and draw) in pre-order.
-        grow = [child for child in (node.right, node.left) if _splittable(child.counts, min_leaf)]
-        if grow:
+        right_counts = counts - left_counts
+        if prune:
+            stack.append((None, None, i))
+        grow_left, grow_right = (_splittable(c, min_leaf) for c in (left_counts, right_counts))
+        if grow_left or grow_right:
             in_left[left_rows] = True
             mask = in_left[S]
             in_left[left_rows] = False
-            for child in grow:
-                side = mask if child is node.left else ~mask
-                stack.append((child, S[side].reshape(len(S), -1)))
-    return root
+        # Only a child that is searched gets its lines. Right below left on
+        # the stack: nodes are visited (and draw) in pre-order.
+        stack += ((right_counts, S[~mask].reshape(len(S), -1) if grow_right else None, i),
+                  (left_counts, S[mask].reshape(len(S), -1) if grow_left else None, -1))
+    return dict(zip(_LISTS, lists))
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +444,10 @@ def added_errors(n: float, e: float, cf: float = 0.25) -> float:
     return r * n - e
 
 
-def _pessimistic(counts: np.ndarray) -> float:
-    neg, pos = counts.tolist()
+def _pessimistic(counts: list) -> float:
+    neg, pos = counts
     e = float(min(neg, pos))
     return e + added_errors(float(neg + pos), e)
-
-
-def _prune(root: Node) -> None:
-    """Bottom-up subtree replacement; mutates the tree in place."""
-    error = {}                      # id(node) -> its pruned subtree's error
-    for node in reversed(list(root.walk())):
-        leaf_err = _pessimistic(node.counts)
-        if node.is_leaf:
-            error[id(node)] = leaf_err
-            continue
-        subtree_err = error.pop(id(node.left)) + error.pop(id(node.right))
-        # Small tolerance so near-ties collapse to the simpler tree.
-        if leaf_err <= subtree_err + 0.1:
-            node.feature, node.left, node.right = -1, None, None
-            subtree_err = leaf_err
-        error[id(node)] = subtree_err
 
 
 # ---------------------------------------------------------------------------
@@ -462,30 +455,38 @@ def _prune(root: Node) -> None:
 
 @dataclass
 class DecisionTree:
-    """Trained tree; scores are shill fractions at the reached leaf."""
+    """Trained tree; scores are shill fractions at the reached leaf.
 
-    root: Node
+    `nodes` holds the lists `to_dict` saves, in pre-order: node i sends x to
+    left[i] = i + 1 where x[feature[i]] == threshold[i] if equal[i], else <=,
+    and to right[i] otherwise; a leaf's entries are _LEAF and its counts."""
+
+    nodes: dict
     categorical_mask: np.ndarray
     schema_hash: str
     seed: int
     algorithm: str = "DecisionTree"
     params: dict = field(default_factory=dict)
 
+    root = property(lambda self: _NodeView(self.nodes, 0))
+
     def scores(self, X: np.ndarray) -> np.ndarray:
+        feature, threshold, equal, left, right, counts = (self.nodes[key] for key in _LISTS)
         out = np.empty(len(X), np.float64)
-        stack = [(self.root, np.arange(len(X)))]
+        stack = [(0, np.arange(len(X)))]
         while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:    # counts have a positive sum (see from_dict)
-                out[idx] = node.counts[1] / node.counts.sum()
+            i, idx = stack.pop()
+            if feature[i] < 0:  # counts have a positive sum (see _read_nodes)
+                neg, pos = counts[i]
+                out[idx] = pos / (neg + pos)
                 continue
-            col = X[idx, node.feature]
-            go_left = (col == node.threshold) if node.equal else (col <= node.threshold)
-            stack += ((node.left, idx[go_left]), (node.right, idx[~go_left]))
+            col = X[idx, feature[i]]
+            go_left = (col == threshold[i]) if equal[i] else (col <= threshold[i])
+            stack += ((left[i], idx[go_left]), (right[i], idx[~go_left]))
         return out
 
     def to_dict(self) -> dict:
-        return {"tree": {"root": self.root.to_dict(),
+        return {"tree": {"root": _copied(self.nodes),
                          "categorical_mask": self.categorical_mask.tolist()}}
 
     @classmethod
@@ -496,14 +497,14 @@ class DecisionTree:
             raise ValueError(f"member schema_hash {head['schema_hash']!r} is not the ensemble's")
         root, mask = unpack(t, ("root", "categorical_mask"), "DecisionTree tree")
         mask = np.array(mask, bool)
-        return cls(Node.from_dict(root, len(mask)), mask, **head)
+        return cls(_read_nodes(root, len(mask)), mask, **head)
 
     def votes(self, X: np.ndarray) -> np.ndarray:
         """Hard class votes; score ties resolve to class 0 (benign)."""
         return (self.scores(X) > 0.5).astype(np.int8)
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.root.walk())
+        return len(self.nodes["counts"])
 
 
 def train_decision_tree(matrix: FeatureMatrix, min_leaf: int = 2, prune: bool = True,
@@ -513,10 +514,8 @@ def train_decision_tree(matrix: FeatureMatrix, min_leaf: int = 2, prune: bool = 
     if rng is None:
         rng = np.random.default_rng(seed)
     cat_mask = matrix.categorical_mask()
-    root = _grow(matrix.values, matrix.labels.astype(np.int64), cat_mask, min_leaf,
-                 rng, subset_size)
-    if prune:
-        _prune(root)
-    return DecisionTree(root, cat_mask, matrix.schema_hash(), seed,
+    nodes = _grow(matrix.values, matrix.labels.astype(np.int64), cat_mask, min_leaf,
+                  rng, subset_size, prune)
+    return DecisionTree(nodes, cat_mask, matrix.schema_hash(), seed,
                         params={"min_leaf": min_leaf, "prune": prune,
                                 "subset_size": subset_size})

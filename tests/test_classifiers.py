@@ -440,7 +440,7 @@ def test_tree_unsplittable_data_single_leaf():
     # both classes present but the feature is constant: no valid split
     model = train_decision_tree(mk_ds([[1.0], [1.0], [1.0]], [0, 0, 1]),
                                 prune=False)
-    assert model.root.is_leaf
+    assert model.nodes["feature"] == [-1]
     assert model.scores(np.array([[9.0]]))[0] == pytest.approx(1 / 3)
     assert model.votes(np.array([[9.0]]))[0] == 0.0
 
@@ -449,8 +449,8 @@ def test_tree_perfect_split_and_midpoint_threshold():
     x = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = train_decision_tree(mk_ds(x, y), prune=False)
-    assert model.root.feature == 0
-    assert model.root.threshold == pytest.approx(6.5)
+    assert model.nodes["feature"][0] == 0
+    assert model.nodes["threshold"][0] == pytest.approx(6.5)
     assert np.array_equal(model.scores(x[:, None]), y.astype(float))
 
 
@@ -459,7 +459,7 @@ def test_tree_categorical_equality_split():
     y = np.array([1] * 5 + [0] * 5)
     ds = mk_ds(x, y, categorical=0)
     model = train_decision_tree(ds, prune=False)
-    assert model.root.equal                   # categorical split is v == c
+    assert model.nodes["equal"][0]            # categorical split is v == c
     s = model.scores(np.array([[10.0], [20.0], [30.0]]))
     assert s[0] == 1.0 and s[1] == 0.0 and s[2] == 0.0
 
@@ -468,11 +468,8 @@ def test_tree_min_leaf_respected():
     x = np.arange(10, dtype=float)
     y = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1])
     model = train_decision_tree(mk_ds(x, y), min_leaf=2, prune=False)
-    def leaves(node):
-        if node.is_leaf:
-            return [int(node.counts.sum())]
-        return leaves(node.left) + leaves(node.right)
-    assert min(leaves(model.root)) >= 2
+    nodes = model.nodes
+    assert min(sum(c) for f, c in zip(nodes["feature"], nodes["counts"]) if f < 0) >= 2
 
 
 def test_pruning_collapses_noise():
@@ -483,7 +480,7 @@ def test_pruning_collapses_noise():
     full = train_decision_tree(mk_ds(x, y), min_leaf=1, prune=False)
     pruned = train_decision_tree(mk_ds(x, y), min_leaf=1, prune=True)
     assert pruned.node_count() < full.node_count()
-    assert pruned.root.is_leaf
+    assert pruned.nodes["feature"] == [-1]
 
 
 def test_tree_vote_threshold():
@@ -584,7 +581,7 @@ def test_deep_tree_needs_no_recursion(tmp_path):
     assert count == 2 * n - 1
     assert np.array_equal(scores, ds.labels)                # every leaf is pure
     assert np.array_equal(back_scores, scores)
-    assert back.root.to_dict() == model.root.to_dict()
+    assert back.nodes == model.nodes
     assert pruned_count < count
 
 
@@ -596,7 +593,7 @@ from shilldetect.features import FeatureMatrix
 x = json.loads(sys.argv[1])
 ds = FeatureMatrix(["a", "b", "c", "d"], np.array(x)[:, None], np.array([0, 0, 1, 1], np.int8),
                    ("f0",))
-print(json.dumps(train_decision_tree(ds, min_leaf=1, prune=False).root.to_dict()))
+print(json.dumps(train_decision_tree(ds, min_leaf=1, prune=False).nodes))
 """
 
 
@@ -629,11 +626,10 @@ def test_split_between_adjacent_floats():
     assert (a + b) / 2 == b
     ds = mk_ds([a, b], [0, 1])
     model = train_decision_tree(ds, min_leaf=1, prune=False)
-    assert model.root.threshold == a
-    assert model.root.left.counts.tolist() == [1, 0]
-    assert model.root.right.counts.tolist() == [0, 1]
-    assert model.root.to_dict() == flat_tree(grow_tree_reference(ds.values, ds.labels, (),
-                                                                 min_leaf=1, prune=False))
+    assert model.nodes["threshold"][0] == a
+    assert model.nodes["counts"] == [[1, 1], [1, 0], [0, 1]]
+    assert model.nodes == flat_tree(grow_tree_reference(ds.values, ds.labels, (),
+                                                        min_leaf=1, prune=False))
 
 
 def _tie_heavy_tree_data():
@@ -655,7 +651,7 @@ def _tie_heavy_tree_data():
 def tree_ds(request):
     if request.param == "tie_heavy":
         ds = _tie_heavy_tree_data()
-        assert train_decision_tree(ds).root.equal     # categorical root split
+        assert train_decision_tree(ds).nodes["equal"][0]     # categorical root split
         return ds
     return request.getfixturevalue("small_matrix").canonical()
 
@@ -670,7 +666,7 @@ def test_tree_matches_grow_reference(tree_ds, min_leaf, prune):
     model = train_decision_tree(tree_ds, min_leaf=min_leaf, prune=prune)
     expected = grow_tree_reference(tree_ds.values, tree_ds.labels, _categorical_columns(tree_ds),
                                    min_leaf=min_leaf, prune=prune)
-    assert model.root.to_dict() == flat_tree(expected)
+    assert model.nodes == flat_tree(expected)
 
 
 def test_random_forest_matches_grow_reference(tree_ds):
@@ -682,7 +678,7 @@ def test_random_forest_matches_grow_reference(tree_ds):
         expected = grow_tree_reference(boot.values, boot.labels, _categorical_columns(tree_ds),
                                        min_leaf=1, prune=False, rng=rng,
                                        subset_size=subset)
-        assert member.root.to_dict() == flat_tree(expected)
+        assert member.nodes == flat_tree(expected)
 
 
 def _random_tree_datasets(count, seed):
@@ -711,7 +707,7 @@ def test_tree_matches_grow_reference_on_random_data():
         min_leaf, prune = int(rng.integers(1, 6)), bool(rng.integers(0, 2))
         model = train_decision_tree(ds, min_leaf=min_leaf, prune=prune)
         expected = grow_tree_reference(ds.values, ds.labels, {2}, min_leaf=min_leaf, prune=prune)
-        assert model.root.to_dict() == flat_tree(expected), (
+        assert model.nodes == flat_tree(expected), (
             ds.values.tolist(), ds.labels.tolist(), min_leaf)
 
 
@@ -723,7 +719,7 @@ def test_random_forest_matches_grow_reference_on_random_data():
             boot = ds.take(rng.integers(0, ds.n_users, ds.n_users))
             expected = grow_tree_reference(boot.values, boot.labels, {2}, min_leaf=1, prune=False,
                                            rng=rng, subset_size=2)
-            assert member.root.to_dict() == flat_tree(expected), (
+            assert member.nodes == flat_tree(expected), (
                 ds.values.tolist(), ds.labels.tolist())
 
 
@@ -790,7 +786,7 @@ def test_entropy_table_entries_equal_direct_computation(length):
 def _tree_learner_models(ds):
     """Model dicts of every tree learner on `ds`."""
     models = {(min_leaf, prune): train_decision_tree(ds, min_leaf=min_leaf,
-                                                     prune=prune).root.to_dict()
+                                                     prune=prune).nodes
               for min_leaf in (1, 2) for prune in (False, True)}
     models["Bagging"] = model_to_dict(train_bagging(ds, n_members=4, seed=3))
     models["RandomForest"] = model_to_dict(train_random_forest(ds, n_members=4, seed=3))
