@@ -105,23 +105,51 @@ def _copied(nodes: dict) -> dict:
 
 
 def _read_nodes(d: dict, n_features: int) -> dict:
-    """Copies of the lists `DecisionTree.to_dict` wrote; ValueError unless a
-    trainer could have grown them. A child must come after its parent, so a
-    loaded tree has no cycle."""
+    """Copies of the lists `DecisionTree.to_dict` wrote; ValueError naming a
+    list or node unless they are one pre-order tree that a trainer could
+    have grown (see `DecisionTree`), its splits' counts their children's sums."""
     lists = unpack(d, _LISTS, "tree root")
+    for key, values in zip(_LISTS, lists):
+        if type(values) is not list:
+            raise ValueError(f"tree {key} is {values!r}, not a list")
     n = len(lists[-1])
     if n == 0 or any(len(values) != n for values in lists):
         raise ValueError("tree lists must be non-empty and of one length")
-    for i, (feature, threshold, equal, left, right, counts) in enumerate(zip(*lists)):
-        class_counts(counts, f"tree node {i}")
+    features, rights, counts = lists[0], lists[4], lists[5]
+    waiting = []                              # splits still to meet their right child
+    for i, row in enumerate(zip(*lists)):
+        feature, threshold, equal, left, _, _ = row
+        class_counts(counts[i], f"tree node {i}")
         if type(feature) is not int or feature >= n_features:
             raise ValueError(f"tree node {i} splits on feature {feature!r}; the model "
                              f"has {n_features} features")
         if type(equal) is not bool:
             raise ValueError(f"tree node {i} has equal {equal!r}; it must be true or false")
-        if feature >= 0 and not (i < left < n and i < right < n):
-            raise ValueError(f"tree node {i} has children {left} and {right}; "
-                             f"each must lie in ({i}, {n})")
+        if i and features[i - 1] < 0:         # node i - 1 ends a left subtree
+            if not waiting:
+                raise ValueError(f"tree node {i} comes after the tree's last leaf, node {i - 1}")
+            p = waiting.pop()
+            if rights[p] != i or type(rights[p]) is not int:
+                raise ValueError(f"tree node {p} has right child {rights[p]!r}; it must be "
+                                 f"node {i}, the first after its left subtree")
+            total = [a + b for a, b in zip(counts[p + 1], counts[i])]
+            if counts[p] != total:
+                raise ValueError(f"tree node {p} has counts {counts[p]}; a split's are its "
+                                 f"children's summed, {total}")
+        if feature < 0:
+            if repr(row[:5]) != repr(_LEAF):  # tells 0 from 0.0 and -0.0, False from 0
+                raise ValueError(f"tree node {i} is a leaf with (feature, threshold, equal, "
+                                 f"left, right) {row[:5]!r}; a leaf's are {_LEAF!r}")
+        elif not (type(threshold) is float and math.isfinite(threshold)):
+            raise ValueError(f"tree node {i} has threshold {threshold!r}; a split's must be "
+                             "a finite float")
+        elif left != i + 1 or type(left) is not int:
+            raise ValueError(f"tree node {i} has left child {left!r}; a split's is the next "
+                             f"node, {i + 1}")
+        else:
+            waiting.append(i)
+    if waiting:
+        raise ValueError(f"tree lists end inside the subtree of node {waiting[-1]}")
     return _copied(dict(zip(_LISTS, lists)))
 
 

@@ -1035,8 +1035,23 @@ def test_save_load_schema_guard(tmp_path, train_ds):
         load_model(path, expected_schema_hash="0" * 64)
 
 
-# Each edit replaces one field of a saved DecisionTree, in its header or its
-# tree lists. The tree's five nodes are, in pre-order, 0 -> (1, 4) and 1 -> (2, 3).
+# The lists of the saved DecisionTree that the next two tests edit: in
+# pre-order, node 0 -> (1, 4) and node 1 -> (2, 3).
+_FIVE_NODES = {"feature": [0, 0, -1, -1, -1], "threshold": [2.5, 0.5, 0.0, 0.0, 0.0],
+               "equal": [False] * 5, "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+               "counts": [[2, 4], [2, 1], [0, 1], [2, 0], [0, 3]]}
+_RIGHT_RULE = "the first after its left subtree"
+
+
+def _five_node_tree():
+    return train_decision_tree(mk_ds(np.arange(6.0), [1, 0, 0, 1, 1, 1]), min_leaf=1,
+                               prune=False)
+
+
+# Each edit replaces one field of the saved five-node tree, in its header or
+# its tree lists. Were they loaded, a sixth node would be unreachable and
+# would make the next save differ; a list that is not one would fail with a
+# bare TypeError.
 @pytest.mark.parametrize("edit, message", [
     ({"format_version": 1}, "unsupported model format version 1"),
     ({"threshold": [2.5, 0.5, 0.0, 0.0]},
@@ -1044,18 +1059,26 @@ def test_save_load_schema_guard(tmp_path, train_ds):
     (dict.fromkeys(["feature", "threshold", "equal", "left", "right", "counts"], []),
      "tree lists must be non-empty and of one length"),
     ({"left": [1, 0, -1, -1, -1]},
-     "tree node 1 has children 0 and 3; each must lie in (1, 5)"),
+     "tree node 1 has left child 0; a split's is the next node, 2"),
     ({"right": [4, 1, -1, -1, -1]},
-     "tree node 1 has children 2 and 1; each must lie in (1, 5)"),
+     f"tree node 1 has right child 1; it must be node 3, {_RIGHT_RULE}"),
     ({"right": [5, 3, -1, -1, -1]},
-     "tree node 0 has children 1 and 5; each must lie in (0, 5)"),
+     f"tree node 0 has right child 5; it must be node 4, {_RIGHT_RULE}"),
+    ({key: values + [value] for (key, values), value
+      in zip(_FIVE_NODES.items(), (-1, 0.0, False, -1, -1, [1, 1]))},
+     "tree node 5 comes after the tree's last leaf, node 4"),
+    ({key: values[:4] for key, values in _FIVE_NODES.items()},
+     "tree lists end inside the subtree of node 0"),
+    ({"feature": 5}, "tree feature is 5, not a list"),
+    ({"left": None}, "tree left is None, not a list"),
+    ({"counts": {"0": [2, 4]}}, "tree counts is {'0': [2, 4]}, not a list"),
 ], ids=["version-1", "unequal-lengths", "empty", "child-before-parent", "child-is-parent",
-        "child-past-end"])
+        "child-past-end", "unreachable-node", "truncated", "feature-not-list",
+        "left-not-list", "counts-not-list"])
 def test_model_from_dict_refuses(edit, message):
-    y = [1, 0, 0, 1, 1, 1]
-    d = model_to_dict(train_decision_tree(mk_ds(np.arange(6.0), y), min_leaf=1, prune=False))
+    d = model_to_dict(_five_node_tree())
     root = d["tree"]["root"]
-    assert root["left"] == [1, 2, -1, -1, -1] and root["right"] == [4, 3, -1, -1, -1]
+    assert root == _FIVE_NODES
     for key, value in edit.items():
         (root if key in root else d)[key] = value
     with pytest.raises(ValueError) as exc:
@@ -1064,11 +1087,18 @@ def test_model_from_dict_refuses(edit, message):
 
 
 _COUNTS_RULE = "they must be 2 non-negative ints with a positive sum"
+_LEAF_RULE = "a leaf's are (-1, 0.0, False, -1, -1)"
+_LEAF_IS = "is a leaf with (feature, threshold, equal, left, right)"
+_THRESHOLD_RULE = "a split's must be a finite float"
 
 
-# Each edit sets one node's entry in one list of the same saved tree. Were
+# Each edit sets one node's entry in one list of the five-node tree. Were
 # they loaded, counts [] would score its rows 0.0, counts [-5, 3] would score
-# -1.5, and feature 40 would fail only at scoring, with an IndexError.
+# -1.5, and feature 40 would fail only at scoring, with an IndexError; so
+# would a threshold None or "x", with a TypeError, while NaN and true would
+# score silently. A right child that is the left one would leave node 4
+# unreachable, and the other leaf and structure edits would load and then
+# save a different file.
 @pytest.mark.parametrize("key, node, value, message", [
     ("counts", 4, [], f"tree node 4 has counts []; {_COUNTS_RULE}"),
     ("counts", 4, [-5, 3], f"tree node 4 has counts [-5, 3]; {_COUNTS_RULE}"),
@@ -1080,10 +1110,29 @@ _COUNTS_RULE = "they must be 2 non-negative ints with a positive sum"
     ("feature", 1, 0.0, "tree node 1 splits on feature 0.0; the model has 1 features"),
     ("equal", 1, 1, "tree node 1 has equal 1; it must be true or false"),
     ("equal", 4, None, "tree node 4 has equal None; it must be true or false"),
+    ("threshold", 0, None, f"tree node 0 has threshold None; {_THRESHOLD_RULE}"),
+    ("threshold", 0, "x", f"tree node 0 has threshold 'x'; {_THRESHOLD_RULE}"),
+    ("threshold", 1, float("nan"), f"tree node 1 has threshold nan; {_THRESHOLD_RULE}"),
+    ("threshold", 1, float("inf"), f"tree node 1 has threshold inf; {_THRESHOLD_RULE}"),
+    ("threshold", 1, True, f"tree node 1 has threshold True; {_THRESHOLD_RULE}"),
+    ("feature", 2, -5, f"tree node 2 {_LEAF_IS} (-5, 0.0, False, -1, -1); {_LEAF_RULE}"),
+    ("left", 3, 7, f"tree node 3 {_LEAF_IS} (-1, 0.0, False, 7, -1); {_LEAF_RULE}"),
+    ("right", 4, 0, f"tree node 4 {_LEAF_IS} (-1, 0.0, False, -1, 0); {_LEAF_RULE}"),
+    ("threshold", 4, 0, f"tree node 4 {_LEAF_IS} (-1, 0, False, -1, -1); {_LEAF_RULE}"),
+    ("threshold", 2, 1.5, f"tree node 2 {_LEAF_IS} (-1, 1.5, False, -1, -1); {_LEAF_RULE}"),
+    ("equal", 3, True, f"tree node 3 {_LEAF_IS} (-1, 0.0, True, -1, -1); {_LEAF_RULE}"),
+    ("left", 0, True, "tree node 0 has left child True; a split's is the next node, 1"),
+    ("right", 0, 1, f"tree node 0 has right child 1; it must be node 4, {_RIGHT_RULE}"),
+    ("right", 1, 3.0, f"tree node 1 has right child 3.0; it must be node 3, {_RIGHT_RULE}"),
+    ("counts", 0, [3, 4],
+     "tree node 0 has counts [3, 4]; a split's are its children's summed, [2, 4]"),
+    ("counts", 4, [0, 4],
+     "tree node 0 has counts [2, 4]; a split's are its children's summed, [2, 5]"),
+    ("counts", 1, [2, 2],
+     "tree node 1 has counts [2, 2]; a split's are its children's summed, [2, 1]"),
 ])
 def test_model_from_dict_refuses_bad_values(key, node, value, message):
-    y = [1, 0, 0, 1, 1, 1]
-    tree = train_decision_tree(mk_ds(np.arange(6.0), y), min_leaf=1, prune=False)
+    tree = _five_node_tree()
     d = model_to_dict(tree)
     d["tree"]["root"][key][node] = value
     with pytest.raises(ValueError) as exc:
@@ -1095,6 +1144,33 @@ def test_model_from_dict_refuses_bad_values(key, node, value, message):
     with pytest.raises(ValueError) as exc:
         model_from_dict(ensemble)
     assert str(exc.value) == message
+
+
+def _edit_every_list(obj):
+    """Reverse every list in `obj`, and in what it holds, in place, and then
+    add one more entry to each."""
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(value, (dict, list)):
+            _edit_every_list(value)
+    if isinstance(obj, list):
+        obj.reverse()
+        obj.append(None)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_model_shares_no_list_with_its_dicts(train_ds, algorithm):
+    # Editing the dict that model_to_dict returns, or the dict a model was
+    # read from, changes neither that model's scores nor its next dict.
+    hyper = {"n_members": 4} if algorithm in ("Bagging", "RandomForest") else None
+    model = train(algorithm, train_ds, hyper, seed=2)
+    text, scores = json.dumps(model_to_dict(model)), model.scores(train_ds.values)
+    _edit_every_list(model_to_dict(model))
+    saved = json.loads(text)
+    back = model_from_dict(saved)
+    _edit_every_list(saved)
+    for m in (model, back):
+        assert json.dumps(model_to_dict(m)) == text
+        assert np.array_equal(m.scores(train_ds.values), scores)
 
 
 _KNN_MASK_RULE = ("KNN3 numeric_mask must hold a bool for each of the 2 columns, and "
