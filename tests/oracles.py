@@ -286,7 +286,7 @@ def _added_errors(n: float, e: float) -> float:
 def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
                         subset_size=None) -> dict:
     """The gain-ratio tree as nested dicts, grown naively (`flat_tree` gives
-    the lists of ``Node.to_dict()``).
+    the lists of ``DecisionTree.nodes``).
 
     Each node sorts every candidate column of its own rows with Python's
     stable ``sorted``. Numeric columns split at the midpoint of each pair of
@@ -381,9 +381,9 @@ def grow_tree_reference(X, y, categorical, min_leaf=2, prune=True, rng=None,
 
 def flat_tree(nested: dict) -> dict:
     """`grow_tree_reference`'s nested tree as the parallel pre-order lists
-    ``Node.to_dict()`` writes: a leaf has feature, left and right -1,
-    threshold 0.0 and equal false; an inner node's left and right are its
-    children's positions in the lists."""
+    that a trained ``DecisionTree`` holds in ``nodes`` and saves: a leaf has
+    feature, left and right -1, threshold 0.0 and equal false; an inner
+    node's left and right are its children's positions in the lists."""
     flat = {key: [] for key in ("feature", "threshold", "equal", "left", "right", "counts")}
 
     def add(node):

@@ -4,9 +4,11 @@
 `--trace` its tracer first looks up every function it wraps, so renaming
 any of them (`tg.users.ids`, `extract_all`, `KNN3.scores`,
 `precision_at_k`, `ecosystem_report`, ...) or changing what a count hook
-reads of a result fails here. For the `protocol` and `market` workloads,
-one traced set-up and one traced round run in fresh interpreters, and the
-benchmark's own `checks.check_round` then checks the round's outputs.
+reads of a result fails here. For each workload, one traced set-up and
+one traced round run in fresh interpreters, and the benchmark's own
+`checks.check_round` then checks the round's outputs. On `cv` the fork
+pool's children inherit the wrappers, so the tracer's walk of every
+trained tree (`tree.root`, `.is_leaf`, `.left`, `.right`) runs there.
 """
 
 import importlib.util
@@ -20,7 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SEED = 1
-OPS = {"protocol": ["precision-at-k"], "market": ["synth", "features", "ecosystem"]}
+OPS = {"protocol": ["precision-at-k"], "market": ["synth", "features", "ecosystem"],
+       "cv": ["evaluate"]}
 
 
 def _worker(mode: str, workload: str, out: Path, *extra: str) -> subprocess.CompletedProcess:
