@@ -485,9 +485,9 @@ def _pessimistic(counts: list) -> float:
 class DecisionTree:
     """Trained tree; scores are shill fractions at the reached leaf.
 
-    `nodes` holds the lists `to_dict` saves, in pre-order: node i sends x to
-    left[i] = i + 1 where x[feature[i]] == threshold[i] if equal[i], else <=,
-    and to right[i] otherwise; a leaf's entries are _LEAF and its counts."""
+    `nodes` holds the lists `to_dict` saves, in pre-order: split i sends a
+    row x to left[i] = i + 1 where x[feature[i]] == threshold[i] (<= where
+    not equal[i]), to right[i] elsewhere; a leaf's entries are _LEAF."""
 
     nodes: dict
     categorical_mask: np.ndarray
