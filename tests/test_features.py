@@ -426,6 +426,49 @@ def test_csv_writer_matches_row_reference(seed):
                                                          FEATURE_NAMES)
 
 
+# Values at the edges of the writer's column kinds: whole numbers at and
+# past 1e15, whole cents (v == c / 100 for an integer c below 1e15) next to
+# 1e15 / 100, and values past 2**53 / 100, whose cents an int64 holds but a
+# double does not.
+_CENT_EDGES = [-0.05, 0.05, 0.01, -0.01, 0.1 + 0.2, 0.07, 1.1, -0.0, (2**53 + 1) / 100,
+               (2**53 + 7) / 100, (10**15 - 1) / 100, -(10**15 - 1) / 100, 10**15 / 100,
+               10**15 / 100 + 0.5, 1e13 - 0.01]
+# One of these in a column takes the column out of its kind.
+_KIND_BREAKERS = [0.5, 0.001, 1e15, -1e15, 5e-324, 1 / 3, 0.1 + 0.2, 1e-5, 1e16 + 2, 1e300]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csv_writer_matches_row_reference_by_column_kind(seed):
+    # Every column holds values of one kind, or of several, so that each
+    # column takes each of the writer's paths: whole numbers, whole cents
+    # and the distinct-value texts.
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(1, 300))
+    kinds = [
+        lambda: rng.integers(-10**6, 10**6, n).astype(np.float64),
+        lambda: rng.choice([1e15 - 1, -(1e15 - 1), -0.0, 0.0, 2.0**53, 4294967295.0], n),
+        lambda: rng.integers(0, 10**7, n) / 100,
+        lambda: rng.integers(-10**7, 10**7, n) / 100,
+        lambda: rng.integers(-10**15 + 1, 10**15, n) / 100,
+        lambda: rng.integers(10**14, 10**15, n) / 100,
+        lambda: rng.integers(2**53, 2**60, n) / 100,
+        lambda: rng.choice(_CENT_EDGES, n),
+        lambda: rng.choice(_CENT_EDGES + _EDGE_VALUES, n),
+        lambda: rng.normal(0, 10.0 ** rng.integers(-8, 18), n),
+        lambda: rng.integers(-5, 5, n) / rng.integers(1, 9, n),
+    ]
+    values = np.stack([kinds[k]() for k in rng.integers(0, len(kinds), len(FEATURE_NAMES))],
+                      axis=1)
+    for j in rng.choice(len(FEATURE_NAMES), 8, replace=False):
+        values[rng.integers(0, n), j] = rng.choice(_KIND_BREAKERS)
+    ids = [f"u{i}" for i in range(n)]
+    matrix = FeatureMatrix(ids, values, rng.integers(0, 2, n).astype(np.int8))
+    buf = io.StringIO()
+    write_feature_csv(matrix, buf)
+    assert buf.getvalue() == write_feature_csv_reference(ids, values, matrix.labels,
+                                                         FEATURE_NAMES)
+
+
 class _Sink:
     """A binary stream that keeps only the number of bytes written."""
 
