@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..features import FeatureMatrix
+from ..features import FEATURE_NAMES, FeatureMatrix
 
 N_CLASSES = 2  # benign=0, shill=1
 
@@ -31,6 +31,16 @@ def entropy(counts: np.ndarray) -> float:
 MODEL_FORMAT = "shilldetect-model"
 MODEL_FORMAT_VERSION = 2
 _HEADER = ("format", "format_version", "algorithm", "seed", "schema_hash", "params")
+
+
+# The standard manifest's hash; a model saved with it reads its 31 columns.
+_STANDARD_HASH = FeatureMatrix([], np.empty((0, len(FEATURE_NAMES))), np.empty(0)).schema_hash()
+
+
+def manifest_columns(schema_hash: str) -> float:
+    """The column count of a model's manifest: known for the standard
+    manifest, else infinite."""
+    return len(FEATURE_NAMES) if schema_hash == _STANDARD_HASH else np.inf
 
 
 def model_to_dict(model) -> dict:

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FEATURE_NAMES, FeatureMatrix
-from .base import N_CLASSES, class_counts, read_header, require_trainable, unpack
+from ..features import FeatureMatrix
+from .base import N_CLASSES, class_counts, manifest_columns, read_header, require_trainable, unpack
 
 _VAR_FLOOR = 1e-9
 
@@ -18,10 +18,6 @@ KNN_BUFFER_BYTES = 1 << 20
 # Blocks of training rows (fewer if rows are fewer, k if k is more); the
 # k-th smallest of a query row's block minima bounds its k-th estimate.
 KNN_BLOCKS = 128
-
-# The standard manifest's hash; a OneR saved with it must read one of its columns.
-_STANDARD_HASH = FeatureMatrix([], np.empty((0, len(FEATURE_NAMES))), np.empty(0)).schema_hash()
-
 
 # ---------------------------------------------------------------------------
 # OneR: the best single-feature rule.
@@ -75,7 +71,7 @@ class OneR:
         feature, categorical, edges, buckets, values, overall = unpack(r, (
             "feature", "is_categorical", "edges", "bucket_counts", "value_counts",
             "overall_counts"), "OneR rule")
-        columns = len(FEATURE_NAMES) if head["schema_hash"] == _STANDARD_HASH else np.inf
+        columns = manifest_columns(head["schema_hash"])
         if type(feature) is not int or not 0 <= feature < columns:
             raise ValueError(f"OneR feature {feature!r} is not an int in [0, {columns})")
         ok = False

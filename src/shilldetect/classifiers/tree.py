@@ -74,7 +74,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .base import N_CLASSES, class_counts, read_header, require_trainable, unpack
+from .base import (N_CLASSES, class_counts, manifest_columns, read_header, require_trainable,
+                   unpack)
 
 _GAIN_TOL = 1e-12
 _CHUNK = 4096          # candidate splits scored per pass
@@ -104,10 +105,12 @@ def _copied(nodes: dict) -> dict:
             for key in _LISTS}
 
 
-def _read_nodes(d: dict, n_features: int) -> dict:
+def _read_nodes(d: dict, mask: list) -> dict:
     """Copies of the lists `DecisionTree.to_dict` wrote; ValueError naming a
     list or node unless they are one pre-order tree that a trainer could
-    have grown (see `DecisionTree`), its splits' counts their children's sums."""
+    have grown (see `DecisionTree`), its splits' counts their children's
+    sums and each split's `equal` the categorical `mask` at its feature."""
+    n_features = len(mask)
     lists = unpack(d, _LISTS, "tree root")
     for key, values in zip(_LISTS, lists):
         if type(values) is not list:
@@ -143,6 +146,9 @@ def _read_nodes(d: dict, n_features: int) -> dict:
         elif not (type(threshold) is float and math.isfinite(threshold)):
             raise ValueError(f"tree node {i} has threshold {threshold!r}; a split's must be "
                              "a finite float")
+        elif equal is not mask[feature]:
+            raise ValueError(f"tree node {i} has equal {equal!r}; a split on feature {feature} "
+                             f"has its categorical_mask entry, {mask[feature]!r}")
         elif left != i + 1 or type(left) is not int:
             raise ValueError(f"tree node {i} has left child {left!r}; a split's is the next "
                              f"node, {i + 1}")
@@ -524,8 +530,11 @@ class DecisionTree:
         if schema_hash not in (None, head["schema_hash"]):
             raise ValueError(f"member schema_hash {head['schema_hash']!r} is not the ensemble's")
         root, mask = unpack(t, ("root", "categorical_mask"), "DecisionTree tree")
-        mask = np.array(mask, bool)
-        return cls(_read_nodes(root, len(mask)), mask, **head)
+        ok = type(mask) is list and len(mask) > 0 and all(type(m) is bool for m in mask)
+        if not ok or manifest_columns(head["schema_hash"]) not in (len(mask), np.inf):
+            raise ValueError("DecisionTree categorical_mask must be a non-empty list of bools, "
+                             "one per column")
+        return cls(_read_nodes(root, mask), np.array(mask, bool), **head)
 
     def votes(self, X: np.ndarray) -> np.ndarray:
         """Hard class votes; score ties resolve to class 0 (benign)."""

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import (LabelSet, ProfileTable, crc32_state, csv_bytes, decode_ids, encode_ids,
-                      gather, sorted_find, text_pool, write_bytes)
+from .records import (_BLOCK_ROWS, LabelSet, ProfileTable, _decimal, _digits, crc32_state,
+                      csv_bytes, decode_ids, encode_ids, gather, sorted_find, text_pool,
+                      write_bytes)
 from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts
 
 TRANSACTION_FEATURES = (
@@ -281,13 +282,18 @@ def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
     if not found.all():
         raise KeyError(f"{np.count_nonzero(~found)} ids not in the graphs, "
                        f"e.g. {decode_ids(users[~found][:5])}")
-    full = np.hstack([
-        _transaction_block_all(tg),
-        _feedback_block_all(fg),
-        _detail_block_all(tg, profiles),
-    ])
+    # One block at a time is held beside the matrix, and the rows are
+    # gathered only when the users are not every vertex in order.
+    full = np.empty((tg.n_vertices, len(FEATURE_NAMES)))
+    feedback_at = len(TRANSACTION_FEATURES)
+    detail_at = feedback_at + len(FEEDBACK_FEATURES)
+    full[:, :feedback_at] = _transaction_block_all(tg)
+    full[:, feedback_at:detail_at] = _feedback_block_all(fg)
+    full[:, detail_at:] = _detail_block_all(tg, profiles)
+    if not (len(idx) == len(full) and (idx == np.arange(len(idx))).all()):
+        full = full[idx]
     y = np.isin(users, encode_ids(labels.shill_ids if labels else [])).astype(np.int8)
-    return FeatureMatrix(decode_ids(users), full[idx], y)
+    return FeatureMatrix(decode_ids(users), full, y)
 
 
 def cohort_feature_ratios(matrix: FeatureMatrix) -> dict[str, dict[str, float]]:
@@ -330,28 +336,74 @@ def write_feature_csv(matrix: FeatureMatrix, stream) -> None:
 
     A whole number below 1e15 in magnitude is written as an integer, any
     other value as the shortest repr that reads back to the same float.
+    Each column is formatted by the kind of its values: a column of whole
+    numbers as integers, a column of whole cents (v == c / 100 for an
+    integer c below 1e15 in magnitude) as cents, and only the other columns
+    through the texts of their distinct values.
+
+    A whole-cent value's repr is c / 100 in decimal, its trailing zeros and
+    a bare point stripped: that decimal has at most 15 significant digits
+    and reads back to v, no two such decimals read back to one float, so no
+    shorter text does; and repr writes no exponent from 1e-4 up to 1e16.
     """
     bad = np.argwhere(~np.isfinite(matrix.values))
     if len(bad):
         r, c = bad[0]
         raise ValueError(f"user {matrix.user_ids[r]}: {matrix.feature_names[c]} is "
                          f"{float(matrix.values[r, c])!r}; feature values must be finite")
-    # Each distinct value is formatted once: one unique over the whole
-    # matrix, where one per column would sort 31 times. A value's code is its
-    # place among the distinct values, found by a search, which is faster
-    # than unique's argsort.
-    distinct = np.unique(matrix.values)
+    kinds = _column_kinds(matrix.values)
+    pooled = [j for j, kind in enumerate(kinds) if kind is None]
+    # A pooled value's code is its place among the pooled columns' distinct
+    # values, found by a search, which is faster than unique's argsort.
+    distinct = np.unique(matrix.values[:, pooled])
     whole = ((distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)).tolist()
     values = text_pool([str(int(v)) if w else repr(v) for v, w in zip(distinct.tolist(), whole)])
     ids, labels = text_pool(matrix.user_ids), text_pool(["benign", "shill"])
 
+    def cell(kind, column: np.ndarray):
+        if kind is None:
+            return gather(values, np.searchsorted(distinct, column))
+        return kind(column)
+
     def cells(rows: slice) -> list:
         return [gather(ids, np.arange(matrix.n_users)[rows]),
-                *(gather(values, np.searchsorted(distinct, c)) for c in matrix.values[rows].T),
+                *map(cell, kinds, matrix.values[rows].T),
                 gather(labels, (matrix.labels[rows] != 0).astype(np.int64))]
 
     header = ["user_id", *matrix.feature_names, "label"]
     write_bytes(stream, csv_bytes(header, matrix.n_users, cells))
+
+
+def _whole(column: np.ndarray):
+    """The cell of whole numbers below 1e15 in magnitude, as integers."""
+    return _decimal(column.astype(np.int64))
+
+
+def _cents(column: np.ndarray):
+    """The cell of whole cents below 1e15 in magnitude: c / 100 in decimal,
+    its trailing zeros and then a bare point stripped."""
+    cents = np.round(column * 100).astype(np.int64)
+    dollars, rest = np.divmod(np.abs(cents), 100)
+    matrix, keep = _decimal(dollars)
+    sign = np.full((len(cents), 1), ord("-"), np.uint8)
+    tail = _digits(rest, 3)
+    tail[:, 0] = ord(".")
+    tail_keep = np.stack([rest != 0, rest != 0, rest % 10 != 0], axis=1)
+    return np.hstack([sign, matrix, tail]), np.hstack([(cents < 0)[:, None], keep, tail_keep])
+
+
+def _column_kinds(values: np.ndarray) -> list:
+    """For each column of a feature matrix, _whole or _cents, the cell that
+    formats all its values as write_feature_csv does, or None where neither
+    does; the values are checked a block of rows at a time."""
+    whole = cents = np.ones(values.shape[1], bool)
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start:start + _BLOCK_ROWS]
+        whole = whole & ((block == np.trunc(block)) & (np.abs(block) < 1e15)).all(axis=0)
+        with np.errstate(over="ignore"):
+            hundredths = np.round(block * 100)
+        cents = cents & ((hundredths / 100 == block) & (np.abs(hundredths) < 1e15)).all(axis=0)
+    return [_whole if w else _cents if c else None for w, c in zip(whole, cents)]
 
 
 def write_feature_schema(matrix: FeatureMatrix, stream) -> None:

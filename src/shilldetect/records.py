@@ -15,8 +15,9 @@ of 0 means the profile has none.
 The parsers work on bytes columns: one fixed-width numpy `S` array per
 column. A CSV body whose lines are plain (no quotes, carriage returns or
 NULs, and width - 1 commas then a newline on every line) is read as bytes:
-one pass over its commas and newlines finds every field, and each column
-is gathered from the body with one index per field. Quoted CSV and JSONL
+its commas and newlines are found a block of bytes at a time into one
+array of field ends, and each column is gathered from the body with one
+index per field. Quoted CSV and JSONL
 are read row by row, and their values are encoded into the same columns.
 Ids are coded by sorting: each id is packed into big-endian uint64 words,
 whose sort is the bytes' order, so an id's code is its place among the
@@ -31,9 +32,10 @@ other valid form and gives an invalid row its error.
 The writers make bytes too, a block of rows at a time: each column becomes
 a uint8 matrix, ids and states gathered by code from a pool of their
 UTF-8, numbers and dates formatted by digit arithmetic, and one boolean
-mask cuts the rows out of the matrices side by side. A text holding a
-comma, a quote, a carriage return or a newline is quoted as csv quotes it,
-once per distinct text. They write to binary or text streams.
+mask cuts the rows out of the matrices side by side; each block is written
+as it is made. A text holding a comma, a quote, a carriage return or a
+newline is quoted as csv quotes it, once per distinct text. They write to
+binary or text streams.
 """
 
 from __future__ import annotations
@@ -272,6 +274,12 @@ _MAX_FIELD = 64
 _KEEP = np.where(np.arange(_MAX_FIELD) < np.arange(_MAX_FIELD + 1)[:, None], 255, 0)
 _KEEP = _KEEP.astype(np.uint8)
 
+# Bytes of a CSV body searched for separators at once.
+_SCAN_BLOCK = 1 << 20
+
+# Timestamps checked at once.
+_CHECK_ROWS = 1 << 16
+
 
 def _byte_column(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The values buf[start[i]:start[i] + length[i]] as one fixed-width
@@ -353,8 +361,12 @@ def _plain_csv(data: bytes, pos: int, width: int):
 
     They are when the body holds no quotes, carriage returns or NULs and
     every line has width - 1 commas and then a newline (the last line may
-    lack it).
+    lack it). The separators are found _SCAN_BLOCK bytes at a time, into
+    one (rows, width) array of field ends; each column's starts and lengths
+    are taken from it only while that column is gathered.
     """
+    if any(data.find(c, pos) >= 0 for c in (b'"', b"\r", b"\0")):
+        return None
     size = len(data) - pos
     buf = np.zeros(size + _MAX_FIELD + 2, np.uint8)
     buf[:size] = np.frombuffer(data, np.uint8, size, pos)
@@ -362,27 +374,40 @@ def _plain_csv(data: bytes, pos: int, width: int):
         buf[size] = ord("\n")
         size += 1
     body = buf[:size]
-    separator = body == ord(",")
-    separator |= body == ord("\n")
-    end = np.flatnonzero(separator)
-    del separator
-    if len(end) % width or any(data.find(c, pos) >= 0 for c in (b'"', b"\r", b"\0")):
+    dtype = np.int32 if size < 2**31 else np.int64
+    parts, newlines = [], 0
+    for at in range(0, size, _SCAN_BLOCK):
+        block = body[at:at + _SCAN_BLOCK]
+        separator = block == ord("\n")
+        newlines += int(np.count_nonzero(separator))
+        separator |= block == ord(",")
+        parts.append((np.flatnonzero(separator) + at).astype(dtype))
+    end = np.concatenate(parts or [np.empty(0, dtype)])
+    del parts
+    # Each line's last separator is a newline, and there are no others, so
+    # the rest are commas.
+    if len(end) != newlines * width:
         return None
-    kind = body[end].reshape(-1, width)
-    if not ((kind[:, -1] == ord("\n")).all() and (kind[:, :-1] == ord(",")).all()):
+    end = end.reshape(newlines, width)
+    if not (body[end[:, -1]] == ord("\n")).all():
         return None
-    start = np.empty_like(end)
-    start[:1] = 0
-    start[1:] = end[:-1] + 1
-    start = start.reshape(-1, width)
-    length = end.reshape(-1, width) - start
+    odd = np.zeros(len(end), bool)
+
+    def column(j: int) -> np.ndarray:
+        # A field starts after the separator before it: a line's first field
+        # after the newline that ends the line before.
+        start = np.zeros(len(end), end.dtype)
+        before = end[:, j - 1] if j else end[:-1, -1]
+        np.add(before, 1, out=start[len(end) - len(before):])
+        length = end[:, j] - start
+        odd[length > _MAX_FIELD] = True
+        return _byte_column(buf, start, length)
 
     def row(i: int) -> list[str]:
-        return [_text(body[s:s + n].tobytes())
-                for s, n in zip(start[i].tolist(), length[i].tolist())]
+        bounds = [int(end[i - 1, -1]) if i else -1, *end[i].tolist()]
+        return [_text(body[s + 1:e].tobytes()) for s, e in zip(bounds, bounds[1:])]
 
-    return (range(2, len(start) + 2), [_byte_column(buf, s, n) for s, n in zip(start.T, length.T)],
-            length.max(axis=1, initial=0) > _MAX_FIELD, row)
+    return range(2, len(end) + 2), list(map(column, range(width))), odd, row
 
 
 def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
@@ -470,13 +495,16 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed = np.zeros((n, -(-width // 8) * 8), np.uint8)
     packed[:, :width] = _matrix(values)
     words = packed.view(">u8")
+    del packed                        # the sorted copy replaces the words
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
     words = words[order]
     new = np.ones(n, bool)
     np.any(words[1:] != words[:-1], axis=1, out=new[1:])
     del words
+    rank = np.cumsum(new)
+    rank -= 1
     codes = np.empty(n, np.int64)
-    codes[order] = np.cumsum(new) - 1
+    codes[order] = rank
     return codes, values[order[new]]
 
 
@@ -519,8 +547,8 @@ def _unsigned(col: np.ndarray, decimals: int = 0) -> np.ndarray:
     raw = _matrix(col)
     n = len(raw)
     value = np.zeros(n, np.int64)
-    digits = np.zeros(n, np.int64)
-    point = np.full(n, -1, np.int64)    # digits read when the dot came; -1 before
+    digits = np.zeros(n, np.int8)       # at most _MAX_FIELD
+    point = np.full(n, -1, np.int8)     # digits read when the dot came; -1 before
     ok = np.ones(n, bool)
     for c in raw.T:
         digit = c - np.uint8(ord("0"))
@@ -528,7 +556,8 @@ def _unsigned(col: np.ndarray, decimals: int = 0) -> np.ndarray:
         is_dot = c == ord(".")
         ok &= is_digit | (c == 0) | (is_dot & (point < 0) & (decimals > 0))
         point[is_dot] = digits[is_dot]
-        value = np.where(is_digit, value * 10 + digit, value)
+        np.multiply(value, 10, out=value, where=is_digit)
+        np.add(value, digit, out=value, where=is_digit)
         digits += is_digit
     shift = decimals - np.where(point >= 0, digits - point, 0)
     ok &= (digits > 0) & (shift >= 0) & (digits + shift <= 18)
@@ -547,27 +576,42 @@ def _integer(name: str, value) -> int:
 # form's byte. A byte minus _TS_LOW is at most _TS_SPAN, and is the digit.
 _TS_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
 _TS_SPAN = np.where(_TS_LOW == ord("0"), 9, 0).astype(np.uint8)
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], np.int32)
 
 
 def _epoch_seconds(col: np.ndarray) -> np.ndarray:
     """Epoch seconds of canonical `YYYY-MM-DDTHH:MM:SSZ` values in a bytes
-    column, else _BAD.
+    column, else _BAD; _CHECK_ROWS values at a time."""
+    out = np.empty(len(col), np.int64)
+    for at in range(0, len(col), _CHECK_ROWS):
+        out[at:at + _CHECK_ROWS] = _epoch_block(col[at:at + _CHECK_ROWS])
+    return out
+
+
+def _epoch_block(col: np.ndarray) -> np.ndarray:
+    """_epoch_seconds of a block of values.
 
     The calendar checks are those of `datetime`: year >= 1, the month's
-    day count with leap years, hour < 24, minute and second < 60.
+    day count with leap years, hour < 24, minute and second < 60. The
+    calendar fields are int32, which holds a day count of years 0-9999;
+    only the seconds are int64.
     """
     raw = _matrix(col)
     width = len(_TS_LOW)
     if raw.shape[1] < width:
         return np.full(len(raw), _BAD)
-    digit = raw[:, :width] - _TS_LOW
-    ok = (digit <= _TS_SPAN).all(axis=1) & ~raw[:, width:].any(axis=1)
+    def digit(k: int) -> np.ndarray:
+        return raw[:, k] - _TS_LOW[k]
+
+    ok = ~raw[:, width:].any(axis=1)
+    for k in range(width):
+        ok &= digit(k) <= _TS_SPAN[k]
 
     def number(start: int, size: int) -> np.ndarray:
-        out = np.zeros(len(raw), np.int64)
+        out = np.zeros(len(raw), np.int32)
         for k in range(start, start + size):
-            out = out * 10 + digit[:, k]
+            out *= 10
+            out += digit(k)
         return out
 
     year, month, day = number(0, 4), number(5, 2), number(8, 2)
@@ -581,7 +625,9 @@ def _epoch_seconds(col: np.ndarray) -> np.ndarray:
     y = year - (month <= 2)
     day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = 365 * y + y // 4 - y // 100 + y // 400 + day_of_year - 719_468
-    return np.where(ok, days * 86_400 + hour * 3_600 + minute * 60 + second, _BAD)
+    seconds = days.astype(np.int64) * 86_400
+    seconds += hour * 3_600 + minute * 60 + second
+    return np.where(ok, seconds, _BAD)
 
 
 def _transaction(buyer, seller, product, quantity, price, timestamp) -> tuple:
@@ -640,6 +686,11 @@ def _row_path(lines, row, out, tables, make, errors) -> np.ndarray:
     return keep
 
 
+def _kept(columns: list, keep: np.ndarray) -> list:
+    """The kept rows of each column; the columns themselves when all are kept."""
+    return columns if keep.all() else [column[keep] for column in columns]
+
+
 def _transaction_table(lines, cols, odd, row, errors) -> TransactionTable:
     buyer, seller, product, quantity, price, timestamp = cols
     (b, s), users = _code_ids(buyer, seller)
@@ -649,7 +700,7 @@ def _transaction_table(lines, cols, odd, row, errors) -> TransactionTable:
     out = [b, s, p, q, _unsigned(price, 2), _epoch_seconds(timestamp)]
     keep = _row_path(lines, row, out, (users, users, products, None, None, None),
                      _transaction, errors)
-    b, s, p, q, c, t = (column[keep] for column in out)
+    b, s, p, q, c, t = _kept(out, keep)
     return TransactionTable(*_sorted_ids(users, b, s), *_sorted_ids(products, p), q, c, t)
 
 
@@ -659,7 +710,7 @@ def _feedback_table(lines, cols, odd, row, errors) -> FeedbackTable:
     rating = np.select([rating == b"-1", rating == b"0", rating == b"1"], [-1, 0, 1], _BAD)
     out = [g, r, rating, _epoch_seconds(timestamp)]
     keep = _row_path(lines, row, out, (users, users, None, None), _feedback, errors)
-    g, r, v, t = (column[keep] for column in out)
+    g, r, v, t = _kept(out, keep)
     return FeedbackTable(*_sorted_ids(users, g, r), v, t)
 
 
@@ -742,7 +793,7 @@ def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
     for i in taken:
         keep[i] = False
         errors.append(RowError(lines[i], f"duplicate user_id {_text(ids[u[i]])!r}"))
-    u, year, state_codes, day = (column[keep] for column in out)
+    u, year, state_codes, day = _kept(out, keep)
     return ProfileTable(ids[u], year, list(states), state_codes, day)
 
 
@@ -867,10 +918,11 @@ def _birth_year(year: np.ndarray):
     return matrix, keep & (year != 0)[:, None]
 
 
-def csv_bytes(header, n: int, cells) -> bytearray:
-    """A CSV file: the header line, then n rows. cells(rows) gives the cell
-    of each column for a slice of rows; rows are formatted in blocks."""
-    out = bytearray((",".join(header) + "\n").encode())
+def csv_bytes(header, n: int, cells):
+    """The blocks of a CSV file as bytes: the header line, then n rows.
+    cells(rows) gives the cell of each column for a slice of rows; rows are
+    formatted, and yielded, in blocks."""
+    yield (",".join(header) + "\n").encode()
     for start in range(0, n, _BLOCK_ROWS):
         block = cells(slice(start, start + _BLOCK_ROWS))
         rows = len(block[0][0])
@@ -878,16 +930,18 @@ def csv_bytes(header, n: int, cells) -> bytearray:
         every = np.broadcast_to(True, (rows, 1))
         matrix = np.concatenate([part for m, _ in block for part in (m, comma)][:-1] + [newline],
                                 axis=1)
-        out += matrix[np.concatenate([part for _, k in block for part in (k, every)], axis=1)].data
-    return out
+        keep = np.concatenate([part for _, k in block for part in (k, every)], axis=1)
+        yield matrix[keep].tobytes()
 
 
-def write_bytes(stream, data) -> None:
-    """Write UTF-8 data to a binary stream, or its text to a text stream."""
-    try:
-        stream.write(data)
-    except TypeError:
-        stream.write(data.decode())
+def write_bytes(stream, blocks) -> None:
+    """Write blocks of UTF-8 to a binary stream, or their text to a text
+    stream. Each block ends at a newline, so each one decodes alone."""
+    for data in blocks:
+        try:
+            stream.write(data)
+        except TypeError:
+            stream.write(data.decode())
 
 
 def _quoted(text: str) -> bool:
@@ -903,7 +957,8 @@ def _csv_field(text: str) -> str:
 
 def _strings(cell, values: np.ndarray) -> list[str]:
     """The text of each value of a number, price or date column."""
-    return csv_bytes([], len(values), lambda rows: [cell(values[rows])]).decode().split("\n")[1:-1]
+    blocks = csv_bytes([], len(values), lambda rows: [cell(values[rows])])
+    return b"".join(blocks).decode().split("\n")[1:-1]
 
 
 def _write_table(stream, fmt: str, header: tuple[str, ...], columns: list) -> None:
@@ -916,18 +971,18 @@ def _write_table(stream, fmt: str, header: tuple[str, ...], columns: list) -> No
         pools = {id(texts): text_pool(list(map(_csv_field, texts)) if _quoted("".join(texts))
                                       else texts)
                  for texts, _ in columns if isinstance(texts, list)}
-        data = csv_bytes(header, len(columns[0][1]), lambda rows: [
+        blocks = csv_bytes(header, len(columns[0][1]), lambda rows: [
             gather(pools[id(c)], v[rows]) if isinstance(c, list) else c(v[rows])
             for c, v in columns])
     elif fmt == "jsonl":
         values = [list(map(c.__getitem__, v.tolist())) if isinstance(c, list)
                   else [int(t) if t else t for t in _strings(c, v)] if c in (_decimal, _birth_year)
                   else _strings(c, v) for c, v in columns]
-        data = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-                       for row in zip(*values)).encode()
+        blocks = ["".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                          for row in zip(*values)).encode()]
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    write_bytes(stream, data)
+    write_bytes(stream, blocks)
 
 
 def write_transactions(table: TransactionTable, stream, fmt: str = "csv") -> None:
@@ -953,5 +1008,5 @@ def write_profiles(table: ProfileTable, stream, fmt: str = "csv") -> None:
 
 
 def write_labels(labels: LabelSet, stream) -> None:
-    write_bytes(stream, "".join(u + "\n" for u in sorted(labels.shill_ids)).encode())
+    write_bytes(stream, ["".join(u + "\n" for u in sorted(labels.shill_ids)).encode()])
 

@@ -284,6 +284,7 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
     if len(buyers):
         back = rng.random(len(buyers)) < config.reciprocal_trade_probability
         add_trades(tx_seller[0][back], buyers[back], config.quantity_max)
+    del buyers     # the first transaction part, which is emptied below
 
     # --- shill trade with the crowd (elevated rate, normal prices) ---------
     if n_shills:
@@ -313,12 +314,12 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
         # buyer u <- seller v: the ring member sells cheap to a ring mate
         add_trades(ring_pairs_u[keep], ring_pairs_v[keep], 1, cheap=True)
 
-    buyer = np.concatenate(tx_buyer)
-    seller = np.concatenate(tx_seller)
-    prod = np.concatenate(tx_prod)
-    qty = np.concatenate(tx_qty)
-    price = np.concatenate(tx_price)
-    ts = np.concatenate(tx_ts)
+    # Each parts list is emptied once it is one array, and each unsorted
+    # column dropped once its table holds the sorted copy, so that the
+    # generator holds about one copy of each corpus at a time.
+    buyer, seller, prod, qty, price, ts = map(np.concatenate, (
+        tx_buyer, tx_seller, tx_prod, tx_qty, tx_price, tx_ts))
+    del tx_buyer[:], tx_seller[:], tx_prod[:], tx_qty[:], tx_price[:], tx_ts[:]
 
     # --- feedback following transactions ------------------------------------
     fb_giver, fb_recv, fb_rating, fb_ts = [], [], [], []
@@ -337,6 +338,11 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
 
     follow_feedback(buyer, seller, ts, config.feedback_probability)
     follow_feedback(seller, buyer, ts, config.seller_feedback_probability)
+    t_order = np.lexsort((seller, buyer, ts))
+    transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
+                                    encode_ids([f"p{i:06d}" for i in range(n_products)]),
+                                    prod[t_order], qty[t_order], price[t_order], ts[t_order])
+    del t_order, buyer, seller, prod, qty, price, ts
 
     # --- ring reciprocal positive feedback ----------------------------------
     if len(ring_pairs_u):
@@ -359,16 +365,10 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
         fb_rating.append(np.ones(len(g), np.int64))
         fb_ts.append(rng.integers(_ACT_START, _ACT_END + 1, len(g)))
 
-    giver = np.concatenate(fb_giver)
-    recv = np.concatenate(fb_recv)
-    rating = np.concatenate(fb_rating)
-    fts = np.concatenate(fb_ts)
+    giver, recv, rating, fts = map(np.concatenate, (fb_giver, fb_recv, fb_rating, fb_ts))
+    del fb_giver[:], fb_recv[:], fb_rating[:], fb_ts[:]
 
     # --- assemble, sorted by time for realistic logs -------------------------
-    t_order = np.lexsort((seller, buyer, ts))
-    transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
-                                    encode_ids([f"p{i:06d}" for i in range(n_products)]),
-                                    prod[t_order], qty[t_order], price[t_order], ts[t_order])
     f_order = np.lexsort((recv, giver, fts))
     feedback = FeedbackTable(ids, giver[f_order], recv[f_order], rating[f_order], fts[f_order])
     labels = LabelSet(frozenset(decode_ids(ids[shill_pos])))

@@ -1090,6 +1090,7 @@ _COUNTS_RULE = "they must be 2 non-negative ints with a positive sum"
 _LEAF_RULE = "a leaf's are (-1, 0.0, False, -1, -1)"
 _LEAF_IS = "is a leaf with (feature, threshold, equal, left, right)"
 _THRESHOLD_RULE = "a split's must be a finite float"
+_EQUAL_RULE = "a split on feature 0 has its categorical_mask entry, False"
 
 
 # Each edit sets one node's entry in one list of the five-node tree. Were
@@ -1098,7 +1099,8 @@ _THRESHOLD_RULE = "a split's must be a finite float"
 # would a threshold None or "x", with a TypeError, while NaN and true would
 # score silently. A right child that is the left one would leave node 4
 # unreachable, and the other leaf and structure edits would load and then
-# save a different file.
+# save a different file. A categorical split on a numeric feature (equal
+# true) is one no trainer makes.
 @pytest.mark.parametrize("key, node, value, message", [
     ("counts", 4, [], f"tree node 4 has counts []; {_COUNTS_RULE}"),
     ("counts", 4, [-5, 3], f"tree node 4 has counts [-5, 3]; {_COUNTS_RULE}"),
@@ -1130,6 +1132,8 @@ _THRESHOLD_RULE = "a split's must be a finite float"
      "tree node 0 has counts [2, 4]; a split's are its children's summed, [2, 5]"),
     ("counts", 1, [2, 2],
      "tree node 1 has counts [2, 2]; a split's are its children's summed, [2, 1]"),
+    ("equal", 0, True, f"tree node 0 has equal True; {_EQUAL_RULE}"),
+    ("equal", 1, True, f"tree node 1 has equal True; {_EQUAL_RULE}"),
 ])
 def test_model_from_dict_refuses_bad_values(key, node, value, message):
     tree = _five_node_tree()
@@ -1282,11 +1286,15 @@ def _edited(d: dict, path: tuple, value):
 
 _DELETE = object()
 _HASH_RULE = "is not 64 lowercase hex digits"
+_MASK_RULE = "DecisionTree categorical_mask must be a non-empty list of bools, one per column"
 
 
 # Each edit changes one key of a saved DecisionTree's header or body. Were
 # they loaded, an empty schema_hash would let `predict_score` take any
-# matrix, and an extra key would be dropped unseen.
+# matrix, and an extra key would be dropped unseen; a mask of 5, "x" or {}
+# would load as true or false and save back as that, a bare 5 would fail
+# with a TypeError, and a mask true where the split says false would load
+# a tree no trainer makes.
 @pytest.mark.parametrize("path, value, message", [
     (("params",), _DELETE, "model lacks key 'params'"),
     (("note",), "hello", "model has extra key 'note'"),
@@ -1300,6 +1308,15 @@ _HASH_RULE = "is not 64 lowercase hex digits"
     (("schema_hash",), "0" * 63, f"model schema_hash '{'0' * 63}' {_HASH_RULE}"),
     (("algorithm",), "C4.5", "algorithm 'C4.5' is not OneR or NaiveBayes or DecisionTree or "
                              "KNN3 or Bagging or RandomForest or RotationForest"),
+    (("tree", "categorical_mask"), [5], _MASK_RULE),
+    (("tree", "categorical_mask"), ["x"], _MASK_RULE),
+    (("tree", "categorical_mask"), [{}], _MASK_RULE),
+    (("tree", "categorical_mask"), [0], _MASK_RULE),
+    (("tree", "categorical_mask"), [], _MASK_RULE),
+    (("tree", "categorical_mask"), 5, _MASK_RULE),
+    (("tree", "categorical_mask"), None, _MASK_RULE),
+    (("tree", "categorical_mask"), [True],
+     "tree node 0 has equal False; a split on feature 0 has its categorical_mask entry, True"),
 ])
 def test_model_from_dict_refuses_bad_header(path, value, message):
     d = model_to_dict(train_decision_tree(mk_ds(np.arange(6.0), [1, 0, 0, 1, 1, 1])))
@@ -1420,13 +1437,22 @@ def saved_models(train_ds):
 # Each edit changes one member tree, at the same place in a Bagging member
 # and in a RotationForest member's "tree". Were they loaded, a KNN3 member
 # would fail at scoring with an AttributeError (it has no `votes`), and an
-# empty member list would score NaN for every row.
+# empty member list would score NaN for every row. The members read the
+# standard 31 columns: a 40-entry mask would let splits on columns 31-39
+# load and fail at scoring, and a mask of 5, "x" or {} would load as true
+# or false.
 @pytest.mark.parametrize("algorithm", ["Bagging", "RotationForest"])
 @pytest.mark.parametrize("path, value, message", [
     ((), "KNN3", "algorithm 'KNN3' is not DecisionTree"),
     (("schema_hash",), "0" * 64, f"member schema_hash '{'0' * 64}' is not the ensemble's"),
     (("schema_hash",), "", f"model schema_hash '' {_HASH_RULE}"),
     (("note",), 1, "model has extra key 'note'"),
+    (("tree", "categorical_mask"), [False] * 40, _MASK_RULE),
+    (("tree", "categorical_mask"), [False] * 30, _MASK_RULE),
+    (("tree", "categorical_mask"), [5] * 31, _MASK_RULE),
+    (("tree", "categorical_mask"), ["x"] * 31, _MASK_RULE),
+    (("tree", "categorical_mask"), [{}] * 31, _MASK_RULE),
+    (("tree", "categorical_mask"), 5, _MASK_RULE),
 ])
 def test_model_from_dict_refuses_bad_ensemble_member(saved_models, algorithm, path, value,
                                                      message):

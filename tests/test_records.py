@@ -8,6 +8,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
+from shilldetect import records
 from shilldetect.records import (
     FEEDBACK_COLUMNS,
     PROFILE_COLUMNS,
@@ -529,6 +530,32 @@ def test_row_errors_are_pinned(what, fmt):
         f"first: line {line}: {message}")
 
 
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("what", sorted(_PARSERS))
+def test_row_errors_are_pinned_across_scan_blocks(what, block, monkeypatch):
+    # A plain CSV body is searched for separators a block of bytes at a
+    # time, and timestamps are checked a block of rows at a time; with
+    # blocks of a few bytes or rows, separators, bad rows and the last line
+    # fall before, on and after block edges.
+    monkeypatch.setattr(records, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(records, "_CHECK_ROWS", block)
+    test_row_errors_are_pinned(what, "csv")
+    # The same file without its blank and ragged lines, and without the
+    # last newline, takes the plain path; each error keeps its row's line.
+    text, n_records, self_trades, errors = ROW_ERROR_CASES[(what, "csv")]
+    header, *body = text.rstrip("\n").split("\n")
+    kept = [(line, row) for line, row in enumerate(body, start=2)
+            if row.count(",") == header.count(",")]
+    line_of = {line: k for k, (line, _) in enumerate(kept, start=2)}
+    data = "\n".join([header, *(row for _, row in kept)]).encode()
+    width = header.count(",") + 1
+    assert records._plain_csv(data, len(header) + 1, width) is not None
+    res = _PARSERS[what][0](io.BytesIO(data), "csv", max_bad_fraction=1.0)
+    assert [(e.line, e.message) for e in res.errors] == [
+        (line_of[line], message) for line, message in errors if line in line_of]
+    assert len(res.records) == n_records and res.self_trades == self_trades
+
+
 # ---------------------------------------------------------------------------
 # the parsers against a row-by-row reference, on a generated corpus with
 # valid but non-canonical and invalid values injected
@@ -685,6 +712,17 @@ def test_parsers_match_row_reference(what, fmt, small_corpus):
             assert got == want_rows, change
 
 
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("fmt", ["csv", "csv-unquoted"])
+@pytest.mark.parametrize("what", ["transactions", "feedback", "profiles"])
+def test_parsers_match_row_reference_across_scan_blocks(what, fmt, block, small_corpus,
+                                                        monkeypatch):
+    # as test_row_errors_are_pinned_across_scan_blocks, on the injected corpus
+    monkeypatch.setattr(records, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(records, "_CHECK_ROWS", block)
+    test_parsers_match_row_reference(what, fmt, small_corpus)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_rfc3339_round_trip_before_year_1000(fmt):
     year_999 = int(datetime(999, 5, 1, tzinfo=timezone.utc).timestamp())
@@ -793,19 +831,35 @@ def test_out_of_range_numbers_are_row_errors():
     assert res.records.birth_year.tolist() == [-2**63]
 
 
-def test_transaction_parse_memory_is_bounded():
-    # About 120k rows. One str object per field would take some 50 bytes
-    # for each 8 to 12 of text.
-    corpus = generate(MarketConfig(n_users=30_000, seed=1))
-    buf = io.StringIO()
-    write_transactions(corpus.transactions, buf)
-    data = buf.getvalue().encode()
+def _parse_peak(table, write, parse) -> tuple[float, int]:
+    """The tracemalloc peak of parsing the table as written, in bytes per
+    byte of the file, and the rows parsed; the parse must refuse none."""
+    buf = io.BytesIO()
+    write(table, buf)
+    data = buf.getvalue()
     stream = io.BytesIO(data)
     tracemalloc.start()
     try:
-        res = parse_transactions(stream)
+        res = parse(stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.total_rows == len(corpus.transactions) > 100_000 and not res.errors
-    assert peak < 12 * len(data)
+    assert not res.errors
+    return peak / len(data), res.total_rows
+
+
+# One str object per field would take some 50 bytes for each 8 to 12 of
+# text; whole-body int64 field positions and separator masks took about 7
+# times the file.
+def test_transaction_parse_memory_is_bounded():
+    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    ratio, total = _parse_peak(corpus.transactions, write_transactions, parse_transactions)
+    assert total == len(corpus.transactions) > 100_000
+    assert ratio < 6, ratio
+
+
+def test_feedback_parse_memory_is_bounded():
+    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    ratio, total = _parse_peak(corpus.feedback, write_feedback, parse_feedback)
+    assert total == len(corpus.feedback) > 100_000
+    assert ratio < 6, ratio

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from datetime import date, datetime, timezone
 
 import pytest
@@ -202,3 +203,17 @@ def test_write_byte_identical_across_runs(tmp_path):
                  "labels.txt", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_generate_memory_is_bounded():
+    # 30k users: about 120k transactions and 140k feedback rows, 11 MB of
+    # tables. Holding every part list and unsorted column until the tables
+    # were made took some 35 MB.
+    tracemalloc.start()
+    try:
+        corpus = generate(MarketConfig(n_users=30_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.transactions) > 100_000 and len(corpus.feedback) > 100_000
+    assert peak < 26e6, peak
