@@ -22,7 +22,7 @@ import numpy as np
 from .records import (_BLOCK_ROWS, LabelSet, ProfileTable, _decimal, _digits, crc32_state,
                       csv_bytes, decode_ids, encode_ids, gather, sorted_find, text_pool,
                       write_bytes)
-from .graphs import FeedbackMultigraph, TransactionMultigraph, run_starts
+from .graphs import FeedbackMultigraph, TransactionMultigraph, reciprocated, run_starts
 
 TRANSACTION_FEATURES = (
     "Buy-Trans-Num", "Sell-Trans-Num", "Unique-Sellers", "Unique-Buyers",
@@ -141,7 +141,9 @@ class FeatureMatrix:
 
 
 def _pair_stats(src: np.ndarray, dst: np.ndarray, n: int):
-    """Distinct out/in-neighbor counts and mutual-partner counts per vertex."""
+    """Distinct out/in-neighbor counts and mutual-partner counts per vertex.
+    The links' keys src * n + dst are sorted once and kept distinct; a
+    vertex's mutual partners are its keys that `reciprocated` finds."""
     if len(src) == 0:
         z = np.zeros(n, np.int64)
         return z, z.copy(), z.copy()
@@ -150,9 +152,7 @@ def _pair_stats(src: np.ndarray, dst: np.ndarray, n: int):
     u_src, u_dst = keys // n, keys % n
     out_unique = np.bincount(u_src, minlength=n)
     in_unique = np.bincount(u_dst, minlength=n)
-    # A key's reverse is present exactly when the key is among the reverses.
-    mutual = sorted_find(keys, u_dst * n + u_src)[1]
-    bidir = np.bincount(u_src[mutual], minlength=n)
+    bidir = np.bincount(u_src[reciprocated(keys, n)], minlength=n)
     return out_unique, in_unique, bidir
 
 

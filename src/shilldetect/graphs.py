@@ -29,6 +29,14 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def reciprocated(sorted_keys: np.ndarray, n: int) -> np.ndarray:
+    """Whether the reverse of each link key src * n + dst (ascending) is a
+    key too. A key's reverse is a key exactly when the key is among the
+    reverses, so the sorted keys are looked up, in order, among the sorted
+    reverses."""
+    return sorted_find(np.sort(sorted_keys % n * n + sorted_keys // n), sorted_keys)[1]
+
+
 class UserIndex:
     """Dense vertex positions of user ids, from str ids or bytes arrays: ids
     holds each distinct id once as UTF-8 bytes (numpy `S`), sorted."""
@@ -295,9 +303,7 @@ def bidirectional_link_count(graph: WeightedFeedbackGraph) -> int:
     if graph.n_links == 0:
         return 0
     k = max(graph.n_vertices, 1)
-    keys = np.sort(graph.src * k + graph.dst)
-    reverse = graph.dst * k + graph.src
-    return int(np.count_nonzero(sorted_find(keys, reverse)[1]))
+    return int(np.count_nonzero(reciprocated(np.sort(graph.src * k + graph.dst), k)))
 
 
 # ---------------------------------------------------------------------------

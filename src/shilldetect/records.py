@@ -31,9 +31,10 @@ other valid form and gives an invalid row its error.
 
 The writers make bytes too, a block of rows at a time: each column becomes
 a uint8 matrix, ids and states gathered by code from a pool of their
-UTF-8, numbers and dates formatted by digit arithmetic, and one boolean
-mask cuts the rows out of the matrices side by side; each block is written
-as it is made. A text holding a comma, a quote, a carriage return or a
+UTF-8, numbers and dates formatted by digit arithmetic (a date's year,
+month and day by integer civil-from-days arithmetic, no datetime64), and
+one boolean mask cuts the rows out of the matrices side by side; each
+block is written as it is made. A text holding a comma, a quote, a carriage return or a
 newline is quoted as csv quotes it, once per distinct text. They write to
 binary or text streams.
 """
@@ -832,6 +833,9 @@ _BLOCK_ROWS = 1 << 13
 # these that are <= v.
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 
+# The days since 1970-01-01 of 0001-01-01 and 9999-12-31.
+_FIRST_DAY, _LAST_DAY = -719_162, 2_932_896
+
 # A cell is the bytes of one column for some rows: a (rows, width) uint8
 # matrix and the mask of the bytes each row writes.
 
@@ -869,33 +873,66 @@ def _digits(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _decimal(values: np.ndarray):
-    """The cell of int64 values in decimal, right-aligned."""
+    """The cell of int64 values in decimal, right-aligned. A value's digit
+    count is one plus the number of powers of ten from 10 up to the largest
+    magnitude that it reaches."""
     negative = values < 0
     magnitude = values.view(np.uint64)
     magnitude = np.where(negative, -magnitude, magnitude)
-    size = np.maximum(np.searchsorted(_POW10_U64, magnitude, "right"), 1) + negative
+    size = negative.astype(np.int64) + 1
+    for power in _POW10_U64[1:len(str(magnitude.max(initial=0)))]:
+        size += magnitude >= power
     width = int(size.max(initial=1))
     matrix = _digits(magnitude, width)
     matrix[np.flatnonzero(negative), width - size[negative]] = ord("-")
     return matrix, np.arange(width) >= width - size[:, None]
 
 
+def _two_digits(matrix: np.ndarray, column: int, values: np.ndarray) -> None:
+    """Write int32 values 0-99 as two ASCII digits from `column` on; v * 205
+    >> 11 is v // 10 for every v below 1029."""
+    tens = values * 205 >> 11
+    matrix[:, column] = tens + ord("0")
+    matrix[:, column + 1] = values - tens * 10 + ord("0")
+
+
 def _calendar(days: np.ndarray, seconds: np.ndarray | None = None):
     """The cell of `YYYY-MM-DD` dates of days since 1970-01-01, or with
     seconds into the day `YYYY-MM-DDTHH:MM:SSZ` timestamps; years 1-9999,
-    the range the parsers read."""
-    day = days.astype("datetime64[D]")
-    month = day.astype("datetime64[M]")
-    year = month.astype("datetime64[Y]").astype(np.int64) + 1970
-    if len(year) and not (year.min() >= 1 and year.max() <= 9999):
+    the range the parsers read.
+
+    The day range is checked first, on the int64 days, so no later step
+    can wrap. Year, month and day then come from H. Hinnant's
+    civil_from_days ("chrono-Compatible Low-Level Date Algorithms") in
+    int32: days are counted from 0000-03-01 in 400-year eras of 146,097
+    days, and each year of an era runs from March, so a leap day is the
+    last day of its year.
+    """
+    if len(days) and not (days.min() >= _FIRST_DAY and days.max() <= _LAST_DAY):
         raise ValueError("a date outside years 1-9999 cannot be written")
-    number = (year * 100 + month.astype(np.int64) % 12 + 1) * 100 + (day - month).astype(np.int64) + 1
-    if seconds is not None:
-        number = number * 1_000_000 + seconds // 3600 * 10_000 + seconds // 60 % 60 * 100 + seconds % 60
+    z = days.astype(np.int32) + 719_468              # >= 0: days since 0000-03-01
+    era = z // 146_097
+    doe = z - era * 146_097                           # day of the era, 0-146096
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)   # day of the March year
+    mp = (5 * doy + 2) // 153                         # month from March, 0-11
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = era * 400 + yoe + (month <= 2)
+    century = year * 5243 >> 19                       # year // 100 below 43699
     form = _TS_LOW[:10 if seconds is None else 20]
     matrix = np.tile(form, (len(days), 1))
-    digit = form == ord("0")
-    matrix[:, digit] = _digits(number, np.count_nonzero(digit))
+    _two_digits(matrix, 0, century)
+    _two_digits(matrix, 2, year - century * 100)
+    _two_digits(matrix, 5, month)
+    _two_digits(matrix, 8, doy - (153 * mp + 2) // 5 + 1)
+    if seconds is not None:
+        seconds = seconds.astype(np.int32)
+        hour = seconds // 3600
+        seconds = seconds - hour * 3600
+        minute = seconds // 60
+        _two_digits(matrix, 11, hour)
+        _two_digits(matrix, 14, minute)
+        _two_digits(matrix, 17, seconds - minute * 60)
     return matrix, np.broadcast_to(True, matrix.shape)
 
 

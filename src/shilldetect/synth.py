@@ -200,8 +200,48 @@ def _draw_sellers(rng, weights, buyers, n_users):
     return sellers
 
 
+def _run_numbers(sorted_values):
+    """The number of the run of equal values that each position of a sorted
+    array is in, counted from 0."""
+    runs = np.empty(len(sorted_values), np.int64)
+    runs[0] = 0
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=runs[1:])
+    return np.cumsum(runs, out=runs)
+
+
+def _time_order(ts, a, b, n_users):
+    """The row order of np.lexsort((b, a, ts)): by time, then by the pair
+    (a, b) of user positions below n_users, then by row.
+
+    Each row's key is its time offset times the row count plus the rank of
+    its pair among the distinct pairs, so the keys order as the triples do.
+    The generator's times span less than 2**26 s (two years and three
+    days), so the keys fit int64 below 2**37 rows, while packing (ts, a, b)
+    itself into 64 bits would overflow from n_users = 2**21. The unstable
+    argsort leaves each run of equal keys in any order; the values run *
+    rows + row are sorted again, which orders each run by row, as
+    classifiers.tree._presort does.
+    """
+    m = len(ts)
+    if m == 0:
+        return np.zeros(0, np.int64)
+    key = a * n_users + b
+    order = np.argsort(key)
+    key[order] = _run_numbers(key[order])           # the rank of each row's pair
+    key += (ts - ts.min()) * m
+    order = np.argsort(key)
+    runs = _run_numbers(key[order])
+    runs *= m
+    order += runs
+    order.sort()
+    order -= runs
+    return order
+
+
 def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
-    """Build a labeled corpus; `seed` overrides config.seed when given."""
+    """Build a labeled corpus; `seed` overrides config.seed when given.
+    Transactions and feedback are ordered by time, then by their pair of
+    user positions, then by the order they were drawn in (`_time_order`)."""
     config.validate()
     if seed is None:
         seed = config.seed
@@ -338,7 +378,7 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
 
     follow_feedback(buyer, seller, ts, config.feedback_probability)
     follow_feedback(seller, buyer, ts, config.seller_feedback_probability)
-    t_order = np.lexsort((seller, buyer, ts))
+    t_order = _time_order(ts, buyer, seller, n)
     transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
                                     encode_ids([f"p{i:06d}" for i in range(n_products)]),
                                     prod[t_order], qty[t_order], price[t_order], ts[t_order])
@@ -369,7 +409,7 @@ def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
     del fb_giver[:], fb_recv[:], fb_rating[:], fb_ts[:]
 
     # --- assemble, sorted by time for realistic logs -------------------------
-    f_order = np.lexsort((recv, giver, fts))
+    f_order = _time_order(fts, giver, recv, n)
     feedback = FeedbackTable(ids, giver[f_order], recv[f_order], rating[f_order], fts[f_order])
     labels = LabelSet(frozenset(decode_ids(ids[shill_pos])))
     ring_ids = [decode_ids(ids[ring]) for ring in rings]

@@ -13,6 +13,7 @@ from shilldetect.graphs import (
     connected_components,
     graph_density,
     project_feedback_graph,
+    reciprocated,
     write_edgelist_csv,
     write_graphml,
 )
@@ -249,6 +250,20 @@ def test_bidirectional_link_count():
     g = build_feedback_graph(feedback_table(fb), UserIndex(("a", "b", "c")))
     h = project_feedback_graph(g, ["a", "b", "c"])
     assert bidirectional_link_count(h) == 2   # a<->b counts both directions
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300])
+def test_reciprocated_finds_each_reverse_link(n):
+    rng = np.random.default_rng(n)
+    for m in (0, 1, 10, 2_000):
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        keys = np.unique(src * n + dst)
+        links = list(zip((keys // n).tolist(), (keys % n).tolist()))
+        linked = set(links)
+        assert reciprocated(keys, n).tolist() == [(d, s) in linked for s, d in links]
+        # repeated keys, as the multigraph holds them
+        keys = np.sort(src * n + dst)
+        assert np.array_equal(reciprocated(keys, n), np.isin(keys, keys % n * n + keys // n))
 
 
 # ---------------------------------------------------------------------------

@@ -739,10 +739,44 @@ def test_rfc3339_round_trip_before_year_1000(fmt):
     assert [r.timestamp for r in rows(again.records)] == [
         datetime(1, 1, 1, tzinfo=timezone.utc),
         datetime(999, 5, 1, 12, 34, 56, tzinfo=timezone.utc)]
-    # a year the parsers cannot read back is refused
-    for ts in (-62_135_596_801, 253_402_300_800):      # years 0 and 10000
+    # a year the parsers cannot read back is refused, and no int64 wraps
+    # into a year that can be written
+    extremes = [-2**63, -2**62, 2**62, 2**63 - 1]
+    for ts in [-62_135_596_801, 253_402_300_800] + extremes:     # years 0 and 10000
         with pytest.raises(ValueError, match="outside years 1-9999"):
             write_transactions(replace(first.records, ts=np.array([0, ts])), io.StringIO(), fmt)
+        feedback = FeedbackTable(first.records.user_ids, np.zeros(2, np.int64),
+                                 np.ones(2, np.int64), np.ones(2, np.int64), np.array([0, ts]))
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            write_feedback(feedback, io.StringIO(), fmt)
+    for day in [_DAY_1 - 1, _DAY_9999 + 1] + extremes:
+        profiles = replace(profile_table([Profile("a", 0, "Ohio", date(2010, 5, 1)),
+                                          Profile("b", 0, "Ohio", date(2010, 5, 1))]),
+                           registration_day=np.array([0, day]))
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            write_profiles(profiles, io.StringIO(), fmt)
+
+
+def test_calendar_matches_numpy_dates_on_every_day_of_years_1_to_9999():
+    days = np.arange(_DAY_1, _DAY_9999 + 1)
+    matrix, keep = records._calendar(days)
+    assert keep.all() and matrix.shape == (len(days), 10)
+    assert (matrix[:, [4, 7]] == ord("-")).all()
+    day = days.astype("datetime64[D]")
+    month = day.astype("datetime64[M]")
+    for cols, want in ((range(4), month.astype("datetime64[Y]").astype(np.int64) + 1970),
+                       (range(5, 7), month.astype(np.int64) % 12 + 1),
+                       (range(8, 10), (day - month).astype(np.int64) + 1)):
+        number = 0
+        for c in cols:
+            number = number * 10 + matrix[:, c].astype(np.int64) - ord("0")
+        assert np.array_equal(number, want)
+    # and every second of a day, on days spread over the range
+    seconds = np.arange(86_400)
+    days = np.random.default_rng(0).integers(_DAY_1, _DAY_9999 + 1, len(seconds))
+    want = np.datetime_as_string((days * 86_400 + seconds).astype("datetime64[s]"))
+    assert np.array_equal(records._calendar(days, seconds)[0],
+                          np.char.add(want, "Z").astype("S20").view(np.uint8).reshape(-1, 20))
 
 
 def test_writers_quote_ids_as_csv_does():

@@ -2,8 +2,10 @@ import json
 import tracemalloc
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 
+from shilldetect import synth
 from shilldetect.records import (
     parse_feedback,
     load_label_list,
@@ -95,6 +97,30 @@ def test_records_batch_sorted(small_corpus):
     fb_ts = [f.timestamp for f in rows(c.feedback)]
     assert tx_ts == sorted(tx_ts)
     assert fb_ts == sorted(fb_ts)
+
+
+@pytest.mark.parametrize("n_users", [1, 3, 50, 2**21, 2**21 + 7, 2**31])
+@pytest.mark.parametrize("seed", range(3))
+def test_time_order_is_lexsort_order(n_users, seed):
+    # Heavy ties: few timestamps and few users make many equal triples,
+    # whose rows must stay in row order. At 2**21 users and above, packing
+    # (ts, a, b) directly into one int64 would overflow over this span.
+    rng = np.random.default_rng(seed)
+    for m in (0, 1, 2, 500, 20_000):
+        start = int(rng.integers(-2**40, 2**40))
+        ts = start + rng.choice([0, 1, 86_400, 2 * 365 * 86_400], m)
+        users = rng.choice(n_users, min(n_users, 4), replace=False)
+        a, b = rng.choice(users, m), rng.choice(users, m)
+        if m > 2:
+            a[0], b[0] = n_users - 1, n_users - 1
+        want = np.lexsort((b, a, ts))
+        got = synth._time_order(ts, a, b, n_users)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (m, n_users)
+    # distinct triples, spread wide
+    m = 10_000
+    ts = rng.integers(0, 2**26, m)
+    a, b = rng.integers(0, n_users, m), rng.integers(0, n_users, m)
+    assert np.array_equal(synth._time_order(ts, a, b, n_users), np.lexsort((b, a, ts)))
 
 
 def test_no_self_trades_or_self_feedback(small_corpus):
