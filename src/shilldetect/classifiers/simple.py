@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
+from ..graphs import run_starts
 from .base import N_CLASSES, class_counts, manifest_columns, read_header, require_trainable, unpack
 
 _VAR_FLOOR = 1e-9
@@ -100,8 +101,8 @@ def _numeric_rule(x: np.ndarray, y: np.ndarray, min_bucket: int):
     """Bucket edges + per-bucket class counts for one numeric feature."""
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    values, starts = np.unique(xs, return_index=True)
-    bounds = np.append(starts, len(xs))
+    starts = run_starts(xs)
+    values, bounds = xs[starts], np.append(starts, len(xs))
     edges: list[float] = []
     buckets: list[np.ndarray] = []
     current = np.zeros(N_CLASSES, np.int64)

@@ -15,7 +15,7 @@ surviving entries of every line in order. So each node sees its rows
 sorted by (value, row), exactly as a fresh stable argsort would. The root
 order comes from numpy's unstable argsort, which is faster than its stable
 one, plus one repair of ties, which every rotated column has (see
-`_presort`). A node lays out all
+`graphs.stable_argsort`). A node lays out all
 candidates of its feature pool in one array -- the cut between each pair of
 adjacent distinct values of a numeric feature, and each distinct value of
 a categorical one -- and scores them in one pass.
@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
+from ..graphs import stable_argsort
 from .base import (N_CLASSES, class_counts, manifest_columns, read_header, require_trainable,
                    unpack)
 
@@ -86,7 +87,9 @@ ENTROPY_TABLE_BYTES = 16 << 20
 _FILL_ENTRIES = 1 << 16        # table entries computed per pass
 _entropy = np.empty((0, 0))    # the memo; empty until a tree is grown
 
-# Phi^-1(0.75): normal deviate for the CF=0.25 one-sided bound.
+# The pruning confidence factor, and Phi^-1(1 - CF): the normal deviate for
+# its one-sided bound.
+CF = 0.25
 Z_CF25 = 0.6744897501960817
 
 # The lists of a tree, in its saved order, and a leaf's entries in all but "counts".
@@ -364,31 +367,6 @@ def _midpoint(a: float, b: float) -> float:
     return mid if mid < b else a
 
 
-def _presort(lines):
-    """Row indices that order each line of the finite (F, n) matrix `lines`
-    (the training matrix's columns) by (value, row), as a stable argsort
-    of each line does.
-
-    The unstable argsort leaves each run of equal values in any order. The
-    runs are numbered along each sorted line (by `!=`, so -0.0 and 0.0 share
-    one) and the keys run * n + row sorted. A run's keys lie below the next
-    run's, so each key stays at a position of its run, where it orders by
-    row; the key minus run * n is the row.
-    """
-    n = lines.shape[1]
-    order = np.argsort(lines)
-    values = np.take_along_axis(lines, order, axis=1)
-    offsets = np.empty(order.shape, np.int64)
-    offsets[:, 0] = 0
-    np.not_equal(values[:, 1:], values[:, :-1], out=offsets[:, 1:])
-    np.cumsum(offsets, axis=1, out=offsets)
-    offsets *= n                              # run * n at each sorted position
-    order += offsets
-    order.sort(axis=1)
-    order -= offsets
-    return order
-
-
 def _splittable(counts, min_leaf):
     """Whether a node with class `counts` is searched for a split: it holds
     both classes and rows for two leaves."""
@@ -411,7 +389,7 @@ def _grow(X, y, cat_mask, min_leaf, rng, subset_size, prune):
     # (class counts, lines or None where not searched, the split whose right
     # child it is or -1); (None, None, i) comes up once split i's subtrees are
     # grown, and `errors` then ends in their pruned errors.
-    stack = [(counts, _presort(columns.reshape(n_features, -1))
+    stack = [(counts, stable_argsort(columns.reshape(n_features, -1))
               if _splittable(counts, min_leaf) else None, -1)]
     errors = []
     while stack:
@@ -460,15 +438,15 @@ def _grow(X, y, cat_mask, min_leaf, rng, subset_size, prune):
 # Pessimistic pruning
 
 
-def added_errors(n: float, e: float, cf: float = 0.25) -> float:
-    """Extra errors charged by the one-sided binomial upper bound (CF=0.25)."""
+def added_errors(n: float, e: float) -> float:
+    """Extra errors charged by the one-sided binomial upper bound at CF."""
     if n == 0:
         return 0.0
     if e == 0:
-        return n * (1.0 - cf ** (1.0 / n))
+        return n * (1.0 - CF ** (1.0 / n))
     if e < 1:
-        base = n * (1.0 - cf ** (1.0 / n))
-        return base + e * (added_errors(n, 1.0, cf) - base)
+        base = n * (1.0 - CF ** (1.0 / n))
+        return base + e * (added_errors(n, 1.0) - base)
     if e + 0.5 >= n:
         return max(n - e, 0.0)
     z = Z_CF25

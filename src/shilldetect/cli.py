@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .records import (
     parse_feedback,
     parse_profiles,
     parse_transactions,
+    write_json,
 )
 from .graphs import build_graphs, project_feedback_graph, write_edgelist_csv, write_graphml
 from .features import (
@@ -97,8 +99,7 @@ def _write_manifest(out: Path, subcommand: str, args: dict, inputs: dict) -> Non
         "artifacts": artifacts,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(manifest, fh)
 
 
 def _corpus_paths(data_dir: str) -> dict[str, Path]:
@@ -242,8 +243,7 @@ def _cmd_evaluate(args) -> None:
                             hyperparameters=hyper)
     metrics = result["metrics"]
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(metrics, fh)
     _write_manifest(out, "evaluate",
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "folds": args.folds, "seed": args.seed, "hyper": hyper},
@@ -342,8 +342,7 @@ def _cmd_ecosystem(args) -> None:
                 write_edgelist_csv(graph, fh)
     comparison = compare_cohorts(results["shill"], results["benign"])
     with open(out / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(comparison.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(comparison.to_dict(), fh)
     with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
         write_comparison_csv(comparison, fh)
     _write_manifest(out, "ecosystem",
@@ -359,7 +358,15 @@ def _cmd_ecosystem(args) -> None:
 
 def _cmd_report(args) -> None:
     with open(args.run, encoding="utf-8") as fh:
-        report = EvaluationReport(**json.load(fh))
+        stored = json.load(fh)
+    if not isinstance(stored, dict):
+        raise CliError(f"{args.run!r} is not a protocol report: not a JSON object")
+    names = [f.name for f in fields(EvaluationReport)]
+    wrong = ([f"unknown field {k!r}" for k in sorted(set(stored) - set(names))]
+             + [f"missing field {k!r}" for k in names if k not in stored])
+    if wrong:
+        raise CliError(f"{args.run!r} is not a protocol report: {'; '.join(wrong)}")
+    report = EvaluationReport(**stored)
     out = _prepare_out(args.out)
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "report",

@@ -11,8 +11,7 @@ density, component structure, reciprocity, and the clique-size histogram.
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import (
     WeightedFeedbackGraph,
@@ -20,6 +19,7 @@ from .graphs import (
     connected_components,
     graph_density,
 )
+from .records import write_json
 
 
 # Cliques below this size are left out of the histograms and the clique lists.
@@ -73,28 +73,27 @@ def maximal_cliques(graph: WeightedFeedbackGraph,
     order = _degeneracy_order(adj)
     rank = {v: i for i, v in enumerate(order)}
     out: list[frozenset[int]] = []
-
-    def report(clique: frozenset[int]) -> None:
-        out.append(clique)
-        if len(out) > limit:
-            raise CliqueLimitError(f"more than {limit} maximal cliques; "
-                                   "raise the limit only if this is intended")
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            report(frozenset(r))
-            return
-        # Tomita pivot: the candidate covering most of P, lowest index on ties.
-        pivot = min(p | x, key=lambda u: (-len(adj[u] & p), u))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
     for v in order:
         later = {u for u in adj[v] if rank[u] > rank[v]}
-        earlier = adj[v] - later
-        expand({v}, later, earlier)
+        # Bron-Kerbosch calls (R, P, X), depth first on an explicit stack, so
+        # that Python's recursion limit does not bound the clique size.
+        stack = [({v}, later, adj[v] - later)]
+        while stack:
+            r, p, x = stack.pop()
+            if not p and not x:
+                out.append(frozenset(r))
+                if len(out) > limit:
+                    raise CliqueLimitError(f"more than {limit} maximal cliques; "
+                                           "raise the limit only if this is intended")
+                continue
+            # Tomita pivot: the candidate covering most of P, lowest index on ties.
+            pivot = min(p | x, key=lambda u: (-len(adj[u] & p), u))
+            calls = []
+            for u in sorted(p - adj[pivot]):
+                calls.append((r | {u}, p & adj[u], x & adj[u]))
+                p.remove(u)
+                x.add(u)
+            stack += reversed(calls)           # the first call is taken first
     return out
 
 
@@ -183,13 +182,7 @@ def ecosystem_report(graph: WeightedFeedbackGraph,
 # Cohort comparison
 
 
-_COMPARE_FIELDS = (
-    "cohort_size", "total_feedback", "positive_feedback", "negative_feedback",
-    "non_isolated", "n_links", "avg_link_weight", "max_link_weight",
-    "min_link_weight", "bidirectional_links", "self_loops", "density",
-    "component_count", "largest_component_size", "largest_component_fraction",
-    "max_clique_size", "clique_count",
-)
+_COMPARE_FIELDS = tuple(f.name for f in fields(EcosystemReport) if f.type in ("int", "float"))
 
 
 @dataclass
@@ -229,8 +222,7 @@ def compare_cohorts(shill: EcosystemReport, benign: EcosystemReport) -> CohortCo
 
 
 def write_ecosystem_json(report: EcosystemReport, stream) -> None:
-    json.dump(report.to_dict(), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    write_json(report.to_dict(), stream)
 
 
 def write_ecosystem_csv(report: EcosystemReport, stream) -> None:

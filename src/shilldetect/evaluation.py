@@ -14,7 +14,6 @@ than one row is refused.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -25,6 +24,8 @@ from .classifiers import predict_score, train
 from .classifiers.base import entropy
 from .classifiers.tree import _binary_entropy, _entropy_table
 from .features import FeatureMatrix
+from .graphs import run_starts
+from .records import write_json
 
 DEFAULT_RATIOS = (2, 5, 10, 20, 100)
 
@@ -116,8 +117,7 @@ def auc(scores, labels) -> float:
     # Tied scores share the mean of their 1-based ranks start+1..end, a
     # half-integer, so every rank and their sum are exact in float64.
     order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    starts = run_starts(scores[order])
     ends = np.r_[starts[1:], len(scores)]
     ranks = np.empty(len(scores), np.float64)
     ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
@@ -287,7 +287,6 @@ class EvaluationReport:
     curves: dict[str, list[float]]                  # "1:10" -> mean precision per k
     per_repetition: dict[str, list[list[float]]]    # "1:10" -> [rep][k index]
     test_sizes: dict[str, int]
-    cv_metrics: dict | None = None
 
     def precision_at(self, ratio: int, k: int) -> float:
         return self.curves[f"1:{ratio}"][self.k_grid.index(k)]
@@ -381,7 +380,7 @@ def _best_cut(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
     """Best entropy cut position in [lo, hi); only at value boundaries."""
     n = hi - lo
     xs = x[lo:hi]
-    boundaries = np.nonzero(xs[:-1] != xs[1:])[0] + 1   # cut before this offset
+    boundaries = run_starts(xs)[1:]                     # cut before this offset
     if len(boundaries) == 0:
         return None
     ys = y[lo:hi]
@@ -466,8 +465,7 @@ def information_gain_ranking(matrix: FeatureMatrix) -> list[tuple[str, float]]:
 
 
 def write_report_json(report: EvaluationReport, stream) -> None:
-    json.dump(report.to_dict(), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    write_json(report.to_dict(), stream)
 
 
 def write_precision_csv(report: EvaluationReport, stream) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .records import (_BLOCK_ROWS, LabelSet, ProfileTable, _decimal, _digits, crc32_state,
                       csv_bytes, decode_ids, encode_ids, gather, sorted_find, text_pool,
-                      write_bytes)
+                      write_bytes, write_json)
 from .graphs import FeedbackMultigraph, TransactionMultigraph, reciprocated, run_starts
 
 TRANSACTION_FEATURES = (
@@ -69,7 +69,6 @@ class FeatureMatrix:
     values: np.ndarray            # shape (n_users, 31), float64
     labels: np.ndarray            # int8; 1 = shill, 0 = benign
     feature_names: tuple[str, ...] = FEATURE_NAMES
-    version: int = FEATURE_VERSION
 
     def __post_init__(self):
         if self.values.shape != (len(self.user_ids), len(self.feature_names)):
@@ -101,7 +100,7 @@ class FeatureMatrix:
 
     def schema(self) -> dict:
         return {
-            "version": self.version,
+            "version": FEATURE_VERSION,
             "features": {name: i for i, name in enumerate(self.feature_names)},
             "categorical": list(CATEGORICAL_FEATURES),
             "label_values": dict(LABEL_VALUES),
@@ -407,9 +406,7 @@ def _column_kinds(values: np.ndarray) -> list:
 
 
 def write_feature_schema(matrix: FeatureMatrix, stream) -> None:
-    json.dump(matrix.schema() | {"schema_hash": matrix.schema_hash()},
-              stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    write_json(matrix.schema() | {"schema_hash": matrix.schema_hash()}, stream)
 
 
 def read_feature_csv(stream) -> FeatureMatrix:

@@ -29,6 +29,34 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def run_numbers(sorted_keys: np.ndarray) -> np.ndarray:
+    """The number of the run of equal values that each position of a sorted
+    array, or of each sorted line of a 2-D one, is in, counted from 0. Runs
+    are found by `!=`, so -0.0 and 0.0 share one."""
+    runs = np.empty(sorted_keys.shape, np.int64)
+    runs[..., :1] = 0
+    np.not_equal(sorted_keys[..., 1:], sorted_keys[..., :-1], out=runs[..., 1:])
+    return np.cumsum(runs, axis=-1, out=runs)
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, axis=-1, kind="stable") for keys without NaN, from
+    numpy's unstable argsort, which is faster, plus one repair of ties.
+
+    The unstable argsort leaves each run of equal keys in any order. The
+    values run * n + position, n the line length, are sorted again: a run's
+    values lie below the next run's, so each stays at a position of its run,
+    where it orders by position; the value minus run * n is the position.
+    """
+    order = np.argsort(keys)
+    offsets = run_numbers(np.take_along_axis(keys, order, axis=-1))
+    offsets *= keys.shape[-1]
+    order += offsets
+    order.sort(axis=-1)
+    order -= offsets
+    return order
+
+
 def reciprocated(sorted_keys: np.ndarray, n: int) -> np.ndarray:
     """Whether the reverse of each link key src * n + dst (ascending) is a
     key too. A key's reverse is a key exactly when the key is among the

@@ -63,11 +63,7 @@ DEFAULT_MAX_BAD_FRACTION = 0.10
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-class MarketDataError(Exception):
-    """Base error for corpus ingestion problems."""
-
-
-class ParseError(MarketDataError):
+class ParseError(Exception):
     """Unreadable stream or too many malformed rows."""
 
 
@@ -1047,3 +1043,9 @@ def write_profiles(table: ProfileTable, stream, fmt: str = "csv") -> None:
 def write_labels(labels: LabelSet, stream) -> None:
     write_bytes(stream, ["".join(u + "\n" for u in sorted(labels.shill_ids)).encode()])
 
+
+def write_json(value, stream) -> None:
+    """Write a JSON artifact (a manifest, report or schema) to a text stream:
+    indented by 2, keys sorted, ending in a newline, so reruns are byte-identical."""
+    json.dump(value, stream, indent=2, sort_keys=True)
+    stream.write("\n")

@@ -25,7 +25,6 @@ made straight from the generator's arrays; no per-row object is built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,10 +39,12 @@ from .records import (
     decode_ids,
     encode_ids,
     write_feedback,
+    write_json,
     write_labels,
     write_profiles,
     write_transactions,
 )
+from .graphs import run_numbers, stable_argsort
 
 GENERATOR_VERSION = 1
 
@@ -165,8 +166,7 @@ class SynthCorpus:
         with open(out / "labels.txt", "wb") as fh:
             write_labels(self.labels, fh)
         with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(self.manifest, fh)
 
 
 def _ring_sizes(n_shills: int, cfg: MarketConfig, rng) -> list[int]:
@@ -200,15 +200,6 @@ def _draw_sellers(rng, weights, buyers, n_users):
     return sellers
 
 
-def _run_numbers(sorted_values):
-    """The number of the run of equal values that each position of a sorted
-    array is in, counted from 0."""
-    runs = np.empty(len(sorted_values), np.int64)
-    runs[0] = 0
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=runs[1:])
-    return np.cumsum(runs, out=runs)
-
-
 def _time_order(ts, a, b, n_users):
     """The row order of np.lexsort((b, a, ts)): by time, then by the pair
     (a, b) of user positions below n_users, then by row.
@@ -217,25 +208,16 @@ def _time_order(ts, a, b, n_users):
     its pair among the distinct pairs, so the keys order as the triples do.
     The generator's times span less than 2**26 s (two years and three
     days), so the keys fit int64 below 2**37 rows, while packing (ts, a, b)
-    itself into 64 bits would overflow from n_users = 2**21. The unstable
-    argsort leaves each run of equal keys in any order; the values run *
-    rows + row are sorted again, which orders each run by row, as
-    classifiers.tree._presort does.
+    itself into 64 bits would overflow from n_users = 2**21.
     """
     m = len(ts)
     if m == 0:
         return np.zeros(0, np.int64)
     key = a * n_users + b
     order = np.argsort(key)
-    key[order] = _run_numbers(key[order])           # the rank of each row's pair
+    key[order] = run_numbers(key[order])            # the rank of each row's pair
     key += (ts - ts.min()) * m
-    order = np.argsort(key)
-    runs = _run_numbers(key[order])
-    runs *= m
-    order += runs
-    order.sort()
-    order -= runs
-    return order
+    return stable_argsort(key)
 
 
 def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:

@@ -35,6 +35,7 @@ from shilldetect.classifiers.simple import (
 from shilldetect.classifiers.tree import Z_CF25, added_errors, train_decision_tree
 from shilldetect.evaluation import balanced_training_sample, auc
 from shilldetect.features import FeatureMatrix
+from shilldetect.graphs import stable_argsort
 
 import shilldetect.classifiers.simple as simple
 import shilldetect.classifiers.tree as tree
@@ -724,9 +725,11 @@ def test_random_forest_matches_grow_reference_on_random_data():
 
 
 def test_presort_is_the_stable_argsort():
-    """The root presort orders each column by (value, row). Its columns are
-    tie-heavy, one is constant, zeros come in both signs, and 40 of the 240
-    matrices have one or two rows."""
+    """The root presort (`stable_argsort` of the columns) orders each column
+    by (value, row). Its columns are tie-heavy, one is constant, zeros come
+    in both signs, and 40 of the 240 matrices have one or two rows. A column
+    of each matrix is also sorted as a 1-D array, and so are empty arrays,
+    one element and mixed zeros."""
     rng = np.random.default_rng(8)
     for i in range(240):
         n = 1 if i < 20 else 2 if i < 40 else int(rng.integers(3, 600))
@@ -735,7 +738,14 @@ def test_presort_is_the_stable_argsort():
         X[:, 0] = X[0, 0]
         X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
         expected = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        assert np.array_equal(tree._presort(np.ascontiguousarray(X.T)), expected), (i, X.shape)
+        assert np.array_equal(stable_argsort(np.ascontiguousarray(X.T)), expected), (i, X.shape)
+        column = np.ascontiguousarray(X[:, 1 % X.shape[1]])
+        assert np.array_equal(stable_argsort(column), np.argsort(column, kind="stable")), i
+    for keys in (np.zeros(0), np.zeros((3, 0)), np.array([2.5]),
+                 np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0, 0.0, 1.0, 0.0])):
+        got = stable_argsort(keys)
+        assert got.shape == keys.shape and got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(keys, kind="stable")), keys
 
 
 def test_split_filter_prunes(big_matrix, monkeypatch):

@@ -149,12 +149,20 @@ def test_report_rejects_unknown_keys(ws, tmp_path, capsys):
                  "--algorithm", "OneR", "--ratios", "2", "--repetitions", "1",
                  "--k-grid", "1:5", "--emit", "json", "--out", str(run)]) == 0
     stored = json.loads((run / "report.json").read_text())
-    (tmp_path / "edited.json").write_text(json.dumps(stored | {"note": "hand edit"}))
-    capsys.readouterr()
-    assert main(["report", "--run", str(tmp_path / "edited.json"),
-                 "--out", str(tmp_path / "rerender")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "TypeError" and "'note'" in err["message"]
+    missing = dict(stored)
+    del missing["seed"]
+    # An older report still holds "cv_metrics", which reports no longer have.
+    for edited, named in ((stored | {"note": "hand edit"}, "unknown field 'note'"),
+                          (stored | {"cv_metrics": None}, "unknown field 'cv_metrics'"),
+                          (missing, "missing field 'seed'"),
+                          ([stored], "not a JSON object")):
+        (tmp_path / "edited.json").write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["report", "--run", str(tmp_path / "edited.json"),
+                     "--out", str(tmp_path / "rerender")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliError" and named in err["message"], err
+        assert not (tmp_path / "rerender").exists()
 
 
 def test_ecosystem_subcommand(ws, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import inspect
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,21 @@ def test_clique_limit_enforced():
     edges = [(2 * i, 2 * i + 1) for i in range(5)]
     with pytest.raises(CliqueLimitError):
         maximal_cliques(mk_graph(10, edges), limit=3)
+
+
+def test_clique_size_is_not_bounded_by_the_recursion_limit():
+    # A cohort can hold a clique of a thousand users, so enumeration must
+    # not recurse once per member: with 100 frames left free, a clique of
+    # 300 (and a pendant link) is still found.
+    n = 300
+    graph = mk_graph(n + 1, [(a, b) for a in range(n) for b in range(a + 1, n)] + [(0, n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = maximal_cliques(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(got, key=len) == [frozenset({0, n}), frozenset(range(n))]
 
 
 def test_clique_histogram_threshold():

@@ -518,14 +518,21 @@ def test_mdl_rejects_uninformative_feature():
     assert information_gain(x, y) == 0.0
 
 
-@pytest.mark.parametrize("levels", [None, 4, 12])
+@pytest.mark.parametrize("levels", [None, 4, 12, "signed zeros"])
 def test_mdl_matches_recursive_reference(levels):
-    # None: continuous values; 4 and 12: few distinct values, many ties.
+    # None: continuous values; 4 and 12: few distinct values, many ties;
+    # signed zeros: -1 to 1 in steps of 0.5, zeros of both signs in one run.
     rng = np.random.default_rng(23)
     most_cuts = 0
     for _ in range(40):
         n = int(rng.integers(2, 300))
-        x = rng.normal(size=n) if levels is None else rng.integers(0, levels, n).astype(float)
+        if levels is None:
+            x = rng.normal(size=n)
+        elif levels == "signed zeros":
+            x = (rng.integers(0, 5, n) - 2) * 0.5
+            x[(x == 0) & (rng.random(n) < 0.5)] = -0.0
+        else:
+            x = rng.integers(0, levels, n).astype(float)
         y = (np.sin(3 * x) + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
         cuts = mdl_discretize(x, y)
         assert cuts == mdl_cuts_recursive(x.tolist(), y.tolist())

@@ -144,6 +144,29 @@ def test_process_pool_lives_in_one_place():
     assert found == []
 
 
+def test_artifact_json_is_written_in_one_place():
+    # Manifests, reports and the feature schema share one JSON layout
+    # (records.write_json): byte-identical reruns depend on every writer
+    # indenting, sorting keys and ending the file the same way.
+    module = ast.parse((PACKAGE_DIR / "records.py").read_text(encoding="utf-8"))
+    writer = next(node for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "write_json")
+    inside = {f"records.py:{line}" for line in range(writer.lineno, writer.end_lineno + 1)}
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [f"json.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if "json.dump" in names:
+                found.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}")
+    assert len(found) == 1 and found[0] in inside, found
+
+
 def test_csv_is_read_in_records_and_written_by_no_csv_writer():
     # Every CSV the package writes is made as bytes on one path
     # (records.csv_bytes); only the corpus parsers use the csv module. A
