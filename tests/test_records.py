@@ -723,6 +723,114 @@ def test_parsers_match_row_reference_across_scan_blocks(what, fmt, block, small_
     test_parsers_match_row_reference(what, fmt, small_corpus)
 
 
+# Pools for seeded messy corpora. Ids come from a small pool, so each one
+# recurs in rows the column checks accept and in rows that only the row
+# function reads (a non-canonical value, or an id longer than a bytes column
+# holds). The jsonl pools add values that are not strings.
+_MESSY = {
+    "user_id": [i + k for i in ("a", "ü", "x" * 63, "y" * 69, " a", "", 'q"d') for k in "123"],
+    "giver_id": [i + k for i in ("a", "ü", "y" * 69, "", 'q"d') for k in "123"],
+    "birth_year": ["1980", "+1980", "", " 1980", "1980.0", "x", "0"],
+    "state": ["Ohio", "Zürich", "", "New York, NY"],
+    "registration_date": ["2010-05-01", "2010-05-01T10:00:00Z", "2010-5-01", "2011-02-29",
+                          "2012-02-29"],
+    "rating": ["1", "-1", "0", "+1", "2", " 1"],
+    "timestamp": ["2011-03-01T10:00:00Z", "2011-03-01T10:00:00+02:00", "2011-03-01",
+                  "2011-02-29T00:00:00Z"],
+}
+_MESSY_JSON = {"user_id": [5, 5.0, "5", "5.0"], "giver_id": [5, 5.0, "5", "5.0"],
+               "birth_year": [True, [1], None, 1980, 1980.0], "rating": [1, 1.0, True, -1]}
+_MESSY["receiver_id"], _MESSY_JSON["receiver_id"] = _MESSY["giver_id"], _MESSY_JSON["giver_id"]
+
+
+def _messy_corpus(what: str, fmt: str, seed: int) -> str:
+    """A seeded corpus of messy rows. In csv, odd seeds add values that csv
+    quotes, and the seed picks a header plain, padded with spaces or quoted."""
+    columns = {"profiles": PROFILE_COLUMNS, "feedback": FEEDBACK_COLUMNS}[what]
+    rng = np.random.default_rng(seed)
+    pools = {c: [v for v in _MESSY[c] if fmt == "jsonl" or seed % 2 or not _quoted(v)]
+             + (_MESSY_JSON.get(c, []) if fmt == "jsonl" else []) for c in columns}
+    records_ = [{c: pools[c][rng.integers(len(pools[c]))] for c in columns}
+                for _ in range(150)]
+    if fmt == "jsonl":
+        return "".join(json.dumps(r) + "\n" for r in records_)
+    header = [",".join(columns), " " + " , ".join(columns) + " ",
+              ",".join(f'"{c}"' for c in columns)][seed % 3]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(dict.values, records_))
+    return header + "\n" + buf.getvalue()
+
+
+def _quoted(value) -> bool:
+    return isinstance(value, str) and bool(set(value) & set(',"\r\n'))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("what", ["feedback", "profiles"])
+def test_parsers_match_row_reference_on_messy_rows(what, fmt, seed):
+    text = _messy_corpus(what, fmt, seed)
+    want_rows, want_errors = parse_rows_reference(text, fmt, what)
+    res = _PARSERS[what][0](io.BytesIO(text.encode()), fmt, max_bad_fraction=1.0)
+    if what == "profiles":
+        got, want_rows = _profile_rows(res.records, want_rows)
+        assert any(m.startswith("duplicate user_id") for _, m in want_errors)
+    else:
+        got = [(r.giver_id, r.receiver_id, r.rating, int(r.timestamp.timestamp()))
+               for r in rows(res.records)]
+    assert [(e.line, e.message) for e in res.errors] == want_errors
+    assert got == want_rows and want_rows
+    assert res.total_rows == len(want_rows) + len(want_errors)
+
+
+# One valid body row of each corpus.
+_VALID_ROW = {"transactions": "a,b,p,1,1.50,2011-01-01T00:00:00Z",
+              "feedback": "a,b,1,2011-01-01T00:00:00Z",
+              "profiles": "a,1980,Ohio,2010-05-01"}
+
+
+def _header_case(columns, case: str) -> tuple[str, str | None]:
+    """(file, the ParseError it raises or None) of a header case."""
+    header, want = ",".join(columns), list(columns)
+    return {
+        "empty file": ("", "missing CSV header row"),
+        "blank first line": (f"\n{header}\n", f"unexpected CSV header []; want {want}"),
+        "wrong name": (header + "_x\n",
+                       f"unexpected CSV header {[*columns[:-1], columns[-1] + '_x']}; "
+                       f"want {want}"),
+        "wrong width": (",".join(columns[:-1]) + "\n",
+                        f"unexpected CSV header {list(columns[:-1])}; want {want}"),
+        "crlf": (f"{header}\r\n{{row}}\r\n", None),
+        "crlf wrong name": (f"{header}_x\r\n{{row}}\r\n",
+                            f"unexpected CSV header {[*columns[:-1], columns[-1] + '_x']}; "
+                            f"want {want}"),
+        "unclosed quote": (f'"{header}\n{{row}}\n',
+                           f"unexpected CSV header [{header + chr(10) + '{row}' + chr(10)!r}]; "
+                           f"want {want}"),
+        "padded": (" " + " , ".join(columns) + " \n{row}\n", None),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["empty file", "blank first line", "wrong name", "wrong width",
+                                  "crlf", "crlf wrong name", "unclosed quote", "padded"])
+@pytest.mark.parametrize("what", sorted(_PARSERS))
+def test_header_errors_are_pinned(what, case):
+    # The row reference skips the header unread, so the header's errors are
+    # pinned here.
+    parser = _PARSERS[what][0]
+    text, message = _header_case({"transactions": TRANSACTION_COLUMNS,
+                                  "feedback": FEEDBACK_COLUMNS,
+                                  "profiles": PROFILE_COLUMNS}[what], case)
+    data = text.replace("{row}", _VALID_ROW[what]).encode()
+    if message is None:
+        res = parser(io.BytesIO(data), "csv")
+        assert len(res.records) == 1 and not res.errors
+    else:
+        with pytest.raises(ParseError) as exc:
+            parser(io.BytesIO(data), "csv")
+        assert str(exc.value) == message.replace("{row}", _VALID_ROW[what])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_rfc3339_round_trip_before_year_1000(fmt):
     year_999 = int(datetime(999, 5, 1, tzinfo=timezone.utc).timestamp())
