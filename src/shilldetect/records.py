@@ -327,84 +327,71 @@ def _malformed(line: int, exc: csv.Error) -> ParseError:
     return ParseError(f"line {line}: malformed CSV: {str(exc).split(' - do you need')[0]}")
 
 
-def _header_end(data: bytes, columns: tuple[str, ...]) -> int:
-    """Where the CSV body starts, after a header row naming `columns`."""
-    pos = 0
-
-    def text_lines():
-        # csv.reader takes lines only as it needs them, so after the header
-        # row `pos` is where the body starts.
-        nonlocal pos
-        while pos < len(data):
-            end = data.find(b"\n", pos) + 1 or len(data)
-            line, pos = _text(data[pos:end]), end
-            yield line
-
-    reader = csv.reader(text_lines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing CSV header row") from None
-    except csv.Error as exc:
-        raise _malformed(reader.line_num, exc) from None
+def _check_header(header: list[str] | None, columns: tuple[str, ...]) -> None:
+    """Refuse a CSV header row (None: the file has none) that does not name
+    `columns`, space around a name aside."""
+    if header is None:
+        raise ParseError("missing CSV header row")
     if tuple(h.strip() for h in header) != columns:
         raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
-    return pos
 
 
-def _plain_csv(data: bytes, pos: int, width: int):
-    """(line numbers, bytes columns, odd rows, row) of the CSV body data[pos:]
-    if csv.reader's rows are its lines split at commas, else None.
+def _plain_csv(data: bytes, columns: tuple[str, ...]):
+    """(line numbers, bytes columns, odd rows, row) of the body of a CSV
+    file if csv.reader's rows are its lines split at commas and the first
+    line is a header naming `columns`, else None.
 
-    They are when the body holds no quotes, carriage returns or NULs and
-    every line has width - 1 commas and then a newline (the last line may
-    lack it). The separators are found _SCAN_BLOCK bytes at a time, into
-    one (rows, width) array of field ends; each column's starts and lengths
-    are taken from it only while that column is gathered.
+    They are when the file holds no quotes, carriage returns or NULs and
+    every line has len(columns) - 1 commas and then a newline (the last
+    line may lack it). The separators are found _SCAN_BLOCK bytes at a
+    time, into one (lines, width) array of field ends; each column's starts
+    and lengths are taken from it only while that column is gathered.
     """
-    if any(data.find(c, pos) >= 0 for c in (b'"', b"\r", b"\0")):
+    first = data.find(b"\n")
+    header = _text(data[:first if first >= 0 else len(data)]).split(",")
+    if (any(data.find(c) >= 0 for c in (b'"', b"\r", b"\0"))
+            or tuple(h.strip() for h in header) != columns):
         return None
-    size = len(data) - pos
+    width = len(columns)
+    size = len(data)
     buf = np.zeros(size + _MAX_FIELD + 2, np.uint8)
-    buf[:size] = np.frombuffer(data, np.uint8, size, pos)
-    if size and buf[size - 1] != ord("\n"):
+    buf[:size] = np.frombuffer(data, np.uint8)
+    if buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")
         size += 1
-    body = buf[:size]
+    text = buf[:size]
     dtype = np.int32 if size < 2**31 else np.int64
     parts, newlines = [], 0
     for at in range(0, size, _SCAN_BLOCK):
-        block = body[at:at + _SCAN_BLOCK]
+        block = text[at:at + _SCAN_BLOCK]
         separator = block == ord("\n")
         newlines += int(np.count_nonzero(separator))
         separator |= block == ord(",")
         parts.append((np.flatnonzero(separator) + at).astype(dtype))
-    end = np.concatenate(parts or [np.empty(0, dtype)])
+    end = np.concatenate(parts)
     del parts
     # Each line's last separator is a newline, and there are no others, so
     # the rest are commas.
     if len(end) != newlines * width:
         return None
     end = end.reshape(newlines, width)
-    if not (body[end[:, -1]] == ord("\n")).all():
+    if not (text[end[:, -1]] == ord("\n")).all():
         return None
-    odd = np.zeros(len(end), bool)
+    odd = np.zeros(len(end) - 1, bool)
 
     def column(j: int) -> np.ndarray:
         # A field starts after the separator before it: a line's first field
-        # after the newline that ends the line before.
-        start = np.zeros(len(end), end.dtype)
-        before = end[:, j - 1] if j else end[:-1, -1]
-        np.add(before, 1, out=start[len(end) - len(before):])
-        length = end[:, j] - start
+        # after the newline that ends the line before. Line 1 is the header.
+        start = (end[1:, j - 1] if j else end[:-1, -1]) + 1
+        length = end[1:, j] - start
         odd[length > _MAX_FIELD] = True
         return _byte_column(buf, start, length)
 
     def row(i: int) -> list[str]:
-        bounds = [int(end[i - 1, -1]) if i else -1, *end[i].tolist()]
-        return [_text(body[s + 1:e].tobytes()) for s, e in zip(bounds, bounds[1:])]
+        bounds = [int(end[i, -1]), *end[i + 1].tolist()]
+        return [_text(text[s + 1:e].tobytes()) for s, e in zip(bounds, bounds[1:])]
 
-    return range(2, len(end) + 2), list(map(column, range(width))), odd, row
+    return range(2, len(end) + 1), list(map(column, range(width))), odd, row
 
 
 def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
@@ -422,12 +409,12 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
     rows: list = []
     errors: list[RowError] = []
     if fmt == "csv":
-        pos = _header_end(data, columns)
-        plain = _plain_csv(data, pos, width)
+        plain = _plain_csv(data, columns)
         if plain is not None:
             return (*plain, errors)
-        reader = csv.reader(io.StringIO(_text(data[pos:])))
+        reader = csv.reader(io.StringIO(_text(data)))
         try:
+            _check_header(next(reader, None), columns)
             for line_no, fields in enumerate(reader, start=2):
                 if len(fields) == width:
                     lines.append(line_no)
@@ -436,7 +423,7 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
                     errors.append(RowError(line_no,
                                            f"expected {width} fields, got {len(fields)}"))
         except csv.Error as exc:   # e.g. a lone carriage return in an unquoted field
-            raise _malformed(data.count(b"\n", 0, pos) + reader.line_num, exc) from None
+            raise _malformed(reader.line_num, exc) from None
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
         for line_no, line in enumerate(_text(data).split("\n"), start=1):
@@ -746,10 +733,9 @@ def parse_feedback(stream, fmt: str = "csv",
 
 
 def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
-    """The profiles, each id claimed by the first row, in line order, that
-    is accepted; a later row holding the id is a duplicate."""
+    """The profiles, each id held by the first row, in line order, whose own
+    checks pass; any later row holding the id is a duplicate."""
     user_id, birth, state, registration = cols
-    n = len(lines)
     (u,), users = _code_ids(user_id)
     year = np.where(birth == b"", 0, _unsigned(birth))
     year[odd] = _BAD
@@ -757,40 +743,37 @@ def _profile_table(lines, cols, odd, row, errors) -> ProfileTable:
     day = np.where(seconds == _BAD, _BAD, seconds // 86_400)
     state_codes, distinct = _distinct(state)
     states = {_text(s): k for k, s in enumerate(distinct.tolist())}
-    # owner[code] is the row holding the id, n while none does. The first
-    # row of an id to pass every column check holds it, and the id's later
-    # rows go to the row function, which finds it held. A row that the row
-    # function accepts ahead of the holder takes the id from it.
-    fast = np.flatnonzero((u != _BAD) & (year != _BAD) & (day != _BAD))
-    fast_claims = fast[np.unique(u[fast], return_index=True)[1]]
-    owner = np.full(len(users[0]) + n, n)
-    owner[u[fast_claims]] = fast_claims
-    u[np.setdiff1d(fast, fast_claims, assume_unique=True)] = _BAD
-    taken: list[int] = []
-
-    def profile(i, user_id, birth_raw, state, registration) -> tuple:
-        user_id = str(user_id)
-        if not _valid_id(user_id):
-            raise ValueError("empty or malformed identifier")
-        code = _id_code(users, user_id)
-        if owner[code] < i:
-            raise ValueError(f"duplicate user_id {user_id!r}")
-        birth_year = 0 if birth_raw in ("", None) else _integer("birth_year", birth_raw)
-        if not _BAD <= birth_year < -_BAD:
-            raise ValueError(f"birth_year {birth_year} does not fit in 64 bits")
-        registration = (parse_rfc3339(str(registration)) - _EPOCH).days
-        if owner[code] < n:
-            taken.append(int(owner[code]))
-        owner[code] = i
-        return code, birth_year, states.setdefault(str(state), len(states)), registration
-
-    out = [u, year, state_codes, day]
-    keep = _row_path(lines, lambda i: (i, *row(i)), out, (None,) * 4, profile, errors)
+    # The rows the column checks leave _BAD are read one at a time: each gets
+    # its own error, if any, and keeps its id code once its id passes.
+    own: dict[int, str] = {}
+    for i in np.flatnonzero((u == _BAD) | (year == _BAD) | (day == _BAD)).tolist():
+        user_id, birth_raw, state_raw, registration_raw = row(i)
+        try:
+            user_id = str(user_id)
+            if not _valid_id(user_id):
+                raise ValueError("empty or malformed identifier")
+            u[i] = _id_code(users, user_id)
+            birth_year = 0 if birth_raw in ("", None) else _integer("birth_year", birth_raw)
+            if not _BAD <= birth_year < -_BAD:
+                raise ValueError(f"birth_year {birth_year} does not fit in 64 bits")
+            registration_day = (parse_rfc3339(str(registration_raw)) - _EPOCH).days
+        except (ValueError, TypeError, OverflowError) as exc:
+            own[i] = str(exc)
+        else:
+            year[i], day[i] = birth_year, registration_day
+            state_codes[i] = states.setdefault(str(state_raw), len(states))
     ids = np.concatenate([users[0], encode_ids(users[1])])
-    for i in taken:
-        keep[i] = False
-        errors.append(RowError(lines[i], f"duplicate user_id {_text(ids[u[i]])!r}"))
-    u, year, state_codes, day = _kept(out, keep)
+    passed = np.ones(len(lines), bool)
+    passed[list(own)] = False
+    first = np.full(len(ids), len(lines))
+    np.minimum.at(first, u[passed], np.flatnonzero(passed))
+    has_id = u != _BAD
+    duplicate = np.zeros(len(lines), bool)
+    duplicate[has_id] = first[u[has_id]] < np.flatnonzero(has_id)
+    for i in np.flatnonzero(duplicate).tolist():
+        own[i] = f"duplicate user_id {_text(ids[u[i]])!r}"
+    errors += [RowError(lines[i], message) for i, message in own.items()]
+    u, year, state_codes, day = _kept([u, year, state_codes, day], passed & ~duplicate)
     return ProfileTable(ids[u], year, list(states), state_codes, day)
 
 
