@@ -23,8 +23,7 @@ def main():
     p.add_argument("--folds", type=int, default=10)
     args = p.parse_args()
 
-    corpus = generate(MarketConfig(n_users=args.users, shill_fraction=0.05,
-                                   seed=args.seed))
+    corpus = generate(MarketConfig(n_users=args.users, shill_fraction=0.05), seed=args.seed)
     tg, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
     matrix = extract_all(tg.users.ids, tg, fg, corpus.profiles, corpus.labels)
     sample = balanced_training_sample(matrix, seed=args.seed)

@@ -23,9 +23,8 @@ def main():
     p.add_argument("--top", type=int, default=15)
     args = p.parse_args()
 
-    config = MarketConfig(n_users=args.users, shill_fraction=args.shill_fraction,
-                          seed=args.seed)
-    corpus = generate(config)
+    config = MarketConfig(n_users=args.users, shill_fraction=args.shill_fraction)
+    corpus = generate(config, seed=args.seed)
     print(f"market: {len(corpus.profiles)} users, "
           f"{len(corpus.transactions)} transactions, "
           f"{len(corpus.feedback)} feedback records, "

@@ -30,8 +30,7 @@ def main():
     p.add_argument("--dot", help="write the shill subgraph as Graphviz DOT here")
     args = p.parse_args()
 
-    corpus = generate(MarketConfig(n_users=args.users, shill_fraction=0.05,
-                                   seed=args.seed))
+    corpus = generate(MarketConfig(n_users=args.users, shill_fraction=0.05), seed=args.seed)
     _, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
 
     shills = sorted(corpus.labels.shill_ids)

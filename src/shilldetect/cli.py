@@ -144,8 +144,9 @@ def _load_corpus(data_dir: str):
             parsed["profiles"].records, labels, paths)
 
 
-def _input_digests(paths: dict) -> dict:
-    return {p.name: _sha256(p) for p in sorted(paths.values())}
+def _input_digests(*paths) -> dict:
+    """{file name: SHA-256} of the input files a run read."""
+    return {p.name: _sha256(p) for p in map(Path, paths)}
 
 
 def _normalize_algorithm(name: str) -> str:
@@ -199,7 +200,7 @@ def _cmd_features(args) -> None:
         write_feature_csv(matrix, fh)
     with open(out / "schema.json", "w", encoding="utf-8") as fh:
         write_feature_schema(matrix, fh)
-    _write_manifest(out, "features", {"data": args.data}, _input_digests(paths))
+    _write_manifest(out, "features", {"data": args.data}, _input_digests(*paths.values()))
     print(f"extracted {matrix.n_users} x {len(matrix.feature_names)} features -> {out}")
 
 
@@ -229,7 +230,7 @@ def _cmd_train(args) -> None:
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "seed": args.seed, "hyper": hyper,
                      "no_balance": bool(args.no_balance)},
-                    {Path(args.features).name: _sha256(Path(args.features))})
+                    _input_digests(args.features))
     print(f"trained {algorithm} on {matrix.n_users} rows -> {out}")
 
 
@@ -247,7 +248,7 @@ def _cmd_evaluate(args) -> None:
     _write_manifest(out, "evaluate",
                     {"features": Path(args.features).name, "algorithm": algorithm,
                      "folds": args.folds, "seed": args.seed, "hyper": hyper},
-                    {Path(args.features).name: _sha256(Path(args.features))})
+                    _input_digests(args.features))
     print(json.dumps({k: metrics[k] for k in
                       ("tp_rate", "fp_rate", "f_measure", "auc")}, sort_keys=True))
     print(f"evaluation -> {out}")
@@ -288,7 +289,7 @@ def _cmd_precision_at_k(args) -> None:
                      "ratios": list(ratios), "repetitions": args.repetitions,
                      "seed": args.seed, "k_grid": args.k_grid, "emit": args.emit,
                      "hyper": hyper},
-                    {Path(args.features).name: _sha256(Path(args.features))})
+                    _input_digests(args.features))
     tail = {f"1:{r}": round(report.curves[f'1:{r}'][-1], 4) for r in report.ratios}
     print(f"precision@{report.k_grid[-1]} by ratio: {json.dumps(tail, sort_keys=True)}")
     print(f"protocol report -> {out}")
@@ -348,7 +349,7 @@ def _cmd_ecosystem(args) -> None:
     _write_manifest(out, "ecosystem",
                     {"data": args.data, "weight_mode": args.weight_mode,
                      "seed": args.seed},
-                    _input_digests(paths))
+                    _input_digests(*paths.values()))
     print(f"shill max clique {results['shill'].max_clique_size} vs benign "
           f"{results['benign'].max_clique_size}; largest-component fraction "
           f"{results['shill'].largest_component_fraction:.4f} vs "
@@ -371,7 +372,7 @@ def _cmd_report(args) -> None:
     _emit_report(report, out, args.emit.split(","))
     _write_manifest(out, "report",
                     {"run": Path(args.run).name, "emit": args.emit},
-                    {Path(args.run).name: _sha256(Path(args.run))})
+                    _input_digests(args.run))
     print(f"re-rendered {args.emit} -> {out}")
 
 

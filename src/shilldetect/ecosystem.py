@@ -254,10 +254,10 @@ def write_clique_list(cliques, node_ids, stream) -> None:
 
 def write_dot(graph: WeightedFeedbackGraph, stream) -> None:
     """Graphviz DOT of the weighted projection (external rendering)."""
+    names = ['"' + node.replace('"', '\\"') + '"' for node in graph.node_ids]
     stream.write("digraph feedback {\n")
-    for node in graph.node_ids:
-        stream.write(f'  "{node}";\n')
+    for name in names:
+        stream.write(f"  {name};\n")
     for s, d, w in zip(graph.src, graph.dst, graph.weight):
-        stream.write(f'  "{graph.node_ids[s]}" -> "{graph.node_ids[d]}" '
-                     f'[weight={w}, label={w}];\n')
+        stream.write(f"  {names[s]} -> {names[d]} [weight={w}, label={w}];\n")
     stream.write("}\n")

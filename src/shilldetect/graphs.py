@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (FeedbackTable, ProfileTable, TransactionTable, decode_ids, encode_ids,
-                      sorted_find)
+from .records import (FeedbackTable, ProfileTable, TransactionTable, _decimal, _write_table,
+                      decode_ids, encode_ids, sorted_find)
 
 
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -339,21 +339,22 @@ def bidirectional_link_count(graph: WeightedFeedbackGraph) -> int:
 
 
 def write_edgelist_csv(graph: WeightedFeedbackGraph, stream) -> None:
-    stream.write("src,dst,weight\n")
-    for s, d, w in zip(graph.src, graph.dst, graph.weight):
-        stream.write(f"{graph.node_ids[s]},{graph.node_ids[d]},{w}\n")
+    """The links as `src,dst,weight` CSV, ids quoted as the corpus CSVs quote them."""
+    _write_table(stream, "csv", ("src", "dst", "weight"), [
+        (graph.node_ids, graph.src), (graph.node_ids, graph.dst), (_decimal, graph.weight)])
 
 
 def write_graphml(graph: WeightedFeedbackGraph, stream) -> None:
     """Minimal GraphML (directed, integer `weight` attribute on edges)."""
     from xml.sax.saxutils import escape
+    names = [escape(node, {'"': "&quot;"}) for node in graph.node_ids]
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
     stream.write('  <key id="w" for="edge" attr.name="weight" attr.type="long"/>\n')
     stream.write('  <graph edgedefault="directed">\n')
-    for node in graph.node_ids:
-        stream.write(f'    <node id="{escape(node)}"/>\n')
+    for name in names:
+        stream.write(f'    <node id="{name}"/>\n')
     for s, d, w in zip(graph.src, graph.dst, graph.weight):
-        stream.write(f'    <edge source="{escape(graph.node_ids[s])}" '
-                     f'target="{escape(graph.node_ids[d])}"><data key="w">{w}</data></edge>\n')
+        stream.write(f'    <edge source="{names[s]}" '
+                     f'target="{names[d]}"><data key="w">{w}</data></edge>\n')
     stream.write('  </graph>\n</graphml>\n')

@@ -13,12 +13,14 @@ epoch seconds and registration dates int epoch days, UTC. A birth year
 of 0 means the profile has none.
 
 The parsers work on bytes columns: one fixed-width numpy `S` array per
-column. A CSV body whose lines are plain (no quotes, carriage returns or
-NULs, and width - 1 commas then a newline on every line) is read as bytes:
+column. A CSV file whose lines are plain (no quotes, carriage returns or
+NULs, and width - 1 commas then a newline on every line) and whose first
+line names the columns is read as bytes in one scan, header included:
 its commas and newlines are found a block of bytes at a time into one
 array of field ends, and each column is gathered from the body with one
-index per field. Quoted CSV and JSONL
-are read row by row, and their values are encoded into the same columns.
+index per field. Any other CSV file, a quoted header too, is read row by
+row by one csv.reader whose first row is the header, and JSONL line by
+line; their values are encoded into the same columns.
 Ids are coded by sorting: each id is packed into big-endian uint64 words,
 whose sort is the bytes' order, so an id's code is its place among the
 table's distinct ids, sorted. Each distinct id is checked once, on its

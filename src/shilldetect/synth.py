@@ -98,7 +98,6 @@ class MarketConfig:
     missing_birth_year_probability: float = 0.03
     n_products: int | None = None
     zipf_exponent: float = 0.55
-    seed: int = 0
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -220,13 +219,11 @@ def _time_order(ts, a, b, n_users):
     return stable_argsort(key)
 
 
-def generate(config: MarketConfig, seed: int | None = None) -> SynthCorpus:
-    """Build a labeled corpus; `seed` overrides config.seed when given.
-    Transactions and feedback are ordered by time, then by their pair of
-    user positions, then by the order they were drawn in (`_time_order`)."""
+def generate(config: MarketConfig, seed: int = 0) -> SynthCorpus:
+    """Build a labeled corpus from `seed`. Transactions and feedback are
+    ordered by time, then by their pair of user positions, then by the
+    order they were drawn in (`_time_order`)."""
     config.validate()
-    if seed is None:
-        seed = config.seed
     rng = np.random.default_rng(seed)
     n = config.n_users
     ids = encode_ids([f"u{i:06d}" for i in range(n)])

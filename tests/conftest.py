@@ -81,7 +81,7 @@ def tiny_graphs(tiny_corpus):
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    return generate(MarketConfig(n_users=400, seed=7))
+    return generate(MarketConfig(n_users=400), seed=7)
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,7 @@ def small_matrix(small_corpus):
 @pytest.fixture(scope="session")
 def big_corpus():
     """The 20k-user market every heavy test shares (defaults, seed 42)."""
-    return generate(MarketConfig(n_users=20_000, shill_fraction=0.05, seed=42))
+    return generate(MarketConfig(n_users=20_000, shill_fraction=0.05), seed=42)
 
 
 @pytest.fixture(scope="session")

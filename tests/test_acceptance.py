@@ -300,7 +300,7 @@ def test_criterion_09_determinism(criterion, tmp_path, monkeypatch, capsys):
 
 
 def test_criterion_10_scale(criterion):
-    corpus = generate(MarketConfig(n_users=270_000, shill_fraction=0.02, seed=1))
+    corpus = generate(MarketConfig(n_users=270_000, shill_fraction=0.02), seed=1)
     n_tx, n_fb = len(corpus.transactions), len(corpus.feedback)
     assert n_tx >= 1_000_000 and n_fb >= 1_000_000
 

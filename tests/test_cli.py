@@ -73,7 +73,8 @@ def test_synth_seed_from_config_file(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps({"n_users": 40, "shill_fraction": 0.0, "seed": 9}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
-    assert read_manifest(tmp_path / "r")["args"]["seed"] == 9
+    args = read_manifest(tmp_path / "r")["args"]
+    assert args["seed"] == 9 and "seed" not in args["resolved_config"]
 
 
 def test_features_artifacts(ws):

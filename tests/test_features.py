@@ -482,7 +482,7 @@ def test_csv_write_memory_is_bounded():
     # 30k users: 930k cells, 174k of them not whole. One str per cell took
     # some 14 times the output; the bytes take one row block at a time, and
     # the sort that finds the distinct values a copy of the pooled columns.
-    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    corpus = generate(MarketConfig(n_users=30_000), seed=1)
     tg, fg = build_graphs(corpus.transactions, corpus.feedback, corpus.profiles)
     matrix = extract_all(tg.users.ids, tg, fg, corpus.profiles, corpus.labels)
     stream = _Sink()

@@ -1,9 +1,12 @@
+import csv
 import io
 from datetime import datetime, timezone
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from shilldetect.ecosystem import write_dot
 from shilldetect.graphs import (
     UserIndex,
     WeightedFeedbackGraph,
@@ -284,6 +287,35 @@ def test_edgelist_and_graphml_outputs():
     text = xml.getvalue()
     assert text.startswith("<?xml") and "graphml" in text
     assert '"a"' in text or ">a<" in text or 'id="a"' in text
+
+
+@pytest.mark.parametrize("weight_mode", ["count", "rating_sum"])
+def test_exports_write_an_id_holding_a_quote(weight_mode):
+    # A valid id may hold '"', '&' and '<'; each export writes it back whole.
+    odd = 'a"b&<c'
+    fb = [_fb(odd, "d", 1), _fb(odd, "d", 1), _fb("d", odd, -1)]
+    g = build_feedback_graph(feedback_table(fb), UserIndex((odd, "d")))
+    h = project_feedback_graph(g, [odd, "d"], weight_mode=weight_mode)
+    links = [(h.node_ids[s], h.node_ids[d], w)
+             for s, d, w in zip(h.src.tolist(), h.dst.tolist(), h.weight.tolist())]
+    assert sorted(links) == sorted([(odd, "d", 2), ("d", odd, 1 if weight_mode == "count" else -1)])
+    buf, want = io.StringIO(), io.StringIO()
+    write_edgelist_csv(h, buf)
+    csv.writer(want, lineterminator="\n").writerows([("src", "dst", "weight"), *links])
+    assert buf.getvalue() == want.getvalue()
+    buf = io.StringIO()
+    write_graphml(h, buf)
+    root = ElementTree.fromstring(buf.getvalue())
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    assert [n.get("id") for n in root.iter(ns + "node")] == h.node_ids
+    assert [(e.get("source"), e.get("target"), int(e.find(ns + "data").text))
+            for e in root.iter(ns + "edge")] == links
+    buf = io.StringIO()
+    write_dot(h, buf)
+    quoted = {odd: '"a\\"b&<c"', "d": '"d"'}
+    assert buf.getvalue().splitlines() == [
+        "digraph feedback {", *(f"  {quoted[u]};" for u in h.node_ids),
+        *(f"  {quoted[s]} -> {quoted[d]} [weight={w}, label={w}];" for s, d, w in links), "}"]
 
 
 # ---------------------------------------------------------------------------

@@ -993,14 +993,14 @@ def _parse_peak(table, write, parse) -> tuple[float, int]:
 # text; whole-body int64 field positions and separator masks took about 7
 # times the file.
 def test_transaction_parse_memory_is_bounded():
-    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    corpus = generate(MarketConfig(n_users=30_000), seed=1)
     ratio, total = _parse_peak(corpus.transactions, write_transactions, parse_transactions)
     assert total == len(corpus.transactions) > 100_000
     assert ratio < 6, ratio
 
 
 def test_feedback_parse_memory_is_bounded():
-    corpus = generate(MarketConfig(n_users=30_000, seed=1))
+    corpus = generate(MarketConfig(n_users=30_000), seed=1)
     ratio, total = _parse_peak(corpus.feedback, write_feedback, parse_feedback)
     assert total == len(corpus.feedback) > 100_000
     assert ratio < 6, ratio

@@ -168,10 +168,13 @@ def test_artifact_json_is_written_in_one_place():
 
 
 def test_csv_is_read_in_records_and_written_by_no_csv_writer():
-    # Every CSV the package writes is made as bytes on one path
-    # (records.csv_bytes); only the corpus parsers use the csv module. A
-    # per-row csv.writer would be a second writing path, and one with a
-    # "\n" line end leaves a lone carriage return unquoted.
+    # The corpus, feature and edge-list CSVs, whose fields hold ids and
+    # states, are made as bytes on one path (records.csv_bytes); the
+    # ecosystem, comparison and precision CSVs, which hold field names and
+    # numbers only, are written line by line.
+    # Only the corpus parsers use the csv module. A per-row csv.writer
+    # would be a second quoting path, and one with a "\n" line end leaves a
+    # lone carriage return unquoted.
     found = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -50,7 +50,7 @@ def test_from_dict_coerces_ranges():
 
 def test_manifest_config_round_trips(small_corpus):
     cfg = MarketConfig.from_dict(small_corpus.manifest["config"])
-    assert cfg == MarketConfig(n_users=400, seed=7)
+    assert cfg == MarketConfig(n_users=400)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_rings_exchange_mutual_positive_feedback(small_corpus):
 
 
 def test_benign_only_market():
-    c = generate(MarketConfig(n_users=60, shill_fraction=0.0, seed=3))
+    c = generate(MarketConfig(n_users=60, shill_fraction=0.0), seed=3)
     assert len(c.labels) == 0
     assert c.rings == []
     assert len(c.transactions) > 0
@@ -189,17 +189,9 @@ def test_different_seed_differs():
     assert rows(a.transactions) != rows(b.transactions)
 
 
-def test_seed_argument_overrides_config():
-    cfg = MarketConfig(n_users=60, shill_fraction=0.0, seed=1)
-    c = generate(cfg, seed=9)
-    assert c.manifest["seed"] == 9
-    assert rows(c.transactions) == rows(generate(MarketConfig(n_users=60, shill_fraction=0.0,
-                                                              seed=9)).transactions)
-
-
 def test_write_round_trip(tmp_path):
-    cfg = MarketConfig(n_users=120, shill_fraction=0.05, seed=2)
-    c = generate(cfg)
+    cfg = MarketConfig(n_users=120, shill_fraction=0.05)
+    c = generate(cfg, seed=2)
     c.write(tmp_path / "csv", "csv")
     c.write(tmp_path / "jsonl", "jsonl")
 
@@ -222,9 +214,9 @@ def test_write_round_trip(tmp_path):
 
 
 def test_write_byte_identical_across_runs(tmp_path):
-    cfg = MarketConfig(n_users=120, shill_fraction=0.05, seed=2)
-    generate(cfg).write(tmp_path / "a")
-    generate(cfg).write(tmp_path / "b")
+    cfg = MarketConfig(n_users=120, shill_fraction=0.05)
+    generate(cfg, seed=2).write(tmp_path / "a")
+    generate(cfg, seed=2).write(tmp_path / "b")
     for name in ("transactions.csv", "feedback.csv", "profiles.csv",
                  "labels.txt", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -237,7 +229,7 @@ def test_generate_memory_is_bounded():
     # were made took some 35 MB.
     tracemalloc.start()
     try:
-        corpus = generate(MarketConfig(n_users=30_000, seed=1))
+        corpus = generate(MarketConfig(n_users=30_000), seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
