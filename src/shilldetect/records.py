@@ -329,15 +329,6 @@ def _malformed(line: int, exc: csv.Error) -> ParseError:
     return ParseError(f"line {line}: malformed CSV: {str(exc).split(' - do you need')[0]}")
 
 
-def _check_header(header: list[str] | None, columns: tuple[str, ...]) -> None:
-    """Refuse a CSV header row (None: the file has none) that does not name
-    `columns`, space around a name aside."""
-    if header is None:
-        raise ParseError("missing CSV header row")
-    if tuple(h.strip() for h in header) != columns:
-        raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
-
-
 def _plain_csv(data: bytes, columns: tuple[str, ...]):
     """(line numbers, bytes columns, odd rows, row) of the body of a CSV
     file if csv.reader's rows are its lines split at commas and the first
@@ -416,7 +407,11 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
             return (*plain, errors)
         reader = csv.reader(io.StringIO(_text(data)))
         try:
-            _check_header(next(reader, None), columns)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("missing CSV header row")
+            if tuple(h.strip() for h in header) != columns:
+                raise ParseError(f"unexpected CSV header {header!r}; want {list(columns)}")
             for line_no, fields in enumerate(reader, start=2):
                 if len(fields) == width:
                     lines.append(line_no)

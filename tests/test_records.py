@@ -742,6 +742,10 @@ _MESSY_JSON = {"user_id": [5, 5.0, "5", "5.0"], "giver_id": [5, 5.0, "5", "5.0"]
 _MESSY["receiver_id"], _MESSY_JSON["receiver_id"] = _MESSY["giver_id"], _MESSY_JSON["giver_id"]
 
 
+def _quoted(value) -> bool:
+    return isinstance(value, str) and bool(set(value) & set(',"\r\n'))
+
+
 def _messy_corpus(what: str, fmt: str, seed: int) -> str:
     """A seeded corpus of messy rows. In csv, odd seeds add values that csv
     quotes, and the seed picks a header plain, padded with spaces or quoted."""
@@ -749,19 +753,14 @@ def _messy_corpus(what: str, fmt: str, seed: int) -> str:
     rng = np.random.default_rng(seed)
     pools = {c: [v for v in _MESSY[c] if fmt == "jsonl" or seed % 2 or not _quoted(v)]
              + (_MESSY_JSON.get(c, []) if fmt == "jsonl" else []) for c in columns}
-    records_ = [{c: pools[c][rng.integers(len(pools[c]))] for c in columns}
-                for _ in range(150)]
+    drawn = [{c: pools[c][rng.integers(len(pools[c]))] for c in columns} for _ in range(150)]
     if fmt == "jsonl":
-        return "".join(json.dumps(r) + "\n" for r in records_)
+        return "".join(json.dumps(r) + "\n" for r in drawn)
     header = [",".join(columns), " " + " , ".join(columns) + " ",
               ",".join(f'"{c}"' for c in columns)][seed % 3]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(map(dict.values, records_))
+    csv.writer(buf, lineterminator="\n").writerows(map(dict.values, drawn))
     return header + "\n" + buf.getvalue()
-
-
-def _quoted(value) -> bool:
-    return isinstance(value, str) and bool(set(value) & set(',"\r\n'))
 
 
 @pytest.mark.parametrize("seed", range(6))
