@@ -195,7 +195,9 @@ def _cmd_features(args) -> None:
     transactions, feedback, profiles, labels, paths = _load_corpus(args.data)
     out = _prepare_out(args.out)
     tg, fg = build_graphs(transactions, feedback, profiles)
+    del transactions, feedback    # each stage lets go of what later ones do not read
     matrix = extract_all(tg.users.ids, tg, fg, profiles, labels)
+    del tg, fg, profiles
     with open(out / "features.csv", "wb") as fh:
         write_feature_csv(matrix, fh)
     with open(out / "schema.json", "w", encoding="utf-8") as fh:
@@ -311,7 +313,8 @@ def _cmd_ecosystem(args) -> None:
     transactions, feedback, profiles, labels, paths = _load_corpus(args.data)
     if labels is None:
         raise CliError("ecosystem comparison needs labels.txt in the data directory")
-    _, fg = build_graphs(transactions, feedback, profiles)
+    fg = build_graphs(transactions, feedback, profiles)[1]
+    del transactions, feedback, profiles
     shill = np.isin(fg.users.ids, encode_ids(labels.shill_ids))
     shill_cohort, benign_ids = fg.users.ids[shill], fg.users.ids[~shill]
     if not len(shill_cohort):

@@ -174,14 +174,13 @@ def _grouped_sum(keys: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _transaction_block_all(tg: TransactionMultigraph) -> np.ndarray:
-    """(n_vertices, 15) array in TRANSACTION_FEATURES order."""
+def _transaction_block_all(tg: TransactionMultigraph, cols: np.ndarray) -> None:
+    """Fill cols, (n_vertices, 15), in TRANSACTION_FEATURES order."""
     n = tg.n_vertices
     amount = tg.amount_cents()
     buy_num = np.bincount(tg.buyer, minlength=n)
     sell_num = np.bincount(tg.seller, minlength=n)
     unique_sellers, unique_buyers, bidir = _pair_stats(tg.buyer, tg.seller, n)
-    cols = np.empty((n, 15), np.float64)
     cols[:, 0] = buy_num
     cols[:, 1] = sell_num
     cols[:, 2] = unique_sellers
@@ -197,11 +196,10 @@ def _transaction_block_all(tg: TransactionMultigraph) -> np.ndarray:
     cols[:, 12] = _grouped_max(tg.seller, tg.quantity, n)
     cols[:, 13] = _grouped_sum(tg.seller, tg.quantity, n)
     cols[:, 14] = _grouped_sum(tg.seller, amount, n) / 100.0
-    return cols
 
 
-def _feedback_block_all(fg: FeedbackMultigraph) -> np.ndarray:
-    """(n_vertices, 13) array in FEEDBACK_FEATURES order."""
+def _feedback_block_all(fg: FeedbackMultigraph, cols: np.ndarray) -> None:
+    """Fill cols, (n_vertices, 13), in FEEDBACK_FEATURES order."""
     n = fg.n_vertices
     gvn_num = np.bincount(fg.giver, minlength=n)
     rcv_num = np.bincount(fg.receiver, minlength=n)
@@ -213,7 +211,6 @@ def _feedback_block_all(fg: FeedbackMultigraph) -> np.ndarray:
     rcv_neg = np.bincount(fg.receiver[neg], minlength=n)
     gvn_rsum = _grouped_sum(fg.giver, fg.rating, n)
     rcv_rsum = _grouped_sum(fg.receiver, fg.rating, n)
-    cols = np.empty((n, 13), np.float64)
     cols[:, 0] = gvn_num
     cols[:, 1] = rcv_num
     cols[:, 2] = gvn_unique
@@ -228,7 +225,6 @@ def _feedback_block_all(fg: FeedbackMultigraph) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         cols[:, 11] = np.where(gvn_num > 0, gvn_rsum / np.maximum(gvn_num, 1), 0.0)
         cols[:, 12] = np.where(rcv_num > 0, rcv_rsum / np.maximum(rcv_num, 1), 0.0)
-    return cols
 
 
 def _last_transaction_days(tg: TransactionMultigraph) -> np.ndarray:
@@ -242,13 +238,13 @@ def _last_transaction_days(tg: TransactionMultigraph) -> np.ndarray:
     return days
 
 
-def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable) -> np.ndarray:
-    """(n_vertices, 3): Birth-Year, State-Hash, Active-Days.
+def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable,
+                      cols: np.ndarray) -> None:
+    """Fill cols, (n_vertices, 3), with Birth-Year, State-Hash, Active-Days.
 
     Users without a profile get the sentinel row (0, crc32(""), 0).
     """
-    cols = np.zeros((tg.n_vertices, 3), np.float64)
-    cols[:, 1] = crc32_state("")
+    cols[:] = (0, crc32_state(""), 0)
     v = tg.users.positions(profiles.user_ids)
     cols[v, 0] = profiles.birth_year
     state_hash = np.array([crc32_state(s) for s in profiles.states], np.float64)
@@ -260,7 +256,6 @@ def _detail_block_all(tg: TransactionMultigraph, profiles: ProfileTable) -> np.n
     if clamped:
         warnings.warn(f"{clamped} users had transactions before their registration "
                       "date; Active-Days clamped to 0", stacklevel=3)
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +276,14 @@ def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
     if not found.all():
         raise KeyError(f"{np.count_nonzero(~found)} ids not in the graphs, "
                        f"e.g. {decode_ids(users[~found][:5])}")
-    # One block at a time is held beside the matrix, and the rows are
+    # Each block fills its columns of the matrix in place, and the rows are
     # gathered only when the users are not every vertex in order.
     full = np.empty((tg.n_vertices, len(FEATURE_NAMES)))
     feedback_at = len(TRANSACTION_FEATURES)
     detail_at = feedback_at + len(FEEDBACK_FEATURES)
-    full[:, :feedback_at] = _transaction_block_all(tg)
-    full[:, feedback_at:detail_at] = _feedback_block_all(fg)
-    full[:, detail_at:] = _detail_block_all(tg, profiles)
+    _transaction_block_all(tg, full[:, :feedback_at])
+    _feedback_block_all(fg, full[:, feedback_at:detail_at])
+    _detail_block_all(tg, profiles, full[:, detail_at:])
     if not (len(idx) == len(full) and (idx == np.arange(len(idx))).all()):
         full = full[idx]
     y = np.isin(users, encode_ids(labels.shill_ids if labels else [])).astype(np.int8)

@@ -332,23 +332,27 @@ def _malformed(line: int, exc: csv.Error) -> ParseError:
 def _plain_csv(data: bytes, columns: tuple[str, ...]):
     """(line numbers, bytes columns, odd rows, row) of the body of a CSV
     file if csv.reader's rows are its lines split at commas and the first
-    line is a header naming `columns`, else None.
+    line is a header naming `columns`, else the file's bytes, for csv.reader.
 
     They are when the file holds no quotes, carriage returns or NULs and
     every line has len(columns) - 1 commas and then a newline (the last
-    line may lack it). The separators are found _SCAN_BLOCK bytes at a
-    time, into one (lines, width) array of field ends; each column's starts
-    and lengths are taken from it only while that column is gathered.
+    line may lack it). The bytes are copied into one padded buffer and let
+    go, so a caller that hands them over holds them once. The separators
+    are found _SCAN_BLOCK bytes at a time, into one (lines, width) array of
+    field ends; each column's starts and lengths are taken from it only
+    while that column is gathered. Only an odd row keeps its line, for the
+    row function; the buffer and the field ends are freed on return.
     """
     first = data.find(b"\n")
     header = _text(data[:first if first >= 0 else len(data)]).split(",")
     if (any(data.find(c) >= 0 for c in (b'"', b"\r", b"\0"))
             or tuple(h.strip() for h in header) != columns):
-        return None
+        return data
     width = len(columns)
-    size = len(data)
+    size = whole = len(data)
     buf = np.zeros(size + _MAX_FIELD + 2, np.uint8)
     buf[:size] = np.frombuffer(data, np.uint8)
+    del data
     if buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")
         size += 1
@@ -366,10 +370,10 @@ def _plain_csv(data: bytes, columns: tuple[str, ...]):
     # Each line's last separator is a newline, and there are no others, so
     # the rest are commas.
     if len(end) != newlines * width:
-        return None
+        return buf[:whole].tobytes()
     end = end.reshape(newlines, width)
     if not (text[end[:, -1]] == ord("\n")).all():
-        return None
+        return buf[:whole].tobytes()
     odd = np.zeros(len(end) - 1, bool)
 
     def column(j: int) -> np.ndarray:
@@ -380,11 +384,17 @@ def _plain_csv(data: bytes, columns: tuple[str, ...]):
         odd[length > _MAX_FIELD] = True
         return _byte_column(buf, start, length)
 
-    def row(i: int) -> list[str]:
-        bounds = [int(end[i, -1]), *end[i + 1].tolist()]
-        return [_text(text[s + 1:e].tobytes()) for s, e in zip(bounds, bounds[1:])]
+    cols = list(map(column, range(width)))
+    # The columns hold every other row's values whole: a plain file holds
+    # no NUL for a bytes column to drop.
+    odd_lines = {i: text[end[i, -1] + 1:end[i + 1, -1]].tobytes()
+                 for i in np.flatnonzero(odd).tolist()}
 
-    return range(2, len(end) + 1), list(map(column, range(width))), odd, row
+    def row(i: int) -> list[str]:
+        line = odd_lines.get(i)
+        return [_text(c[i]) for c in cols] if line is None else _text(line).split(",")
+
+    return range(2, len(end) + 1), cols, odd, row
 
 
 def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
@@ -396,15 +406,15 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
     invalid JSON, a non-object or missing keys is an error here; a blank
     row is skipped but keeps its line.
     """
-    data = _read_bytes(stream)
     width = len(columns)
     lines: list[int] = []
     rows: list = []
     errors: list[RowError] = []
     if fmt == "csv":
-        plain = _plain_csv(data, columns)
-        if plain is not None:
-            return (*plain, errors)
+        # The bytes are handed over, so that only _plain_csv's copy is held.
+        data = _plain_csv(_read_bytes(stream), columns)
+        if not isinstance(data, bytes):
+            return (*data, errors)
         reader = csv.reader(io.StringIO(_text(data)))
         try:
             header = next(reader, None)
@@ -423,7 +433,7 @@ def _read_columns(stream, fmt: str, columns: tuple[str, ...]):
             raise _malformed(reader.line_num, exc) from None
     elif fmt == "jsonl":
         pick = operator.itemgetter(*columns)
-        for line_no, line in enumerate(_text(data).split("\n"), start=1):
+        for line_no, line in enumerate(_text(_read_bytes(stream)).split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
