@@ -253,7 +253,17 @@ def write_clique_list(cliques, node_ids, stream) -> None:
 
 
 def write_dot(graph: WeightedFeedbackGraph, stream) -> None:
-    """Graphviz DOT of the weighted projection (external rendering)."""
+    """Graphviz DOT of the weighted projection (external rendering).
+
+    An id is quoted with each `"` written as `\\"`. Graphviz reads `\\"` as
+    a quote and keeps `\\\\` as two backslashes, so no quoting holds an id
+    with a backslash before a quote or at its end: ValueError names such an
+    id before anything is written.
+    """
+    for node in graph.node_ids:
+        if node.endswith("\\") or '\\"' in node:
+            raise ValueError(f"DOT cannot quote the id {node!r}: it holds a backslash "
+                             "before a quote or at its end")
     names = ['"' + node.replace('"', '\\"') + '"' for node in graph.node_ids]
     stream.write("digraph feedback {\n")
     for name in names:

@@ -14,6 +14,7 @@ supports the ecosystem statistics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,10 +345,23 @@ def write_edgelist_csv(graph: WeightedFeedbackGraph, stream) -> None:
         (graph.node_ids, graph.src), (graph.node_ids, graph.dst), (_decimal, graph.weight)])
 
 
+# Characters XML 1.0 cannot hold, even as references.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def write_graphml(graph: WeightedFeedbackGraph, stream) -> None:
-    """Minimal GraphML (directed, integer `weight` attribute on edges)."""
+    """Minimal GraphML (directed, integer `weight` attribute on edges).
+
+    Tabs and line breaks in an id are written as character references,
+    since an attribute value reads them back as spaces; an id holding a
+    character XML 1.0 cannot hold raises ValueError before anything is
+    written."""
     from xml.sax.saxutils import escape
-    names = [escape(node, {'"': "&quot;"}) for node in graph.node_ids]
+    for node in graph.node_ids:
+        if _NOT_XML.search(node):
+            raise ValueError(f"GraphML cannot hold the id {node!r}")
+    entities = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+    names = [escape(node, entities) for node in graph.node_ids]
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
     stream.write('  <key id="w" for="edge" attr.name="weight" attr.type="long"/>\n')

@@ -36,8 +36,8 @@ from .records import (
     LabelSet,
     ProfileTable,
     TransactionTable,
+    _digits,
     decode_ids,
-    encode_ids,
     write_feedback,
     write_json,
     write_labels,
@@ -219,6 +219,23 @@ def _time_order(ts, a, b, n_users):
     return stable_argsort(key)
 
 
+def _numbered_ids(prefix: str, numbers: np.ndarray) -> np.ndarray:
+    """The ids f"{prefix}{i:06d}" of numbers i >= 0 as one bytes array (numpy
+    `S`), by digit arithmetic: the numbers of each digit count fill one
+    block of a digit matrix, and a shorter id ends in NULs, which `S` drops."""
+    head = np.frombuffer(prefix.encode(), np.uint8)
+    width = max(6, len(str(numbers.max(initial=0))))
+    size = np.full(len(numbers), 6)
+    for k in range(6, width):
+        size += numbers >= 10 ** k
+    matrix = np.zeros((len(numbers), len(head) + width), np.uint8)
+    matrix[:, :len(head)] = head
+    for count in range(6, width + 1):
+        rows = size == count
+        matrix[rows, len(head):len(head) + count] = _digits(numbers[rows], count)
+    return matrix.view(f"S{matrix.shape[1]}").ravel()
+
+
 def generate(config: MarketConfig, seed: int = 0) -> SynthCorpus:
     """Build a labeled corpus from `seed`. Transactions and feedback are
     ordered by time, then by their pair of user positions, then by the
@@ -226,7 +243,7 @@ def generate(config: MarketConfig, seed: int = 0) -> SynthCorpus:
     config.validate()
     rng = np.random.default_rng(seed)
     n = config.n_users
-    ids = encode_ids([f"u{i:06d}" for i in range(n)])
+    ids = _numbered_ids("u", np.arange(n))
     n_shills = round(n * config.shill_fraction)
 
     # --- cohort assignment and rings ------------------------------------
@@ -359,7 +376,7 @@ def generate(config: MarketConfig, seed: int = 0) -> SynthCorpus:
     follow_feedback(seller, buyer, ts, config.seller_feedback_probability)
     t_order = _time_order(ts, buyer, seller, n)
     transactions = TransactionTable(ids, buyer[t_order], seller[t_order],
-                                    encode_ids([f"p{i:06d}" for i in range(n_products)]),
+                                    _numbered_ids("p", np.arange(n_products)),
                                     prod[t_order], qty[t_order], price[t_order], ts[t_order])
     del t_order, buyer, seller, prod, qty, price, ts
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import datetime, timezone
 from xml.etree import ElementTree
 
@@ -316,6 +317,69 @@ def test_exports_write_an_id_holding_a_quote(weight_mode):
     assert buf.getvalue().splitlines() == [
         "digraph feedback {", *(f"  {quoted[u]};" for u in h.node_ids),
         *(f"  {quoted[s]} -> {quoted[d]} [weight={w}, label={w}];" for s, d, w in links), "}"]
+
+
+def _projection(ids) -> WeightedFeedbackGraph:
+    fb = [_fb(a, b, 1) for a, b in zip(ids, ids[1:] + ids[:1])]
+    return project_feedback_graph(build_feedback_graph(feedback_table(fb), UserIndex(ids)),
+                                  ids)
+
+
+def _dot_node_ids(text: str) -> list[str]:
+    """The quoted ids of a DOT file's node lines, read as Graphviz's lexer
+    reads a quoted string: a backslash and a quote make a quote, two
+    backslashes stay two, and a bare quote ends the string."""
+    ids = []
+    for line in text.splitlines()[1:-1]:
+        if "->" in line:
+            continue
+        out, k = [], line.index('"') + 1
+        while line[k] != '"':
+            pair = line[k:k + 2]
+            step = 2 if pair in ('\\"', "\\\\") else 1
+            out.append('"' if pair == '\\"' else line[k:k + step])
+            k += step
+        assert line[k:] == '";', line
+        ids.append("".join(out))
+    return ids
+
+
+def test_dot_writes_backslashes_and_quotes_back_exactly():
+    ids = ['a"b', "a\\b", "\\b", "a\\\\b", 'a"\\b']
+    buf = io.StringIO()
+    write_dot(_projection(ids), buf)
+    assert _dot_node_ids(buf.getvalue()) == sorted(ids)
+
+
+@pytest.mark.parametrize("odd", ["a\\", "a\\\\", 'a\\"b'])
+def test_dot_refuses_an_id_it_cannot_quote(odd):
+    # Written as "a\", the last quote would be read as an escaped quote that
+    # leaves the string open; Graphviz keeps two backslashes as two, so
+    # "a\\" reads back as a\\ and "a\\"b" ends after a\\.
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(odd))):
+        write_dot(_projection([odd, "d"]), buf)
+    assert buf.getvalue() == ""
+
+
+def test_graphml_writes_a_tab_back_exactly():
+    ids = ["a\tb", "d"]
+    buf = io.StringIO()
+    write_graphml(_projection(ids), buf)
+    assert "&#9;" in buf.getvalue()
+    root = ElementTree.fromstring(buf.getvalue())
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    assert [n.get("id") for n in root.iter(ns + "node")] == ids
+    assert {(e.get("source"), e.get("target")) for e in root.iter(ns + "edge")} == {
+        ("a\tb", "d"), ("d", "a\tb")}
+
+
+@pytest.mark.parametrize("odd", ["a\x01b", "a\x1fb", "a\ufffeb", "a\uffffb"])
+def test_graphml_refuses_an_id_xml_cannot_hold(odd):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(odd))):
+        write_graphml(_projection([odd, "d"]), buf)
+    assert buf.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,16 @@ def test_same_seed_same_corpus():
     assert a.manifest == b.manifest
 
 
+@pytest.mark.parametrize("numbers", [[0, 9, 999_999, 1_000_000, 12_345_678], [5], [],
+                                     list(range(0, 3_000_000, 997))])
+def test_numbered_ids_match_format(numbers):
+    # ids from 10**6 up have 7 or more digits, so one array holds ids of
+    # several lengths
+    for prefix in ("u", "p"):
+        got = synth._numbered_ids(prefix, np.array(numbers, np.int64))
+        assert got.tolist() == [f"{prefix}{i:06d}".encode() for i in numbers]
+
+
 def test_different_seed_differs():
     cfg = MarketConfig(n_users=150, shill_fraction=0.04)
     a = generate(cfg, seed=11)
