@@ -18,9 +18,13 @@ NULs, and width - 1 commas then a newline on every line) and whose first
 line names the columns is read as bytes in one scan, header included:
 its commas and newlines are found a block of bytes at a time into one
 array of field ends, and each column is gathered from the body with one
-index per field. Any other CSV file, a quoted header too, is read row by
-row by one csv.reader whose first row is the header, and JSONL line by
-line; their values are encoded into the same columns.
+index per field. The file's bytes are held once, in a padded copy, and
+the copy and the field ends are freed when the scan ends: only a row with
+a value over 64 bytes keeps its line text for the row function, and any
+other row is read back from its columns. Any other CSV file, a quoted
+header too, is read row by row by one csv.reader whose first row is the
+header, and JSONL line by line; their values are encoded into the same
+columns.
 Ids are coded by sorting: each id is packed into big-endian uint64 words,
 whose sort is the bytes' order, so an id's code is its place among the
 table's distinct ids, sorted. Each distinct id is checked once, on its
