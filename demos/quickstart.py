@@ -38,15 +38,16 @@ def main():
     model = train("RotationForest", sample, seed=args.seed)
     scores = predict_score(model, matrix)
 
-    order = rank_users(scores, matrix.user_ids)
+    user_ids = matrix.user_ids
+    order = rank_users(scores, user_ids)
     print("\nrank  user       score  truth")
     for rank, pos in enumerate(order[:args.top], 1):
-        uid = matrix.user_ids[pos]
+        uid = user_ids[pos]
         truth = "SHILL" if matrix.labels[pos] else "-"
         print(f"{rank:>4}  {uid:<9}  {scores[pos]:.3f}  {truth}")
 
     k = min(50, len(corpus.labels))
-    p_at_k = precision_at_k(scores, matrix.labels, k, matrix.user_ids)
+    p_at_k = precision_at_k(scores, matrix.labels, k, user_ids)
     print(f"\nprecision@{k}: {p_at_k:.3f} "
           f"(baseline if guessing: {len(corpus.labels) / matrix.n_users:.3f})")
 

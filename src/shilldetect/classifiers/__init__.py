@@ -105,7 +105,11 @@ def predict_score(model, features):
 
 
 def model_from_dict(d: dict):
-    return _TRAINERS[model_algorithm(d, ALGORITHMS)][2].from_dict(d)
+    algorithm = model_algorithm(d, ALGORITHMS)
+    try:
+        return _TRAINERS[algorithm][2].from_dict(d)
+    except (TypeError, AttributeError) as exc:     # e.g. a number where a list belongs
+        raise ValueError(f"{algorithm} model body is malformed: {exc}") from exc
 
 
 def save_model(model, path) -> None:

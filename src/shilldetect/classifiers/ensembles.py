@@ -9,7 +9,6 @@ parallel without sharing RNG state.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,10 +153,7 @@ def train_rotation_forest(matrix: FeatureMatrix, n_members: int = 10,
             sample = ds.values[rows][:, g]
             if len(sample) < 2:
                 sample = ds.values[:, g]
-            with warnings.catch_warnings():
-                # Constant columns legitimately degrade to identity here.
-                warnings.simplefilter("ignore")
-                bases.append(pca_basis(sample))
+            bases.append(pca_basis(sample))
         member = RotationMember([np.asarray(g) for g in groups], bases, None)
         rotated = replace(ds, values=member.rotate(ds.values))
         member.tree = train_decision_tree(rotated, min_leaf=2, prune=True,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -12,7 +10,7 @@ def pca_basis(samples: np.ndarray) -> np.ndarray:
 
     Columns are unit eigenvectors in descending eigenvalue order; each is
     sign-fixed so its largest-magnitude entry is positive. A zero covariance
-    (all points identical) yields the identity basis with a warning.
+    (all points identical) yields the identity basis.
 
     Parameters
     ----------
@@ -25,7 +23,6 @@ def pca_basis(samples: np.ndarray) -> np.ndarray:
     d = samples.shape[1]
     cov = np.cov(samples, rowvar=False, ddof=1).reshape(d, d)
     if not np.any(np.abs(cov) > 1e-15):
-        warnings.warn("zero-variance sample; returning identity basis", stacklevel=2)
         return np.eye(d)
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(-eigenvalues, kind="stable")

@@ -131,14 +131,13 @@ def rank_users(scores, keys):
     return np.lexsort((np.asarray(keys), -np.asarray(scores, np.float64)))
 
 
-def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
+def precision_curve(scores, labels, k_grid, keys) -> list[float]:
     """Fraction of true shills in the top k of the ranking, for every k.
 
     The rows are ranked once; precision at k is read off the running count
     of shills down the ranking. k larger than the row count saturates to the
-    row count. Ties in score are broken toward the lower user id, or any key
-    that sorts as the ids do, such as an id rank (stable, never optimistic);
-    when none is supplied, input order stands in for id order.
+    row count. Score ties break toward the lower key: the user ids, or any
+    keys that sort as the ids do, such as id ranks (stable, never optimistic).
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
@@ -147,15 +146,15 @@ def precision_curve(scores, labels, k_grid, user_ids=None) -> list[float]:
         raise ValueError("k must be >= 1")
     if len(scores) == 0:
         raise ValueError("precision@k needs at least one scored row")
-    order = rank_users(scores, np.arange(len(scores)) if user_ids is None else user_ids)
+    order = rank_users(scores, keys)
     hits = np.cumsum(labels[order], dtype=np.int64)
     ks = np.minimum(ks, len(scores))
     return (hits[ks - 1] / ks).tolist()
 
 
-def precision_at_k(scores, labels, k: int, user_ids=None) -> float:
+def precision_at_k(scores, labels, k: int, keys) -> float:
     """Precision at one k; see `precision_curve`."""
-    return precision_curve(scores, labels, [k], user_ids)[0]
+    return precision_curve(scores, labels, [k], keys)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import (_BLOCK_ROWS, LabelSet, ProfileTable, _decimal, _digits, crc32_state,
-                      csv_bytes, decode_ids, encode_ids, gather, sorted_find, text_pool,
-                      write_bytes, write_json)
+from .records import (_BLOCK_ROWS, LabelSet, ProfileTable, _decimal, _digits, _matrix,
+                      crc32_state, csv_bytes, decode_ids, encode_ids, gather, sorted_find,
+                      text_pool, write_bytes, write_json)
 from .graphs import FeedbackMultigraph, TransactionMultigraph, reciprocated, run_starts
 
 TRANSACTION_FEATURES = (
@@ -65,24 +65,29 @@ class FeatureMatrix:
     `id_order()` refuses a user id that is on more than one row.
     """
 
-    user_ids: list[str]
+    ids: np.ndarray               # UTF-8 (numpy `S`), str ids encoded; user_ids decodes
     values: np.ndarray            # shape (n_users, 31), float64
     labels: np.ndarray            # int8; 1 = shill, 0 = benign
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self):
-        if self.values.shape != (len(self.user_ids), len(self.feature_names)):
+        object.__setattr__(self, "ids", encode_ids(self.ids))
+        if self.values.shape != (len(self.ids), len(self.feature_names)):
             raise ValueError(f"values shape {self.values.shape} does not match "
-                             f"{len(self.user_ids)} users x {len(self.feature_names)} features")
-        if len(self.labels) != len(self.user_ids):
+                             f"{len(self.ids)} users x {len(self.feature_names)} features")
+        if len(self.labels) != len(self.ids):
             raise ValueError("labels length does not match user count")
         # Not np.isin, whose temporaries on int8 labels take 14 bytes a row.
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be binary 0/1")
 
     @property
+    def user_ids(self) -> list[str]:
+        return decode_ids(self.ids)
+
+    @property
     def n_users(self) -> int:
-        return len(self.user_ids)
+        return len(self.ids)
 
     @property
     def n_features(self) -> int:
@@ -113,8 +118,7 @@ class FeatureMatrix:
     def take(self, idx) -> "FeatureMatrix":
         """The rows at positions `idx`, in that order."""
         idx = np.asarray(idx, np.int64)
-        return replace(self, user_ids=[self.user_ids[i] for i in idx.tolist()],
-                       values=self.values[idx], labels=self.labels[idx])
+        return replace(self, ids=self.ids[idx], values=self.values[idx], labels=self.labels[idx])
 
     def select(self, user_ids) -> "FeatureMatrix":
         pos = {u: i for i, u in enumerate(self.user_ids)}
@@ -122,13 +126,12 @@ class FeatureMatrix:
 
     def id_order(self) -> np.ndarray:
         """Row positions in user-id order; the one place rows are sorted by id."""
-        ids = self.user_ids
-        order = sorted(range(self.n_users), key=ids.__getitem__)
-        for a, b in zip(order, order[1:]):
-            if ids[a] == ids[b]:
-                raise ValueError(f"user id {ids[a]!r} is on more than one row; "
-                                 "user ids must be unique")
-        return np.array(order, np.int64)
+        order = np.argsort(self.ids, kind="stable")
+        ids = self.ids[order]
+        if (repeated := ids[1:] == ids[:-1]).any():
+            raise ValueError(f"user id {ids[repeated.argmax()].decode()!r} is on more than one "
+                             "row; user ids must be unique")
+        return order
 
     def canonical(self) -> "FeatureMatrix":
         """Rows reordered by user id."""
@@ -287,7 +290,7 @@ def extract_all(users, tg: TransactionMultigraph, fg: FeedbackMultigraph,
     if not (len(idx) == len(full) and (idx == np.arange(len(idx))).all()):
         full = full[idx]
     y = np.isin(users, encode_ids(labels.shill_ids if labels else [])).astype(np.int8)
-    return FeatureMatrix(decode_ids(users), full, y)
+    return FeatureMatrix(users, full, y)
 
 
 def cohort_feature_ratios(matrix: FeatureMatrix) -> dict[str, dict[str, float]]:
@@ -343,7 +346,7 @@ def write_feature_csv(matrix: FeatureMatrix, stream) -> None:
     bad = np.argwhere(~np.isfinite(matrix.values))
     if len(bad):
         r, c = bad[0]
-        raise ValueError(f"user {matrix.user_ids[r]}: {matrix.feature_names[c]} is "
+        raise ValueError(f"user {matrix.ids[r].decode()}: {matrix.feature_names[c]} is "
                          f"{float(matrix.values[r, c])!r}; feature values must be finite")
     kinds = _column_kinds(matrix.values)
     pooled = [j for j, kind in enumerate(kinds) if kind is None]
@@ -352,7 +355,7 @@ def write_feature_csv(matrix: FeatureMatrix, stream) -> None:
     distinct = np.unique(matrix.values[:, pooled])
     whole = ((distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)).tolist()
     values = text_pool([str(int(v)) if w else repr(v) for v, w in zip(distinct.tolist(), whole)])
-    ids, labels = text_pool(matrix.user_ids), text_pool(["benign", "shill"])
+    ids, labels = _matrix(np.ascontiguousarray(matrix.ids)), text_pool(["benign", "shill"])
 
     def cell(kind, column: np.ndarray):
         if kind is None:
@@ -360,7 +363,7 @@ def write_feature_csv(matrix: FeatureMatrix, stream) -> None:
         return kind(column)
 
     def cells(rows: slice) -> list:
-        return [gather(ids, np.arange(matrix.n_users)[rows]),
+        return [(ids[rows], ids[rows] != 0),
                 *map(cell, kinds, matrix.values[rows].T),
                 gather(labels, (matrix.labels[rows] != 0).astype(np.int64))]
 

@@ -233,10 +233,10 @@ def encode_ids(ids) -> np.ndarray:
     `S` array as it is. `S` drops final NULs, so a NUL in an id is refused."""
     if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
         return ids
-    ids = list(ids)
-    if "\0" in "".join(ids):
+    matrix, _, size = text_pool(list(ids))
+    if np.count_nonzero(matrix) != size.sum():     # a zero among its bytes is a NUL
         raise ValueError("an id holds a NUL")
-    return np.array(list(map(str.encode, ids)), "S")
+    return matrix.view(f"S{matrix.shape[1]}").ravel()
 
 
 def decode_ids(ids: np.ndarray) -> list[str]:

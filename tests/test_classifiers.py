@@ -896,7 +896,8 @@ def test_pca_sign_convention():
 
 def test_pca_zero_covariance_warns_identity():
     X = np.ones((5, 3))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         B = pca_basis(X)
     assert np.array_equal(B, np.eye(3))
 
@@ -1424,6 +1425,10 @@ _NB_TABLES = ("NaiveBayes cat_tables and cat_class_totals must hold finite value
     (("bayes", "cat_class_totals", "29"), [-1, 3],
      f"NaiveBayes column 29 has counts [-1, 3]; {_COUNTS}"),
     (("bayes", "priors"), _DELETE, "NaiveBayes bayes lacks key 'priors'"),
+    (("bayes", "cat_tables"), 5, "NaiveBayes model body is malformed: 'int' object has no "
+                                 "attribute 'items'"),
+    (("bayes", "cat_class_totals"), [1], "NaiveBayes model body is malformed: 'list' object "
+                                         "has no attribute 'items'"),
 ])
 def test_model_from_dict_refuses_bad_naive_bayes(train_ds, path, value, message):
     d = model_to_dict(train_naive_bayes(train_ds))
@@ -1497,6 +1502,7 @@ _ROTATION_RULE = ("RotationForest groups must be disjoint lists of the member tr
     (("bases",), [], _ROTATION_RULE),
     (("groups",), [], _ROTATION_RULE),
     (("bases",), _DELETE, "RotationForest member lacks key 'bases'"),
+    (("groups",), 5, "RotationForest model body is malformed: 'int' object is not iterable"),
 ])
 def test_model_from_dict_refuses_bad_rotation(saved_models, path, value, message):
     d = saved_models["RotationForest"]

@@ -211,12 +211,12 @@ def test_precision_curve_equals_per_k_oracle(with_ids):
     labels = rng.integers(0, 2, n)
     uids = [f"u{v:04d}" for v in rng.permutation(n)]
     ks = list(range(1, n + 40))                   # k past n saturates
-    curve = precision_curve(scores, labels, ks, uids if with_ids else None)
+    keys = uids if with_ids else np.arange(n)
+    curve = precision_curve(scores, labels, ks, keys)
     ref_ids = uids if with_ids else list(range(n))
     s, y = scores.tolist(), labels.tolist()
     assert curve == [precision_at_k_reference(s, y, ref_ids, k) for k in ks]
-    assert [precision_at_k(scores, labels, k, uids if with_ids else None)
-            for k in ks] == curve
+    assert [precision_at_k(scores, labels, k, keys) for k in ks] == curve
 
 
 def test_precision_curve_ranks_id_ranks_as_their_ids():
@@ -240,9 +240,9 @@ def test_precision_curve_ranks_id_ranks_as_their_ids():
 
 def test_precision_curve_rejects_bad_input():
     with pytest.raises(ValueError, match="k must be"):
-        precision_curve([0.5, 0.2], [1, 0], [1, 0, 2])
+        precision_curve([0.5, 0.2], [1, 0], [1, 0, 2], ["a", "b"])
     with pytest.raises(ValueError, match="at least one"):
-        precision_curve([], [], [1])
+        precision_curve([], [], [1], [])
 
 
 def test_cross_validate_structure(small_matrix):

@@ -520,6 +520,37 @@ def test_select_subset(small_matrix):
     assert np.array_equal(sub.values, small_matrix.values[:7])
 
 
+# Non-ASCII ids, and ids that are prefixes of others: a bytes array pads
+# each id with NULs, and UTF-8's byte order must be str's code-point order.
+_ODD_IDS = ["a", "a!", "ab", "é", "😀", "b", "aé", "\x7f", "ÿ", "a\x01", "z😀", "z"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_id_order_take_canonical_select_match_str_sort(seed):
+    rng = np.random.default_rng(seed)
+    ids = [_ODD_IDS[i] for i in rng.permutation(len(_ODD_IDS))]
+    values = np.arange(len(ids) * 2, dtype=np.float64).reshape(-1, 2)
+    labels = rng.integers(0, 2, len(ids)).astype(np.int8)
+    m = FeatureMatrix(ids, values, labels, ("f0", "f1"))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    assert m.id_order().tolist() == order
+    idx = rng.integers(0, len(ids), 20)
+    took = m.take(idx)
+    assert took.user_ids == [ids[i] for i in idx]
+    assert np.array_equal(took.values, values[idx]) and np.array_equal(took.labels, labels[idx])
+    canon = m.canonical()
+    assert canon.user_ids == sorted(ids)
+    assert np.array_equal(canon.values, values[order])
+    assert np.array_equal(canon.labels, labels[order])
+    wanted = [ids[i] for i in rng.permutation(len(ids))[:7]]
+    sub = m.select(wanted)
+    assert sub.user_ids == wanted
+    assert np.array_equal(sub.values, values[[ids.index(u) for u in wanted]])
+    with pytest.raises(ValueError, match=r"^user id 'a!' is on more than one row; "
+                                         r"user ids must be unique$"):
+        m.take(np.r_[np.arange(len(ids)), ids.index("a!"), ids.index("😀")]).id_order()
+
+
 # ---------------------------------------------------------------------------
 # cohort ratios
 
